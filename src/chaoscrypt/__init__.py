@@ -9,7 +9,6 @@ robustness, and renders the per-key report tables.
 """
 
 from .maps import (
-    ARNOLD_X_RULE,
     DIVERGENCE_BOUND,
     DivergenceError,
     DomainError,
@@ -32,6 +31,7 @@ from .cipher import (
     CipherConfig,
     Key,
     SymbolTrace,
+    config_from_dict,
     decrypt,
     decrypt_file,
     default_config,

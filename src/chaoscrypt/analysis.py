@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import floor
@@ -26,6 +27,10 @@ from typing import Callable, Iterable, Sequence, TextIO
 from .cipher import (
     CipherConfig,
     Key,
+    _cipher_symbols,
+    _field,
+    _key_from_dict,
+    _number,
     decrypt,
     default_config,
     encrypt_bytes,
@@ -185,8 +190,6 @@ def plaintext_sensitivity(plaintext: bytes | str, key: Key,
         raise DomainError("plaintext sensitivity needs a non-empty plaintext")
     if not 0 <= flip_bit < 8 * len(p):
         raise DomainError(f"flip_bit {flip_bit} outside [0, {8 * len(p)})")
-    if cfg is None:
-        cfg = default_config(key.kind)
     flipped = bytearray(p)
     flipped[flip_bit >> 3] ^= 1 << (flip_bit & 7)
     c1 = encrypt_bytes(p, key, cfg)
@@ -214,8 +217,6 @@ def key_sensitivity(plaintext: bytes | str, key: Key,
     p = _as_bytes(plaintext)
     if not p:
         raise DomainError("key sensitivity needs a non-empty plaintext")
-    if cfg is None:
-        cfg = default_config(key.kind)
     params = key.params
     if mode == "increment":
         if not math.isfinite(delta):
@@ -264,49 +265,49 @@ class AttackResult:
 
 def _scan_chunk(args) -> list[int]:
     """Flat grid indices in [start, stop) whose key reproduces the
-    reference ciphertext; divergent keys count as non-matching."""
+    reference ciphertext. Each key is dropped at its first mismatching
+    symbol; divergent keys count as non-matching."""
     domain, start, stop, data, cfg, reference = args
     nb = domain.axis_counts()[1]
     kind = domain.kind
     hits = []
     for flat in range(start, stop):
-        params = domain.params_at(*divmod(flat, nb))
+        key = Key(kind, domain.params_at(*divmod(flat, nb)))
         try:
-            if encrypt_bytes(data, Key(kind, params), cfg) == reference:
+            for values, expected in zip(_cipher_symbols(key, cfg, data), reference):
+                if values[0] != expected:
+                    break
+            else:
                 hits.append(flat)
         except DivergenceError:
             pass
     return hits
 
 
-def _matching_indices(domain: KeyDomain, data: bytes, cfg: CipherConfig,
-                      reference: bytes, workers: int,
-                      on_progress: Callable[[int, int], None] | None) -> list[int]:
+def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
+                   reference: bytes, workers: int,
+                   on_progress: Callable[[int, int], None] | None) -> list[Key]:
+    """Grid keys, in grid order, whose encryption of data is reference."""
     total = domain.size()
     workers = effective_workers(workers)
-    if workers <= 1:
-        hits = []
-        done = 0
-        step = 4096
-        for start in range(0, total, step):
-            stop = min(start + step, total)
-            hits.extend(_scan_chunk((domain, start, stop, data, cfg, reference)))
-            done = stop
-            if on_progress:
-                on_progress(done, total)
-        return hits
-    chunk = max(256, -(-total // (workers * 4)))
-    jobs = [(domain, start, min(start + chunk, total), data, cfg, reference)
-            for start in range(0, total, chunk)]
+    chunk = 4096 if workers <= 1 else max(256, -(-total // (workers * 4)))
+    # Lazy, so a serial scan holds one chunk at a time however large the grid.
+    starts = range(0, total, chunk)
+    jobs = ((domain, start, min(start + chunk, total), data, cfg, reference)
+            for start in starts)
     hits = []
-    done = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for job, result in zip(jobs, pool.map(_scan_chunk, jobs)):
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_scan_chunk, jobs)
+        else:
+            results = map(_scan_chunk, jobs)
+        for start, result in zip(starts, results):
             hits.extend(result)
-            done += job[2] - job[1]
             if on_progress:
-                on_progress(done, total)
-    return hits
+                on_progress(min(start + chunk, total), total)
+    nb = domain.axis_counts()[1]
+    return [Key(domain.kind, domain.params_at(*divmod(flat, nb))) for flat in hits]
 
 
 def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
@@ -339,9 +340,7 @@ def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomai
     snapped = Key(domain.kind, domain.snap(true_key.params))
     data = p[:compare_len]
     reference = encrypt_bytes(data, snapped, scan_cfg)
-    nb = domain.axis_counts()[1]
-    indices = _matching_indices(domain, data, scan_cfg, reference, workers, on_progress)
-    matching = [Key(domain.kind, domain.params_at(*divmod(flat, nb))) for flat in indices]
+    matching = _matching_keys(domain, data, scan_cfg, reference, workers, on_progress)
     return IdentifiabilityResult(
         identifiable=(matching == [snapped]),
         true_key=snapped,
@@ -371,9 +370,7 @@ def known_plaintext_attack(ciphertext: bytes, known_prefix: bytes | str,
     if cfg is None:
         cfg = default_config(domain.kind)
     reference = ciphertext[:len(prefix)]
-    nb = domain.axis_counts()[1]
-    indices = _matching_indices(domain, prefix, cfg, reference, workers, on_progress)
-    candidates = [Key(domain.kind, domain.params_at(*divmod(flat, nb))) for flat in indices]
+    candidates = _matching_keys(domain, prefix, cfg, reference, workers, on_progress)
     recovered = candidates[0] if len(candidates) == 1 else None
     if recovered is None:
         robust = True
@@ -530,7 +527,10 @@ def read_report_csv(inp: TextIO, kind: MapKind) -> list[AnalysisRow]:
 
 
 def load_report_spec(path: str | os.PathLike) -> list[tuple[str, Key, KeyDomain]]:
-    """Load (plaintext, key, domain) triples from a JSON spec file."""
+    """Load (plaintext, key, domain) triples from a JSON spec file.
+
+    An item of the wrong shape raises ValueError naming the item and field.
+    """
     with open(path, "r", encoding="utf-8") as f:
         try:
             items = json.load(f)
@@ -539,21 +539,23 @@ def load_report_spec(path: str | os.PathLike) -> list[tuple[str, Key, KeyDomain]
     if not isinstance(items, list):
         raise ValueError("report spec must be a JSON list")
     triples = []
-    for item in items:
-        kobj = item["key"]
-        kind = MapKind.parse(str(kobj["kind"]))
-        n_mod = float(kobj.get("n_modulus", 1.0))
-        key = Key(kind, MapParams(float(kobj["a"]), float(kobj["b"]), n_mod))
-        dobj = item["domain"]
-        domain = KeyDomain(
-            kind,
-            (float(dobj["lower"][0]), float(dobj["lower"][1])),
-            (float(dobj["upper"][0]), float(dobj["upper"][1])),
-            float(dobj.get("increment", 1e-4)),
-            n_modulus=n_mod,
-        )
-        triples.append((str(item["plaintext"]), key, domain))
+    for n, item in enumerate(items, start=1):
+        where = f"report spec item {n}"
+        key = _key_from_dict(_field(item, "key", where), f"{where} key")
+        dobj = _field(item, "domain", where)
+        lower, upper = (_pair(dobj, name, f"{where} domain") for name in ("lower", "upper"))
+        domain = KeyDomain(key.kind, lower, upper,
+                           _number(dobj, "increment", f"{where} domain", 1e-4),
+                           n_modulus=key.params.n_modulus)
+        triples.append((str(_field(item, "plaintext", where)), key, domain))
     return triples
+
+
+def _pair(obj, name: str, where: str) -> tuple[float, float]:
+    pair = _field(obj, name, where)
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"{where} field {name!r} must be a list of two numbers")
+    return tuple(_number({name: v}, name, where) for v in pair)
 
 
 def builtin_spec_path(name: str):

@@ -6,6 +6,14 @@ mod 256. The first-stage mixed value is then folded back into the state,
 so the dynamics depend on everything already encrypted. Decryption
 regenerates the same state sequence from the key and inverts the mixing
 exactly.
+
+One generator, _cipher_symbols, is the whole cipher: it steps the map,
+checks the divergence bound after every step, quantizes, mixes and feeds
+back, one symbol at a time, in either direction. encrypt, encrypt_bytes
+and decrypt consume it in memory; encrypt_file and decrypt_file feed it
+64 KiB reads and write 64 KiB blocks through a temp file that replaces
+the output only on success; and the grid scans in analysis pull from it
+one key at a time, stopping at a key's first mismatching symbol.
 """
 
 from __future__ import annotations
@@ -13,9 +21,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+import sys
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
 from math import floor, fmod
-from typing import Iterable
+from operator import itemgetter
+from typing import IO, Iterable, Iterator
 
 from .maps import (
     DIVERGENCE_BOUND,
@@ -106,62 +119,52 @@ def quantize(s: State, cfg: CipherConfig) -> int:
     return int(floor(abs(s.x) * cfg.quant_scale)) % cfg.symbol_modulus
 
 
-class _Engine:
-    """Keyed state machine shared by encryption and decryption."""
+def _cipher_symbols(key: Key, cfg: CipherConfig | None, symbols: Iterable[int],
+                    decrypting: bool = False,
+                    ) -> Iterator[tuple[int, int, float, float, float, float]]:
+    """The cipher itself: yields (out, z, s1x, s1y, s2x, s2y) per input symbol.
 
-    __slots__ = ("_step", "_x", "_y", "_n1", "_n2", "_q", "_g", "_m", "_count")
-
-    def __init__(self, key: Key, cfg: CipherConfig):
-        if cfg.n1 < 1 or cfg.n2 < 1:
-            raise DomainError("iteration counts n1 and n2 must be >= 1")
-        self._step = step_function(key.kind, key.params)
-        self._x = cfg.initial_state.x
-        self._y = cfg.initial_state.y
-        self._n1 = cfg.n1
-        self._n2 = cfg.n2
-        self._q = cfg.quant_scale
-        self._g = cfg.reinject_gain
-        self._m = cfg.symbol_modulus
-        self._count = 0
-
-    def _advance_quantize(self, n: int) -> int:
-        step = self._step
-        x, y = self._x, self._y
-        bound = DIVERGENCE_BOUND
-        for _ in range(n):
+    out is the ciphertext symbol when encrypting and the plaintext byte
+    when decrypting; z is the first-stage mixed value fed back into the
+    state; (s1x, s1y) is the state after the first n1 steps and
+    (s2x, s2y) the state after the symbol, feedback included. The bound
+    is checked after every map step, and a divergent orbit raises
+    DivergenceError with the index of the symbol being processed.
+    """
+    if cfg is None:
+        cfg = default_config(key.kind)
+    if cfg.n1 < 1 or cfg.n2 < 1:
+        raise DomainError("iteration counts n1 and n2 must be >= 1")
+    step = step_function(key.kind, key.params)
+    x, y = cfg.initial_state.x, cfg.initial_state.y
+    steps = range(cfg.n1 + cfg.n2)
+    first_stage_end = cfg.n1 - 1  # the step whose state feeds q1
+    q, g, m = cfg.quant_scale, cfg.reinject_gain, cfg.symbol_modulus
+    bound = DIVERGENCE_BOUND
+    what = "ciphertext symbol" if decrypting else "plaintext byte"
+    for k, c in enumerate(symbols):
+        if not 0 <= c < m:
+            raise DomainError(f"{what} {c} out of range [0, {m})")
+        for i in steps:
             x, y = step(x, y)
             if not (-bound <= x <= bound and -bound <= y <= bound):
                 raise DivergenceError(
-                    f"orbit diverged while processing symbol {self._count}",
-                    symbol=self._count)
-        self._x, self._y = x, y
-        return int(floor(abs(x) * self._q)) % self._m
+                    f"orbit diverged while processing symbol {k}", symbol=k)
+            if i == first_stage_end:
+                s1x, s1y = x, y
+        q1 = int(floor(abs(s1x) * q)) % m
+        q2 = int(floor(abs(x) * q)) % m
+        if decrypting:
+            z = (c - q2) % m
+            out = (z - q1) % m
+        else:
+            z = (c + q1) % m
+            out = (z + q2) % m
+        x = fmod(x + g * z / m, 1.0)
+        yield out, z, s1x, s1y, x, y
 
-    def _reinject(self, z: int) -> None:
-        self._x = fmod(self._x + self._g * z / self._m, 1.0)
 
-    def encrypt_byte(self, c: int) -> tuple[int, int, float, float, float, float]:
-        if not 0 <= c < self._m:
-            raise DomainError(f"plaintext byte {c} out of range [0, {self._m})")
-        q1 = self._advance_quantize(self._n1)
-        s1x, s1y = self._x, self._y
-        z = (c + q1) % self._m
-        q2 = self._advance_quantize(self._n2)
-        y_sym = (z + q2) % self._m
-        self._reinject(z)
-        self._count += 1
-        return y_sym, z, s1x, s1y, self._x, self._y
-
-    def decrypt_symbol(self, y_sym: int) -> int:
-        if not 0 <= y_sym < self._m:
-            raise DomainError(f"ciphertext symbol {y_sym} out of range [0, {self._m})")
-        q1 = self._advance_quantize(self._n1)
-        q2 = self._advance_quantize(self._n2)
-        z = (y_sym - q2) % self._m
-        c = (z - q1) % self._m
-        self._reinject(z)
-        self._count += 1
-        return c
+_first = itemgetter(0)
 
 
 def encrypt(plaintext: bytes | Iterable[int], key: Key,
@@ -171,13 +174,9 @@ def encrypt(plaintext: bytes | Iterable[int], key: Key,
     The trace list exposes the intermediate mixed values and state
     snapshots for the analysis procedures.
     """
-    if cfg is None:
-        cfg = default_config(key.kind)
-    engine = _Engine(key, cfg)
     out = bytearray()
     traces = []
-    for c in plaintext:
-        y_sym, z, s1x, s1y, s2x, s2y = engine.encrypt_byte(c)
+    for y_sym, z, s1x, s1y, s2x, s2y in _cipher_symbols(key, cfg, plaintext):
         out.append(y_sym)
         traces.append(SymbolTrace(z, y_sym, State(s1x, s1y), State(s2x, s2y)))
     return bytes(out), traces
@@ -186,46 +185,80 @@ def encrypt(plaintext: bytes | Iterable[int], key: Key,
 def encrypt_bytes(plaintext: bytes | Iterable[int], key: Key,
                   cfg: CipherConfig | None = None) -> bytes:
     """Encrypt without collecting traces (fast path for scans and files)."""
-    if cfg is None:
-        cfg = default_config(key.kind)
-    engine = _Engine(key, cfg)
-    out = bytearray()
-    for c in plaintext:
-        out.append(engine.encrypt_byte(c)[0])
-    return bytes(out)
+    return bytes(map(_first, _cipher_symbols(key, cfg, plaintext)))
 
 
 def decrypt(ciphertext: bytes | Iterable[int], key: Key,
             cfg: CipherConfig | None = None) -> bytes:
     """Exact inverse of encrypt under the same key and configuration."""
-    if cfg is None:
-        cfg = default_config(key.kind)
-    engine = _Engine(key, cfg)
-    out = bytearray()
-    for y_sym in ciphertext:
-        out.append(engine.decrypt_symbol(y_sym))
-    return bytes(out)
+    return bytes(map(_first, _cipher_symbols(key, cfg, ciphertext, decrypting=True)))
 
 
 _CHUNK = 1 << 16
 _WHITESPACE_TABLE = str.maketrans("", "", " \t\r\n")
 
 
+@contextmanager
+def _atomic_write(path: str | os.PathLike, mode: str, **kwargs) -> Iterator[IO]:
+    """Open a fresh temp file beside path for writing (mode "x" or "xb") and
+    move it onto path when the block completes. On any exception the temp
+    file is removed, so a failed command leaves no partial output.
+
+    A path that exists but is not a regular file (a pipe, a device) cannot
+    be replaced, and is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode.replace("x", "w"), **kwargs) as f:
+            yield f
+        return
+    target = os.path.realpath(path)  # through a symlink, replace the file it names
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    f = open(tmp, mode, **kwargs)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _hex_chunks(path: str | os.PathLike) -> Iterator[bytes]:
+    """Stream the bytes spelled by a hex text file, one 64 KiB read at a time.
+
+    Whitespace is ignored anywhere, an odd trailing digit of one read is
+    carried into the next, and any other character or an odd digit count
+    raises ValueError naming the file.
+    """
+    carry = ""
+    # latin-1 decodes every byte, so a non-ASCII one is reported as bad hex
+    with open(path, "r", encoding="latin-1") as fin:
+        for text in iter(partial(fin.read, _CHUNK), ""):
+            digits = carry + text.translate(_WHITESPACE_TABLE)
+            take = len(digits) - len(digits) % 2
+            carry = digits[take:]
+            try:
+                chunk = bytes.fromhex(digits[:take])
+            except ValueError:
+                raise ValueError(f"malformed hex in ciphertext file {path}") from None
+            yield chunk
+    if carry:
+        raise ValueError(f"odd number of hex digits in ciphertext file {path}")
+
+
 def encrypt_file(path_in: str | os.PathLike, path_out: str | os.PathLike,
                  key: Key, cfg: CipherConfig | None = None) -> None:
-    """Encrypt a file to lowercase hex, two digits per symbol, streaming."""
-    if cfg is None:
-        cfg = default_config(key.kind)
-    engine = _Engine(key, cfg)
-    with open(path_in, "rb") as fin, open(path_out, "w", encoding="ascii") as fout:
-        while True:
-            chunk = fin.read(_CHUNK)
-            if not chunk:
-                break
-            symbols = bytearray()
-            for c in chunk:
-                symbols.append(engine.encrypt_byte(c)[0])
-            fout.write(bytes(symbols).hex())
+    """Encrypt a file to lowercase hex, two digits per symbol, streaming.
+
+    path_out is only replaced once the whole file is encrypted.
+    """
+    with open(path_in, "rb") as fin, _atomic_write(path_out, "x", encoding="ascii") as fout:
+        plaintext = chain.from_iterable(iter(partial(fin.read, _CHUNK), b""))
+        symbols = map(_first, _cipher_symbols(key, cfg, plaintext))
+        while block := bytes(islice(symbols, _CHUNK)):
+            fout.write(block.hex())
         fout.write("\n")
 
 
@@ -235,39 +268,54 @@ def decrypt_file(path_in: str | os.PathLike, path_out: str | os.PathLike,
 
     Whitespace (including the optional trailing newline) is ignored; any
     other non-hex character, or an odd digit count, raises ValueError.
+    path_out is only replaced once the whole file is decrypted.
     """
-    if cfg is None:
-        cfg = default_config(key.kind)
-    engine = _Engine(key, cfg)
-    carry = ""
-    with open(path_in, "r", encoding="ascii") as fin, open(path_out, "wb") as fout:
-        while True:
-            text = fin.read(_CHUNK)
-            if not text:
-                break
-            digits = carry + text.translate(_WHITESPACE_TABLE)
-            take = len(digits) - (len(digits) % 2)
-            carry = digits[take:]
-            try:
-                symbols = bytes.fromhex(digits[:take])
-            except ValueError:
-                raise ValueError(f"malformed hex in ciphertext file {path_in}")
-            out = bytearray()
-            for y_sym in symbols:
-                out.append(engine.decrypt_symbol(y_sym))
-            fout.write(bytes(out))
-        if carry:
-            raise ValueError(f"odd number of hex digits in ciphertext file {path_in}")
+    with _atomic_write(path_out, "xb") as fout:
+        ciphertext = chain.from_iterable(_hex_chunks(path_in))
+        plaintext = map(_first, _cipher_symbols(key, cfg, ciphertext, decrypting=True))
+        while block := bytes(islice(plaintext, _CHUNK)):
+            fout.write(block)
+
+
+def _field(obj, name: str, where: str, default=None):
+    """obj[name] of a parsed JSON object, or default when absent; a
+    non-object, or a missing field without a default, raises ValueError
+    naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if name in obj:
+        return obj[name]
+    if default is None:
+        raise ValueError(f"{where} missing field {name!r}")
+    return default
+
+
+def _number(obj, name: str, where: str, default=None, count: bool = False):
+    """_field as a finite float, or as an int when count is set. Bools,
+    strings and non-integral counts raise ValueError naming the field."""
+    value = _field(obj, name, where, default)
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (not count or value == int(value))):
+        raise ValueError(f"{where} field {name!r} must be "
+                         f"{'an integer' if count else 'a finite number'}, got {value!r}")
+    return int(value) if count else float(value)
+
+
+def _key_dict(key: Key) -> dict:
+    return {"kind": key.kind.value, "a": key.params.a, "b": key.params.b,
+            "n_modulus": key.params.n_modulus}
+
+
+def _key_from_dict(obj, where: str = "key JSON") -> Key:
+    kind = MapKind.parse(str(_field(obj, "kind", where)))
+    return Key(kind, MapParams(_number(obj, "a", where), _number(obj, "b", where),
+                               _number(obj, "n_modulus", where, 1.0)))
 
 
 def key_to_json(key: Key) -> str:
     """Single-line JSON rendering with full-precision decimals."""
-    return json.dumps({
-        "kind": key.kind.value,
-        "a": key.params.a,
-        "b": key.params.b,
-        "n_modulus": key.params.n_modulus,
-    })
+    return json.dumps(_key_dict(key))
 
 
 def key_from_json(text: str) -> Key:
@@ -275,15 +323,7 @@ def key_from_json(text: str) -> Key:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed key JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ValueError("malformed key JSON: expected an object")
-    try:
-        kind = MapKind.parse(str(obj["kind"]))
-        params = MapParams(float(obj["a"]), float(obj["b"]),
-                           float(obj.get("n_modulus", 1.0)))
-    except KeyError as exc:
-        raise ValueError(f"key JSON missing field {exc}")
-    return Key(kind, params)
+    return _key_from_dict(obj)
 
 
 def save_key(key: Key, path: str | os.PathLike) -> None:
@@ -297,22 +337,26 @@ def load_key(path: str | os.PathLike) -> Key:
 
 
 def config_from_dict(obj: dict, kind: MapKind) -> CipherConfig:
-    """Build a config from a JSON-style dict; absent fields take defaults."""
-    cfg = default_config(kind)
-    if "initial_state" in obj:
+    """Build a config from a JSON-style dict; absent fields take defaults.
+
+    A field of the wrong shape or type raises ValueError naming it.
+    """
+    base = default_config(kind)
+    state = base.initial_state
+    if isinstance(obj, dict) and "initial_state" in obj:
         st = obj["initial_state"]
-        cfg = replace(cfg, initial_state=State(float(st["x"]), float(st["y"])))
-    if "n1" in obj:
-        cfg = replace(cfg, n1=int(obj["n1"]))
-    if "n2" in obj:
-        cfg = replace(cfg, n2=int(obj["n2"]))
-    if "quant_scale" in obj:
-        cfg = replace(cfg, quant_scale=float(obj["quant_scale"]))
-    if "reinject_gain" in obj:
-        cfg = replace(cfg, reinject_gain=float(obj["reinject_gain"]))
+        state = State(_number(st, "x", "config initial_state"),
+                      _number(st, "y", "config initial_state"))
+    cfg = CipherConfig(
+        initial_state=state,
+        n1=_number(obj, "n1", "config", base.n1, count=True),
+        n2=_number(obj, "n2", "config", base.n2, count=True),
+        quant_scale=_number(obj, "quant_scale", "config", base.quant_scale),
+        reinject_gain=_number(obj, "reinject_gain", "config", base.reinject_gain),
+    )
     if cfg.n1 < 1 or cfg.n2 < 1:
         raise DomainError("config iteration counts n1 and n2 must be >= 1")
-    if not (math.isfinite(cfg.quant_scale) and cfg.quant_scale > 0.0):
+    if not cfg.quant_scale > 0.0:
         raise DomainError("config quant_scale must be finite and > 0")
     return cfg
 
@@ -323,6 +367,4 @@ def load_config(path: str | os.PathLike, kind: MapKind) -> CipherConfig:
             obj = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed config JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ValueError("malformed config JSON: expected an object")
     return config_from_dict(obj, kind)

@@ -60,22 +60,6 @@ def _plaintext_from(args) -> bytes:
         return f.read()
 
 
-def _read_hex_file(path: str) -> bytes:
-    with open(path, "r", encoding="ascii") as f:
-        digits = f.read().translate(str.maketrans("", "", " \t\r\n"))
-    if len(digits) % 2:
-        raise ValueError(f"odd number of hex digits in {path}")
-    try:
-        return bytes.fromhex(digits)
-    except ValueError:
-        raise ValueError(f"malformed hex in {path}")
-
-
-def _key_dict(key: Key) -> dict:
-    return {"kind": key.kind.value, "a": key.params.a, "b": key.params.b,
-            "n_modulus": key.params.n_modulus}
-
-
 def _progress(label: str):
     last = [0.0]
     t0 = perf_counter()
@@ -90,21 +74,14 @@ def _progress(label: str):
     return report
 
 
-def cmd_encrypt(args) -> int:
+def cmd_file(args) -> int:
+    """encrypt or decrypt, as args.command says: one file to another."""
     key = cipher.load_key(args.key)
     code = _check_key_domain(args, key)
     if code:
         return code
-    cipher.encrypt_file(args.infile, args.out, key, _load_cfg(args, key.kind))
-    return 0
-
-
-def cmd_decrypt(args) -> int:
-    key = cipher.load_key(args.key)
-    code = _check_key_domain(args, key)
-    if code:
-        return code
-    cipher.decrypt_file(args.infile, args.out, key, _load_cfg(args, key.kind))
+    run = cipher.encrypt_file if args.command == "encrypt" else cipher.decrypt_file
+    run(args.infile, args.out, key, _load_cfg(args, key.kind))
     return 0
 
 
@@ -129,12 +106,10 @@ def cmd_keygen(args) -> int:
     rng = random.Random(args.seed)
     na, nb = domain.axis_counts()
     key = Key(kind, domain.params_at(rng.randrange(na), rng.randrange(nb)))
-    line = cipher.key_to_json(key)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as f:
-            f.write(line + "\n")
+        cipher.save_key(key, args.out)
     else:
-        print(line)
+        print(cipher.key_to_json(key))
     return 0
 
 
@@ -182,8 +157,8 @@ def cmd_identify(args) -> int:
             "identifiable": result.identifiable,
             "matching": len(result.matching_keys),
             "grid": result.grid_size,
-            "true_key": _key_dict(result.true_key),
-            "matching_keys": [_key_dict(k) for k in result.matching_keys[:20]],
+            "true_key": cipher._key_dict(result.true_key),
+            "matching_keys": [cipher._key_dict(k) for k in result.matching_keys[:20]],
             "elapsed_s": elapsed,
         }))
     else:
@@ -198,7 +173,7 @@ def cmd_attack(args) -> int:
     domain = KeyDomain(kind, (a_lo, b_lo), (a_hi, b_hi), args.increment,
                        n_modulus=args.n_modulus)
     cfg = _load_cfg(args, kind)
-    ciphertext = _read_hex_file(args.cipher)
+    ciphertext = b"".join(cipher._hex_chunks(args.cipher))
     t0 = perf_counter()
     result = analysis.known_plaintext_attack(
         ciphertext, args.known_prefix.encode("utf-8"), domain, cfg,
@@ -207,8 +182,8 @@ def cmd_attack(args) -> int:
     if args.json:
         print(json.dumps({
             "candidates": len(result.candidates),
-            "candidate_keys": [_key_dict(k) for k in result.candidates[:20]],
-            "recovered": _key_dict(result.recovered) if result.recovered else None,
+            "candidate_keys": [cipher._key_dict(k) for k in result.candidates[:20]],
+            "recovered": cipher._key_dict(result.recovered) if result.recovered else None,
             "robust": result.robust,
             "verdict": result.verdict,
             "grid": domain.size(),
@@ -283,25 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("encrypt", cmd_encrypt, "encrypt a file to hex ciphertext")
-    p.add_argument("--in", dest="infile", required=True, help="input file (raw bytes)")
-    p.add_argument("--out", required=True, help="output file (lowercase hex)")
-    p.add_argument("--key", required=True, help="key JSON file")
-    p.add_argument("--config", help="cipher config JSON file")
-    p.add_argument("--domain", type=_domain_arg, default=None,
-                   help="a_lo,b_lo,a_hi,b_hi; reject keys outside it (exit 3)")
-    p.add_argument("--increment", type=float, default=1e-4,
-                   help="grid increment used with --domain")
-
-    p = add("decrypt", cmd_decrypt, "decrypt a hex ciphertext file")
-    p.add_argument("--in", dest="infile", required=True, help="input file (hex)")
-    p.add_argument("--out", required=True, help="output file (raw bytes)")
-    p.add_argument("--key", required=True, help="key JSON file")
-    p.add_argument("--config", help="cipher config JSON file")
-    p.add_argument("--domain", type=_domain_arg, default=None,
-                   help="a_lo,b_lo,a_hi,b_hi; reject keys outside it (exit 3)")
-    p.add_argument("--increment", type=float, default=1e-4,
-                   help="grid increment used with --domain")
+    for name, help_text, fin, fout in (
+            ("encrypt", "encrypt a file to hex ciphertext", "raw bytes", "lowercase hex"),
+            ("decrypt", "decrypt a hex ciphertext file", "hex", "raw bytes")):
+        p = add(name, cmd_file, help_text)
+        p.add_argument("--in", dest="infile", required=True, help=f"input file ({fin})")
+        p.add_argument("--out", required=True, help=f"output file ({fout})")
+        p.add_argument("--key", required=True, help="key JSON file")
+        p.add_argument("--config", help="cipher config JSON file")
+        p.add_argument("--domain", type=_domain_arg, default=None,
+                       help="a_lo,b_lo,a_hi,b_hi; reject keys outside it (exit 3)")
+        p.add_argument("--increment", type=float, default=1e-4,
+                       help="grid increment used with --domain")
 
     p = add("keygen", cmd_keygen, "draw a key uniformly from a domain grid")
     p.add_argument("--kind", required=True, choices=["arnold", "duffing"])

@@ -25,6 +25,7 @@ from chaoscrypt.cipher import (
     save_key,
 )
 from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State
+from oracles import oracle_symbols
 
 DUFFING_KEY = Key(MapKind.DUFFING, MapParams(2.75, 0.1))
 ARNOLD_KEY = Key(MapKind.ARNOLD, MapParams(-4.0, 0.5, 1.0))
@@ -173,6 +174,44 @@ def test_divergence_reports_symbol_and_mirrors_in_decrypt():
     assert err2.value.symbol == k
 
 
+@pytest.mark.parametrize("iters", [1, 2, 3])
+def test_kernel_matches_flat_oracle_on_random_grid_keys(iters):
+    rng = random.Random(1000 + iters)
+    diverged = 0
+    for kind in (MapKind.ARNOLD, MapKind.DUFFING):
+        cfg = replace(default_config(kind), n1=iters, n2=iters)
+        for _ in range(60):
+            key = sample_grid_key(rng, kind)
+            ab = (key.params.a, key.params.b, key.params.n_modulus)
+            data = rng.randbytes(rng.randrange(1, 40))
+            try:
+                expected = bytes(oracle_symbols(data, kind, *ab, iters))
+            except OverflowError:
+                pass
+            else:
+                assert encrypt_bytes(data, key, cfg) == expected
+                assert decrypt(expected, key, cfg) == data
+                continue
+            diverged += 1
+            k = 0
+            while True:
+                try:
+                    oracle_symbols(data[:k + 1], kind, *ab, iters)
+                except OverflowError:
+                    break
+                k += 1
+            with pytest.raises(DivergenceError) as err:
+                encrypt_bytes(data, key, cfg)
+            assert err.value.symbol == k
+            # decryption walks the same states, whatever symbols follow k
+            prefix_ct = encrypt_bytes(data[:k], key, cfg)
+            assert decrypt(prefix_ct, key, cfg) == data[:k]
+            with pytest.raises(DivergenceError) as err:
+                decrypt(prefix_ct + bytes(len(data) - k), key, cfg)
+            assert err.value.symbol == k
+    assert diverged > 0
+
+
 def test_plaintext_byte_out_of_range():
     with pytest.raises(DomainError):
         encrypt_bytes([65, 300], DUFFING_KEY)
@@ -187,17 +226,20 @@ def test_config_iteration_counts_validated():
 
 
 def test_file_roundtrip(tmp_path):
-    data = random.Random(9).randbytes(65536)
+    # three 64 KiB reads, the last one short
+    data = random.Random(9).randbytes(2 * 65536 + 7)
     src = tmp_path / "plain.bin"
     src.write_bytes(data)
     hexfile = tmp_path / "ct.hex"
     out = tmp_path / "back.bin"
     encrypt_file(src, hexfile, ARNOLD_KEY)
     text = hexfile.read_text()
-    body = text.strip()
-    assert len(body) == 2 * len(data)
-    assert body == body.lower()
-    assert all(c in "0123456789abcdef" for c in body)
+    assert text == encrypt_bytes(data, ARNOLD_KEY).hex() + "\n"
+    decrypt_file(hexfile, out, ARNOLD_KEY)
+    assert out.read_bytes() == data
+    # a newline at odd offset 65535 leaves an odd digit count in the first
+    # 64 KiB read, so one digit must carry into the next read
+    hexfile.write_text(text[:65535] + "\n" + text[65535:])
     decrypt_file(hexfile, out, ARNOLD_KEY)
     assert out.read_bytes() == data
 
@@ -285,3 +327,12 @@ def test_default_initial_states_per_kind():
         cfg = default_config(kind)
         assert (cfg.n1, cfg.n2, cfg.quant_scale, cfg.reinject_gain,
                 cfg.symbol_modulus) == (3, 3, 1e6, 1.0, 256)
+
+
+def test_package_exports_every_module_name():
+    import chaoscrypt
+    from chaoscrypt import analysis, cipher, maps
+
+    missing = [name for module in (maps, cipher, analysis) for name in module.__all__
+               if not hasattr(chaoscrypt, name)]
+    assert missing == []

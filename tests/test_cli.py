@@ -1,6 +1,9 @@
 """In-process tests of the command-line front end."""
 
 import json
+import os
+import random
+import threading
 
 import pytest
 
@@ -83,6 +86,95 @@ def test_decrypt_rejects_malformed_hex(tmp_path, arnold_key_file, capsys):
                "--key", arnold_key_file])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_failed_encrypt_or_decrypt_leaves_no_output(tmp_path, capsys, command, existing):
+    rng = random.Random(4)
+    key = tmp_path / "key.json"
+    if command == "encrypt":
+        # this key's orbit leaves the divergence bound within a few symbols
+        key.write_text('{"kind": "duffing", "a": 2.9, "b": 0.2}')
+        src = tmp_path / "p.bin"
+        src.write_bytes(rng.randbytes(5000))
+    else:
+        save_key(ARNOLD_KEY, key)
+        src = tmp_path / "c.hex"
+        src.write_text(rng.randbytes(40000).hex() + "zz00\n")  # bad digit past 64 KiB
+    out = tmp_path / "out"
+    if existing:
+        out.write_bytes(b"earlier output")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = main([command, "--in", str(src), "--out", str(out), "--key", str(key)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert ("divergence" if command == "encrypt" else "malformed hex") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
+    if existing:
+        assert out.read_bytes() == b"earlier output"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_encrypt_writes_through_to_a_pipe(tmp_path, arnold_key_file):
+    # a pipe cannot be replaced by a renamed temp file, so it is written in place
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"to a pipe")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert main(["encrypt", "--in", str(plain), "--out", str(pipe),
+                 "--key", arnold_key_file]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [encrypt_bytes(b"to a pipe", ARNOLD_KEY).hex() + "\n"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["key.json", "p.bin", "pipe"]
+
+
+def test_encrypt_through_a_symlinked_out_keeps_the_link(tmp_path, arnold_key_file):
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"via a link")
+    real = tmp_path / "real.hex"
+    real.write_text("earlier output\n")
+    link = tmp_path / "link.hex"
+    link.symlink_to(real)
+    assert main(["encrypt", "--in", str(plain), "--out", str(link),
+                 "--key", arnold_key_file]) == 0
+    assert link.is_symlink()
+    assert real.read_text() == encrypt_bytes(b"via a link", ARNOLD_KEY).hex() + "\n"
+
+
+@pytest.mark.parametrize("command, payload, named", [
+    ("report", [{"plaintext": "Hi", "key": {"kind": "arnold", "a": -4.0, "b": 0.5}}],
+     "'domain'"),
+    ("report", [[1, 2]], "item 1"),
+    ("report", [{"plaintext": "Hi", "key": {"kind": "arnold", "a": -4.0, "b": 0.5},
+                 "domain": {"lower": [-4.0, 0.5], "upper": -3.9}}], "'upper'"),
+    ("encrypt", {"initial_state": {"x": 0.1}}, "'y'"),
+    ("encrypt", {"n1": True, "n2": 2}, "'n1'"),
+    ("encrypt", {"n1": 2, "n2": 2.7}, "'n2'"),
+])
+def test_malformed_json_shape_is_one_error_line(tmp_path, arnold_key_file, capsys,
+                                                command, payload, named):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    if command == "report":
+        argv = ["report", "--spec", str(path), "--out", str(out)]
+    else:
+        plain = tmp_path / "p.bin"
+        plain.write_bytes(b"data")
+        argv = ["encrypt", "--in", str(plain), "--out", str(out),
+                "--key", arnold_key_file, "--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert named in err
+    assert not out.exists()
 
 
 def test_sensitivity_prints_percentage(arnold_key_file, capsys):
