@@ -27,10 +27,10 @@ from typing import Callable, Iterable, Sequence, TextIO
 from .cipher import (
     CipherConfig,
     Key,
-    _cipher_symbols,
     _field,
     _key_from_dict,
     _number,
+    _scan_grid,
     decrypt,
     default_config,
     encrypt_bytes,
@@ -268,20 +268,8 @@ def _scan_chunk(args) -> list[int]:
     reference ciphertext. Each key is dropped at its first mismatching
     symbol; divergent keys count as non-matching."""
     domain, start, stop, data, cfg, reference = args
-    nb = domain.axis_counts()[1]
-    kind = domain.kind
-    hits = []
-    for flat in range(start, stop):
-        key = Key(kind, domain.params_at(*divmod(flat, nb)))
-        try:
-            for values, expected in zip(_cipher_symbols(key, cfg, data), reference):
-                if values[0] != expected:
-                    break
-            else:
-                hits.append(flat)
-        except DivergenceError:
-            pass
-    return hits
+    return _scan_grid(domain.kind, domain.lower, domain.increment, domain.n_modulus,
+                      domain.axis_counts()[1], start, stop, data, cfg, reference)
 
 
 def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,

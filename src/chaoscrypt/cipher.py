@@ -7,13 +7,16 @@ so the dynamics depend on everything already encrypted. Decryption
 regenerates the same state sequence from the key and inverts the mixing
 exactly.
 
-One generator, _cipher_symbols, is the whole cipher: it steps the map,
-checks the divergence bound after every step, quantizes, mixes and feeds
-back, one symbol at a time, in either direction. encrypt, encrypt_bytes
-and decrypt consume it in memory; encrypt_file and decrypt_file feed it
-64 KiB reads and write 64 KiB blocks through a temp file that replaces
-the output only on success; and the grid scans in analysis pull from it
-one key at a time, stopping at a key's first mismatching symbol.
+One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
+map, checks the divergence bound after every step, quantizes, mixes and
+feeds back, in either direction. At import it is compiled once per map
+kind, with that map's step equation written inline, into two entry
+points. The streaming generator behind _cipher_symbols serves encrypt,
+encrypt_bytes and decrypt in memory, and encrypt_file and decrypt_file,
+which feed it 64 KiB reads and write 64 KiB blocks through a temp file
+that replaces the output only on success. The grid scanner behind
+_scan_grid serves the scans in analysis: it runs a whole chunk of grid
+keys per call and stops each key at its first mismatching symbol.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ import json
 import math
 import os
 import sys
+import textwrap
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
-from math import floor, fmod
+from itertools import chain, count, islice
+from math import floor
 from operator import itemgetter
+from string import Template
 from typing import IO, Iterable, Iterator
 
 from .maps import (
@@ -37,7 +42,7 @@ from .maps import (
     MapKind,
     MapParams,
     State,
-    step_function,
+    _compile_kernel,
 )
 
 __all__ = [
@@ -62,6 +67,10 @@ __all__ = [
 ]
 
 SYMBOL_MODULUS = 256
+
+# Largest n1/n2 a config file may ask for (the paper uses 2 and 3): every
+# symbol costs n1 + n2 map steps, so a huge count never finishes.
+_MAX_ITERATIONS = 1000
 
 # Public starting points of the transmitter, one per map.
 DEFAULT_INITIAL_STATE = {
@@ -119,6 +128,93 @@ def quantize(s: State, cfg: CipherConfig) -> int:
     return int(floor(abs(s.x) * cfg.quant_scale)) % cfg.symbol_modulus
 
 
+# The cipher's per-symbol body, compiled once per map kind with the step
+# inline (maps' step table fills $setup and $step). For symbol k with
+# input c it advances the orbit n1 steps (r1), snapshots it, advances n2
+# steps (r2), checking the divergence bound after every step; quantizes
+# the two snapshots, mixes in the direction `decrypting` says, runs
+# $check, and feeds z back into the state.
+_SYMBOL_BODY = """\
+for _ in r1:
+    x, y = $step
+    if not (-$bound <= x <= $bound and -$bound <= y <= $bound):
+        raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)
+s1x, s1y = x, y
+for _ in r2:
+    x, y = $step
+    if not (-$bound <= x <= $bound and -$bound <= y <= $bound):
+        raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)
+q1 = floor(abs(s1x) * q) % m
+q2 = floor(abs(x) * q) % m
+if decrypting:
+    z = (c - q2) % m
+    out = (z - q1) % m
+else:
+    z = (c + q1) % m
+    out = (z + q2) % m
+$check
+x = fmod(x + g * z / m, 1.0)
+"""
+
+# Entry point 1, the streaming cipher: one key, any iterable of symbols,
+# each range-checked as it arrives; yields (out, z, s1x, s1y, s2x, s2y).
+_STREAM = """\
+def stream(a, b, n, x, y, r1, r2, q, g, m, symbols, decrypting, what):
+    $setup
+    for k, c in enumerate(symbols):
+        if not 0 <= c < m:
+            raise DomainError(f"{what} {c} out of range [0, {m})")
+$body
+        yield out, z, s1x, s1y, x, y
+"""
+
+# Entry point 2, the grid scanner: encrypts the (k, c, expected) triples
+# under the key at every flat index in [start, stop) of a box of row
+# length nb, built as KeyDomain.params_at builds it: (a0 + i * inc,
+# b0 + j * inc). A key stops at its first mismatching symbol, and a
+# divergent key is a miss. Returns the indices that match every symbol.
+_SCAN = """\
+def scan(a0, b0, inc, n, nb, start, stop, x0, y0, r1, r2, q, g, m, triples):
+    decrypting = False
+    hits = []
+    for flat in range(start, stop):
+        i, j = divmod(flat, nb)
+        a = a0 + i * inc
+        b = b0 + j * inc
+        $setup
+        x, y = x0, y0
+        try:
+            for k, c, expected in triples:
+$body
+            else:
+                hits.append(flat)
+        except DivergenceError:
+            pass
+    return hits
+"""
+
+
+def _compile_entry(template: str, name: str, depth: int, check: str) -> dict:
+    """template compiled for each map kind, with the symbol body, ending
+    in check, nested depth levels deep in place of $body."""
+    body = Template(_SYMBOL_BODY).safe_substitute(check=check, bound=repr(DIVERGENCE_BOUND))
+    source = Template(template).safe_substitute(body=textwrap.indent(body.rstrip(), "    " * depth))
+    scope = {"floor": floor, "DivergenceError": DivergenceError, "DomainError": DomainError}
+    return {kind: _compile_kernel(kind, source, name, scope) for kind in MapKind}
+
+
+_STREAMS = _compile_entry(_STREAM, "stream", 2, "pass")
+_SCANS = _compile_entry(_SCAN, "scan", 4, "if out != expected:\n    break")
+
+
+def _kernel_args(cfg: CipherConfig) -> tuple:
+    """cfg as the compiled kernels take it: (x0, y0, r1, r2, q, g, m)."""
+    if cfg.n1 < 1 or cfg.n2 < 1:
+        raise DomainError("iteration counts n1 and n2 must be >= 1")
+    return (cfg.initial_state.x, cfg.initial_state.y, range(cfg.n1), range(cfg.n2),
+            cfg.quant_scale, cfg.reinject_gain, cfg.symbol_modulus)
+
+
 def _cipher_symbols(key: Key, cfg: CipherConfig | None, symbols: Iterable[int],
                     decrypting: bool = False,
                     ) -> Iterator[tuple[int, int, float, float, float, float]]:
@@ -133,35 +229,26 @@ def _cipher_symbols(key: Key, cfg: CipherConfig | None, symbols: Iterable[int],
     """
     if cfg is None:
         cfg = default_config(key.kind)
-    if cfg.n1 < 1 or cfg.n2 < 1:
-        raise DomainError("iteration counts n1 and n2 must be >= 1")
-    step = step_function(key.kind, key.params)
-    x, y = cfg.initial_state.x, cfg.initial_state.y
-    steps = range(cfg.n1 + cfg.n2)
-    first_stage_end = cfg.n1 - 1  # the step whose state feeds q1
-    q, g, m = cfg.quant_scale, cfg.reinject_gain, cfg.symbol_modulus
-    bound = DIVERGENCE_BOUND
+    p = key.params
     what = "ciphertext symbol" if decrypting else "plaintext byte"
-    for k, c in enumerate(symbols):
+    return _STREAMS[key.kind](p.a, p.b, p.n_modulus, *_kernel_args(cfg),
+                              symbols, decrypting, what)
+
+
+def _scan_grid(kind: MapKind, lower: tuple[float, float], increment: float,
+               n_modulus: float, row_length: int, start: int, stop: int,
+               data: bytes, cfg: CipherConfig, reference: bytes) -> list[int]:
+    """Flat indices in [start, stop) of the keys, on a grid with the given
+    lower corner, increment and row length, whose encryption of data is
+    reference; divergent keys do not match. The config and the data
+    symbols are checked once, for the whole range."""
+    args = _kernel_args(cfg)
+    m = cfg.symbol_modulus
+    for c in data:
         if not 0 <= c < m:
-            raise DomainError(f"{what} {c} out of range [0, {m})")
-        for i in steps:
-            x, y = step(x, y)
-            if not (-bound <= x <= bound and -bound <= y <= bound):
-                raise DivergenceError(
-                    f"orbit diverged while processing symbol {k}", symbol=k)
-            if i == first_stage_end:
-                s1x, s1y = x, y
-        q1 = int(floor(abs(s1x) * q)) % m
-        q2 = int(floor(abs(x) * q)) % m
-        if decrypting:
-            z = (c - q2) % m
-            out = (z - q1) % m
-        else:
-            z = (c + q1) % m
-            out = (z + q2) % m
-        x = fmod(x + g * z / m, 1.0)
-        yield out, z, s1x, s1y, x, y
+            raise DomainError(f"plaintext byte {c} out of range [0, {m})")
+    return _SCANS[kind](lower[0], lower[1], increment, n_modulus, row_length, start, stop,
+                        *args, list(zip(count(), data, reference)))
 
 
 _first = itemgetter(0)
@@ -356,6 +443,10 @@ def config_from_dict(obj: dict, kind: MapKind) -> CipherConfig:
     )
     if cfg.n1 < 1 or cfg.n2 < 1:
         raise DomainError("config iteration counts n1 and n2 must be >= 1")
+    for name, value in (("n1", cfg.n1), ("n2", cfg.n2)):
+        if value > _MAX_ITERATIONS:
+            raise DomainError(f"config field {name!r} must be at most {_MAX_ITERATIONS}, "
+                              f"got {value}")
     if not cfg.quant_scale > 0.0:
         raise DomainError("config quant_scale must be finite and > 0")
     return cfg

@@ -4,8 +4,9 @@ Commands: encrypt, decrypt, keygen, trajectory, sensitivity, identify,
 attack, report, compare. Every command exits 0 on success and prints a
 single machine-parseable `error: ...` line on stderr otherwise
 (exit 1: runtime failure such as unreadable files, malformed JSON or hex,
-or a divergent orbit; exit 2: bad usage; exit 3: key outside the domain
-passed to encrypt/decrypt via --domain).
+a divergent orbit, or an interrupt by Ctrl-C or SIGTERM; exit 2: bad
+usage; exit 3: key outside the domain passed to encrypt/decrypt via
+--domain).
 """
 
 from __future__ import annotations
@@ -14,13 +15,19 @@ import argparse
 import json
 import os
 import random
+import signal
 import sys
+import threading
 from time import perf_counter
 
 from . import analysis, cipher, maps
 from .analysis import KeyDomain
 from .cipher import CipherConfig, Key
 from .maps import DivergenceError, MapKind, MapParams, State
+
+# Longest orbit `trajectory --n` computes; the orbit is held in memory
+# before it is written.
+_MAX_TRAJECTORY_STEPS = 10 ** 6
 
 
 def _parse_floats(text: str, n_min: int, n_max: int, what: str) -> list[float]:
@@ -115,6 +122,8 @@ def cmd_keygen(args) -> int:
 
 def cmd_trajectory(args) -> int:
     kind = MapKind.parse(args.kind)
+    if args.n > _MAX_TRAJECTORY_STEPS:
+        raise ValueError(f"--n must be at most {_MAX_TRAJECTORY_STEPS}, got {args.n}")
     start = args.init if args.init is not None else cipher.DEFAULT_INITIAL_STATE[kind]
     points = maps.trajectory(kind, start, args.params, args.n)
     with open(args.out, "w", encoding="ascii") as f:
@@ -136,6 +145,8 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_identify(args) -> int:
+    if args.iters > cipher._MAX_ITERATIONS:
+        raise ValueError(f"--iters must be at most {cipher._MAX_ITERATIONS}, got {args.iters}")
     key = cipher.load_key(args.key)
     a_lo, b_lo, a_hi, b_hi = args.domain
     domain = KeyDomain(key.kind, (a_lo, b_lo), (a_hi, b_hi), args.increment,
@@ -349,8 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # While the command runs, SIGTERM is handled like Ctrl-C: an interrupted
+    # file command removes its temp file. Handlers are set only from the
+    # main thread, and the previous one is put back for the next caller.
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return args.func(args)
     except DivergenceError as exc:
@@ -359,6 +380,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 1
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -9,9 +9,11 @@ a pure function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import linecache
 import math
 from dataclasses import dataclass
 from math import fmod
+from string import Template
 from typing import Callable, Iterable, Iterator, TextIO
 
 __all__ = [
@@ -119,30 +121,55 @@ def signed_mod(dividend: float, divisor: float) -> float:
     return fmod(dividend, divisor)
 
 
+# The two step equations, each spelled once: a setup statement binding
+# names from the parameters (a, b, n), and the step as an expression of
+# the state (x, y). step_function compiles a closure from this table, and
+# cipher compiles its per-symbol kernel from it with the step inline.
+_STEP_SOURCE = {
+    MapKind.ARNOLD: ("a1, b1 = a - 1.0, 1.0 - b",
+                     "a1 * fmod(2.0 * x + y, n), fmod(x + b1 * y, n)"),
+    MapKind.DUFFING: ("pass", "y, -b * x + a * y - y * y * y"),
+}
+
+
+def _compile_kernel(kind: MapKind, template: str, name: str,
+                    scope: dict | None = None) -> Callable:
+    """Compile the function `name` that template defines, with $setup and
+    $step filled in from the kind's step equation. fmod and the names in
+    scope are its globals."""
+    setup, step = _STEP_SOURCE[kind]
+    source = Template(template).substitute(setup=setup, step=step)
+    filename = f"<chaoscrypt {kind.value} {name}>"
+    # lets a traceback through the compiled code show its lines
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"fmod": fmod, **(scope or {})}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+_BIND_STEP = """\
+def bind(a, b, n):
+    $setup
+
+    def step(x, y):
+        return $step
+
+    return step
+"""
+_STEP_BINDERS = {kind: _compile_kernel(kind, _BIND_STEP, "bind") for kind in MapKind}
+
+
 def step_function(kind: MapKind, p: MapParams) -> Callable[[float, float], tuple[float, float]]:
     """Bind parameters into a bare (x, y) -> (x', y') step for hot loops.
 
     The returned callable performs no divergence checking; callers that
     loop it are responsible for bounding the orbit.
     """
-    a = p.a
-    b = p.b
-    if kind is MapKind.ARNOLD:
-        n = p.n_modulus
-        a1 = a - 1.0
-        b1 = 1.0 - b
-
-        def step(x: float, y: float) -> tuple[float, float]:
-            return a1 * fmod(2.0 * x + y, n), fmod(x + b1 * y, n)
-
-    elif kind is MapKind.DUFFING:
-
-        def step(x: float, y: float) -> tuple[float, float]:
-            return y, -b * x + a * y - y * y * y
-
-    else:  # pragma: no cover - enum is closed
-        raise DomainError(f"unknown map kind {kind!r}")
-    return step
+    try:
+        bind = _STEP_BINDERS[kind]
+    except KeyError:  # pragma: no cover - enum is closed
+        raise DomainError(f"unknown map kind {kind!r}") from None
+    return bind(p.a, p.b, p.n_modulus)
 
 
 def arnold_step(s: State, p: MapParams) -> State:

@@ -47,6 +47,31 @@ def oracle_symbols(data, kind, a, b, n_mod, iters, quant=1e6, gain=1.0, mod=256)
     return out
 
 
+def oracle_encrypt(data, step, x, y, n1=3, n2=3, q=1e6, g=1.0, m=256):
+    """The whole per-symbol pipeline with bare floats and any step, start
+    state and config values; no divergence check."""
+    out = []
+    for c in data:
+        for _ in range(n1):
+            x, y = step(x, y)
+        q1 = int(floor(abs(x) * q)) % m
+        z = (c + q1) % m
+        for _ in range(n2):
+            x, y = step(x, y)
+        q2 = int(floor(abs(x) * q)) % m
+        out.append((z + q2) % m)
+        x = fmod(x + g * z / m, 1.0)
+    return bytes(out)
+
+
+def duffing_oracle_step(a, b):
+    return lambda x, y: (y, -b * x + a * y - y * y * y)
+
+
+def arnold_oracle_step(a, b, n):
+    return lambda x, y: ((a - 1.0) * fmod(2.0 * x + y, n), fmod(x + (1.0 - b) * y, n))
+
+
 def oracle_matching_set(kind, lo, hi, inc, n_mod, true_ab, data, iters):
     """(snapped key, matching (a, b) list in grid order) by exhaustion."""
     na = oracle_axis(lo[0], hi[0], inc)

@@ -29,9 +29,15 @@ from chaoscrypt.analysis import (
     write_report_csv,
 )
 from chaoscrypt.cipher import Key, default_config, encrypt_bytes
-from chaoscrypt.maps import DomainError, MapKind, MapParams
+from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State
 
-from oracles import oracle_matching_set
+from oracles import (
+    arnold_oracle_step,
+    oracle_axis,
+    oracle_encrypt,
+    oracle_matching_set,
+    oracle_symbols,
+)
 
 ARNOLD_KEY = Key(MapKind.ARNOLD, MapParams(-4.0, 0.5, 1.0))
 DUFFING_KEY = Key(MapKind.DUFFING, MapParams(2.75, 0.1))
@@ -249,6 +255,149 @@ def test_scan_validates_inputs():
         identifiability_scan(b"ok", ARNOLD_KEY, dom, iteration_value=0)
     with pytest.raises(DomainError):
         identifiability_scan(b"ok", ARNOLD_KEY, dom, compare_len=3)
+
+
+def oracle_kpa_candidates(kind, lo, hi, inc, n_mod, prefix, observed, iters, quant):
+    """(a, b) of every grid key, in grid order, whose flat oracle
+    encryption of prefix is observed; divergent keys never match."""
+    hits = []
+    for i in range(oracle_axis(lo[0], hi[0], inc)):
+        for j in range(oracle_axis(lo[1], hi[1], inc)):
+            a, b = lo[0] + i * inc, lo[1] + j * inc
+            try:
+                if bytes(oracle_symbols(prefix, kind, a, b, n_mod, iters, quant)) == observed:
+                    hits.append((a, b))
+            except OverflowError:
+                pass
+    return hits
+
+
+def random_box(rng, kind):
+    """A small random box inside the kind's full key domain, with a coarse
+    increment at times, so that many Duffing boxes are mostly divergent."""
+    full = FULL_KEY_DOMAIN[kind]
+    inc = rng.choice((1e-4, 1e-3, 5e-3))
+    na, nb = rng.randint(1, 13), rng.randint(1, 13)
+    lo = (rng.uniform(full.lower[0], full.upper[0] - na * inc),
+          rng.uniform(full.lower[1], full.upper[1] - nb * inc))
+    return lo, (lo[0] + (na - 1) * inc, lo[1] + (nb - 1) * inc), inc
+
+
+# two fixed 12x12 Duffing boxes on top of the random ones: on the test
+# text, 38-96% and 97-100% of their keys diverge at iteration values 1-3
+DIVERGENT_DUFFING_BOXES = [((2.845, 0.145), (2.9, 0.2), 5e-3),
+                           ((2.645, -0.5), (2.7, -0.445), 5e-3)]
+
+
+@pytest.mark.parametrize("iters", [1, 2, 3])
+@pytest.mark.parametrize("kind", list(MapKind))
+def test_scans_match_flat_oracles_on_random_grids(kind, iters):
+    rng = random.Random(f"scanner-{kind.value}-{iters}")
+    text = b"Scanner check!"
+    boxes = [random_box(rng, kind) for _ in range(4)]
+    if kind is MapKind.DUFFING:
+        boxes += DIVERGENT_DUFFING_BOXES
+    diverged = 0
+    for lo, hi, inc in boxes:
+        dom = KeyDomain(kind, lo, hi, inc)
+        true_ab = (rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]))
+        key = Key(kind, MapParams(*true_ab))
+        try:
+            snapped, hits = oracle_matching_set(kind, lo, hi, inc, 1.0, true_ab,
+                                                text[:8], iters)
+        except OverflowError:
+            with pytest.raises(DivergenceError):
+                identifiability_scan(text, key, dom, iteration_value=iters)
+        else:
+            res = identifiability_scan(text, key, dom, iteration_value=iters)
+            assert (res.true_key.params.a, res.true_key.params.b) == snapped
+            assert [(k.params.a, k.params.b) for k in res.matching_keys] == hits
+
+        # a coarse quantizer makes many keys collide on the known prefix, and
+        # a zero one makes every key match until its orbit diverges
+        quant = rng.choice((1e6, 7.0, 0.0))
+        cfg = replace(default_config(kind), n1=iters, n2=iters, quant_scale=quant)
+        prefix = text if quant == 0.0 else text[:rng.randint(1, 3)]
+        # observed output of a random non-divergent grid key, if one is found
+        ciphertext = bytes(rng.randrange(256) for _ in text)
+        grid = [(p.a, p.b) for p in dom.grid_params()]
+        for ab in rng.sample(grid, min(len(grid), 5)):
+            try:
+                ciphertext = bytes(oracle_symbols(text, kind, *ab, 1.0, iters, quant))
+                break
+            except OverflowError:
+                diverged += 1
+        expected = oracle_kpa_candidates(kind, lo, hi, inc, 1.0, prefix,
+                                         ciphertext[:len(prefix)], iters, quant)
+        res = known_plaintext_attack(ciphertext, prefix, dom, cfg)
+        assert [(k.params.a, k.params.b) for k in res.candidates] == expected
+    if kind is MapKind.DUFFING:
+        assert diverged > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scans_match_oracles_when_chunks_start_mid_row(workers):
+    # 70 rows of 61 keys: the serial 4096-key chunk ends mid-row, and the
+    # second chunk's keys are rebuilt from a flat index that is not a row start
+    lo, hi, inc = (-4.0069, 0.5), (-4.0, 0.506), 1e-4
+    dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc)
+    assert dom.axis_counts() == (70, 61) and dom.size() > 4096
+    text = b"Meet me after 5p.m."
+    true_ab = (-4.0012, 0.5031)
+    key = Key(MapKind.ARNOLD, MapParams(*true_ab))
+    snapped, hits = oracle_matching_set(MapKind.ARNOLD, lo, hi, inc, 1.0, true_ab,
+                                        text[:8], 3)
+    res = identifiability_scan(text, key, dom, workers=workers)
+    assert [(k.params.a, k.params.b) for k in res.matching_keys] == hits
+    # one known symbol: about one key in 256 matches, on both sides of the cut
+    ciphertext = encrypt_bytes(text, key)
+    expected = oracle_kpa_candidates(MapKind.ARNOLD, lo, hi, inc, 1.0, text[:1],
+                                     ciphertext[:1], 3, 1e6)
+    res = known_plaintext_attack(ciphertext, text[:1], dom, workers=workers)
+    candidates = [(k.params.a, k.params.b) for k in res.candidates]
+    assert candidates == expected
+    flat = [round((a - lo[0]) / inc) * 61 + round((b - lo[1]) / inc) for a, b in candidates]
+    assert min(flat) < 4096 <= max(flat)
+
+
+def test_scan_honours_every_config_field():
+    # n1 != n2, and quantizer, feedback gain, start state and modulus all
+    # off their defaults, against the straight-line oracle
+    lo, hi, inc, n_mod = (-3.003, 0.7), (-3.0, 0.703), 1e-3, 1.3
+    dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc, n_modulus=n_mod)
+    cfg = replace(default_config(MapKind.ARNOLD), initial_state=State(0.31, -0.2),
+                  n1=2, n2=4, quant_scale=5e4, reinject_gain=0.75)
+    text = b"config fields"
+    key = Key(MapKind.ARNOLD, dom.params_at(1, 2))
+
+    def oracle(data, a, b):
+        return oracle_encrypt(data, arnold_oracle_step(a, b, n_mod), 0.31, -0.2,
+                              n1=2, n2=4, q=5e4, g=0.75)
+
+    ciphertext = encrypt_bytes(text, key, cfg)
+    assert ciphertext == oracle(text, key.params.a, key.params.b)
+    grid = [(lo[0] + i * inc, lo[1] + j * inc) for i in range(oracle_axis(lo[0], hi[0], inc))
+            for j in range(oracle_axis(lo[1], hi[1], inc))]
+    for n in (1, 2, len(text)):
+        expected = [(a, b) for a, b in grid if oracle(text[:n], a, b) == ciphertext[:n]]
+        res = known_plaintext_attack(ciphertext, text[:n], dom, cfg)
+        assert [(k.params.a, k.params.b) for k in res.candidates] == expected
+    assert (key.params.a, key.params.b) in expected
+
+
+def test_attack_checks_config_and_prefix_before_scanning():
+    dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-3)
+    cfg = default_config(MapKind.ARNOLD)
+    ciphertext = encrypt_bytes(b"xyz", ARNOLD_KEY)
+    with pytest.raises(DomainError, match="n1 and n2"):
+        known_plaintext_attack(ciphertext, b"xyz", dom, replace(cfg, n1=0))
+    with pytest.raises(DomainError, match="n1 and n2"):
+        known_plaintext_attack(ciphertext, b"xyz", dom, replace(cfg, n2=0))
+    # the second prefix symbol is out of range: refused even though every
+    # grid key may already mismatch at the first
+    with pytest.raises(DomainError, match="plaintext byte 200"):
+        known_plaintext_attack(ciphertext, bytes([3, 200]), dom,
+                               replace(cfg, symbol_modulus=16))
 
 
 # --- known-plaintext attack --------------------------------------------------

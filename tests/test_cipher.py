@@ -3,7 +3,7 @@
 import json
 import random
 from dataclasses import replace
-from math import floor, fmod
+from math import floor
 
 import pytest
 
@@ -25,36 +25,10 @@ from chaoscrypt.cipher import (
     save_key,
 )
 from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State
-from oracles import oracle_symbols
+from oracles import arnold_oracle_step, duffing_oracle_step, oracle_encrypt, oracle_symbols
 
 DUFFING_KEY = Key(MapKind.DUFFING, MapParams(2.75, 0.1))
 ARNOLD_KEY = Key(MapKind.ARNOLD, MapParams(-4.0, 0.5, 1.0))
-
-
-# --- straight-line oracle: the whole per-symbol pipeline with bare floats,
-# --- no package calls. Used to pin the cipher's observable behaviour.
-
-def oracle_encrypt(data, step, x, y, n1=3, n2=3, q=1e6, g=1.0, m=256):
-    out = []
-    for c in data:
-        for _ in range(n1):
-            x, y = step(x, y)
-        q1 = int(floor(abs(x) * q)) % m
-        z = (c + q1) % m
-        for _ in range(n2):
-            x, y = step(x, y)
-        q2 = int(floor(abs(x) * q)) % m
-        out.append((z + q2) % m)
-        x = fmod(x + g * z / m, 1.0)
-    return bytes(out)
-
-
-def duffing_oracle_step(a, b):
-    return lambda x, y: (y, -b * x + a * y - y * y * y)
-
-
-def arnold_oracle_step(a, b, n):
-    return lambda x, y: ((a - 1.0) * fmod(2.0 * x + y, n), fmod(x + (1.0 - b) * y, n))
 
 
 def sample_grid_key(rng, kind):

@@ -3,15 +3,22 @@
 import json
 import os
 import random
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from chaoscrypt import cipher
 from chaoscrypt.cipher import Key, encrypt_bytes, save_key
 from chaoscrypt.cli import main
 from chaoscrypt.maps import MapKind, MapParams
 
 ARNOLD_KEY = Key(MapKind.ARNOLD, MapParams(-4.0, 0.5, 1.0))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -156,6 +163,8 @@ def test_encrypt_through_a_symlinked_out_keeps_the_link(tmp_path, arnold_key_fil
     ("encrypt", {"initial_state": {"x": 0.1}}, "'y'"),
     ("encrypt", {"n1": True, "n2": 2}, "'n1'"),
     ("encrypt", {"n1": 2, "n2": 2.7}, "'n2'"),
+    ("encrypt", {"n1": 1000000000}, "'n1'"),
+    ("encrypt", {"n1": 2, "n2": 1001}, "'n2'"),
 ])
 def test_malformed_json_shape_is_one_error_line(tmp_path, arnold_key_file, capsys,
                                                 command, payload, named):
@@ -175,6 +184,59 @@ def test_malformed_json_shape_is_one_error_line(tmp_path, arnold_key_file, capsy
     assert "Traceback" not in err
     assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["identify", "--text", "Hi", "--domain=-4,0.5,-4,0.5", "--iters", "1001"], "--iters"),
+    (["trajectory", "--kind", "arnold", "--params=-4,0.5", "--n", "1000001"], "--n"),
+])
+def test_step_counts_are_bounded(tmp_path, arnold_key_file, capsys, argv, named):
+    out = tmp_path / "out"
+    argv = argv + (["--key", arnold_key_file] if argv[0] == "identify" else ["--out", str(out)])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} must be at most") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_interrupt_is_one_error_line(tmp_path, arnold_key_file, capsys, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cipher, "encrypt_file", interrupted)
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"data")
+    out = tmp_path / "c.hex"
+    assert main(["encrypt", "--in", str(plain), "--out", str(out),
+                 "--key", arnold_key_file]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: interrupted\n"
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGTERM") or os.name != "posix",
+                    reason="needs POSIX signals")
+def test_sigterm_leaves_no_temp_file(tmp_path, arnold_key_file):
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(random.Random(5).randbytes(8 << 20))  # many seconds of work
+    out = tmp_path / "c.hex"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chaoscrypt", "encrypt", "--in", str(plain), "--out", str(out),
+         "--key", arnold_key_file], env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 30
+        while not list(tmp_path.glob(".c.hex.*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert err == "error: interrupted\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["key.json", "p.bin"]
 
 
 def test_sensitivity_prints_percentage(arnold_key_file, capsys):
