@@ -17,7 +17,6 @@ import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import floor
@@ -272,28 +271,37 @@ def _scan_chunk(args) -> list[int]:
                       domain.axis_counts()[1], start, stop, data, cfg, reference)
 
 
+# Most keys one pool worker scans per call, so that an interrupted pooled
+# scan only waits for a few short chunks already running.
+_MAX_POOL_CHUNK = 1 << 16
+
+
 def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
                    reference: bytes, workers: int,
                    on_progress: Callable[[int, int], None] | None) -> list[Key]:
     """Grid keys, in grid order, whose encryption of data is reference."""
     total = domain.size()
     workers = effective_workers(workers)
-    chunk = 4096 if workers <= 1 else max(256, -(-total // (workers * 4)))
+    if workers <= 1:
+        chunk = 4096
+    else:
+        chunk = min(_MAX_POOL_CHUNK, max(256, -(-total // (workers * 4))))
     # Lazy, so a serial scan holds one chunk at a time however large the grid.
     starts = range(0, total, chunk)
     jobs = ((domain, start, min(start + chunk, total), data, cfg, reference)
             for start in starts)
     hits = []
-    with ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_scan_chunk, jobs)
-        else:
-            results = map(_scan_chunk, jobs)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        results = pool.map(_scan_chunk, jobs) if pool else map(_scan_chunk, jobs)
         for start, result in zip(starts, results):
             hits.extend(result)
             if on_progress:
                 on_progress(min(start + chunk, total), total)
+    finally:
+        if pool:
+            # after an exception, the chunks not yet started are dropped
+            pool.shutdown(cancel_futures=True)
     nb = domain.axis_counts()[1]
     return [Key(domain.kind, domain.params_at(*divmod(flat, nb))) for flat in hits]
 

@@ -8,15 +8,16 @@ regenerates the same state sequence from the key and inverts the mixing
 exactly.
 
 One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
-map, checks the divergence bound after every step, quantizes, mixes and
-feeds back, in either direction. At import it is compiled once per map
-kind, with that map's step equation written inline, into two entry
-points. The streaming generator behind _cipher_symbols serves encrypt,
-encrypt_bytes and decrypt in memory, and encrypt_file and decrypt_file,
-which feed it 64 KiB reads and write 64 KiB blocks through a temp file
-that replaces the output only on success. The grid scanner behind
-_scan_grid serves the scans in analysis: it runs a whole chunk of grid
-keys per call and stops each key at its first mismatching symbol.
+map with the bound tests the map needs, quantizes, mixes and feeds back,
+in either direction. On first use it is compiled for each map kind and
+pair of iteration counts (n1, n2), with every step written out inline,
+into two entry points. The block entry runs one chunk of symbols and
+carries the state to the next; it serves encrypt, encrypt_bytes and
+decrypt in memory, and encrypt_file and decrypt_file, which feed it
+64 KiB reads and write each block through a temp file that replaces the
+output only on success. The grid scanner behind _scan_grid serves the
+scans in analysis: it runs a whole chunk of grid keys per call and stops
+each key at its first mismatching symbol.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ import sys
 import textwrap
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, count, islice
+from functools import lru_cache, partial
+from itertools import islice
 from math import floor
-from operator import itemgetter
+from operator import index
 from string import Template
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .maps import (
-    DIVERGENCE_BOUND,
     DivergenceError,
     DomainError,
     MapKind,
@@ -128,22 +128,24 @@ def quantize(s: State, cfg: CipherConfig) -> int:
     return int(floor(abs(s.x) * cfg.quant_scale)) % cfg.symbol_modulus
 
 
-# The cipher's per-symbol body, compiled once per map kind with the step
-# inline (maps' step table fills $setup and $step). For symbol k with
-# input c it advances the orbit n1 steps (r1), snapshots it, advances n2
-# steps (r2), checking the divergence bound after every step; quantizes
-# the two snapshots, mixes in the direction `decrypting` says, runs
-# $check, and feeds z back into the state.
+# The cipher's per-symbol body. For symbol k with input c it tests the
+# incoming state ($entry), advances the orbit n1 steps, snapshots it,
+# advances n2 steps, with the kind's bound test after every step (see
+# maps._STEP_SOURCE); quantizes the two snapshots, mixes in the direction
+# `decrypting` says, runs $check, and feeds z back into the state. Each
+# run of steps is written out in full, so the body is compiled once per
+# (kind, n1, n2). A failed bound test runs $diverge.
+_STEP = """\
+x, y = $step
+if not ($inside):
+    $diverge
+"""
 _SYMBOL_BODY = """\
-for _ in r1:
-    x, y = $step
-    if not (-$bound <= x <= $bound and -$bound <= y <= $bound):
-        raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)
+if not ($entry):
+    $diverge
+$steps1
 s1x, s1y = x, y
-for _ in r2:
-    x, y = $step
-    if not (-$bound <= x <= $bound and -$bound <= y <= $bound):
-        raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)
+$steps2
 q1 = floor(abs(s1x) * q) % m
 q2 = floor(abs(x) * q) % m
 if decrypting:
@@ -156,83 +158,131 @@ $check
 x = fmod(x + g * z / m, 1.0)
 """
 
-# Entry point 1, the streaming cipher: one key, any iterable of symbols,
-# each range-checked as it arrives; yields (out, z, s1x, s1y, s2x, s2y).
-_STREAM = """\
-def stream(a, b, n, x, y, r1, r2, q, g, m, symbols, decrypting, what):
+# Entry point 1, the cipher: runs one chunk of symbols under one key from
+# state (x, y), symbol k being the chunk's first, and returns the output
+# bytes and the state to carry into the next chunk. With a traces list it
+# appends each symbol's SymbolTrace.
+_BLOCK = """\
+def block(a, b, n, x, y, k, symbols, q, g, m, decrypting, traces):
     $setup
-    for k, c in enumerate(symbols):
-        if not 0 <= c < m:
-            raise DomainError(f"{what} {c} out of range [0, {m})")
+    result = bytearray()
+    put = result.append
+    for k, c in enumerate(symbols, k):
 $body
-        yield out, z, s1x, s1y, x, y
+        put(out)
+        if traces is not None:
+            traces.append(SymbolTrace(z, out, State(s1x, s1y), State(x, y)))
+    return result, x, y
 """
 
-# Entry point 2, the grid scanner: encrypts the (k, c, expected) triples
-# under the key at every flat index in [start, stop) of a box of row
-# length nb, built as KeyDomain.params_at builds it: (a0 + i * inc,
-# b0 + j * inc). A key stops at its first mismatching symbol, and a
-# divergent key is a miss. Returns the indices that match every symbol.
+# Entry point 2, the grid scanner: encrypts the (c, expected) pairs under
+# the key at every flat index in [start, stop) of a box of row length nb,
+# built as KeyDomain.params_at builds it: (a0 + i * inc, b0 + j * inc). A
+# key stops at its first mismatching symbol, and a divergent key is a
+# miss. Returns the indices that match every symbol.
 _SCAN = """\
-def scan(a0, b0, inc, n, nb, start, stop, x0, y0, r1, r2, q, g, m, triples):
+def scan(a0, b0, inc, n, nb, start, stop, x0, y0, q, g, m, pairs):
     decrypting = False
     hits = []
-    for flat in range(start, stop):
-        i, j = divmod(flat, nb)
+    i, j0 = divmod(start, nb)
+    row = start - j0  # flat index of key (i, 0)
+    while row < stop:
         a = a0 + i * inc
-        b = b0 + j * inc
-        $setup
-        x, y = x0, y0
-        try:
-            for k, c, expected in triples:
+        for j in range(j0, min(nb, stop - row)):
+            b = b0 + j * inc
+            $setup
+            x, y = x0, y0
+            for c, expected in pairs:
 $body
             else:
-                hits.append(flat)
-        except DivergenceError:
-            pass
+                hits.append(row + j)
+        i += 1
+        row += nb
+        j0 = 0
     return hits
 """
 
-
-def _compile_entry(template: str, name: str, depth: int, check: str) -> dict:
-    """template compiled for each map kind, with the symbol body, ending
-    in check, nested depth levels deep in place of $body."""
-    body = Template(_SYMBOL_BODY).safe_substitute(check=check, bound=repr(DIVERGENCE_BOUND))
-    source = Template(template).safe_substitute(body=textwrap.indent(body.rstrip(), "    " * depth))
-    scope = {"floor": floor, "DivergenceError": DivergenceError, "DomainError": DomainError}
-    return {kind: _compile_kernel(kind, source, name, scope) for kind in MapKind}
-
-
-_STREAMS = _compile_entry(_STREAM, "stream", 2, "pass")
-_SCANS = _compile_entry(_SCAN, "scan", 4, "if out != expected:\n    break")
+# name: (template, indent of $body, $diverge, $check)
+_ENTRIES = {
+    "block": (_BLOCK, 2,
+              'raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)',
+              "pass"),
+    "scan": (_SCAN, 4, "break", "if out != expected:\n    break"),
+}
 
 
-def _kernel_args(cfg: CipherConfig) -> tuple:
-    """cfg as the compiled kernels take it: (x0, y0, r1, r2, q, g, m)."""
-    if cfg.n1 < 1 or cfg.n2 < 1:
+@lru_cache(maxsize=64)
+def _compiled(entry: str, kind: MapKind, n1: int, n2: int) -> Callable:
+    """The entry point named entry, for kind, with n1 and n2 steps per symbol."""
+    template, depth, diverge, check = _ENTRIES[entry]
+    step = Template(_STEP).safe_substitute(diverge=diverge)
+    body = Template(_SYMBOL_BODY).safe_substitute(
+        steps1=(step * n1).rstrip(), steps2=(step * n2).rstrip(), check=check, diverge=diverge)
+    source = Template(template).safe_substitute(body=textwrap.indent(body, "    " * depth))
+    scope = {"floor": floor, "DivergenceError": DivergenceError,
+             "SymbolTrace": SymbolTrace, "State": State}
+    return _compile_kernel(kind, source, entry, scope, tag=f" {n1}/{n2}")
+
+
+def _kernel(entry: str, kind: MapKind, cfg: CipherConfig) -> Callable:
+    """The compiled entry point for kind and cfg's iteration counts, which
+    are checked before anything is compiled."""
+    n1, n2 = cfg.n1, cfg.n2
+    if n1 < 1 or n2 < 1:
         raise DomainError("iteration counts n1 and n2 must be >= 1")
-    return (cfg.initial_state.x, cfg.initial_state.y, range(cfg.n1), range(cfg.n2),
-            cfg.quant_scale, cfg.reinject_gain, cfg.symbol_modulus)
+    if n1 > _MAX_ITERATIONS or n2 > _MAX_ITERATIONS:
+        raise DomainError(f"iteration counts n1 and n2 must be at most {_MAX_ITERATIONS}, "
+                          f"got {n1} and {n2}")
+    return _compiled(entry, kind, index(n1), index(n2))
 
 
-def _cipher_symbols(key: Key, cfg: CipherConfig | None, symbols: Iterable[int],
-                    decrypting: bool = False,
-                    ) -> Iterator[tuple[int, int, float, float, float, float]]:
-    """The cipher itself: yields (out, z, s1x, s1y, s2x, s2y) per input symbol.
+def _first_out_of_range(symbols: Sequence[int], m: int) -> int | None:
+    """Index of the first symbol outside [0, m), or None."""
+    if m >= 256 and isinstance(symbols, (bytes, bytearray)):
+        return None
+    return next((j for j, c in enumerate(symbols) if not 0 <= c < m), None)
 
-    out is the ciphertext symbol when encrypting and the plaintext byte
-    when decrypting; z is the first-stage mixed value fed back into the
-    state; (s1x, s1y) is the state after the first n1 steps and
-    (s2x, s2y) the state after the symbol, feedback included. The bound
-    is checked after every map step, and a divergent orbit raises
-    DivergenceError with the index of the symbol being processed.
+
+def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence[int]],
+                   decrypting: bool = False, traces: list | None = None,
+                   ) -> Iterator[bytearray]:
+    """The cipher itself: one output block per chunk of input symbols.
+
+    Output symbols are ciphertext when encrypting and plaintext when
+    decrypting; the state and the symbol index carry from one chunk to
+    the next. A symbol outside [0, symbol_modulus) raises DomainError,
+    and a divergent orbit DivergenceError with the index of the symbol
+    being processed, after the symbols before it. With a traces list, the
+    block appends each symbol's SymbolTrace: s1 is the state after the
+    first n1 steps and s2 the state after the symbol, feedback included.
     """
     if cfg is None:
         cfg = default_config(key.kind)
+    block = _kernel("block", key.kind, cfg)
     p = key.params
-    what = "ciphertext symbol" if decrypting else "plaintext byte"
-    return _STREAMS[key.kind](p.a, p.b, p.n_modulus, *_kernel_args(cfg),
-                              symbols, decrypting, what)
+    q, g, m = cfg.quant_scale, cfg.reinject_gain, cfg.symbol_modulus
+    x, y, k = cfg.initial_state.x, cfg.initial_state.y, 0
+    for chunk in chunks:
+        bad = _first_out_of_range(chunk, m)
+        out, x, y = block(p.a, p.b, p.n_modulus, x, y, k, chunk if bad is None else chunk[:bad],
+                          q, g, m, decrypting, traces)
+        if bad is not None:
+            what = "ciphertext symbol" if decrypting else "plaintext byte"
+            raise DomainError(f"{what} {chunk[bad]} out of range [0, {m})")
+        k += len(chunk)
+        yield out
+
+
+_CHUNK = 1 << 16
+
+
+def _chunks(symbols: bytes | Iterable[int]) -> Iterable[Sequence[int]]:
+    """symbols as the chunks _cipher_blocks takes: bytes whole, any other
+    iterable in lists of up to _CHUNK."""
+    if isinstance(symbols, (bytes, bytearray)):
+        return (symbols,)
+    it = iter(symbols)
+    return iter(lambda: list(islice(it, _CHUNK)), [])
 
 
 def _scan_grid(kind: MapKind, lower: tuple[float, float], increment: float,
@@ -242,16 +292,14 @@ def _scan_grid(kind: MapKind, lower: tuple[float, float], increment: float,
     lower corner, increment and row length, whose encryption of data is
     reference; divergent keys do not match. The config and the data
     symbols are checked once, for the whole range."""
-    args = _kernel_args(cfg)
+    scan = _kernel("scan", kind, cfg)
     m = cfg.symbol_modulus
-    for c in data:
-        if not 0 <= c < m:
-            raise DomainError(f"plaintext byte {c} out of range [0, {m})")
-    return _SCANS[kind](lower[0], lower[1], increment, n_modulus, row_length, start, stop,
-                        *args, list(zip(count(), data, reference)))
-
-
-_first = itemgetter(0)
+    bad = _first_out_of_range(data, m)
+    if bad is not None:
+        raise DomainError(f"plaintext byte {data[bad]} out of range [0, {m})")
+    x, y = cfg.initial_state.x, cfg.initial_state.y
+    return scan(lower[0], lower[1], increment, n_modulus, row_length, start, stop,
+                x, y, cfg.quant_scale, cfg.reinject_gain, m, list(zip(data, reference)))
 
 
 def encrypt(plaintext: bytes | Iterable[int], key: Key,
@@ -261,27 +309,23 @@ def encrypt(plaintext: bytes | Iterable[int], key: Key,
     The trace list exposes the intermediate mixed values and state
     snapshots for the analysis procedures.
     """
-    out = bytearray()
     traces = []
-    for y_sym, z, s1x, s1y, s2x, s2y in _cipher_symbols(key, cfg, plaintext):
-        out.append(y_sym)
-        traces.append(SymbolTrace(z, y_sym, State(s1x, s1y), State(s2x, s2y)))
-    return bytes(out), traces
+    ciphertext = b"".join(_cipher_blocks(key, cfg, _chunks(plaintext), traces=traces))
+    return ciphertext, traces
 
 
 def encrypt_bytes(plaintext: bytes | Iterable[int], key: Key,
                   cfg: CipherConfig | None = None) -> bytes:
     """Encrypt without collecting traces (fast path for scans and files)."""
-    return bytes(map(_first, _cipher_symbols(key, cfg, plaintext)))
+    return b"".join(_cipher_blocks(key, cfg, _chunks(plaintext)))
 
 
 def decrypt(ciphertext: bytes | Iterable[int], key: Key,
             cfg: CipherConfig | None = None) -> bytes:
     """Exact inverse of encrypt under the same key and configuration."""
-    return bytes(map(_first, _cipher_symbols(key, cfg, ciphertext, decrypting=True)))
+    return b"".join(_cipher_blocks(key, cfg, _chunks(ciphertext), decrypting=True))
 
 
-_CHUNK = 1 << 16
 _WHITESPACE_TABLE = str.maketrans("", "", " \t\r\n")
 
 
@@ -342,9 +386,7 @@ def encrypt_file(path_in: str | os.PathLike, path_out: str | os.PathLike,
     path_out is only replaced once the whole file is encrypted.
     """
     with open(path_in, "rb") as fin, _atomic_write(path_out, "x", encoding="ascii") as fout:
-        plaintext = chain.from_iterable(iter(partial(fin.read, _CHUNK), b""))
-        symbols = map(_first, _cipher_symbols(key, cfg, plaintext))
-        while block := bytes(islice(symbols, _CHUNK)):
+        for block in _cipher_blocks(key, cfg, iter(partial(fin.read, _CHUNK), b"")):
             fout.write(block.hex())
         fout.write("\n")
 
@@ -358,9 +400,7 @@ def decrypt_file(path_in: str | os.PathLike, path_out: str | os.PathLike,
     path_out is only replaced once the whole file is decrypted.
     """
     with _atomic_write(path_out, "xb") as fout:
-        ciphertext = chain.from_iterable(_hex_chunks(path_in))
-        plaintext = map(_first, _cipher_symbols(key, cfg, ciphertext, decrypting=True))
-        while block := bytes(islice(plaintext, _CHUNK)):
+        for block in _cipher_blocks(key, cfg, _hex_chunks(path_in), decrypting=True):
             fout.write(block)
 
 

@@ -121,25 +121,54 @@ def signed_mod(dividend: float, divisor: float) -> float:
     return fmod(dividend, divisor)
 
 
-# The two step equations, each spelled once: a setup statement binding
-# names from the parameters (a, b, n), and the step as an expression of
-# the state (x, y). step_function compiles a closure from this table, and
-# cipher compiles its per-symbol kernel from it with the step inline.
+# The two step equations, each spelled once, with their bound tests:
+# - setup: a statement binding names from the parameters (a, b, n);
+# - step: the next state, as an expression of the state (x, y);
+# - entry: a test of the state a run of steps starts from;
+# - inside: a test, after each step, that the new state is in the box.
+# step_function compiles a closure from this table, and cipher compiles
+# its per-symbol kernel from it with the steps written out inline.
+#
+# The tests stop a run of steps at the first state outside
+# [-bound, bound]^2, as testing both coordinates after every step would,
+# for a run that starts from finite or NaN coordinates. Each map tests
+# only what a step can move out of the box:
+# - Duffing: x' is the previous y, so once entry has tested the incoming
+#   y, each step need only test its new y.
+# - Arnold: fmod is exact, so |fmod(v, N)| < N for a finite v (it raises
+#   on an infinite one), and rounding is monotone, so |y'| < N and
+#   |x'| = fl(|a-1| |fmod(v, N)|) <= fl(|a-1| N). When boxed
+#   (fl(|a-1| N) <= bound and N <= bound, set once per key), no step from
+#   a finite state leaves the box and the test is skipped; entry turns a
+#   NaN coordinate, which boxed would let through, into a failed test.
+#   Otherwise both coordinates are tested.
 _STEP_SOURCE = {
-    MapKind.ARNOLD: ("a1, b1 = a - 1.0, 1.0 - b",
-                     "a1 * fmod(2.0 * x + y, n), fmod(x + b1 * y, n)"),
-    MapKind.DUFFING: ("pass", "y, -b * x + a * y - y * y * y"),
+    MapKind.ARNOLD: {
+        "setup": "a1, b1 = a - 1.0, 1.0 - b; boxed = abs(a1) * n <= $bound and n <= $bound",
+        "step": "a1 * fmod(2.0 * x + y, n), fmod(x + b1 * y, n)",
+        "entry": "x == x and y == y",
+        "inside": "boxed or -$bound <= x <= $bound and -$bound <= y <= $bound",
+    },
+    MapKind.DUFFING: {
+        "setup": "pass",
+        "step": "y, -b * x + a * y - y * y * y",
+        "entry": "-$bound <= y <= $bound",
+        "inside": "-$bound <= y <= $bound",
+    },
 }
 
 
 def _compile_kernel(kind: MapKind, template: str, name: str,
-                    scope: dict | None = None) -> Callable:
-    """Compile the function `name` that template defines, with $setup and
-    $step filled in from the kind's step equation. fmod and the names in
-    scope are its globals."""
-    setup, step = _STEP_SOURCE[kind]
-    source = Template(template).substitute(setup=setup, step=step)
-    filename = f"<chaoscrypt {kind.value} {name}>"
+                    scope: dict | None = None, tag: str = "") -> Callable:
+    """Compile the function `name` that template defines, with $setup,
+    $step, $entry and $inside filled in from the kind's step source. fmod
+    and the names in scope are its globals; tag tells apart the
+    tracebacks of kernels compiled under the same name."""
+    bound = repr(DIVERGENCE_BOUND)
+    fields = {field: Template(text).substitute(bound=bound)
+              for field, text in _STEP_SOURCE[kind].items()}
+    source = Template(template).substitute(fields)
+    filename = f"<chaoscrypt {kind.value} {name}{tag}>"
     # lets a traceback through the compiled code show its lines
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"fmod": fmod, **(scope or {})}

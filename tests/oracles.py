@@ -64,6 +64,36 @@ def oracle_encrypt(data, step, x, y, n1=3, n2=3, q=1e6, g=1.0, m=256):
     return bytes(out)
 
 
+def oracle_run(data, step, x, y, n1=3, n2=3, q=1e6, g=1.0, m=256, decrypting=False):
+    """The per-symbol pipeline with bare floats, in either direction, with
+    both coordinates tested against the bound after every step. Returns
+    (output, [(z, out, s1, s2) per symbol], index of the symbol whose
+    orbit left the bound or None); the output stops before that symbol."""
+    out, traces = [], []
+    for k, c in enumerate(data):
+        for _ in range(n1):
+            x, y = step(x, y)
+            if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+                return bytes(out), traces, k
+        s1 = (x, y)
+        for _ in range(n2):
+            x, y = step(x, y)
+            if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+                return bytes(out), traces, k
+        q1 = int(floor(abs(s1[0]) * q)) % m
+        q2 = int(floor(abs(x) * q)) % m
+        if decrypting:
+            z = (c - q2) % m
+            sym = (z - q1) % m
+        else:
+            z = (c + q1) % m
+            sym = (z + q2) % m
+        x = fmod(x + g * z / m, 1.0)
+        out.append(sym)
+        traces.append((z, sym, s1, (x, y)))
+    return bytes(out), traces, None
+
+
 def duffing_oracle_step(a, b):
     return lambda x, y: (y, -b * x + a * y - y * y * y)
 

@@ -2,10 +2,12 @@
 
 import io
 import random
+import time
 from dataclasses import replace
 
 import pytest
 
+from chaoscrypt import analysis
 from chaoscrypt.analysis import (
     BRUTE_FORCE_FLOOR,
     FULL_KEY_DOMAIN,
@@ -358,6 +360,50 @@ def test_scans_match_oracles_when_chunks_start_mid_row(workers):
     assert candidates == expected
     flat = [round((a - lo[0]) / inc) * 61 + round((b - lo[1]) / inc) for a, b in candidates]
     assert min(flat) < 4096 <= max(flat)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_scans_in_short_chunks_match_oracles(monkeypatch, workers):
+    # 97-key pool chunks end mid-row in most of the 70 rows of 61 keys
+    monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 97)
+    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    lo, hi, inc = (-4.0069, 0.5), (-4.0, 0.506), 1e-4
+    dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc)
+    text = b"Meet me after 5p.m."
+    key = Key(MapKind.ARNOLD, MapParams(-4.0012, 0.5031))
+    ciphertext = encrypt_bytes(text, key)
+    expected = oracle_kpa_candidates(MapKind.ARNOLD, lo, hi, inc, 1.0, text[:1],
+                                     ciphertext[:1], 3, 1e6)
+    done = []
+    res = known_plaintext_attack(ciphertext, text[:1], dom, workers=workers,
+                                 on_progress=lambda n, total: done.append(n))
+    assert [(k.params.a, k.params.b) for k in res.candidates] == expected
+    chunk = 4096 if workers == 1 else 97
+    assert done == [min(n, dom.size()) for n in range(chunk, dom.size() + chunk, chunk)]
+
+
+def test_interrupted_pooled_scan_stops_early(monkeypatch):
+    # 4.2e6 keys in 64 pool chunks of 65536: after the first chunk comes
+    # back, only the chunks already running may finish
+    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    side = 2048
+    span = (side - 1) * 1e-4
+    dom = KeyDomain(MapKind.ARNOLD, (-5.0, 0.4), (-5.0 + span, 0.4 + span), 1e-4)
+    assert dom.size() == side * side == 64 * analysis._MAX_POOL_CHUNK
+    chunk_dom = KeyDomain(MapKind.ARNOLD, (-5.0, 0.4), (-5.0 + 255e-4, 0.4 + 255e-4), 1e-4)
+    assert chunk_dom.size() == analysis._MAX_POOL_CHUNK
+    start = time.perf_counter()
+    identifiability_scan(b"abcdefgh", ARNOLD_KEY, chunk_dom)
+    chunk_s = time.perf_counter() - start
+
+    def interrupt(done, total):
+        raise KeyboardInterrupt
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        identifiability_scan(b"abcdefgh", ARNOLD_KEY, dom, workers=2, on_progress=interrupt)
+    # two workers need at least 32 chunk times for the whole grid
+    assert time.perf_counter() - start < 16 * chunk_s
 
 
 def test_scan_honours_every_config_field():

@@ -6,9 +6,18 @@ from dataclasses import replace
 from math import floor
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from chaoscrypt.analysis import FULL_KEY_DOMAIN
+from chaoscrypt import cipher
+from chaoscrypt.analysis import (
+    FULL_KEY_DOMAIN,
+    KeyDomain,
+    identifiability_scan,
+    known_plaintext_attack,
+)
 from chaoscrypt.cipher import (
+    CipherConfig,
     Key,
     SymbolTrace,
     decrypt,
@@ -25,7 +34,13 @@ from chaoscrypt.cipher import (
     save_key,
 )
 from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State
-from oracles import arnold_oracle_step, duffing_oracle_step, oracle_encrypt, oracle_symbols
+from oracles import (
+    arnold_oracle_step,
+    duffing_oracle_step,
+    oracle_encrypt,
+    oracle_run,
+    oracle_symbols,
+)
 
 DUFFING_KEY = Key(MapKind.DUFFING, MapParams(2.75, 0.1))
 ARNOLD_KEY = Key(MapKind.ARNOLD, MapParams(-4.0, 0.5, 1.0))
@@ -199,6 +214,33 @@ def test_config_iteration_counts_validated():
         encrypt_bytes(b"x", DUFFING_KEY, cfg)
 
 
+def test_iteration_counts_are_capped_before_compiling():
+    key = ARNOLD_KEY
+    cap = cipher._MAX_ITERATIONS
+    cfg = replace(default_config(MapKind.ARNOLD), n1=cap, n2=cap)
+    data = b"cap!"
+    expected = oracle_encrypt(data, arnold_oracle_step(-4.0, 0.5, 1.0), 0.5, 0.06, n1=cap, n2=cap)
+    assert encrypt_bytes(data, key, cfg) == expected
+    assert decrypt(expected, key, cfg) == data
+    # a config built in Python skips config_from_dict's cap, and is refused
+    # before a kernel is compiled for it
+    compiled = cipher._compiled.cache_info()
+    for n1, n2 in ((cap + 1, 3), (3, cap + 1)):
+        with pytest.raises(DomainError, match=f"at most {cap}"):
+            encrypt_bytes(b"", key, CipherConfig(State(0.5, 0.06), n1=n1, n2=n2))
+    assert cipher._compiled.cache_info() == compiled
+
+
+def test_nan_feedback_is_a_divergence():
+    # a NaN gain feeds a NaN back into x, and the next symbol's orbit
+    # counts as divergent, also for keys whose steps skip the bound test
+    for key in (ARNOLD_KEY, DUFFING_KEY):
+        cfg = replace(default_config(key.kind), reinject_gain=float("nan"))
+        with pytest.raises(DivergenceError) as err:
+            encrypt_bytes(b"\x00\x00", key, cfg)
+        assert err.value.symbol == 1
+
+
 def test_file_roundtrip(tmp_path):
     # three 64 KiB reads, the last one short
     data = random.Random(9).randbytes(2 * 65536 + 7)
@@ -310,3 +352,145 @@ def test_package_exports_every_module_name():
     missing = [name for module in (maps, cipher, analysis) for name in module.__all__
                if not hasattr(chaoscrypt, name)]
     assert missing == []
+
+
+# Duffing keys whose orbit under CHUNKED_MSG leaves the bound at symbol 15
+# (second symbol of the third 7-symbol chunk) and at symbol 21 (first
+# symbol of the fourth)
+CHUNKED_MSG = b"Meet me after 5p.m. at the old mill."
+LATE_DIVERGENCE = [(MapParams(2.503, -0.299), 15), (MapParams(2.503, -0.263), 21)]
+
+
+@pytest.mark.parametrize("params, symbol", LATE_DIVERGENCE)
+def test_symbol_index_carries_across_file_chunks(tmp_path, monkeypatch, params, symbol):
+    monkeypatch.setattr(cipher, "_CHUNK", 7)
+    src, hexfile, out = tmp_path / "plain.bin", tmp_path / "ct.hex", tmp_path / "back.bin"
+    for key, data in ((ARNOLD_KEY, CHUNKED_MSG), (DUFFING_KEY, bytes(range(50)))):
+        src.write_bytes(data)
+        encrypt_file(src, hexfile, key)
+        ciphertext = encrypt_bytes(data, key)
+        assert hexfile.read_text() == ciphertext.hex() + "\n"
+        decrypt_file(hexfile, out, key)
+        assert out.read_bytes() == decrypt(ciphertext, key) == data
+    key = Key(MapKind.DUFFING, params)
+    with pytest.raises(DivergenceError) as err:
+        encrypt_bytes(CHUNKED_MSG, key)
+    assert err.value.symbol == symbol
+    src.write_bytes(CHUNKED_MSG)
+    for path in (hexfile, out):
+        path.unlink()
+    with pytest.raises(DivergenceError) as err:
+        encrypt_file(src, hexfile, key)
+    assert err.value.symbol == symbol
+    # decryption walks the same states up to the diverging symbol
+    hexfile.write_text((encrypt_bytes(CHUNKED_MSG[:symbol], key) + bytes(9)).hex())
+    with pytest.raises(DivergenceError) as err:
+        decrypt_file(hexfile, out, key)
+    assert err.value.symbol == symbol
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.hex", "plain.bin"]
+
+
+# Arnold: the per-step bound test is skipped when |a - 1| * N <= 1e6 and
+# N <= 1e6, so keys are drawn on both sides of that edge.
+arnold_cases = st.tuples(
+    st.just(MapKind.ARNOLD),
+    st.one_of(
+        st.tuples(st.floats(-6.0, 2.0), st.floats(-3.0, 3.0), st.sampled_from([0.5, 1.0, 1.3])),
+        st.builds(lambda n, side, f, b: (1.0 + side * (1e6 / n) * f, b, n),
+                  st.sampled_from([1.0, 3.0, 1e3, 1e6, 2e6]), st.sampled_from([1.0, -1.0]),
+                  st.sampled_from([1 - 2.0 ** -40, 1.0, 1 + 2.0 ** -40, 0.5, 2.0]),
+                  st.floats(-3.0, 3.0)),
+        st.tuples(st.floats(-1e7, 1e7), st.floats(-3.0, 3.0), st.sampled_from([1.0, 2e6]))),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    | st.tuples(st.sampled_from([1.5e6, 5e6, -3e6, 1e12]), st.floats(-2e6, 2e6)))
+# Duffing: about a third of the box diverges; a start y outside +-1e6
+# must diverge at symbol 0, as the first step copies it into x.
+duffing_cases = st.tuples(
+    st.just(MapKind.DUFFING),
+    st.tuples(st.floats(1.5, 3.1), st.floats(-0.8, 0.4), st.just(1.0)),
+    st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+    | st.tuples(st.floats(-2.0, 2.0),
+                st.sampled_from([1e6, -1e6, 1e6 + 2 ** -29, -2e6, 1e9]))
+    | st.tuples(st.sampled_from([1e7, -1e9]), st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def kernel_cases(draw):
+    kind, (a, b, n), start = draw(arnold_cases | duffing_cases)
+    n1 = draw(st.integers(1, 4))
+    n2 = draw(st.integers(1, 4).filter(lambda v: v != n1))
+    cfg = CipherConfig(State(*start), n1, n2, draw(st.sampled_from([1e6, 7.0, 12345.678])),
+                       draw(st.sampled_from([1.0, 0.0, 0.75, -2.5])))
+    return Key(kind, MapParams(a, b, n)), cfg, draw(st.binary(max_size=24))
+
+
+def oracle_step(key):
+    a, b, n = key.params.a, key.params.b, key.params.n_modulus
+    if key.kind is MapKind.ARNOLD:
+        return arnold_oracle_step(a, b, n)
+    return duffing_oracle_step(a, b)
+
+
+def run_oracle(key, cfg, data, decrypting=False):
+    s = cfg.initial_state
+    return oracle_run(data, oracle_step(key), s.x, s.y, cfg.n1, cfg.n2, cfg.quant_scale,
+                      cfg.reinject_gain, decrypting=decrypting)
+
+
+def expect_outcome(call, out, diverged):
+    """call() returns out, or raises the DivergenceError of symbol diverged."""
+    if diverged is None:
+        assert call() == out
+        return
+    with pytest.raises(DivergenceError) as err:
+        call()
+    assert err.value.symbol == diverged
+    assert str(err.value) == f"orbit diverged while processing symbol {diverged}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kernel_cases())
+# N > 1e6: y' can leave the box however small |a - 1| * N is
+@example((Key(MapKind.ARNOLD, MapParams(1.25, 0.5, 2e6)), CipherConfig(State(1.5e6, 0.0), 2, 3),
+          b"xy"))
+# y0 = 2^20 is outside the box, but x0 cancels y0^3 exactly, so the first
+# three steps stay inside: only the entry test sees the orbit leave at
+# symbol 0
+@example((Key(MapKind.DUFFING, MapParams(2.0, -2.0 ** -14)),
+          CipherConfig(State(2.0 ** 74 - 2.0 ** 35, 2.0 ** 20), 1, 2), b"xy"))
+def test_kernel_matches_checked_oracle(case):
+    key, cfg, data = case
+    out, traces, diverged = run_oracle(key, cfg, data)
+    expect_outcome(lambda: encrypt_bytes(data, key, cfg), out, diverged)
+    expect_outcome(lambda: encrypt(data, key, cfg),
+                   (out, [SymbolTrace(z, y, State(*s1), State(*s2)) for z, y, s1, s2 in traces]),
+                   diverged)
+    plain, _, diverged_back = run_oracle(key, cfg, data, decrypting=True)
+    expect_outcome(lambda: decrypt(data, key, cfg), plain, diverged_back)
+    if diverged is None and out:
+        assert decrypt(out, key, cfg) == data
+
+    # scans over the (about) 3 x 3 grid around the key: keys whose orbit
+    # leaves the bound before the compared prefix ends are misses
+    prefix = data[:8]
+    if not prefix:
+        return
+    inc = 1e-3
+    dom = KeyDomain(key.kind, (key.params.a - inc, key.params.b - inc),
+                    (key.params.a + inc, key.params.b + inc), inc, key.params.n_modulus)
+    na, nb = dom.axis_counts()
+    grid = [Key(key.kind, dom.params_at(i, j)) for i in range(na) for j in range(nb)]
+    centre = Key(key.kind, dom.snap(key.params))
+    for scan_cfg in (cfg, replace(cfg, n2=cfg.n1)):
+        reference, _, centre_diverged = run_oracle(centre, scan_cfg, prefix)
+        if centre_diverged is not None:
+            continue
+        expected = [k for k in grid
+                    if run_oracle(k, scan_cfg, prefix)[::2] == (reference, None)]
+        if scan_cfg is cfg:
+            found = known_plaintext_attack(reference, prefix, dom, cfg).candidates
+        else:  # identify sets n1 = n2 = its iteration value
+            found = identifiability_scan(data, centre, dom, cfg,
+                                         iteration_value=cfg.n1).matching_keys
+        assert found == expected
