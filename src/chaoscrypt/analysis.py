@@ -18,6 +18,7 @@ import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
 from math import floor
 from time import perf_counter
@@ -262,38 +263,35 @@ class AttackResult:
         return "R" if self.robust else "NR"
 
 
-def _scan_chunk(args) -> list[int]:
-    """Flat grid indices in [start, stop) whose key reproduces the
-    reference ciphertext. Each key is dropped at its first mismatching
-    symbol; divergent keys count as non-matching."""
-    domain, start, stop, data, cfg, reference = args
-    return _scan_grid(domain.kind, domain.lower, domain.increment, domain.n_modulus,
-                      domain.axis_counts()[1], start, stop, data, cfg, reference)
-
-
 # Most keys one pool worker scans per call, so that an interrupted pooled
-# scan only waits for a few short chunks already running.
+# scan only waits for a few short chunks already running. A scan uses at
+# most one worker per such chunk, so a grid of up to this many keys is
+# scanned in-process: starting a pool costs more than it saves there.
 _MAX_POOL_CHUNK = 1 << 16
 
 
 def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
                    reference: bytes, workers: int,
                    on_progress: Callable[[int, int], None] | None) -> list[Key]:
-    """Grid keys, in grid order, whose encryption of data is reference."""
+    """Grid keys, in grid order, whose encryption of data is reference.
+    Each key is dropped at its first mismatching symbol; divergent keys
+    do not match."""
     total = domain.size()
-    workers = effective_workers(workers)
+    workers = min(effective_workers(workers), -(-total // _MAX_POOL_CHUNK))
     if workers <= 1:
         chunk = 4096
     else:
         chunk = min(_MAX_POOL_CHUNK, max(256, -(-total // (workers * 4))))
+    nb = domain.axis_counts()[1]
+    scan = partial(_scan_grid, domain.kind, domain.lower, domain.increment, domain.n_modulus,
+                   nb, data=data, cfg=cfg, reference=reference)
     # Lazy, so a serial scan holds one chunk at a time however large the grid.
     starts = range(0, total, chunk)
-    jobs = ((domain, start, min(start + chunk, total), data, cfg, reference)
-            for start in starts)
+    stops = (min(start + chunk, total) for start in starts)
     hits = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        results = pool.map(_scan_chunk, jobs) if pool else map(_scan_chunk, jobs)
+        results = pool.map(scan, starts, stops) if pool else map(scan, starts, stops)
         for start, result in zip(starts, results):
             hits.extend(result)
             if on_progress:
@@ -302,7 +300,6 @@ def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
         if pool:
             # after an exception, the chunks not yet started are dropped
             pool.shutdown(cancel_futures=True)
-    nb = domain.axis_counts()[1]
     return [Key(domain.kind, domain.params_at(*divmod(flat, nb))) for flat in hits]
 
 

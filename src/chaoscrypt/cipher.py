@@ -42,6 +42,7 @@ from .maps import (
     MapKind,
     MapParams,
     State,
+    _TESTED_STEP,
     _compile_kernel,
 )
 
@@ -130,16 +131,11 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 
 # The cipher's per-symbol body. For symbol k with input c it tests the
 # incoming state ($entry), advances the orbit n1 steps, snapshots it,
-# advances n2 steps, with the kind's bound test after every step (see
-# maps._STEP_SOURCE); quantizes the two snapshots, mixes in the direction
-# `decrypting` says, runs $check, and feeds z back into the state. Each
-# run of steps is written out in full, so the body is compiled once per
-# (kind, n1, n2). A failed bound test runs $diverge.
-_STEP = """\
-x, y = $step
-if not ($inside):
-    $diverge
-"""
+# advances n2 steps, each a maps._TESTED_STEP (the kind's bound test after
+# every step, see maps._STEP_SOURCE); quantizes the two snapshots, mixes
+# in the direction `decrypting` says, runs $check, and feeds z back into
+# the state. Each run of steps is written out in full, so the body is
+# compiled once per (kind, n1, n2). A failed bound test runs $diverge.
 _SYMBOL_BODY = """\
 if not ($entry):
     $diverge
@@ -215,7 +211,7 @@ _ENTRIES = {
 def _compiled(entry: str, kind: MapKind, n1: int, n2: int) -> Callable:
     """The entry point named entry, for kind, with n1 and n2 steps per symbol."""
     template, depth, diverge, check = _ENTRIES[entry]
-    step = Template(_STEP).safe_substitute(diverge=diverge)
+    step = Template(_TESTED_STEP).safe_substitute(diverge=diverge)
     body = Template(_SYMBOL_BODY).safe_substitute(
         steps1=(step * n1).rstrip(), steps2=(step * n2).rstrip(), check=check, diverge=diverge)
     source = Template(template).safe_substitute(body=textwrap.indent(body, "    " * depth))
@@ -454,7 +450,8 @@ def key_from_json(text: str) -> Key:
 
 
 def save_key(key: Key, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii") as f:
+    """Write the key's JSON line to path, replacing it only on success."""
+    with _atomic_write(path, "x", encoding="ascii") as f:
         f.write(key_to_json(key) + "\n")
 
 

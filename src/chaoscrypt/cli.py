@@ -126,7 +126,7 @@ def cmd_trajectory(args) -> int:
         raise ValueError(f"--n must be at most {_MAX_TRAJECTORY_STEPS}, got {args.n}")
     start = args.init if args.init is not None else cipher.DEFAULT_INITIAL_STATE[kind]
     points = maps.trajectory(kind, start, args.params, args.n)
-    with open(args.out, "w", encoding="ascii") as f:
+    with cipher._atomic_write(args.out, "x", encoding="ascii") as f:
         maps.write_trajectory_csv(points, f)
     print(f"{len(points)} points -> {args.out}")
     return 0
@@ -220,7 +220,7 @@ def cmd_report(args) -> int:
     rows = analysis.analysis_report(
         triples, workers=args.workers,
         log=lambda s: print(f"[report] {s}", file=sys.stderr))
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
+    with cipher._atomic_write(args.out, "x", encoding="utf-8", newline="") as f:
         analysis.write_report_csv(rows, f)
     pt_min, pt_max = analysis._minmax(r.plaintext_sensitivity_pct for r in rows)
     ks_min, ks_max = analysis._minmax(r.key_sensitivity_pct for r in rows)
@@ -245,7 +245,7 @@ def cmd_compare(args) -> int:
         rows_d = analysis.read_report_csv(f, MapKind.DUFFING)
     summaries = analysis.compare_ciphers(rows_a, rows_d)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
+        with cipher._atomic_write(args.out, "x", encoding="utf-8", newline="") as f:
             analysis.write_comparison_csv(summaries, f)
     else:
         analysis.write_comparison_csv(summaries, sys.stdout)

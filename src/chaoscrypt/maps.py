@@ -4,6 +4,11 @@ Two maps are provided, each parameterized by a pair (a, b): a cat-map
 variant folded onto a torus of size N, and the cubic Duffing map. All
 state arithmetic is plain 64-bit floating point; every operation here is
 a pure function, so values can be shared freely across threads.
+
+Each step equation and its bound tests are spelled once, in _STEP_SOURCE,
+and a step with its bound test once, in _TESTED_STEP. step_function binds
+the bare step, with no bound test. The orbit tools run one generator per
+map kind compiled from the two on first use, as cipher's kernel is.
 """
 
 from __future__ import annotations
@@ -11,7 +16,9 @@ from __future__ import annotations
 import enum
 import linecache
 import math
+import textwrap
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fmod
 from string import Template
 from typing import Callable, Iterable, Iterator, TextIO
@@ -126,8 +133,9 @@ def signed_mod(dividend: float, divisor: float) -> float:
 # - step: the next state, as an expression of the state (x, y);
 # - entry: a test of the state a run of steps starts from;
 # - inside: a test, after each step, that the new state is in the box.
-# step_function compiles a closure from this table, and cipher compiles
-# its per-symbol kernel from it with the steps written out inline.
+# step_function compiles a bare closure from this table; the orbit
+# generator below and cipher's per-symbol kernel compile runs of
+# _TESTED_STEP from it.
 #
 # The tests stop a run of steps at the first state outside
 # [-bound, bound]^2, as testing both coordinates after every step would,
@@ -187,6 +195,37 @@ def bind(a, b, n):
 """
 _STEP_BINDERS = {kind: _compile_kernel(kind, _BIND_STEP, "bind") for kind in MapKind}
 
+# One step and its bound test, inserted by every compiled run of steps,
+# here and in cipher's kernel. A failed test runs $diverge.
+_TESTED_STEP = """\
+x, y = $step
+if not ($inside):
+    $diverge
+"""
+
+# Yields the `steps` points after (x, y). A start state that fails $entry
+# fails the test of both coordinates at step 0, so it diverges there.
+_ORBIT = """\
+def orbit(a, b, n, x, y, steps):
+    $setup
+    k = 0
+    if steps and not ($entry):
+        x, y = $step
+        $diverge
+    for k in range(steps):
+$tested_step
+        yield x, y
+"""
+
+
+@lru_cache(maxsize=None)
+def _orbit_generator(kind: MapKind) -> Callable:
+    """The orbit generator for kind, compiled on first use."""
+    template = _ORBIT.replace("$tested_step", textwrap.indent(_TESTED_STEP, " " * 8).rstrip())
+    source = Template(template).safe_substitute(
+        diverge='raise DivergenceError(f"orbit diverged at step {k}: ({x!r}, {y!r})", step=k)')
+    return _compile_kernel(kind, source, "orbit", {"DivergenceError": DivergenceError})
+
 
 def step_function(kind: MapKind, p: MapParams) -> Callable[[float, float], tuple[float, float]]:
     """Bind parameters into a bare (x, y) -> (x', y') step for hot loops.
@@ -215,15 +254,9 @@ def iterate(kind: MapKind, s: State, p: MapParams, n: int) -> State:
     """n-fold composition of the selected step; n = 0 returns s unchanged."""
     if n < 0:
         raise DomainError("iteration count must be >= 0")
-    # Kept as a plain loop rather than a walk over _orbit: a generator
-    # costs about a fifth of the step rate here.
-    step = step_function(kind, p)
     x, y = s.x, s.y
-    bound = DIVERGENCE_BOUND
-    for k in range(n):
-        x, y = step(x, y)
-        if not (-bound <= x <= bound and -bound <= y <= bound):
-            raise DivergenceError(f"orbit diverged at step {k}: ({x!r}, {y!r})", step=k)
+    for x, y in _orbit(kind, x, y, p, n):
+        pass
     return State(x, y)
 
 
@@ -231,13 +264,7 @@ def _orbit(kind: MapKind, x: float, y: float, p: MapParams,
            n: int) -> Iterator[tuple[float, float]]:
     """The n points after (x, y); the first one outside the divergence
     bound (or non-finite) raises DivergenceError with its 0-based step."""
-    step = step_function(kind, p)
-    bound = DIVERGENCE_BOUND
-    for k in range(n):
-        x, y = step(x, y)
-        if not (-bound <= x <= bound and -bound <= y <= bound):
-            raise DivergenceError(f"orbit diverged at step {k}: ({x!r}, {y!r})", step=k)
-        yield x, y
+    return _orbit_generator(kind)(p.a, p.b, p.n_modulus, x, y, n)
 
 
 def trajectory(kind: MapKind, s0: State, p: MapParams, n: int) -> list[State]:

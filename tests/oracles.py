@@ -94,6 +94,24 @@ def oracle_run(data, step, x, y, n1=3, n2=3, q=1e6, g=1.0, m=256, decrypting=Fal
     return bytes(out), traces, None
 
 
+def oracle_orbit(step, x, y, n):
+    """Step (x, y) n times with bare floats, testing both coordinates
+    against the bound after every step. Returns (points, failure): the
+    points inside the bound, and None, or (k, error) for the first step k
+    that failed, where error is the point (x, y) outside the bound or the
+    exception the step raised."""
+    points = []
+    for k in range(n):
+        try:
+            x, y = step(x, y)
+        except ValueError as exc:  # fmod of an infinite value
+            return points, (k, exc)
+        if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+            return points, (k, (x, y))
+        points.append((x, y))
+    return points, None
+
+
 def duffing_oracle_step(a, b):
     return lambda x, y: (y, -b * x + a * y - y * y * y)
 

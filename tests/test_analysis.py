@@ -240,11 +240,29 @@ def test_longer_comparison_never_enlarges_matching_set():
         previous = current
 
 
-def test_scan_result_is_worker_invariant():
+def test_scan_result_is_worker_invariant(monkeypatch):
+    # 441 keys: short pool chunks, so that workers=3 runs the pool
+    monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
+    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
     serial = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=1)
     parallel = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=3)
     assert serial == parallel
+
+
+def test_small_grid_scans_without_a_pool(monkeypatch):
+    # a grid of at most _MAX_POOL_CHUNK keys is one pool chunk: no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    side = 256
+    span = (side - 1) * 1e-4
+    dom = KeyDomain(MapKind.ARNOLD, (-4.0, 0.5), (-4.0 + span, 0.5 + span), 1e-4)
+    assert dom.size() == analysis._MAX_POOL_CHUNK
+    serial = identifiability_scan(b"no pool", ARNOLD_KEY, dom, workers=1)
+    assert identifiability_scan(b"no pool", ARNOLD_KEY, dom, workers=2) == serial
 
 
 def test_scan_validates_inputs():
@@ -338,9 +356,12 @@ def test_scans_match_flat_oracles_on_random_grids(kind, iters):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_scans_match_oracles_when_chunks_start_mid_row(workers):
+def test_scans_match_oracles_when_chunks_start_mid_row(monkeypatch, workers):
     # 70 rows of 61 keys: the serial 4096-key chunk ends mid-row, and the
-    # second chunk's keys are rebuilt from a flat index that is not a row start
+    # second chunk's keys are rebuilt from a flat index that is not a row start.
+    # Short pool chunks, so that workers=2 runs the pool (in 534-key chunks).
+    monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 2048)
+    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     lo, hi, inc = (-4.0069, 0.5), (-4.0, 0.506), 1e-4
     dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc)
     assert dom.axis_counts() == (70, 61) and dom.size() > 4096

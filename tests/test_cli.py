@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from chaoscrypt import cipher
+from chaoscrypt import analysis, cipher, maps
 from chaoscrypt.cipher import Key, encrypt_bytes, save_key
 from chaoscrypt.cli import main
 from chaoscrypt.maps import MapKind, MapParams
@@ -212,6 +212,41 @@ def test_interrupt_is_one_error_line(tmp_path, arnold_key_file, capsys, monkeypa
     err = capsys.readouterr().err
     assert err == "error: interrupted\n"
     assert not out.exists()
+
+
+SMALL_ARNOLD_SPEC = [{"plaintext": "Meet me", "key": {"kind": "arnold", "a": -4.0, "b": 0.5},
+                      "domain": {"lower": [-4.0, 0.5], "upper": [-4.0, 0.5]}}]
+
+
+@pytest.mark.parametrize("command, writer", [
+    ("report", (analysis, "write_report_csv")),
+    ("trajectory", (maps, "write_trajectory_csv")),
+    ("compare", (analysis, "write_comparison_csv")),
+])
+def test_interrupted_writer_leaves_prior_output(tmp_path, capsys, monkeypatch, command, writer):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SMALL_ARNOLD_SPEC))
+    report = tmp_path / "report.csv"
+    assert main(["report", "--spec", str(spec), "--out", str(report)]) == 0
+    out = tmp_path / "out.csv"
+    out.write_text("earlier output\n")
+    argv = {"report": ["report", "--spec", str(spec)],
+            "trajectory": ["trajectory", "--kind", "duffing", "--params", "2.75,0.1",
+                           "--n", "10"],
+            "compare": ["compare", "--arnold", str(report), "--duffing", str(report)],
+            }[command] + ["--out", str(out)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+
+    def interrupted(items, f):
+        f.write("index,partial\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(*writer, interrupted)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: interrupted"
+    assert out.read_text() == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGTERM") or os.name != "posix",

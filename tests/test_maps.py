@@ -3,8 +3,11 @@
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaoscrypt.maps import (
     DivergenceError,
@@ -21,6 +24,8 @@ from chaoscrypt.maps import (
     trajectory,
     write_trajectory_csv,
 )
+
+from oracles import arnold_oracle_step, duffing_oracle_step, oracle_orbit
 
 # Parameter sets and start points from the reference scatter plots.
 FIG_ARNOLD = MapParams(-3.5, 0.9, 1.0)
@@ -235,3 +240,109 @@ def test_trajectory_csv_round_trips_full_precision(tmp_path):
         assert float(ys) == pts[k].y
     with open(path) as f:
         assert read_trajectory_csv(f) == pts
+
+
+# --- the orbit tools against a flat, both-coordinates oracle ---------------
+
+# Arnold keys on both sides of |a - 1| * N = 1e6 and of N = 1e6, where the
+# per-step bound test is skipped or kept, and moduli up to 1e300.
+arnold_params = st.one_of(
+    st.tuples(st.floats(-6.0, 2.0), st.floats(-3.0, 3.0), st.sampled_from([0.5, 1.0, 2.0])),
+    st.builds(lambda n, side, f, b: (1.0 + side * (1e6 / n) * f, b, n),
+              st.sampled_from([1.0, 1e3, 1e6 * (1 - 2.0 ** -40), 1e6, 1e6 * (1 + 2.0 ** -40),
+                               2e6, 1e300]),
+              st.sampled_from([1.0, -1.0]),
+              st.sampled_from([1 - 2.0 ** -40, 1.0, 1 + 2.0 ** -40, 0.5, 2.0]),
+              st.floats(-3.0, 3.0)))
+# about a third of this Duffing box diverges
+duffing_params = st.tuples(st.floats(1.5, 3.1), st.floats(-0.8, 0.4), st.just(1.0))
+# inside the box, on both sides of its edge, and near the largest floats
+small = st.floats(-2.0, 2.0)
+coordinates = st.one_of(
+    small, st.floats(-2e6, 2e6), st.sampled_from([1e6, -1e6, 1e6 + 2.0 ** -29, -2e6, 1e9]),
+    st.floats(1e307, 1.7976931348623157e308), st.floats(-1.7976931348623157e308, -1e307))
+starts = st.one_of(st.tuples(small, small), st.tuples(coordinates, small),
+                   st.tuples(small, coordinates), st.tuples(coordinates, coordinates))
+
+
+@st.composite
+def orbit_cases(draw):
+    kind = draw(st.sampled_from(list(MapKind)))
+    params = MapParams(*draw(arnold_params if kind is MapKind.ARNOLD else duffing_params))
+    start = State(*draw(starts))
+    # the large shifts push x + delta past the largest float at times
+    delta = draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e307]))
+    return kind, params, start, draw(st.integers(0, 50)), delta
+
+
+def oracle_step(kind, p):
+    if kind is MapKind.ARNOLD:
+        return arnold_oracle_step(p.a, p.b, p.n_modulus)
+    return duffing_oracle_step(p.a, p.b)
+
+
+def exact(points):
+    return [(x.hex(), y.hex()) for x, y in points]
+
+
+def raises_as(call, failure):
+    """call() raises what the oracle's failure (k, error) says: a
+    DivergenceError at step k naming the point outside the bound, or the
+    exception the step raised. Returns the exception."""
+    k, error = failure
+    if isinstance(error, Exception):
+        expected = (type(error), str(error), None)
+    else:
+        expected = (DivergenceError, f"orbit diverged at step {k}: ({error[0]!r}, {error[1]!r})", k)
+    with pytest.raises((DivergenceError, ValueError)) as err:
+        call()
+    assert (type(err.value), str(err.value), getattr(err.value, "step", None)) == expected
+    return err.value
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(orbit_cases())
+# a Duffing start y outside the box diverges at step 0, with that step's point
+@example((MapKind.DUFFING, MapParams(2.75, 0.1), State(0.5, -3e6), 3, 1e-3))
+# ... also when x0 cancels y0^3 exactly, so that the step-0 y is inside
+@example((MapKind.DUFFING, MapParams(2.0, -2.0 ** -14), State(2.0 ** 74 - 2.0 ** 35, 2.0 ** 20),
+          3, 1e-8))
+# x + delta overflows: the shifted Arnold orbit's first fmod raises
+@example((MapKind.ARNOLD, MapParams(-3.5, 0.9, 1.0), State(1.7e308, 0.5), 5, 1e307))
+# both Duffing orbits diverge: the unshifted one first (step 17 against
+# 19), the shifted one first (6 against 10), and both at step 6 from
+# different points
+@example((MapKind.DUFFING, MapParams(2.1461, -0.6242), State(-0.246, 0.977), 30, 1e-3))
+@example((MapKind.DUFFING, MapParams(3.0188, -0.3708), State(-0.191, 0.098), 30, 1.0))
+@example((MapKind.DUFFING, MapParams(2.8959, -0.4528), State(0.923, 0.078), 30, 1e-3))
+def test_orbit_tools_match_checked_oracle(case):
+    kind, p, s0, n, delta = case
+    step = oracle_step(kind, p)
+
+    points, failure = oracle_orbit(step, s0.x, s0.y, n)
+    if failure is None:
+        end = iterate(kind, s0, p, n)
+        assert exact([(end.x, end.y)]) == exact([points[-1] if points else (s0.x, s0.y)])
+    else:
+        raises_as(lambda: iterate(kind, s0, p, n), failure)
+
+    m = max(n, 1)
+    points, failure = oracle_orbit(step, s0.x, s0.y, m)
+    expected = exact([(s0.x, s0.y)] + points)
+    if failure is None:
+        assert exact((s.x, s.y) for s in trajectory(kind, s0, p, m)) == expected
+    else:
+        err = raises_as(lambda: trajectory(kind, s0, p, m), failure)
+        if isinstance(err, DivergenceError):
+            assert exact((s.x, s.y) for s in err.prefix) == expected
+
+    # the two orbits advance in lockstep, the unshifted one first: the
+    # earlier failure wins, and the unshifted orbit's on the same step
+    shifted, failure_b = oracle_orbit(step, s0.x + delta, s0.y, m)
+    call = partial(divergence_measure, kind, s0, delta, p, m)
+    if failure is None and failure_b is None:
+        worst = max(math.hypot(xa - xb, ya - yb) for (xa, ya), (xb, yb) in zip(points, shifted))
+        assert call().hex() == worst.hex()
+    else:
+        raises_as(call, failure if failure_b is None
+                  or failure is not None and failure[0] <= failure_b[0] else failure_b)
