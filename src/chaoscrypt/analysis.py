@@ -93,7 +93,10 @@ def _axis_count(lo: float, hi: float, step: float) -> int:
         raise DomainError(f"degenerate axis [{lo}, {hi}]")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError("axis step must be finite and > 0")
-    return int(floor((hi - lo) / step + _GRID_EPS)) + 1
+    steps = (hi - lo) / step + _GRID_EPS
+    if not math.isfinite(steps):
+        raise DomainError(f"axis [{lo}, {hi}] has too many steps of {step}")
+    return int(floor(steps)) + 1
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,9 @@ class KeyDomain:
     n_modulus: float = 1.0
 
     def __post_init__(self):
-        # validates bounds and increment as a side effect
+        # validate bounds, increment and n_modulus as side effects
         self.axis_counts()
+        self.params_at(0, 0)
 
     def axis_counts(self) -> tuple[int, int]:
         return (_axis_count(self.lower[0], self.upper[0], self.increment),

@@ -9,15 +9,16 @@ exactly.
 
 One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
 map with the bound tests the map needs, quantizes, mixes and feeds back,
-in either direction. On first use it is compiled for each map kind and
-pair of iteration counts (n1, n2), with every step written out inline,
-into two entry points. The block entry runs one chunk of symbols and
-carries the state to the next; it serves encrypt, encrypt_bytes and
-decrypt in memory, and encrypt_file and decrypt_file, which feed it
-64 KiB reads and write each block through a temp file that replaces the
-output only on success. The grid scanner behind _scan_grid serves the
-scans in analysis: it runs a whole chunk of grid keys per call and stops
-each key at its first mismatching symbol.
+in either direction. It is spliced into two entry points, _BLOCK and
+_SCAN, which maps._kernel compiles on first use for each map kind and
+pair of iteration counts (n1, n2), with every step written out inline.
+The block entry runs one chunk of symbols and carries the state to the
+next; it serves encrypt, encrypt_bytes and decrypt in memory, and
+encrypt_file and decrypt_file, which feed it 64 KiB reads and write each
+block through a temp file that replaces the output only on success. The
+grid scanner behind _scan_grid serves the scans in analysis: it runs a
+whole chunk of grid keys per call and stops each key at its first
+mismatching symbol.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ import json
 import math
 import os
 import sys
-import textwrap
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import islice
 from math import floor
 from operator import index
-from string import Template
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .maps import (
@@ -42,8 +41,7 @@ from .maps import (
     MapKind,
     MapParams,
     State,
-    _TESTED_STEP,
-    _compile_kernel,
+    _kernel,
 )
 
 __all__ = [
@@ -106,7 +104,7 @@ class CipherConfig:
     symbol_modulus: int = SYMBOL_MODULUS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolTrace:
     """Intermediate values of one symbol: first-stage mix z, emitted
     symbol y, and the two state snapshots they were derived from."""
@@ -156,20 +154,24 @@ x = fmod(x + g * z / m, 1.0)
 
 # Entry point 1, the cipher: runs one chunk of symbols under one key from
 # state (x, y), symbol k being the chunk's first, and returns the output
-# bytes and the state to carry into the next chunk. With a traces list it
-# appends each symbol's SymbolTrace.
+# bytes and the state to carry into the next chunk. A trace callable is
+# handed each symbol's z, output and two snapshots.
 _BLOCK = """\
-def block(a, b, n, x, y, k, symbols, q, g, m, decrypting, traces):
+def block(a, b, n, x, y, k, symbols, q, g, m, decrypting, trace):
     $setup
     result = bytearray()
     put = result.append
     for k, c in enumerate(symbols, k):
-$body
+        $body
         put(out)
-        if traces is not None:
-            traces.append(SymbolTrace(z, out, State(s1x, s1y), State(x, y)))
+        if trace is not None:
+            trace(z, out, s1x, s1y, x, y)
     return result, x, y
 """
+_BLOCK_FILL = {
+    "diverge": 'raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)',
+    "check": "pass",
+}
 
 # Entry point 2, the grid scanner: encrypts the (c, expected) pairs under
 # the key at every flat index in [start, stop) of a box of row length nb,
@@ -189,7 +191,7 @@ def scan(a0, b0, inc, n, nb, start, stop, x0, y0, q, g, m, pairs):
             $setup
             x, y = x0, y0
             for c, expected in pairs:
-$body
+                $body
             else:
                 hits.append(row + j)
         i += 1
@@ -197,39 +199,20 @@ $body
         j0 = 0
     return hits
 """
-
-# name: (template, indent of $body, $diverge, $check)
-_ENTRIES = {
-    "block": (_BLOCK, 2,
-              'raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)',
-              "pass"),
-    "scan": (_SCAN, 4, "break", "if out != expected:\n    break"),
-}
+_SCAN_FILL = {"diverge": "break", "check": "if out != expected:\n    break"}
 
 
-@lru_cache(maxsize=64)
-def _compiled(entry: str, kind: MapKind, n1: int, n2: int) -> Callable:
-    """The entry point named entry, for kind, with n1 and n2 steps per symbol."""
-    template, depth, diverge, check = _ENTRIES[entry]
-    step = Template(_TESTED_STEP).safe_substitute(diverge=diverge)
-    body = Template(_SYMBOL_BODY).safe_substitute(
-        steps1=(step * n1).rstrip(), steps2=(step * n2).rstrip(), check=check, diverge=diverge)
-    source = Template(template).safe_substitute(body=textwrap.indent(body, "    " * depth))
-    scope = {"floor": floor, "DivergenceError": DivergenceError,
-             "SymbolTrace": SymbolTrace, "State": State}
-    return _compile_kernel(kind, source, entry, scope, tag=f" {n1}/{n2}")
-
-
-def _kernel(entry: str, kind: MapKind, cfg: CipherConfig) -> Callable:
-    """The compiled entry point for kind and cfg's iteration counts, which
-    are checked before anything is compiled."""
+def _entry(template: str, fill: dict[str, str], kind: MapKind, cfg: CipherConfig) -> Callable:
+    """The entry point template defines, with _SYMBOL_BODY and fill, for
+    kind and cfg's iteration counts, which are checked before anything is
+    compiled."""
     n1, n2 = cfg.n1, cfg.n2
     if n1 < 1 or n2 < 1:
         raise DomainError("iteration counts n1 and n2 must be >= 1")
     if n1 > _MAX_ITERATIONS or n2 > _MAX_ITERATIONS:
         raise DomainError(f"iteration counts n1 and n2 must be at most {_MAX_ITERATIONS}, "
                           f"got {n1} and {n2}")
-    return _compiled(entry, kind, index(n1), index(n2))
+    return _kernel(kind, template, index(n1), index(n2), body=_SYMBOL_BODY, **fill)
 
 
 def _first_out_of_range(symbols: Sequence[int], m: int) -> int | None:
@@ -240,7 +223,7 @@ def _first_out_of_range(symbols: Sequence[int], m: int) -> int | None:
 
 
 def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence[int]],
-                   decrypting: bool = False, traces: list | None = None,
+                   decrypting: bool = False, trace: Callable | None = None,
                    ) -> Iterator[bytearray]:
     """The cipher itself: one output block per chunk of input symbols.
 
@@ -248,20 +231,21 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence
     decrypting; the state and the symbol index carry from one chunk to
     the next. A symbol outside [0, symbol_modulus) raises DomainError,
     and a divergent orbit DivergenceError with the index of the symbol
-    being processed, after the symbols before it. With a traces list, the
-    block appends each symbol's SymbolTrace: s1 is the state after the
-    first n1 steps and s2 the state after the symbol, feedback included.
+    being processed, after the symbols before it. A trace callable is
+    called per symbol as trace(z, out, s1x, s1y, x, y): (s1x, s1y) is the
+    state after the first n1 steps and (x, y) the state after the symbol,
+    feedback included.
     """
     if cfg is None:
         cfg = default_config(key.kind)
-    block = _kernel("block", key.kind, cfg)
+    block = _entry(_BLOCK, _BLOCK_FILL, key.kind, cfg)
     p = key.params
     q, g, m = cfg.quant_scale, cfg.reinject_gain, cfg.symbol_modulus
     x, y, k = cfg.initial_state.x, cfg.initial_state.y, 0
     for chunk in chunks:
         bad = _first_out_of_range(chunk, m)
         out, x, y = block(p.a, p.b, p.n_modulus, x, y, k, chunk if bad is None else chunk[:bad],
-                          q, g, m, decrypting, traces)
+                          q, g, m, decrypting, trace)
         if bad is not None:
             what = "ciphertext symbol" if decrypting else "plaintext byte"
             raise DomainError(f"{what} {chunk[bad]} out of range [0, {m})")
@@ -288,7 +272,7 @@ def _scan_grid(kind: MapKind, lower: tuple[float, float], increment: float,
     lower corner, increment and row length, whose encryption of data is
     reference; divergent keys do not match. The config and the data
     symbols are checked once, for the whole range."""
-    scan = _kernel("scan", kind, cfg)
+    scan = _entry(_SCAN, _SCAN_FILL, kind, cfg)
     m = cfg.symbol_modulus
     bad = _first_out_of_range(data, m)
     if bad is not None:
@@ -306,7 +290,11 @@ def encrypt(plaintext: bytes | Iterable[int], key: Key,
     snapshots for the analysis procedures.
     """
     traces = []
-    ciphertext = b"".join(_cipher_blocks(key, cfg, _chunks(plaintext), traces=traces))
+
+    def trace(z, y, s1x, s1y, s2x, s2y):
+        traces.append(SymbolTrace(z, y, State(s1x, s1y), State(s2x, s2y)))
+
+    ciphertext = b"".join(_cipher_blocks(key, cfg, _chunks(plaintext), trace=trace))
     return ciphertext, traces
 
 

@@ -6,9 +6,10 @@ state arithmetic is plain 64-bit floating point; every operation here is
 a pure function, so values can be shared freely across threads.
 
 Each step equation and its bound tests are spelled once, in _STEP_SOURCE,
-and a step with its bound test once, in _TESTED_STEP. step_function binds
-the bare step, with no bound test. The orbit tools run one generator per
-map kind compiled from the two on first use, as cipher's kernel is.
+and a step with its bound test once, in _TESTED_STEP. _kernel is the one
+compiler: it splices the two into a template and compiles it on first
+use. The orbit tools run its orbit generator, cipher its block and scan
+entries; nothing is compiled at import.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from __future__ import annotations
 import enum
 import linecache
 import math
-import textwrap
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fmod
-from string import Template
+from math import floor, fmod
 from typing import Callable, Iterable, Iterator, TextIO
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "DomainError",
     "DivergenceError",
     "signed_mod",
-    "step_function",
     "arnold_step",
     "duffing_step",
     "iterate",
@@ -103,7 +102,7 @@ class MapParams:
             raise DomainError("n_modulus must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """A point (x, y) in the plane."""
 
@@ -133,9 +132,8 @@ def signed_mod(dividend: float, divisor: float) -> float:
 # - step: the next state, as an expression of the state (x, y);
 # - entry: a test of the state a run of steps starts from;
 # - inside: a test, after each step, that the new state is in the box.
-# step_function compiles a bare closure from this table; the orbit
-# generator below and cipher's per-symbol kernel compile runs of
-# _TESTED_STEP from it.
+# _kernel splices these fields, and runs of _TESTED_STEP, into the orbit
+# generator below and cipher's entries.
 #
 # The tests stop a run of steps at the first state outside
 # [-bound, bound]^2, as testing both coordinates after every step would,
@@ -166,35 +164,6 @@ _STEP_SOURCE = {
 }
 
 
-def _compile_kernel(kind: MapKind, template: str, name: str,
-                    scope: dict | None = None, tag: str = "") -> Callable:
-    """Compile the function `name` that template defines, with $setup,
-    $step, $entry and $inside filled in from the kind's step source. fmod
-    and the names in scope are its globals; tag tells apart the
-    tracebacks of kernels compiled under the same name."""
-    bound = repr(DIVERGENCE_BOUND)
-    fields = {field: Template(text).substitute(bound=bound)
-              for field, text in _STEP_SOURCE[kind].items()}
-    source = Template(template).substitute(fields)
-    filename = f"<chaoscrypt {kind.value} {name}{tag}>"
-    # lets a traceback through the compiled code show its lines
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"fmod": fmod, **(scope or {})}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
-
-
-_BIND_STEP = """\
-def bind(a, b, n):
-    $setup
-
-    def step(x, y):
-        return $step
-
-    return step
-"""
-_STEP_BINDERS = {kind: _compile_kernel(kind, _BIND_STEP, "bind") for kind in MapKind}
-
 # One step and its bound test, inserted by every compiled run of steps,
 # here and in cipher's kernel. A failed test runs $diverge.
 _TESTED_STEP = """\
@@ -202,6 +171,42 @@ x, y = $step
 if not ($inside):
     $diverge
 """
+
+_FIELD = re.compile(r"\$(\w+)")
+
+
+def _splice(text: str, snippets: dict[str, str]) -> str:
+    """text with each $name replaced by snippets[name], itself spliced
+    first; the lines after a snippet's first are indented to the column
+    its $name stands at."""
+    def fill(m: re.Match) -> str:
+        column = m.start() - text.rfind("\n", 0, m.start()) - 1
+        snippet = _splice(snippets[m[1]], snippets).rstrip("\n")
+        return snippet.replace("\n", "\n" + " " * column)
+    return _FIELD.sub(fill, text)
+
+
+@lru_cache(maxsize=64)
+def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0, **fill: str) -> Callable:
+    """The function that template defines, compiled for kind on first use.
+
+    The snippets spliced in are the kind's _STEP_SOURCE fields, $bound,
+    $tested_step, $steps1 and $steps2 (the tested step n1 and n2 times)
+    and the caller's fill. fmod, floor and DivergenceError are its
+    globals. Its file name names the kind, the function and n1/n2, and
+    linecache holds its source, so a traceback through it shows its lines.
+    """
+    snippets = {**_STEP_SOURCE[kind], "bound": repr(DIVERGENCE_BOUND),
+                "tested_step": _TESTED_STEP, "steps1": "$tested_step\n" * n1,
+                "steps2": "$tested_step\n" * n2, **fill}
+    source = _splice(template, snippets)
+    name = template[len("def "):template.index("(")]
+    filename = f"<chaoscrypt {kind.value} {name} {n1}/{n2}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"fmod": fmod, "floor": floor, "DivergenceError": DivergenceError}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
 
 # Yields the `steps` points after (x, y). A start state that fails $entry
 # fails the test of both coordinates at step 0, so it diverges there.
@@ -213,31 +218,10 @@ def orbit(a, b, n, x, y, steps):
         x, y = $step
         $diverge
     for k in range(steps):
-$tested_step
+        $tested_step
         yield x, y
 """
-
-
-@lru_cache(maxsize=None)
-def _orbit_generator(kind: MapKind) -> Callable:
-    """The orbit generator for kind, compiled on first use."""
-    template = _ORBIT.replace("$tested_step", textwrap.indent(_TESTED_STEP, " " * 8).rstrip())
-    source = Template(template).safe_substitute(
-        diverge='raise DivergenceError(f"orbit diverged at step {k}: ({x!r}, {y!r})", step=k)')
-    return _compile_kernel(kind, source, "orbit", {"DivergenceError": DivergenceError})
-
-
-def step_function(kind: MapKind, p: MapParams) -> Callable[[float, float], tuple[float, float]]:
-    """Bind parameters into a bare (x, y) -> (x', y') step for hot loops.
-
-    The returned callable performs no divergence checking; callers that
-    loop it are responsible for bounding the orbit.
-    """
-    try:
-        bind = _STEP_BINDERS[kind]
-    except KeyError:  # pragma: no cover - enum is closed
-        raise DomainError(f"unknown map kind {kind!r}") from None
-    return bind(p.a, p.b, p.n_modulus)
+_ORBIT_DIVERGE = 'raise DivergenceError(f"orbit diverged at step {k}: ({x!r}, {y!r})", step=k)'
 
 
 def arnold_step(s: State, p: MapParams) -> State:
@@ -264,7 +248,7 @@ def _orbit(kind: MapKind, x: float, y: float, p: MapParams,
            n: int) -> Iterator[tuple[float, float]]:
     """The n points after (x, y); the first one outside the divergence
     bound (or non-finite) raises DivergenceError with its 0-based step."""
-    return _orbit_generator(kind)(p.a, p.b, p.n_modulus, x, y, n)
+    return _kernel(kind, _ORBIT, diverge=_ORBIT_DIVERGE)(p.a, p.b, p.n_modulus, x, y, n)
 
 
 def trajectory(kind: MapKind, s0: State, p: MapParams, n: int) -> list[State]:

@@ -1,7 +1,10 @@
 """Tests for the message-embedded cipher."""
 
 import json
+import linecache
+import pickle
 import random
+import tracemalloc
 from dataclasses import replace
 from math import floor
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chaoscrypt import cipher
+from chaoscrypt import cipher, maps
 from chaoscrypt.analysis import (
     FULL_KEY_DOMAIN,
     KeyDomain,
@@ -33,7 +36,7 @@ from chaoscrypt.cipher import (
     quantize,
     save_key,
 )
-from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State
+from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State, iterate
 from oracles import (
     arnold_oracle_step,
     duffing_oracle_step,
@@ -224,11 +227,50 @@ def test_iteration_counts_are_capped_before_compiling():
     assert decrypt(expected, key, cfg) == data
     # a config built in Python skips config_from_dict's cap, and is refused
     # before a kernel is compiled for it
-    compiled = cipher._compiled.cache_info()
+    compiled = maps._kernel.cache_info()
     for n1, n2 in ((cap + 1, 3), (3, cap + 1)):
         with pytest.raises(DomainError, match=f"at most {cap}"):
             encrypt_bytes(b"", key, CipherConfig(State(0.5, 0.06), n1=n1, n2=n2))
-    assert cipher._compiled.cache_info() == compiled
+    assert maps._kernel.cache_info() == compiled
+
+
+def test_cipher_values_survive_pickling():
+    # the scan pool pickles the config (and its start State) to its workers
+    values = [State(0.5, 0.06), SymbolTrace(7, 200, State(0.1, -0.2), State(0.3, 0.4)),
+              default_config(MapKind.DUFFING), ARNOLD_KEY]
+    for value in values:
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_traced_encrypt_memory_per_symbol():
+    data = random.Random(4).randbytes(32 << 10)
+    encrypt(data[:1], ARNOLD_KEY)  # compile the kernel outside the measurement
+    tracemalloc.start()
+    try:
+        _, traces = encrypt(data, ARNOLD_KEY)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traces) == len(data)
+    assert held / len(data) < 300
+
+
+@pytest.mark.parametrize("entry", ["orbit", "block"])
+def test_divergence_traceback_shows_kernel_source(entry):
+    # a Duffing start y outside the bound fails the entry test at once
+    start = State(0.0, 2e6)
+    cfg = replace(default_config(MapKind.DUFFING), initial_state=start, n1=2, n2=4)
+    run = {"orbit": lambda: iterate(MapKind.DUFFING, start, DUFFING_KEY.params, 3),
+           "block": lambda: encrypt_bytes(b"abc", DUFFING_KEY, cfg)}[entry]
+    with pytest.raises(DivergenceError) as info:
+        run()
+    tb = info.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    filename = tb.tb_frame.f_code.co_filename
+    n1n2 = "0/0" if entry == "orbit" else "2/4"
+    assert filename == f"<chaoscrypt duffing {entry} {n1n2}>"
+    assert linecache.getline(filename, tb.tb_lineno).lstrip().startswith("raise DivergenceError(")
 
 
 def test_nan_feedback_is_a_divergence():

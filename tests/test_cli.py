@@ -46,9 +46,14 @@ def test_keygen_is_reproducible_and_on_grid(tmp_path, capsys):
 
 
 def test_keygen_rejects_degenerate_domain(capsys):
-    rc = main(["keygen", "--kind", "arnold", "--domain", "1,0,0,1"])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    for domain in (["--domain", "1,0,0,1"],
+                   # more grid steps than a float can count
+                   ["--domain=0,0,1e308,1", "--increment", "1e-300"]):
+        rc = main(["keygen", "--kind", "arnold", *domain])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 def test_trajectory_writes_csv(tmp_path):
@@ -274,6 +279,15 @@ def test_sigterm_leaves_no_temp_file(tmp_path, arnold_key_file):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["key.json", "p.bin"]
 
 
+def test_import_compiles_no_kernel():
+    code = ("import linecache, chaoscrypt.cli\n"
+            "assert not [f for f in linecache.cache if f.startswith('<chaoscrypt')]\n"
+            "from chaoscrypt import maps\n"
+            "assert maps._kernel.cache_info().currsize == 0\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 def test_sensitivity_prints_percentage(arnold_key_file, capsys):
     assert main(["sensitivity", "--text", "Meet me after 5p.m.",
                  "--key", arnold_key_file, "--mode", "key",
@@ -321,6 +335,18 @@ def test_attack_json_output(tmp_path, arnold_key_file, capsys):
     if result["candidates"] == 1:
         assert result["recovered"] is not None
         assert result["verdict"] == "NR"
+
+
+@pytest.mark.parametrize("n_modulus", ["0", "nan", "-1"])
+def test_attack_rejects_bad_n_modulus_before_scanning(tmp_path, capsys, n_modulus):
+    ct = tmp_path / "c.hex"
+    ct.write_text(encrypt_bytes(b"Meet", ARNOLD_KEY).hex() + "\n")
+    rc = main(["attack", "--cipher", str(ct), "--known-prefix", "Me", "--kind", "arnold",
+               f"--n-modulus={n_modulus}", "--domain=-4.0005,0.4995,-3.9995,0.5005"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_modulus must be finite and > 0\n"
 
 
 def test_report_and_compare_small_specs(tmp_path, capsys):
