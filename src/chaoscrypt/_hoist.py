@@ -1,0 +1,243 @@
+"""The scanner's lift pass: one ast pass that takes every grid-, row- and
+column-invariant subtree of a key's first symbol out of the key loop of
+a spliced scanner template, before maps._kernel compiles it (see hoist).
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+
+# The levels of the loop nest a scanner runs keys in, as the set of loop
+# axes a value depends on: grid-invariant values depend on neither, a
+# key's values on both.
+_GRID = frozenset()
+_ROW = frozenset({"row"})
+_COLUMN = frozenset({"column"})
+_KEY = _ROW | _COLUMN
+
+# The marker calls hoist replaces, each on a line of its own. A level
+# marker's arguments are the names that are invariant at its level.
+_LEVEL_MARKERS = {"grid_invariant": _GRID, "row_invariant": _ROW, "column_invariant": _COLUMN}
+_MARKER = re.compile(r"( *)(?:\w+ = )?(grid_invariant|row_invariant|column_invariant"
+                     r"|key_code|end_of_lifts)\((.*)\)\n")
+
+# Operations a lifted subtree may contain. Float +, -, * and comparisons
+# never raise, and fmod raises ValueError only on an infinite dividend;
+# everything else (floor, /, %) stays where the template puts it.
+_PURE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.USub, ast.UAdd, ast.Not)
+_PURE_CALLS = ("abs", "fmod")
+
+
+class _Lifter:
+    """Walks the straight-line code of one key, following each name's
+    current value, and takes out every maximal pure subtree whose value
+    is invariant at some level (see hoist)."""
+
+    def __init__(self, levels: dict[str, frozenset]):
+        self.levels = dict(levels)  # invariant names, declared or lifted
+        self.alias: dict[str, ast.expr] = {}  # a name's current, invariant value
+        self.lifted = {_GRID: [], _ROW: [], _COLUMN: []}
+        self.names: dict[str, str] = {}  # a lifted subtree's dump -> its name
+        self.version = 0  # counts the changes to the state above
+
+    def lift(self, level: frozenset, node: ast.expr) -> ast.Name:
+        """Assign node to a fresh name at level, unless the same subtree
+        was lifted before; returns the name that holds it. The names in a
+        lifted subtree are never assigned again, so equal subtrees have
+        equal values."""
+        dump = ast.dump(node)
+        if dump not in self.names:
+            name = f"_{'grc'[[_GRID, _ROW, _COLUMN].index(level)]}{len(self.levels)}"
+            self.names[dump] = name
+            self.lifted[level].append(ast.Assign([ast.Name(name, ast.Store())], node))
+            self.levels[name] = level
+            self.version += 1
+        return ast.Name(self.names[dump], ast.Load())
+
+    def visit(self, node: ast.expr, lifting: bool = True) -> tuple[ast.expr, frozenset | None]:
+        """node with each name that has an alias replaced by its value and,
+        when lifting, each child whose level differs from node's lifted;
+        and node's level, or None when node may not be lifted. A child
+        that runs only as its parent's short circuit allows is lifted
+        only with its parent."""
+        if isinstance(node, ast.Constant):
+            return node, _GRID
+        if isinstance(node, ast.Name):
+            if node.id in self.alias:
+                return self.visit(self.alias[node.id])
+            return node, self.levels.get(node.id, _KEY)
+        if isinstance(node, ast.BinOp):
+            pure, always, sometimes = isinstance(node.op, _PURE_OPS), ["left", "right"], []
+        elif isinstance(node, ast.UnaryOp):
+            pure, always, sometimes = isinstance(node.op, _PURE_OPS), ["operand"], []
+        elif isinstance(node, ast.Call) and not node.keywords:
+            pure = isinstance(node.func, ast.Name) and node.func.id in _PURE_CALLS
+            always, sometimes = [("args", k) for k in range(len(node.args))], []
+        elif isinstance(node, ast.Compare):
+            pure, always = True, ["left", ("comparators", 0)]
+            sometimes = [("comparators", k) for k in range(1, len(node.comparators))]
+        elif isinstance(node, ast.BoolOp):
+            pure, always = True, [("values", 0)]
+            sometimes = [("values", k) for k in range(1, len(node.values))]
+        else:
+            raise ValueError(f"cannot lift across {ast.unparse(node)!r}")
+        children = {}
+        for where in always + sometimes:
+            children[where] = self.visit(_get(node, where), lifting and where in always)
+        if all(level is not None for _, level in children.values()) and pure:
+            level = frozenset().union(*(level for _, level in children.values()))
+        else:
+            level = None
+        for where, (child, child_level) in children.items():
+            if (lifting and where in always and child_level not in (None, _KEY, level)
+                    and not _trivial(child)):
+                child = self.lift(child_level, child)
+            _set(node, where, child)
+        return node, level
+
+    def statement(self, stmt: ast.stmt) -> list[ast.stmt]:
+        """The key's code left of stmt once its invariant values are lifted."""
+        if isinstance(stmt, ast.Pass):
+            return []
+        if isinstance(stmt, ast.If) and not stmt.orelse:
+            test, level = self.visit(stmt.test)
+            if level not in (None, _KEY) and not _trivial(test):
+                test = self.lift(level, test)
+            used = {n.id for s in stmt.body for n in ast.walk(s) if isinstance(n, ast.Name)}
+            if used & (self.alias.keys() | self.levels.keys()):
+                raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
+            return [ast.If(test, stmt.body, [])]
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+            raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
+        target, value = stmt.targets[0], stmt.value
+        if isinstance(target, ast.Name):
+            pairs = [(target.id, value)]
+        elif (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+              and len(target.elts) == len(value.elts)
+              and all(isinstance(t, ast.Name) for t in target.elts)):
+            pairs = [(t.id, v) for t, v in zip(target.elts, value.elts)]
+        else:
+            raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
+        # every element is evaluated before any target is bound
+        pairs = [(name, *self.visit(v)) for name, v in pairs]
+        kept = []
+        for name, v, level in pairs:
+            if name in self.levels:
+                raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
+            if level in (None, _KEY):
+                kept.append((name, v))
+                self.version += self.alias.pop(name, None) is not None
+            else:
+                self.alias[name] = v if _trivial(v) else self.lift(level, v)
+                self.version += 1
+        if len(kept) == 1:
+            return [ast.Assign([ast.Name(kept[0][0], ast.Store())], kept[0][1])]
+        return [ast.Assign([ast.Tuple([ast.Name(n, ast.Store()) for n, _ in kept], ast.Store())],
+                           ast.Tuple([v for _, v in kept], ast.Load()))] if kept else []
+
+
+def _get(node: ast.AST, where):
+    return getattr(node, where) if isinstance(where, str) else getattr(node, where[0])[where[1]]
+
+
+def _set(node: ast.AST, where, value) -> None:
+    if isinstance(where, str):
+        setattr(node, where, value)
+    else:
+        getattr(node, where[0])[where[1]] = value
+
+
+def _trivial(node: ast.expr) -> bool:
+    """A name, or a constant the compiler folds, which nothing gains from
+    lifting."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+        return isinstance(node, ast.Constant)
+    return isinstance(node, (ast.Name, ast.Constant))
+
+
+def _code(stmts: list[ast.stmt], column: int) -> str:
+    """stmts as source lines indented to column."""
+    return "".join(" " * column + line + "\n" for stmt in stmts
+                   for line in ast.unparse(ast.fix_missing_locations(stmt)).splitlines())
+
+
+def hoist(source: str) -> str:
+    """source, a scanner template spliced, with every invariant subtree of
+    a key's first symbol lifted out of the key loop.
+
+    The template marks its loop nest with calls, each on a line of its own:
+    - grid_invariant(names), row_invariant(names): replaced by the lifted
+      statements of that level; the arguments are the names invariant
+      at it;
+    - column = column_invariant(names): the call becomes the tuple of the
+      column's invariant values, after the column's lifted statements;
+    - key_code(column), which becomes the unpacking of that tuple, and
+      end_of_lifts(): the lift region between them is straight-line code,
+      one statement per line at key_code's indentation (an if's body
+      indented below it), that every key runs until it leaves the loop,
+      and the only ways out before its last statement count the key as
+      diverged.
+
+    The pass follows each name's current value through the region, so
+    that after `x, y = x0, y0` the name x stands for x0. It takes out
+    every maximal pure subtree (+, -, *, unary minus, not, abs, fmod,
+    comparisons, and/or, names, constants) whose names are all invariant
+    at one level and puts it, under a fresh name, before that level's
+    loop; a name assigned such a value stands for that name from then on.
+    A short-circuited operand moves only with its parent. At end_of_lifts
+    each name that stands for another gets its value back. A statement
+    met again in the same state of the walk (the steps of a run are one
+    text) is rewritten as it was the first time.
+
+    Whole subtrees are moved, with every operation and operand order
+    kept, so every float comes out bit for bit as before. Only fmod can
+    raise (ValueError, on an overflowed dividend). A key that runs the
+    lift region either reaches the lifted subtree or diverges first, so
+    when it raises, the template counts every key of that grid, row or
+    column as diverged: the outcome each would have had unlifted.
+    """
+    lines = source.splitlines(keepends=True)
+    at = {}  # marker -> (line index, indentation, arguments)
+    for k, line in enumerate(lines):
+        if (m := _MARKER.fullmatch(line)):
+            at[m[2]] = (k, len(m[1]), m[3])
+    lifter = _Lifter({name: level for marker, level in _LEVEL_MARKERS.items()
+                      for name in at[marker][2].split(", ")})
+    begin, column, unpacked = at["key_code"]
+    end = at["end_of_lifts"][0]
+    statements = []  # the region's statements, each with its if's body
+    for line in lines[begin + 1:end]:
+        if len(line) - len(line.lstrip(" ")) == column:
+            statements.append("")
+        statements[-1] += line[column:]
+    region, rewritten = [], {}
+    for text in statements:
+        version = lifter.version
+        new = rewritten.get((text, version))
+        if new is None:
+            new = _code([s for stmt in ast.parse(text).body for s in lifter.statement(stmt)],
+                        column)
+            if lifter.version == version:
+                rewritten[text, version] = new
+        region.append(new)
+    region.append(_code([ast.Assign([ast.Name(name, ast.Store())], value)
+                         for name, value in lifter.alias.items()], column))
+    # the column values the key's code reads: its words are a superset
+    read = set(re.findall(r"\w+", "".join(region) + "".join(lines[end + 1:])))
+    names = [name for name, level in lifter.levels.items() if level == _COLUMN and name in read]
+
+    def values(ctx):
+        return ast.Tuple([ast.Name(name, ctx) for name in names], ctx)
+
+    for marker, level in _LEVEL_MARKERS.items():
+        k, indent, _ = at[marker]
+        lifted = lifter.lifted[level]
+        if level == _COLUMN:  # the line is `<name> = column_invariant(...)`
+            lifted = lifted + [ast.Assign([ast.Name(lines[k].split()[0], ast.Store())],
+                                          values(ast.Load()))]
+        lines[k] = _code(lifted or [ast.Pass()], indent)
+    unpack = ast.Assign([values(ast.Store())], ast.Name(unpacked, ast.Load()))
+    lines[begin:end + 1] = [_code([unpack], column), *region]
+    return "".join(lines)

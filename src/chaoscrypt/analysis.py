@@ -248,6 +248,7 @@ class IdentifiabilityResult:
     true_key: Key               # snapped onto the scan grid
     matching_keys: list[Key]    # grid keys reproducing the reference output
     grid_size: int
+    diverged: int = 0           # grid keys whose orbit diverged before a mismatch
 
     @property
     def verdict(self) -> str:
@@ -261,6 +262,7 @@ class AttackResult:
     candidates: list[Key]
     recovered: Key | None
     robust: bool
+    diverged: int = 0           # grid keys whose orbit diverged before a mismatch
 
     @property
     def verdict(self) -> str:
@@ -276,10 +278,11 @@ _MAX_POOL_CHUNK = 1 << 16
 
 def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
                    reference: bytes, workers: int,
-                   on_progress: Callable[[int, int], None] | None) -> list[Key]:
-    """Grid keys, in grid order, whose encryption of data is reference.
-    Each key is dropped at its first mismatching symbol; divergent keys
-    do not match."""
+                   on_progress: Callable[[int, int], None] | None) -> tuple[list[Key], int]:
+    """Grid keys, in grid order, whose encryption of data is reference,
+    and the count of keys whose orbit left the box or overflowed before
+    their first mismatching symbol. Each key is dropped at its first
+    mismatching symbol; divergent keys do not match."""
     total = domain.size()
     workers = min(effective_workers(workers), -(-total // _MAX_POOL_CHUNK))
     if workers <= 1:
@@ -293,18 +296,20 @@ def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
     starts = range(0, total, chunk)
     stops = (min(start + chunk, total) for start in starts)
     hits = []
+    diverged = 0
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         results = pool.map(scan, starts, stops) if pool else map(scan, starts, stops)
-        for start, result in zip(starts, results):
-            hits.extend(result)
+        for start, (chunk_hits, chunk_diverged) in zip(starts, results):
+            hits.extend(chunk_hits)
+            diverged += chunk_diverged
             if on_progress:
                 on_progress(min(start + chunk, total), total)
     finally:
         if pool:
             # after an exception, the chunks not yet started are dropped
             pool.shutdown(cancel_futures=True)
-    return [Key(domain.kind, domain.params_at(*divmod(flat, nb))) for flat in hits]
+    return [Key(domain.kind, domain.params_at(*divmod(flat, nb))) for flat in hits], diverged
 
 
 def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
@@ -325,8 +330,6 @@ def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomai
         raise DomainError("identifiability scan needs a non-empty plaintext")
     if true_key.kind is not domain.kind:
         raise DomainError("true key and domain use different map kinds")
-    if iteration_value < 1:
-        raise DomainError("iteration_value must be >= 1")
     if compare_len is None:
         compare_len = min(len(p), 8)
     if not 1 <= compare_len <= len(p):
@@ -337,12 +340,13 @@ def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomai
     snapped = Key(domain.kind, domain.snap(true_key.params))
     data = p[:compare_len]
     reference = encrypt_bytes(data, snapped, scan_cfg)
-    matching = _matching_keys(domain, data, scan_cfg, reference, workers, on_progress)
+    matching, diverged = _matching_keys(domain, data, scan_cfg, reference, workers, on_progress)
     return IdentifiabilityResult(
         identifiable=(matching == [snapped]),
         true_key=snapped,
         matching_keys=matching,
         grid_size=domain.size(),
+        diverged=diverged,
     )
 
 
@@ -367,7 +371,7 @@ def known_plaintext_attack(ciphertext: bytes, known_prefix: bytes | str,
     if cfg is None:
         cfg = default_config(domain.kind)
     reference = ciphertext[:len(prefix)]
-    candidates = _matching_keys(domain, prefix, cfg, reference, workers, on_progress)
+    candidates, diverged = _matching_keys(domain, prefix, cfg, reference, workers, on_progress)
     recovered = candidates[0] if len(candidates) == 1 else None
     if recovered is None:
         robust = True
@@ -376,7 +380,8 @@ def known_plaintext_attack(ciphertext: bytes, known_prefix: bytes | str,
             robust = not decrypt(ciphertext, recovered, cfg).startswith(prefix)
         except DivergenceError:
             robust = True
-    return AttackResult(candidates=candidates, recovered=recovered, robust=robust)
+    return AttackResult(candidates=candidates, recovered=recovered, robust=robust,
+                        diverged=diverged)
 
 
 @dataclass

@@ -17,8 +17,10 @@ next; it serves encrypt, encrypt_bytes and decrypt in memory, and
 encrypt_file and decrypt_file, which feed it 64 KiB reads and write each
 block through a temp file that replaces the output only on success. The
 grid scanner behind _scan_grid serves the scans in analysis: it runs a
-whole chunk of grid keys per call and stops each key at its first
-mismatching symbol.
+whole chunk of grid keys per call, stops each key at its first
+mismatching symbol and counts the keys that diverged. It runs symbol 0
+peeled, with its grid-, row- and column-invariant parts lifted out of
+the key loop.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from math import floor
-from operator import index
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .maps import (
@@ -103,6 +104,26 @@ class CipherConfig:
     reinject_gain: float = 1.0
     symbol_modulus: int = SYMBOL_MODULUS
 
+    def __post_init__(self):
+        for name in ("n1", "n2"):
+            _check_iterations(getattr(self, name),
+                              f"config field {name!r} (iteration counts n1 and n2)")
+        if not (math.isfinite(self.quant_scale) and self.quant_scale > 0.0):
+            raise DomainError(f"config field 'quant_scale' must be finite and > 0, "
+                              f"got {self.quant_scale!r}")
+        if not math.isfinite(self.reinject_gain):
+            raise DomainError(f"config field 'reinject_gain' must be finite, "
+                              f"got {self.reinject_gain!r}")
+
+
+def _check_iterations(value, name: str) -> None:
+    """An iteration count is an int from 1 to _MAX_ITERATIONS; name names
+    it in the error."""
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and 1 <= value <= _MAX_ITERATIONS):
+        raise DomainError(f"{name} must be at most {_MAX_ITERATIONS} and an integer >= 1, "
+                          f"got {value!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class SymbolTrace:
@@ -128,28 +149,29 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 
 
 # The cipher's per-symbol body. For symbol k with input c it tests the
-# incoming state ($entry), advances the orbit n1 steps, snapshots it,
-# advances n2 steps, each a maps._TESTED_STEP (the kind's bound test after
-# every step, see maps._STEP_SOURCE); quantizes the two snapshots, mixes
-# in the direction `decrypting` says, runs $check, and feeds z back into
-# the state. Each run of steps is written out in full, so the body is
-# compiled once per (kind, n1, n2). A failed bound test runs $diverge.
+# incoming state ($entry), advances the orbit n1 steps, snapshots it
+# ($snapshot), advances n2 steps, each a maps._TESTED_STEP (the kind's
+# bound test after every step, see maps._STEP_SOURCE); quantizes the two
+# snapshots, mixes ($mix), runs $check, and feeds z back into the state.
+# Each run of steps is written out in full, so the body is compiled once
+# per (kind, n1, n2). A failed bound test runs $diverge; a step or a
+# feedback that overflows makes fmod raise ValueError, which each entry
+# treats as a divergence.
 _SYMBOL_BODY = """\
 if not ($entry):
     $diverge
 $steps1
-s1x, s1y = x, y
+$snapshot
 $steps2
 q1 = floor(abs(s1x) * q) % m
 q2 = floor(abs(x) * q) % m
-if decrypting:
-    z = (c - q2) % m
-    out = (z - q1) % m
-else:
-    z = (c + q1) % m
-    out = (z + q2) % m
+$mix
 $check
 x = fmod(x + g * z / m, 1.0)
+"""
+_ENCRYPT = """\
+z = (c + q1) % m
+out = (z + q2) % m
 """
 
 # Entry point 1, the cipher: runs one chunk of symbols under one key from
@@ -162,7 +184,10 @@ def block(a, b, n, x, y, k, symbols, q, g, m, decrypting, trace):
     result = bytearray()
     put = result.append
     for k, c in enumerate(symbols, k):
-        $body
+        try:
+            $body
+        except ValueError:
+            $diverge
         put(out)
         if trace is not None:
             trace(z, out, s1x, s1y, x, y)
@@ -170,49 +195,91 @@ def block(a, b, n, x, y, k, symbols, q, g, m, decrypting, trace):
 """
 _BLOCK_FILL = {
     "diverge": 'raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)',
+    "snapshot": "s1x, s1y = x, y",
+    "mix": "if decrypting:\n    z = (c - q2) % m\n    out = (z - q1) % m\nelse:\n    $encrypt",
+    "encrypt": _ENCRYPT,
     "check": "pass",
 }
 
 # Entry point 2, the grid scanner: encrypts the (c, expected) pairs under
 # the key at every flat index in [start, stop) of a box of row length nb,
-# built as KeyDomain.params_at builds it: (a0 + i * inc, b0 + j * inc). A
-# key stops at its first mismatching symbol, and a divergent key is a
-# miss. Returns the indices that match every symbol.
+# built as KeyDomain.params_at builds it: (a0 + i * inc, b0 + j * inc),
+# and returns the indices that match every symbol and the count of keys
+# that diverged before their first mismatching symbol. A key stops at its
+# first mismatching symbol; a divergent key is a miss.
+#
+# Symbol 0 runs peeled, in the lift region between key_code and
+# end_of_lifts, and _hoist.hoist lifts its grid-, row- and
+# column-invariant subtrees out of the key loop (see there). The columns a chunk visits
+# are computed once per call, into a table that puts column
+# (start + k) % nb at position k, so each row's keys are a cyclic run of
+# it. A lifted value that overflows diverges every key that depends on
+# it: a grid's at once, a row's by its run, and a column's by an empty
+# table entry, whose unpacking raises ValueError like the overflow would.
 _SCAN = """\
 def scan(a0, b0, inc, n, nb, start, stop, x0, y0, q, g, m, pairs):
-    decrypting = False
+    if start >= stop:
+        return [], 0
+    (c0, e0), *rest = pairs
+    try:
+        grid_invariant(x0, y0, n, q, g, m, c0, e0)
+    except ValueError:
+        return [], stop - start
+    width = min(nb, stop - start)
+    columns = []
+    for k in range(start, start + width):
+        j = k % nb
+        b = b0 + j * inc
+        try:
+            column = column_invariant(j, b)
+        except ValueError:
+            column = ()
+        columns.append(column)
     hits = []
-    i, j0 = divmod(start, nb)
-    row = start - j0  # flat index of key (i, 0)
+    diverged = 0
+    i = start // nb
+    row = i * nb  # flat index of key (i, 0)
     while row < stop:
+        first = max(row, start)
+        run = min(row + nb, stop) - first
         a = a0 + i * inc
-        for j in range(j0, min(nb, stop - row)):
-            b = b0 + j * inc
-            $setup
-            x, y = x0, y0
-            for c, expected in pairs:
-                $body
-            else:
-                hits.append(row + j)
+        try:
+            row_invariant(a)
+        except ValueError:
+            diverged += run
+        else:
+            p = (first - start) % width
+            for column in columns[p:p + run] + columns[:max(0, p + run - width)]:
+                try:
+                    key_code(column)
+                    $setup
+                    c, expected = c0, e0
+                    x, y = x0, y0
+                    $peeled
+                    for c, expected in rest:
+                        $body
+                    else:
+                        hits.append(row + j)
+                except ValueError:
+                    diverged += 1
         i += 1
         row += nb
-        j0 = 0
-    return hits
+    return hits, diverged
 """
-_SCAN_FILL = {"diverge": "break", "check": "if out != expected:\n    break"}
+_SCAN_FILL = {
+    "peeled": (_SYMBOL_BODY, (("diverge", "diverged += 1\ncontinue"),
+                              ("check", "if out != expected:\n    continue\nend_of_lifts()"))),
+    "diverge": "diverged += 1\nbreak",
+    "snapshot": "s1x = x",
+    "mix": _ENCRYPT,
+    "check": "if out != expected:\n    break",
+}
 
 
 def _entry(template: str, fill: dict[str, str], kind: MapKind, cfg: CipherConfig) -> Callable:
     """The entry point template defines, with _SYMBOL_BODY and fill, for
-    kind and cfg's iteration counts, which are checked before anything is
-    compiled."""
-    n1, n2 = cfg.n1, cfg.n2
-    if n1 < 1 or n2 < 1:
-        raise DomainError("iteration counts n1 and n2 must be >= 1")
-    if n1 > _MAX_ITERATIONS or n2 > _MAX_ITERATIONS:
-        raise DomainError(f"iteration counts n1 and n2 must be at most {_MAX_ITERATIONS}, "
-                          f"got {n1} and {n2}")
-    return _kernel(kind, template, index(n1), index(n2), body=_SYMBOL_BODY, **fill)
+    kind and cfg's iteration counts."""
+    return _kernel(kind, template, cfg.n1, cfg.n2, body=_SYMBOL_BODY, **fill)
 
 
 def _first_out_of_range(symbols: Sequence[int], m: int) -> int | None:
@@ -267,11 +334,13 @@ def _chunks(symbols: bytes | Iterable[int]) -> Iterable[Sequence[int]]:
 
 def _scan_grid(kind: MapKind, lower: tuple[float, float], increment: float,
                n_modulus: float, row_length: int, start: int, stop: int,
-               data: bytes, cfg: CipherConfig, reference: bytes) -> list[int]:
+               data: bytes, cfg: CipherConfig, reference: bytes) -> tuple[list[int], int]:
     """Flat indices in [start, stop) of the keys, on a grid with the given
-    lower corner, increment and row length, whose encryption of data is
-    reference; divergent keys do not match. The config and the data
-    symbols are checked once, for the whole range."""
+    lower corner, increment and row length, whose encryption of the
+    non-empty data is reference, and the count of keys whose orbit left
+    the box or overflowed before their first mismatching symbol; such
+    keys do not match. The data symbols are checked once, for the whole
+    range."""
     scan = _entry(_SCAN, _SCAN_FILL, kind, cfg)
     m = cfg.symbol_modulus
     bad = _first_out_of_range(data, m)
@@ -329,9 +398,10 @@ def _atomic_write(path: str | os.PathLike, mode: str, **kwargs) -> Iterator[IO]:
     target = os.path.realpath(path)  # through a symlink, replace the file it names
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    f = open(tmp, mode, **kwargs)
     try:
-        with f:
+        # opened inside the try, so that a signal just after the file is
+        # created still removes it
+        with open(tmp, mode, **kwargs) as f:
             yield f
         os.replace(tmp, target)
     except BaseException:
@@ -459,22 +529,13 @@ def config_from_dict(obj: dict, kind: MapKind) -> CipherConfig:
         st = obj["initial_state"]
         state = State(_number(st, "x", "config initial_state"),
                       _number(st, "y", "config initial_state"))
-    cfg = CipherConfig(
+    return CipherConfig(
         initial_state=state,
         n1=_number(obj, "n1", "config", base.n1, count=True),
         n2=_number(obj, "n2", "config", base.n2, count=True),
         quant_scale=_number(obj, "quant_scale", "config", base.quant_scale),
         reinject_gain=_number(obj, "reinject_gain", "config", base.reinject_gain),
     )
-    if cfg.n1 < 1 or cfg.n2 < 1:
-        raise DomainError("config iteration counts n1 and n2 must be >= 1")
-    for name, value in (("n1", cfg.n1), ("n2", cfg.n2)):
-        if value > _MAX_ITERATIONS:
-            raise DomainError(f"config field {name!r} must be at most {_MAX_ITERATIONS}, "
-                              f"got {value}")
-    if not cfg.quant_scale > 0.0:
-        raise DomainError("config quant_scale must be finite and > 0")
-    return cfg
 
 
 def load_config(path: str | os.PathLike, kind: MapKind) -> CipherConfig:

@@ -145,8 +145,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    if args.iters > cipher._MAX_ITERATIONS:
-        raise ValueError(f"--iters must be at most {cipher._MAX_ITERATIONS}, got {args.iters}")
+    cipher._check_iterations(args.iters, "--iters")
     key = cipher.load_key(args.key)
     a_lo, b_lo, a_hi, b_hi = args.domain
     domain = KeyDomain(key.kind, (a_lo, b_lo), (a_hi, b_hi), args.increment,
@@ -170,6 +169,7 @@ def cmd_identify(args) -> int:
             "grid": result.grid_size,
             "true_key": cipher._key_dict(result.true_key),
             "matching_keys": [cipher._key_dict(k) for k in result.matching_keys[:20]],
+            "diverged": result.diverged,
             "elapsed_s": elapsed,
         }))
     else:
@@ -198,6 +198,7 @@ def cmd_attack(args) -> int:
             "robust": result.robust,
             "verdict": result.verdict,
             "grid": domain.size(),
+            "diverged": result.diverged,
             "elapsed_s": elapsed,
         }))
     else:

@@ -9,7 +9,9 @@ Each step equation and its bound tests are spelled once, in _STEP_SOURCE,
 and a step with its bound test once, in _TESTED_STEP. _kernel is the one
 compiler: it splices the two into a template and compiles it on first
 use. The orbit tools run its orbit generator, cipher its block and scan
-entries; nothing is compiled at import.
+entries; the scanner first goes through _hoist.hoist, which lifts its
+grid-, row- and column-invariant subtrees out of its key loop. Nothing
+is compiled at import.
 """
 
 from __future__ import annotations
@@ -175,14 +177,19 @@ if not ($inside):
 _FIELD = re.compile(r"\$(\w+)")
 
 
-def _splice(text: str, snippets: dict[str, str]) -> str:
+def _splice(text: str, snippets: dict) -> str:
     """text with each $name replaced by snippets[name], itself spliced
     first; the lines after a snippet's first are indented to the column
-    its $name stands at."""
+    its $name stands at. A snippet given as (text, pairs) is spliced with
+    the (name, snippet) pairs in place of the snippets of those names."""
     def fill(m: re.Match) -> str:
         column = m.start() - text.rfind("\n", 0, m.start()) - 1
-        snippet = _splice(snippets[m[1]], snippets).rstrip("\n")
-        return snippet.replace("\n", "\n" + " " * column)
+        snippet = snippets[m[1]]
+        if isinstance(snippet, tuple):
+            snippet = _splice(snippet[0], {**snippets, **dict(snippet[1])})
+        else:
+            snippet = _splice(snippet, snippets)
+        return snippet.rstrip("\n").replace("\n", "\n" + " " * column)
     return _FIELD.sub(fill, text)
 
 
@@ -192,7 +199,8 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0, **fill: str)
 
     The snippets spliced in are the kind's _STEP_SOURCE fields, $bound,
     $tested_step, $steps1 and $steps2 (the tested step n1 and n2 times)
-    and the caller's fill. fmod, floor and DivergenceError are its
+    and the caller's fill. A template with a key_code marker is then run
+    through _hoist.hoist. fmod, floor and DivergenceError are its
     globals. Its file name names the kind, the function and n1/n2, and
     linecache holds its source, so a traceback through it shows its lines.
     """
@@ -200,6 +208,10 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0, **fill: str)
                 "tested_step": _TESTED_STEP, "steps1": "$tested_step\n" * n1,
                 "steps2": "$tested_step\n" * n2, **fill}
     source = _splice(template, snippets)
+    if "key_code(" in template:
+        # only scanners need the pass, so the other commands never import it
+        from ._hoist import hoist
+        source = hoist(source)
     name = template[len("def "):template.index("(")]
     filename = f"<chaoscrypt {kind.value} {name} {n1}/{n2}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -209,7 +221,9 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0, **fill: str)
 
 
 # Yields the `steps` points after (x, y). A start state that fails $entry
-# fails the test of both coordinates at step 0, so it diverges there.
+# fails the test of both coordinates at step 0, so it diverges there; a
+# step that overflows (fmod raises ValueError) diverges at that step,
+# from the state it could not step.
 _ORBIT = """\
 def orbit(a, b, n, x, y, steps):
     $setup
@@ -218,7 +232,10 @@ def orbit(a, b, n, x, y, steps):
         x, y = $step
         $diverge
     for k in range(steps):
-        $tested_step
+        try:
+            $tested_step
+        except ValueError:
+            $diverge
         yield x, y
 """
 _ORBIT_DIVERGE = 'raise DivergenceError(f"orbit diverged at step {k}: ({x!r}, {y!r})", step=k)'

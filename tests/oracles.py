@@ -4,6 +4,10 @@ Everything here is deliberately flat and package-free: the grid
 enumeration, snapping and per-symbol pipeline are recoded with bare
 floats so the library's scans can be cross-checked against an
 independent route.
+
+Divergence rule: an orbit diverges at the first step that leaves the
+box [-1e6, 1e6]^2, and at the first step, or feedback, whose arithmetic
+overflows (fmod raises ValueError on the infinite dividend).
 """
 
 from math import floor, fmod
@@ -30,20 +34,23 @@ def oracle_symbols(data, kind, a, b, n_mod, iters, quant=1e6, gain=1.0, mod=256)
 
     x, y = START[kind]
     out = []
-    for c in data:
-        for _ in range(iters):
-            x, y = step(x, y)
-            if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
-                raise OverflowError
-        q1 = int(floor(abs(x) * quant)) % mod
-        z = (c + q1) % mod
-        for _ in range(iters):
-            x, y = step(x, y)
-            if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
-                raise OverflowError
-        q2 = int(floor(abs(x) * quant)) % mod
-        out.append((z + q2) % mod)
-        x = fmod(x + gain * z / mod, 1.0)
+    try:
+        for c in data:
+            for _ in range(iters):
+                x, y = step(x, y)
+                if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+                    raise OverflowError
+            q1 = int(floor(abs(x) * quant)) % mod
+            z = (c + q1) % mod
+            for _ in range(iters):
+                x, y = step(x, y)
+                if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+                    raise OverflowError
+            q2 = int(floor(abs(x) * quant)) % mod
+            out.append((z + q2) % mod)
+            x = fmod(x + gain * z / mod, 1.0)
+    except ValueError:  # a step or the feedback overflowed
+        raise OverflowError from None
     return out
 
 
@@ -71,41 +78,73 @@ def oracle_run(data, step, x, y, n1=3, n2=3, q=1e6, g=1.0, m=256, decrypting=Fal
     orbit left the bound or None); the output stops before that symbol."""
     out, traces = [], []
     for k, c in enumerate(data):
-        for _ in range(n1):
-            x, y = step(x, y)
-            if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
-                return bytes(out), traces, k
-        s1 = (x, y)
-        for _ in range(n2):
-            x, y = step(x, y)
-            if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
-                return bytes(out), traces, k
-        q1 = int(floor(abs(s1[0]) * q)) % m
-        q2 = int(floor(abs(x) * q)) % m
-        if decrypting:
-            z = (c - q2) % m
-            sym = (z - q1) % m
-        else:
-            z = (c + q1) % m
-            sym = (z + q2) % m
-        x = fmod(x + g * z / m, 1.0)
+        try:
+            for _ in range(n1):
+                x, y = step(x, y)
+                if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+                    return bytes(out), traces, k
+            s1 = (x, y)
+            for _ in range(n2):
+                x, y = step(x, y)
+                if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+                    return bytes(out), traces, k
+            q1 = int(floor(abs(s1[0]) * q)) % m
+            q2 = int(floor(abs(x) * q)) % m
+            if decrypting:
+                z = (c - q2) % m
+                sym = (z - q1) % m
+            else:
+                z = (c + q1) % m
+                sym = (z + q2) % m
+            x = fmod(x + g * z / m, 1.0)
+        except ValueError:  # a step or the feedback overflowed
+            return bytes(out), traces, k
         out.append(sym)
         traces.append((z, sym, s1, (x, y)))
     return bytes(out), traces, None
 
 
+def oracle_scan_outcome(data, reference, step, x, y, n1=3, n2=3, q=1e6, g=1.0, m=256):
+    """How a grid scan counts one key: "hit" when its encryption of data
+    is reference, "diverged" when its orbit diverges before its first
+    mismatching symbol, "miss" otherwise. A symbol's output is compared
+    before its feedback, so a feedback that overflows after a mismatch
+    is a miss."""
+    for c, expected in zip(data, reference):
+        try:
+            for _ in range(n1):
+                x, y = step(x, y)
+                if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+                    return "diverged"
+            s1x = x
+            for _ in range(n2):
+                x, y = step(x, y)
+                if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
+                    return "diverged"
+        except ValueError:
+            return "diverged"
+        z = (c + int(floor(abs(s1x) * q)) % m) % m
+        if (z + int(floor(abs(x) * q)) % m) % m != expected:
+            return "miss"
+        try:
+            x = fmod(x + g * z / m, 1.0)
+        except ValueError:
+            return "diverged"
+    return "hit"
+
+
 def oracle_orbit(step, x, y, n):
     """Step (x, y) n times with bare floats, testing both coordinates
     against the bound after every step. Returns (points, failure): the
-    points inside the bound, and None, or (k, error) for the first step k
-    that failed, where error is the point (x, y) outside the bound or the
-    exception the step raised."""
+    points inside the bound, and None, or (k, point) for the first step k
+    that failed, where point is the point (x, y) outside the bound, or the
+    point the step started from when its arithmetic overflowed."""
     points = []
     for k in range(n):
         try:
             x, y = step(x, y)
-        except ValueError as exc:  # fmod of an infinite value
-            return points, (k, exc)
+        except ValueError:  # fmod of an infinite value
+            return points, (k, (x, y))
         if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6):
             return points, (k, (x, y))
         points.append((x, y))

@@ -167,10 +167,21 @@ def test_singleton_domain_is_identifiable():
     assert res.grid_size == 1
 
 
-def test_constant_quantizer_defeats_identifiability():
-    # quant_scale forced to 0 makes every grid key emit the same symbols
+def test_report_records_an_overflowing_orbit_as_a_row_error():
+    # 2x + y overflows in the first step of every key from this start
+    cfg = replace(default_config(MapKind.ARNOLD), initial_state=State(1e308, 0.0))
     dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-3)
-    cfg = replace(default_config(MapKind.ARNOLD), quant_scale=0.0)
+    (row,) = analysis_report([("overflow", ARNOLD_KEY, dom)], cfg)
+    assert row.error.startswith("encrypt: orbit diverged while processing symbol 0")
+    assert "identifiability: orbit diverged" in row.error
+    assert row.identifiable == "NI" and row.brute_force_secret == "NO"
+
+
+def test_constant_quantizer_defeats_identifiability():
+    # a quant_scale so small that floor(|x| * scale) is 0 for every state
+    # in the box makes every grid key emit the same symbols
+    dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-3)
+    cfg = replace(default_config(MapKind.ARNOLD), quant_scale=1e-300)
     res = identifiability_scan(b"abcdefgh", ARNOLD_KEY, dom, cfg)
     assert not res.identifiable
     assert res.verdict == "NI"
@@ -334,10 +345,11 @@ def test_scans_match_flat_oracles_on_random_grids(kind, iters):
             assert [(k.params.a, k.params.b) for k in res.matching_keys] == hits
 
         # a coarse quantizer makes many keys collide on the known prefix, and
-        # a zero one makes every key match until its orbit diverges
-        quant = rng.choice((1e6, 7.0, 0.0))
+        # one that is 0 on the whole box makes every key match until its
+        # orbit diverges
+        quant = rng.choice((1e6, 7.0, 1e-300))
         cfg = replace(default_config(kind), n1=iters, n2=iters, quant_scale=quant)
-        prefix = text if quant == 0.0 else text[:rng.randint(1, 3)]
+        prefix = text if quant == 1e-300 else text[:rng.randint(1, 3)]
         # observed output of a random non-divergent grid key, if one is found
         ciphertext = bytes(rng.randrange(256) for _ in text)
         grid = [(p.a, p.b) for p in dom.grid_params()]

@@ -42,6 +42,7 @@ from oracles import (
     duffing_oracle_step,
     oracle_encrypt,
     oracle_run,
+    oracle_scan_outcome,
     oracle_symbols,
 )
 
@@ -212,9 +213,20 @@ def test_plaintext_byte_out_of_range():
 
 
 def test_config_iteration_counts_validated():
-    cfg = replace(default_config(MapKind.DUFFING), n1=0)
     with pytest.raises(DomainError):
+        cfg = replace(default_config(MapKind.DUFFING), n1=0)
         encrypt_bytes(b"x", DUFFING_KEY, cfg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n1", 2.0), ("n2", True), ("n1", 0), ("n2", 1001),
+    ("quant_scale", 0.0), ("quant_scale", -1.0), ("quant_scale", float("inf")),
+    ("quant_scale", float("nan")),
+    ("reinject_gain", float("inf")), ("reinject_gain", float("nan")),
+])
+def test_config_is_validated_once_built(field, value):
+    with pytest.raises(DomainError, match=f"'{field}'"):
+        replace(default_config(MapKind.ARNOLD), **{field: value})
 
 
 def test_iteration_counts_are_capped_before_compiling():
@@ -275,11 +287,17 @@ def test_divergence_traceback_shows_kernel_source(entry):
 
 def test_nan_feedback_is_a_divergence():
     # a NaN gain feeds a NaN back into x, and the next symbol's orbit
-    # counts as divergent, also for keys whose steps skip the bound test
+    # counts as divergent, also for keys whose steps skip the bound test.
+    # A config refuses a NaN gain, so the block entry is called directly.
     for key in (ARNOLD_KEY, DUFFING_KEY):
-        cfg = replace(default_config(key.kind), reinject_gain=float("nan"))
+        cfg = default_config(key.kind)
+        with pytest.raises(DomainError, match="reinject_gain"):
+            replace(cfg, reinject_gain=float("nan"))
+        block = cipher._entry(cipher._BLOCK, cipher._BLOCK_FILL, key.kind, cfg)
+        p, s = key.params, cfg.initial_state
         with pytest.raises(DivergenceError) as err:
-            encrypt_bytes(b"\x00\x00", key, cfg)
+            block(p.a, p.b, p.n_modulus, s.x, s.y, 0, b"\x00\x00", cfg.quant_scale,
+                  float("nan"), cfg.symbol_modulus, False, None)
         assert err.value.symbol == 1
 
 
@@ -536,3 +554,87 @@ def test_kernel_matches_checked_oracle(case):
             found = identifiability_scan(data, centre, dom, cfg,
                                          iteration_value=cfg.n1).matching_keys
         assert found == expected
+
+
+# Boxes for the grid scanner: one row, one column, rows longer than the
+# scanned range, and random sub-ranges [start, stop) of the flat indices.
+# Arnold rows with |a - 1| N > 1e6, or N > 1e6, test every step
+# ("unboxed"). Duffing boxes in its full key box straddle the region that
+# diverges in symbol 0. The overflow variants: a start x of 1e308
+# overflows 2x + y in every key's first step, b from 1e308 in steps of
+# 1e307 overflows x + (1 - b) y in some columns only, a Duffing start y
+# outside the box diverges every key at once, and a gain of 1e308
+# overflows the feedback. A quantizer scale of 1e16 sees the last bit of
+# x, so a lifted subtree whose value changes by one bit shows.
+@st.composite
+def scan_cases(draw):
+    kind = draw(st.sampled_from(list(MapKind)))
+    variant = draw(st.sampled_from(["plain", "plain", "plain", "start", "b", "gain"]))
+    inc = draw(st.sampled_from([1e-3, 0.02, 0.1]))
+    if kind is MapKind.ARNOLD:
+        a0, b0 = draw(st.floats(-6.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        n = draw(st.sampled_from([1.0, 3.0, 3e5, 2e6]))
+        start = draw(st.sampled_from([(0.5, 0.06), (-0.3, 0.7)])
+                     | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+        if variant == "start":
+            start = (1e308, 0.0)
+        elif variant == "b":
+            start, b0, inc = (0.5, 1.5), 1e308, 1e307
+    else:
+        # a >= 3.5 diverges in symbol 0 from the default start
+        a0, b0, n = draw(st.floats(1.8, 3.7)), draw(st.floats(-0.59, 0.2)), 1.0
+        away_from_0 = st.floats(-0.5, -0.05) | st.floats(0.05, 0.5)
+        start = draw(st.sampled_from([(-0.04, 0.2), (0.1, -0.3)])
+                     | st.tuples(away_from_0, away_from_0))
+        if variant == "start":
+            start = (start[0], draw(st.sampled_from([2e6, -1e9])))
+    na, nb = draw(st.sampled_from([(1, 9), (9, 1), (1, 1), (3, 40), (5, 7), (12, 12)]))
+    begin = draw(st.integers(0, na * nb - 1))
+    end = draw(st.integers(begin + 1, na * nb))
+    gain = 1e308 if variant == "gain" else draw(st.sampled_from([1.0, 0.75, -2.5]))
+    cfg = CipherConfig(State(*start), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                       draw(st.sampled_from([1e16, 1e16, 1e6, 7.0])), gain)
+    data = draw(st.binary(min_size=1, max_size=4))
+    # each reference is the output of a scanned key, when it has one
+    refs = draw(st.lists(st.integers(begin, end - 1), min_size=1, max_size=4))
+    return kind, (a0, b0), inc, n, (na, nb), (begin, end), cfg, data, refs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scan_cases())
+# in row 0, columns 2 and up overflow in their first step and columns 0
+# and 1 do not; rows 1 and 2 (a - 1 about 1e307) leave the box
+@example((MapKind.ARNOLD, (-4.0, 1e308), 1e307, 1.0, (3, 9), (0, 27),
+          CipherConfig(State(0.5, 1.5), 2, 3, 1e16), b"ab", [0, 1]))
+# rows from a = 3.5 straddle the start of symbol-0 divergence, at 3.55
+@example((MapKind.DUFFING, (3.5, -0.2), 0.01, 1.0, (12, 12), (5, 140),
+          CipherConfig(State(-0.04, 0.2), 3, 3, 1e16), b"abc", [7, 30]))
+# a coarse quantizer lets many keys past symbol 0, into the code that
+# gets back the values the lifted names stand for
+@example((MapKind.ARNOLD, (-4.0, 0.3), 0.02, 1.0, (3, 7), (0, 21),
+          CipherConfig(State(0.5, 0.06), 1, 1, 7.0), b"abcd", [3, 9]))
+# from this start, (-b x0 + a y0) - y0^3 rounds differently from
+# -b x0 + (a y0 - y0^3) for these keys
+@example((MapKind.DUFFING, (2.0, -0.2), 0.01, 1.0, (3, 3), (0, 9),
+          CipherConfig(State(0.3, 0.45), 2, 2, 1e16), b"xy", [0, 3, 6]))
+def test_scan_grid_matches_per_key_oracle(case):
+    kind, (a0, b0), inc, n, (na, nb), (begin, end), cfg, data, refs = case
+    s = cfg.initial_state
+
+    def step(flat):
+        a, b = a0 + flat // nb * inc, b0 + flat % nb * inc
+        return arnold_oracle_step(a, b, n) if kind is MapKind.ARNOLD else duffing_oracle_step(a, b)
+
+    for ref in refs:
+        reference, _, diverged = oracle_run(data, step(ref), s.x, s.y, cfg.n1, cfg.n2,
+                                            cfg.quant_scale, cfg.reinject_gain)
+        if diverged is not None:
+            reference = bytes(data)
+        outcomes = [oracle_scan_outcome(data, reference, step(flat), s.x, s.y, cfg.n1, cfg.n2,
+                                        cfg.quant_scale, cfg.reinject_gain)
+                    for flat in range(begin, end)]
+        hits, diverged = cipher._scan_grid(kind, (a0, b0), inc, n, nb, begin, end, data, cfg,
+                                           reference)
+        assert hits == [flat for flat, outcome in enumerate(outcomes, begin) if outcome == "hit"]
+        assert diverged == outcomes.count("diverged")

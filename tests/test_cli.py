@@ -15,7 +15,7 @@ import pytest
 from chaoscrypt import analysis, cipher, maps
 from chaoscrypt.cipher import Key, encrypt_bytes, save_key
 from chaoscrypt.cli import main
-from chaoscrypt.maps import MapKind, MapParams
+from chaoscrypt.maps import DivergenceError, MapKind, MapParams
 
 ARNOLD_KEY = Key(MapKind.ARNOLD, MapParams(-4.0, 0.5, 1.0))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -194,6 +194,7 @@ def test_malformed_json_shape_is_one_error_line(tmp_path, arnold_key_file, capsy
 @pytest.mark.parametrize("argv, named", [
     (["identify", "--text", "Hi", "--domain=-4,0.5,-4,0.5", "--iters", "1001"], "--iters"),
     (["trajectory", "--kind", "arnold", "--params=-4,0.5", "--n", "1000001"], "--n"),
+    (["identify", "--text", "Hi", "--domain=-4,0.5,-4,0.5", "--iters", "0"], "--iters"),
 ])
 def test_step_counts_are_bounded(tmp_path, arnold_key_file, capsys, argv, named):
     out = tmp_path / "out"
@@ -309,6 +310,61 @@ def test_identify_singleton_domain(arnold_key_file, capsys):
     assert result["verdict"] == "I"
     assert result["matching"] == 1
     assert result["grid"] == 1
+
+
+def test_scan_json_counts_diverged_keys(tmp_path, capsys):
+    # from the default start, Duffing keys with a above about 3.55 leave
+    # the box in symbol 0, so this box straddles where keys diverge
+    key = Key(MapKind.DUFFING, MapParams(2.8, -0.12))
+    key_file, ct_file = tmp_path / "key.json", tmp_path / "c.hex"
+    save_key(key, key_file)
+    text = b"Duffing!"
+    ct_file.write_text(encrypt_bytes(text, key).hex() + "\n")
+    domain = analysis.KeyDomain(MapKind.DUFFING, (2.8, -0.2), (3.64, 0.0), 0.04)
+    box = ["--domain=2.8,-0.2,3.64,0.0", "--increment", "0.04"]
+
+    def diverged(prefix):
+        """Keys whose orbit diverges before their first symbol that differs
+        from the true key's, by per-key encrypt_bytes."""
+        reference = encrypt_bytes(prefix, key)
+        count = 0
+        for params in domain.grid_params():
+            try:
+                encrypt_bytes(prefix, Key(MapKind.DUFFING, params))
+            except DivergenceError as exc:
+                k = exc.symbol
+                count += encrypt_bytes(prefix[:k], Key(MapKind.DUFFING, params)) == reference[:k]
+        return count
+
+    for argv, prefix in ((["identify", "--text", text.decode(), "--key", str(key_file)], text),
+                         (["attack", "--cipher", str(ct_file), "--known-prefix", "Du",
+                           "--kind", "duffing"], b"Du")):
+        assert main(argv + box + ["--json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert 0 < result["diverged"] < domain.size()
+        assert result["diverged"] == diverged(prefix)
+
+
+@pytest.mark.parametrize("argv, config, what", [
+    (["trajectory", "--kind", "arnold", "--params=-3.5,0.9", "--init", "1e308,0", "--n", "3"],
+     None, "orbit diverged at step 0"),
+    (["encrypt"], {"initial_state": {"x": 1e308, "y": 0}},
+     "orbit diverged while processing symbol 0"),
+    (["encrypt"], {"reinject_gain": 1e308}, "orbit diverged while processing symbol 0"),
+])
+def test_overflow_is_one_divergence_error_line(tmp_path, arnold_key_file, capsys,
+                                               argv, config, what):
+    # 2x + y, or the feedback x + g z / m, overflows to infinity
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "p.bin").write_bytes(b"overflow")
+        argv = argv + ["--in", str(tmp_path / "p.bin"), "--key", arnold_key_file,
+                       "--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: divergence: " + what) and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_identify_warns_on_out_of_domain_key(arnold_key_file, capsys):
