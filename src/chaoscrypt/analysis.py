@@ -123,17 +123,22 @@ class KeyDomain:
         na, nb = self.axis_counts()
         return na * nb
 
+    def tile_values(self, rows: Iterable[int], columns: Iterable[int]) -> tuple[list, list]:
+        """The a-values of the given rows and the b-values of the given
+        columns: grid key (i, j) is lower + (i, j) * increment."""
+        (a0, b0), inc = self.lower, self.increment
+        return [a0 + i * inc for i in rows], [b0 + j * inc for j in columns]
+
     def params_at(self, i: int, j: int) -> MapParams:
-        return MapParams(self.lower[0] + i * self.increment,
-                         self.lower[1] + j * self.increment,
-                         self.n_modulus)
+        (a,), (b,) = self.tile_values((i,), (j,))
+        return MapParams(a, b, self.n_modulus)
 
     def grid_params(self) -> Iterable[MapParams]:
         """All grid keys in row-major order (a outermost, b innermost)."""
-        na, nb = self.axis_counts()
-        for i in range(na):
-            for j in range(nb):
-                yield self.params_at(i, j)
+        a_values, b_values = self.tile_values(*map(range, self.axis_counts()))
+        for a in a_values:
+            for b in b_values:
+                yield MapParams(a, b, self.n_modulus)
 
     def snap(self, params: MapParams) -> MapParams:
         """Nearest grid key, clamped into the box."""
@@ -270,10 +275,20 @@ class AttackResult:
 
 
 # Most keys one pool worker scans per call, so that an interrupted pooled
-# scan only waits for a few short chunks already running. A scan uses at
-# most one worker per such chunk, so a grid of up to this many keys is
+# scan only waits for a few short tiles already running. A scan uses at
+# most one worker per such tile, so a grid of up to this many keys is
 # scanned in-process: starting a pool costs more than it saves there.
 _MAX_POOL_CHUNK = 1 << 16
+
+# Largest grid a scan accepts, about 15 minutes of one worker; the full key
+# boxes at the paper's increment 1e-4 hold 4.5e8 (Arnold) and 8.7e7 (Duffing).
+_MAX_SCAN_KEYS = 10 ** 9
+
+
+def _scan_tile(domain: KeyDomain, data: bytes, cfg: CipherConfig, reference: bytes, tile):
+    """_scan_grid over the tile of domain whose rows and columns are tile."""
+    return _scan_grid(domain.kind, domain.n_modulus, data, cfg, reference,
+                      domain.tile_values(*tile))
 
 
 def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
@@ -284,32 +299,37 @@ def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
     their first mismatching symbol. Each key is dropped at its first
     mismatching symbol; divergent keys do not match."""
     total = domain.size()
+    if total > _MAX_SCAN_KEYS:
+        size = total if total < 10 ** 15 else f"over 10^{len(str(total)) - 1}"
+        raise DomainError(f"grid of {size} keys exceeds the scan cap of {_MAX_SCAN_KEYS}; "
+                          "use a larger increment or a smaller domain")
     workers = min(effective_workers(workers), -(-total // _MAX_POOL_CHUNK))
     if workers <= 1:
         chunk = 4096
     else:
         chunk = min(_MAX_POOL_CHUNK, max(256, -(-total // (workers * 4))))
-    nb = domain.axis_counts()[1]
-    scan = partial(_scan_grid, domain.kind, domain.lower, domain.increment, domain.n_modulus,
-                   nb, data=data, cfg=cfg, reference=reference)
-    # Lazy, so a serial scan holds one chunk at a time however large the grid.
-    starts = range(0, total, chunk)
-    stops = (min(start + chunk, total) for start in starts)
+    na, nb = domain.axis_counts()
+    height, width = max(1, chunk // nb), min(nb, chunk)
+    # Row-major tiles: whole rows, or column ranges of a row longer than chunk.
+    # Index ranges, so only the worker scanning a tile builds its key values.
+    tiles = ((range(i, min(i + height, na)), range(j, min(j + width, nb)))
+             for i in range(0, na, height) for j in range(0, nb, width))
+    scan = partial(_scan_tile, domain, data, cfg, reference)
     hits = []
-    diverged = 0
+    diverged = done = 0
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        results = pool.map(scan, starts, stops) if pool else map(scan, starts, stops)
-        for start, (chunk_hits, chunk_diverged) in zip(starts, results):
-            hits.extend(chunk_hits)
-            diverged += chunk_diverged
+        for tile_hits, tile_diverged, scanned in (pool.map if pool else map)(scan, tiles):
+            hits.extend(tile_hits)
+            diverged += tile_diverged
+            done += scanned
             if on_progress:
-                on_progress(min(start + chunk, total), total)
+                on_progress(done, total)
     finally:
         if pool:
-            # after an exception, the chunks not yet started are dropped
+            # after an exception, the tiles not yet started are dropped
             pool.shutdown(cancel_futures=True)
-    return [Key(domain.kind, domain.params_at(*divmod(flat, nb))) for flat in hits], diverged
+    return [Key(domain.kind, MapParams(a, b, domain.n_modulus)) for a, b in hits], diverged
 
 
 def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomain,

@@ -17,10 +17,10 @@ next; it serves encrypt, encrypt_bytes and decrypt in memory, and
 encrypt_file and decrypt_file, which feed it 64 KiB reads and write each
 block through a temp file that replaces the output only on success. The
 grid scanner behind _scan_grid serves the scans in analysis: it runs a
-whole chunk of grid keys per call, stops each key at its first
-mismatching symbol and counts the keys that diverged. It runs symbol 0
-peeled, with its grid-, row- and column-invariant parts lifted out of
-the key loop.
+tile of grid keys per call, each a-value of the tile against each
+b-value, stops each key at its first mismatching symbol and counts the
+keys that diverged. It runs symbol 0 peeled, with its grid-, row- and
+column-invariant parts lifted out of the key loop.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from math import floor
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .maps import (
+    DIVERGENCE_BOUND,
     DivergenceError,
     DomainError,
     MapKind,
@@ -108,9 +109,11 @@ class CipherConfig:
         for name in ("n1", "n2"):
             _check_iterations(getattr(self, name),
                               f"config field {name!r} (iteration counts n1 and n2)")
-        if not (math.isfinite(self.quant_scale) and self.quant_scale > 0.0):
-            raise DomainError(f"config field 'quant_scale' must be finite and > 0, "
-                              f"got {self.quant_scale!r}")
+        # every quantized coordinate lies in the box [-bound, bound], so
+        # scaling it never overflows
+        if not (self.quant_scale > 0.0 and math.isfinite(self.quant_scale * DIVERGENCE_BOUND)):
+            raise DomainError(f"config field 'quant_scale' must be > 0, with quant_scale * "
+                              f"{DIVERGENCE_BOUND:g} finite, got {self.quant_scale!r}")
         if not math.isfinite(self.reinject_gain):
             raise DomainError(f"config field 'reinject_gain' must be finite, "
                               f"got {self.reinject_gain!r}")
@@ -143,9 +146,10 @@ def default_config(kind: MapKind) -> CipherConfig:
 
 def quantize(s: State, cfg: CipherConfig) -> int:
     """floor(|x| * quant_scale) mod symbol_modulus, for the state's x."""
-    if not math.isfinite(s.x):
-        raise DomainError("cannot quantize a non-finite state")
-    return int(floor(abs(s.x) * cfg.quant_scale)) % cfg.symbol_modulus
+    scaled = abs(s.x) * cfg.quant_scale
+    if not math.isfinite(scaled):
+        raise DomainError(f"cannot quantize x = {s.x!r} at quant_scale {cfg.quant_scale!r}")
+    return int(floor(scaled)) % cfg.symbol_modulus
 
 
 # The cipher's per-symbol body. For symbol k with input c it tests the
@@ -202,69 +206,56 @@ _BLOCK_FILL = {
 }
 
 # Entry point 2, the grid scanner: encrypts the (c, expected) pairs under
-# the key at every flat index in [start, stop) of a box of row length nb,
-# built as KeyDomain.params_at builds it: (a0 + i * inc, b0 + j * inc),
-# and returns the indices that match every symbol and the count of keys
-# that diverged before their first mismatching symbol. A key stops at its
-# first mismatching symbol; a divergent key is a miss.
+# each key (a, b) of a tile, a in a_values and b in b_values, and returns
+# the keys, in row-major order, that match every symbol, the count of keys
+# that diverged before their first mismatching symbol, and the count of
+# keys scanned. A key stops at its first mismatching symbol; a divergent
+# key is a miss.
 #
 # Symbol 0 runs peeled, in the lift region between key_code and
-# end_of_lifts, and _hoist.hoist lifts its grid-, row- and
-# column-invariant subtrees out of the key loop (see there). The columns a chunk visits
-# are computed once per call, into a table that puts column
-# (start + k) % nb at position k, so each row's keys are a cyclic run of
-# it. A lifted value that overflows diverges every key that depends on
-# it: a grid's at once, a row's by its run, and a column's by an empty
-# table entry, whose unpacking raises ValueError like the overflow would.
+# end_of_lifts, and _hoist.hoist lifts its grid-invariant subtrees out of
+# the call's loops, its row-invariant ones out of the column loop, and its
+# column-invariant ones into a table with one entry per b (see there). A
+# lifted value that overflows diverges every key that depends on it: a
+# grid's, a row's, or a column's by an empty table entry, whose unpacking
+# raises ValueError like the overflow would.
 _SCAN = """\
-def scan(a0, b0, inc, n, nb, start, stop, x0, y0, q, g, m, pairs):
-    if start >= stop:
-        return [], 0
+def scan(a_values, b_values, n, x0, y0, q, g, m, pairs):
+    scanned = len(a_values) * len(b_values)
     (c0, e0), *rest = pairs
     try:
         grid_invariant(x0, y0, n, q, g, m, c0, e0)
     except ValueError:
-        return [], stop - start
-    width = min(nb, stop - start)
+        return [], scanned, scanned
     columns = []
-    for k in range(start, start + width):
-        j = k % nb
-        b = b0 + j * inc
+    for b in b_values:
         try:
-            column = column_invariant(j, b)
+            column = column_invariant(b)
         except ValueError:
             column = ()
         columns.append(column)
     hits = []
     diverged = 0
-    i = start // nb
-    row = i * nb  # flat index of key (i, 0)
-    while row < stop:
-        first = max(row, start)
-        run = min(row + nb, stop) - first
-        a = a0 + i * inc
+    for a in a_values:
         try:
             row_invariant(a)
         except ValueError:
-            diverged += run
-        else:
-            p = (first - start) % width
-            for column in columns[p:p + run] + columns[:max(0, p + run - width)]:
-                try:
-                    key_code(column)
-                    $setup
-                    c, expected = c0, e0
-                    x, y = x0, y0
-                    $peeled
-                    for c, expected in rest:
-                        $body
-                    else:
-                        hits.append(row + j)
-                except ValueError:
-                    diverged += 1
-        i += 1
-        row += nb
-    return hits, diverged
+            diverged += len(columns)
+            continue
+        for column in columns:
+            try:
+                key_code(column)
+                $setup
+                c, expected = c0, e0
+                x, y = x0, y0
+                $peeled
+                for c, expected in rest:
+                    $body
+                else:
+                    hits.append((a, b))
+            except ValueError:
+                diverged += 1
+    return hits, diverged, scanned
 """
 _SCAN_FILL = {
     "peeled": (_SYMBOL_BODY, (("diverge", "diverged += 1\ncontinue"),
@@ -332,23 +323,21 @@ def _chunks(symbols: bytes | Iterable[int]) -> Iterable[Sequence[int]]:
     return iter(lambda: list(islice(it, _CHUNK)), [])
 
 
-def _scan_grid(kind: MapKind, lower: tuple[float, float], increment: float,
-               n_modulus: float, row_length: int, start: int, stop: int,
-               data: bytes, cfg: CipherConfig, reference: bytes) -> tuple[list[int], int]:
-    """Flat indices in [start, stop) of the keys, on a grid with the given
-    lower corner, increment and row length, whose encryption of the
-    non-empty data is reference, and the count of keys whose orbit left
-    the box or overflowed before their first mismatching symbol; such
-    keys do not match. The data symbols are checked once, for the whole
-    range."""
+def _scan_grid(kind: MapKind, n_modulus: float, data: bytes, cfg: CipherConfig,
+               reference: bytes, tile: tuple[list, list]) -> tuple[list, int, int]:
+    """The keys (a, b) of the tile (a_values, b_values), in row-major
+    order, whose encryption of the non-empty data is reference; the count
+    of keys whose orbit left the box or overflowed before their first
+    mismatching symbol (such keys do not match); and the count of keys
+    scanned. The data symbols are checked once, for the whole tile."""
     scan = _entry(_SCAN, _SCAN_FILL, kind, cfg)
     m = cfg.symbol_modulus
     bad = _first_out_of_range(data, m)
     if bad is not None:
         raise DomainError(f"plaintext byte {data[bad]} out of range [0, {m})")
     x, y = cfg.initial_state.x, cfg.initial_state.y
-    return scan(lower[0], lower[1], increment, n_modulus, row_length, start, stop,
-                x, y, cfg.quant_scale, cfg.reinject_gain, m, list(zip(data, reference)))
+    return scan(*tile, n_modulus, x, y, cfg.quant_scale, cfg.reinject_gain, m,
+                list(zip(data, reference)))
 
 
 def encrypt(plaintext: bytes | Iterable[int], key: Key,

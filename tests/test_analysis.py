@@ -276,6 +276,20 @@ def test_small_grid_scans_without_a_pool(monkeypatch):
     assert identifiability_scan(b"no pool", ARNOLD_KEY, dom, workers=2) == serial
 
 
+def test_scans_refuse_grids_over_the_cap(monkeypatch):
+    # 3 x 4 keys: scanned at a cap of 12, refused before any work at 11
+    dom = KeyDomain(MapKind.ARNOLD, (-4.0, 0.5), (-3.998, 0.503), 1e-3)
+    assert dom.size() == 12
+    monkeypatch.setattr(analysis, "_MAX_SCAN_KEYS", 12)
+    assert identifiability_scan(b"cap", ARNOLD_KEY, dom).grid_size == 12
+    monkeypatch.setattr(analysis, "_MAX_SCAN_KEYS", 11)
+    monkeypatch.setattr(analysis, "_scan_grid", None)
+    with pytest.raises(DomainError, match="grid of 12 keys exceeds the scan cap of 11"):
+        identifiability_scan(b"cap", ARNOLD_KEY, dom)
+    with pytest.raises(DomainError, match="grid of 12 keys exceeds the scan cap of 11"):
+        known_plaintext_attack(b"cap", b"c", dom)
+
+
 def test_scan_validates_inputs():
     dom = KeyDomain(MapKind.ARNOLD, (-4.0, 0.5), (-4.0, 0.5))
     with pytest.raises(DomainError):
@@ -369,35 +383,36 @@ def test_scans_match_flat_oracles_on_random_grids(kind, iters):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scans_match_oracles_when_chunks_start_mid_row(monkeypatch, workers):
-    # 70 rows of 61 keys: the serial 4096-key chunk ends mid-row, and the
-    # second chunk's keys are rebuilt from a flat index that is not a row start.
-    # Short pool chunks, so that workers=2 runs the pool (in 534-key chunks).
+    # 3 rows of 5000 keys: wider than the serial 4096-key tile, so each row
+    # is cut into column ranges, and the second range of a row starts at
+    # column 4096. Short pool chunks, so that workers=2 runs the pool, in
+    # tiles of 1875 columns.
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 2048)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
-    lo, hi, inc = (-4.0069, 0.5), (-4.0, 0.506), 1e-4
+    lo, hi, inc = (-4.0002, 0.5), (-4.0, 0.9999), 1e-4
     dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc)
-    assert dom.axis_counts() == (70, 61) and dom.size() > 4096
+    assert dom.axis_counts() == (3, 5000)
     text = b"Meet me after 5p.m."
-    true_ab = (-4.0012, 0.5031)
+    true_ab = (-4.0001, 0.5031)
     key = Key(MapKind.ARNOLD, MapParams(*true_ab))
     snapped, hits = oracle_matching_set(MapKind.ARNOLD, lo, hi, inc, 1.0, true_ab,
                                         text[:8], 3)
     res = identifiability_scan(text, key, dom, workers=workers)
     assert [(k.params.a, k.params.b) for k in res.matching_keys] == hits
-    # one known symbol: about one key in 256 matches, on both sides of the cut
+    # one known symbol: about one key in 256 matches, on both sides of each cut
     ciphertext = encrypt_bytes(text, key)
     expected = oracle_kpa_candidates(MapKind.ARNOLD, lo, hi, inc, 1.0, text[:1],
                                      ciphertext[:1], 3, 1e6)
     res = known_plaintext_attack(ciphertext, text[:1], dom, workers=workers)
     candidates = [(k.params.a, k.params.b) for k in res.candidates]
     assert candidates == expected
-    flat = [round((a - lo[0]) / inc) * 61 + round((b - lo[1]) / inc) for a, b in candidates]
-    assert min(flat) < 4096 <= max(flat)
+    columns = [round((b - lo[1]) / inc) for _, b in candidates]
+    assert min(columns) < 1875 and max(columns) >= 4096
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_pooled_scans_in_short_chunks_match_oracles(monkeypatch, workers):
-    # 97-key pool chunks end mid-row in most of the 70 rows of 61 keys
+    # 97-key pool chunks cut the 70 rows of 61 keys into one-row tiles
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 97)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     lo, hi, inc = (-4.0069, 0.5), (-4.0, 0.506), 1e-4
@@ -411,8 +426,9 @@ def test_pooled_scans_in_short_chunks_match_oracles(monkeypatch, workers):
     res = known_plaintext_attack(ciphertext, text[:1], dom, workers=workers,
                                  on_progress=lambda n, total: done.append(n))
     assert [(k.params.a, k.params.b) for k in res.candidates] == expected
-    chunk = 4096 if workers == 1 else 97
-    assert done == [min(n, dom.size()) for n in range(chunk, dom.size() + chunk, chunk)]
+    # progress counts whole tiles: 67 rows serially, one row in the pool
+    tile = (4096 // 61 if workers == 1 else 1) * 61
+    assert done == [min(n, dom.size()) for n in range(tile, dom.size() + tile, tile)]
 
 
 def test_interrupted_pooled_scan_stops_early(monkeypatch):

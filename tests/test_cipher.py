@@ -66,6 +66,15 @@ def test_quantize_examples():
     assert quantize(State(-0.27, 0.0), cfg) == 176
 
 
+def test_quantize_refuses_an_overflowing_scale():
+    # a boxed coordinate times the largest accepted scale is finite; an
+    # unboxed one may overflow, which is a domain error, not OverflowError
+    cfg = replace(default_config(MapKind.ARNOLD), quant_scale=1.7e302)
+    assert 0 <= quantize(State(-1e6, 0.0), cfg) < 256
+    with pytest.raises(DomainError, match="quantize"):
+        quantize(State(1e7, 0.0), cfg)
+
+
 def test_single_byte_matches_straight_line_oracle():
     expected = oracle_encrypt(b"A", duffing_oracle_step(2.75, 0.1), -0.04, 0.2)
     ciphertext, traces = encrypt(b"A", DUFFING_KEY)
@@ -221,7 +230,7 @@ def test_config_iteration_counts_validated():
 @pytest.mark.parametrize("field, value", [
     ("n1", 2.0), ("n2", True), ("n1", 0), ("n2", 1001),
     ("quant_scale", 0.0), ("quant_scale", -1.0), ("quant_scale", float("inf")),
-    ("quant_scale", float("nan")),
+    ("quant_scale", float("nan")), ("quant_scale", 1e308), ("quant_scale", 1.8e302),
     ("reinject_gain", float("inf")), ("reinject_gain", float("nan")),
 ])
 def test_config_is_validated_once_built(field, value):
@@ -556,8 +565,8 @@ def test_kernel_matches_checked_oracle(case):
         assert found == expected
 
 
-# Boxes for the grid scanner: one row, one column, rows longer than the
-# scanned range, and random sub-ranges [start, stop) of the flat indices.
+# Boxes for the grid scanner: one row, one column, and random tiles
+# (a range of rows by a range of columns) inside them.
 # Arnold rows with |a - 1| N > 1e6, or N > 1e6, test every step
 # ("unboxed"). Duffing boxes in its full key box straddle the region that
 # diverges in symbol 0. The overflow variants: a start x of 1e308
@@ -589,15 +598,19 @@ def scan_cases(draw):
         if variant == "start":
             start = (start[0], draw(st.sampled_from([2e6, -1e9])))
     na, nb = draw(st.sampled_from([(1, 9), (9, 1), (1, 1), (3, 40), (5, 7), (12, 12)]))
-    begin = draw(st.integers(0, na * nb - 1))
-    end = draw(st.integers(begin + 1, na * nb))
+    def tile_range(size):
+        first = draw(st.integers(0, size - 1))
+        return range(first, draw(st.integers(first + 1, size)))
+
+    rows, columns = tile_range(na), tile_range(nb)
     gain = 1e308 if variant == "gain" else draw(st.sampled_from([1.0, 0.75, -2.5]))
     cfg = CipherConfig(State(*start), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
                        draw(st.sampled_from([1e16, 1e16, 1e6, 7.0])), gain)
     data = draw(st.binary(min_size=1, max_size=4))
     # each reference is the output of a scanned key, when it has one
-    refs = draw(st.lists(st.integers(begin, end - 1), min_size=1, max_size=4))
-    return kind, (a0, b0), inc, n, (na, nb), (begin, end), cfg, data, refs
+    refs = draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from(columns)),
+                         min_size=1, max_size=4))
+    return kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -605,36 +618,37 @@ def scan_cases(draw):
 @given(scan_cases())
 # in row 0, columns 2 and up overflow in their first step and columns 0
 # and 1 do not; rows 1 and 2 (a - 1 about 1e307) leave the box
-@example((MapKind.ARNOLD, (-4.0, 1e308), 1e307, 1.0, (3, 9), (0, 27),
-          CipherConfig(State(0.5, 1.5), 2, 3, 1e16), b"ab", [0, 1]))
+@example((MapKind.ARNOLD, (-4.0, 1e308), 1e307, 1.0, (range(3), range(9)),
+          CipherConfig(State(0.5, 1.5), 2, 3, 1e16), b"ab", [(0, 0), (0, 1)]))
 # rows from a = 3.5 straddle the start of symbol-0 divergence, at 3.55
-@example((MapKind.DUFFING, (3.5, -0.2), 0.01, 1.0, (12, 12), (5, 140),
-          CipherConfig(State(-0.04, 0.2), 3, 3, 1e16), b"abc", [7, 30]))
+@example((MapKind.DUFFING, (3.5, -0.2), 0.01, 1.0, (range(12), range(12)),
+          CipherConfig(State(-0.04, 0.2), 3, 3, 1e16), b"abc", [(0, 7), (2, 6)]))
 # a coarse quantizer lets many keys past symbol 0, into the code that
 # gets back the values the lifted names stand for
-@example((MapKind.ARNOLD, (-4.0, 0.3), 0.02, 1.0, (3, 7), (0, 21),
-          CipherConfig(State(0.5, 0.06), 1, 1, 7.0), b"abcd", [3, 9]))
+@example((MapKind.ARNOLD, (-4.0, 0.3), 0.02, 1.0, (range(3), range(7)),
+          CipherConfig(State(0.5, 0.06), 1, 1, 7.0), b"abcd", [(0, 3), (1, 2)]))
 # from this start, (-b x0 + a y0) - y0^3 rounds differently from
 # -b x0 + (a y0 - y0^3) for these keys
-@example((MapKind.DUFFING, (2.0, -0.2), 0.01, 1.0, (3, 3), (0, 9),
-          CipherConfig(State(0.3, 0.45), 2, 2, 1e16), b"xy", [0, 3, 6]))
+@example((MapKind.DUFFING, (2.0, -0.2), 0.01, 1.0, (range(3), range(3)),
+          CipherConfig(State(0.3, 0.45), 2, 2, 1e16), b"xy", [(0, 0), (1, 0), (2, 0)]))
 def test_scan_grid_matches_per_key_oracle(case):
-    kind, (a0, b0), inc, n, (na, nb), (begin, end), cfg, data, refs = case
+    kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs = case
     s = cfg.initial_state
+    keys = [(a0 + i * inc, b0 + j * inc) for i in rows for j in columns]
 
-    def step(flat):
-        a, b = a0 + flat // nb * inc, b0 + flat % nb * inc
+    def step(a, b):
         return arnold_oracle_step(a, b, n) if kind is MapKind.ARNOLD else duffing_oracle_step(a, b)
 
-    for ref in refs:
-        reference, _, diverged = oracle_run(data, step(ref), s.x, s.y, cfg.n1, cfg.n2,
-                                            cfg.quant_scale, cfg.reinject_gain)
+    for i, j in refs:
+        reference, _, diverged = oracle_run(data, step(a0 + i * inc, b0 + j * inc), s.x, s.y,
+                                            cfg.n1, cfg.n2, cfg.quant_scale, cfg.reinject_gain)
         if diverged is not None:
             reference = bytes(data)
-        outcomes = [oracle_scan_outcome(data, reference, step(flat), s.x, s.y, cfg.n1, cfg.n2,
+        outcomes = [oracle_scan_outcome(data, reference, step(a, b), s.x, s.y, cfg.n1, cfg.n2,
                                         cfg.quant_scale, cfg.reinject_gain)
-                    for flat in range(begin, end)]
-        hits, diverged = cipher._scan_grid(kind, (a0, b0), inc, n, nb, begin, end, data, cfg,
-                                           reference)
-        assert hits == [flat for flat, outcome in enumerate(outcomes, begin) if outcome == "hit"]
+                    for a, b in keys]
+        tile = ([a0 + i * inc for i in rows], [b0 + j * inc for j in columns])
+        hits, diverged, scanned = cipher._scan_grid(kind, n, data, cfg, reference, tile)
+        assert hits == [ab for ab, outcome in zip(keys, outcomes) if outcome == "hit"]
         assert diverged == outcomes.count("diverged")
+        assert scanned == len(keys)

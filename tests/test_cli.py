@@ -6,16 +6,24 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from chaoscrypt import analysis, cipher, maps
 from chaoscrypt.cipher import Key, encrypt_bytes, save_key
 from chaoscrypt.cli import main
 from chaoscrypt.maps import DivergenceError, MapKind, MapParams
+
+from oracles import oracle_axis
 
 ARNOLD_KEY = Key(MapKind.ARNOLD, MapParams(-4.0, 0.5, 1.0))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -367,6 +375,33 @@ def test_overflow_is_one_divergence_error_line(tmp_path, arnold_key_file, capsys
     assert not out.exists()
 
 
+def test_huge_quant_scale_is_one_error_line(tmp_path, arnold_key_file, capsys):
+    # floor(|x| * 1e308) overflowed in the kernel; the config is now refused
+    (tmp_path / "cfg.json").write_text('{"quant_scale": 1e308}')
+    (tmp_path / "p.bin").write_bytes(b"hello")
+    out = tmp_path / "o.hex"
+    assert main(["encrypt", "--in", str(tmp_path / "p.bin"), "--out", str(out),
+                 "--key", arnold_key_file, "--config", str(tmp_path / "cfg.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'quant_scale'") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_identify_refuses_a_grid_over_the_scan_cap(arnold_key_file, capsys, monkeypatch):
+    # 1e-300 steps make a grid of a 596-digit number of keys, which the
+    # scan used to start and never finish
+    def scan(*args, **kwargs):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(analysis, "_scan_grid", scan)
+    rc = main(["identify", "--text", "hello", "--key", arnold_key_file,
+               "--domain=-4.0,0.5,-3.99,0.51", "--increment", "1e-300"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid of over 10^595 keys exceeds the scan cap of 1000000000")
+    assert len(err.splitlines()) == 1
+
+
 def test_identify_warns_on_out_of_domain_key(arnold_key_file, capsys):
     rc = main(["identify", "--text", "What is your name?",
                "--key", arnold_key_file, "--domain", "0,0,0.001,0.001"])
@@ -475,3 +510,131 @@ def test_missing_key_file_is_runtime_error(tmp_path, capsys):
                "--key", str(tmp_path / "missing.json")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# The CLI contract under hostile input: any float in any numeric flag,
+# configs the cipher must refuse, empty texts and malformed JSON or hex.
+# A call is argv with "@name" for the file name in a fresh directory, and
+# the files to write there first.
+def mostly(usable, hostile):
+    """A strategy that draws from hostile when integers(0, 3) draws 3, else
+    from usable."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(hostile if k == 3 else usable))
+
+
+FLOATS = mostly(["0.5", "-4.0", "-3.9", "2.75", "0.1"],
+                ["nan", "inf", "-inf", "1.7976931348623157e308", "-1e308", "5e-324", "0",
+                 "-0.0", "1e6"])
+INCREMENTS = st.sampled_from(["1e-4", "0.1", "1", "1e308", "1e-300", "0", "-1", "nan", "inf"])
+KEYS = mostly(['{"kind": "arnold", "a": -4.0, "b": 0.5}',
+               '{"kind": "duffing", "a": 2.75, "b": 0.1}'],
+              ['{"kind": "arnold", "a": -4.0, "b": 0.5, "n_modulus": 1e308}',
+               '{"kind": "duffing", "a": 1e308, "b": -1e308}',
+               '{"kind": "arnold", "a": NaN, "b": 0.5}', '{"kind": "arnold"}', "[]",
+               "{not json", ""])
+CONFIGS = mostly(['{}', '{"n2": 2}', '{"quant_scale": 7.0}'],
+                 ['{"quant_scale": 1e308}', '{"quant_scale": 5e-324}',
+                  '{"reinject_gain": NaN}', '{"reinject_gain": 1e308}', '{"n1": 0}',
+                  '{"n1": 1001}', '{"n1": 2.5}', '{"initial_state": {"x": 1e308, "y": 0}}',
+                  '{"initial_state": {"x": 0.1}}', '{"quant_scale": "big"}', "[1, 2]",
+                  "{not json"])
+TEXTS = mostly(["hello", "Meet me after 5p.m.", "\u00e9t\u00e9"], [""])
+_MAX_FUZZ_GRID = 10 ** 4
+
+
+@st.composite
+def grids(draw):
+    """--domain and --increment: a small box around a key of either kind,
+    the same box in steps of 1e-300, or any corners and increment. A grid
+    is either small enough to scan at once or over the scan cap."""
+    shape = draw(mostly(["small", "small", "fine"], ["any"]))
+    if shape == "any":
+        box, increment = [draw(FLOATS) for _ in range(4)], draw(INCREMENTS)
+        try:
+            size = prod(max(0, oracle_axis(float(lo), float(hi), float(increment)))
+                        for lo, hi in ((box[0], box[2]), (box[1], box[3])))
+        except (ValueError, OverflowError, ZeroDivisionError):
+            size = 0
+        assume(size <= _MAX_FUZZ_GRID or size > analysis._MAX_SCAN_KEYS)
+    else:
+        a, b = draw(st.sampled_from([(-4.0, 0.5), (2.75, 0.1), (-3.9, 1.4), (3.5, -0.2)]))
+        step = draw(st.sampled_from([1e-3, 0.01]))
+        na, nb = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+        box = [repr(v) for v in (a, b, a + na * step, b + nb * step)]
+        increment = "1e-300" if shape == "fine" else repr(step)
+    return [f"--domain={','.join(box)}", f"--increment={increment}"]
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(["encrypt", "decrypt", "keygen", "trajectory",
+                                    "identify", "attack"]))
+    files = {"k.json": draw(KEYS), "c.json": draw(CONFIGS)}
+    kind = ["--kind", draw(st.sampled_from(["arnold", "duffing"]))]
+    domain = draw(grids())
+    config = ["--config", "@c.json"] if draw(st.booleans()) else []
+    n_modulus = [f"--n-modulus={draw(FLOATS)}"] if draw(st.booleans()) else []
+    text = draw(TEXTS)
+    if command in ("encrypt", "decrypt"):
+        files["in"] = (text.encode() if command == "encrypt"
+                       else draw(mostly(["00ff10", "00 11\n", ""], ["0g", "abc"])))
+        argv = ["--in", "@in", "--out", "@out", "--key", "@k.json", *config]
+        if draw(st.booleans()):
+            argv += domain
+    elif command == "keygen":
+        argv = [*kind, *domain, *n_modulus, "--seed", "1"]
+    elif command == "trajectory":
+        params = ",".join(draw(FLOATS) for _ in range(draw(mostly([2, 3], [1, 4]))))
+        argv = [*kind, f"--params={params}", "--n", draw(mostly(["1", "50"], ["0"])),
+                "--out", "@out"]
+        if draw(st.booleans()):
+            argv.append(f"--init={draw(FLOATS)},{draw(FLOATS)}")
+    elif command == "identify":
+        argv = ["--text", text, "--key", "@k.json", *domain, *config,
+                "--iters", draw(mostly(["1", "3"], ["0", "1001"]))]
+    else:
+        files["ct.hex"] = draw(mostly(["a1b2c3d4e5f60718293a4b5c6d7e8f90"], ["", "zz"]))
+        argv = ["--cipher", "@ct.hex", "--known-prefix", text, *kind, *domain,
+                *n_modulus, *config, "--json"]
+    return [command, *argv], files
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_calls())
+# the two ways a command used to escape the contract: a quant_scale whose
+# product with a boxed coordinate overflows (a traceback), and a grid of
+# 1e-300 steps (a scan that never ends)
+@example((["encrypt", "--in", "@in", "--out", "@out", "--key", "@k.json",
+           "--config", "@c.json"],
+          {"in": b"hello", "k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}',
+           "c.json": '{"quant_scale": 1e308}'}))
+@example((["identify", "--text", "hello", "--key", "@k.json",
+           "--domain=-4.0,0.5,-3.99,0.51", "--increment", "1e-300"],
+          {"k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}'}))
+def test_cli_contract_holds_for_hostile_input(call):
+    argv, files = call
+    scanned = []
+
+    def scan(*args):
+        result = real_scan(*args)
+        scanned.append(result[2])
+        assert sum(scanned) <= _MAX_FUZZ_GRID, "a scan started on a grid over the cap"
+        return result
+
+    real_scan = analysis._scan_grid
+    out, err = StringIO(), StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_scan_grid", scan)
+        for name, content in files.items():
+            Path(tmp, name).write_bytes(content if isinstance(content, bytes)
+                                        else content.encode())
+        argv = [os.path.join(tmp, a[1:]) if a.startswith("@") else a for a in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert rc in (0, 1, 2, 3)
+    assert len(errors) == (rc != 0)
+    assert "Traceback" not in err.getvalue()
