@@ -221,7 +221,10 @@ def key_sensitivity(plaintext: bytes | str, key: Key,
 
     In "increment" mode the a component is increased by delta (the grid
     increment by default); in "bitflip" mode one bit of the chosen
-    component's 64-bit float representation is flipped.
+    component's 64-bit float representation is flipped. A perturbation
+    that leaves the key equal to itself (a nonzero delta below the
+    resolution of a, or the sign bit of a zero) raises DomainError; a
+    delta of 0 is no perturbation and scores 0.
     """
     p = _as_bytes(plaintext)
     if not p:
@@ -231,6 +234,8 @@ def key_sensitivity(plaintext: bytes | str, key: Key,
         if not math.isfinite(delta):
             raise DomainError("delta must be finite")
         perturbed = replace(params, a=params.a + delta)
+        if delta and perturbed == params:
+            raise DomainError(f"delta {delta!r} leaves a = {params.a!r} unchanged")
     elif mode == "bitflip":
         if component not in ("a", "b"):
             raise DomainError(f"unknown key component {component!r}")
@@ -238,6 +243,9 @@ def key_sensitivity(plaintext: bytes | str, key: Key,
         if not math.isfinite(value):
             raise DomainError("bit flip produced a non-finite key component")
         perturbed = replace(params, **{component: value})
+        if perturbed == params:
+            raise DomainError(f"flipping bit {bit} of {component} = "
+                              f"{getattr(params, component)!r} gives the equal value {value!r}")
     else:
         raise DomainError(f"unknown key sensitivity mode {mode!r}")
     c1 = encrypt_bytes(p, key, cfg)
@@ -291,6 +299,11 @@ def _scan_tile(domain: KeyDomain, data: bytes, cfg: CipherConfig, reference: byt
                       domain.tile_values(*tile))
 
 
+def _size_text(size: int) -> str:
+    """size in digits, or as "over 10^k" once it has more than 15 of them."""
+    return str(size) if size < 10 ** 15 else f"over 10^{len(str(size)) - 1}"
+
+
 def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
                    reference: bytes, workers: int,
                    on_progress: Callable[[int, int], None] | None) -> tuple[list[Key], int]:
@@ -300,8 +313,7 @@ def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
     mismatching symbol; divergent keys do not match."""
     total = domain.size()
     if total > _MAX_SCAN_KEYS:
-        size = total if total < 10 ** 15 else f"over 10^{len(str(total)) - 1}"
-        raise DomainError(f"grid of {size} keys exceeds the scan cap of {_MAX_SCAN_KEYS}; "
+        raise DomainError(f"grid of {_size_text(total)} keys exceeds the scan cap of {_MAX_SCAN_KEYS}; "
                           "use a larger increment or a smaller domain")
     workers = min(effective_workers(workers), -(-total // _MAX_POOL_CHUNK))
     if workers <= 1:
@@ -449,25 +461,25 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
         text = plaintext if isinstance(plaintext, str) else p.decode("utf-8", "backslashreplace")
         row_cfg = cfg if cfg is not None else default_config(key.kind)
         row = AnalysisRow(index=idx, plaintext=text, key=key, domain=domain)
-        errors = []
+        errors = []  # (phase, message) pairs, in phase order
 
         ciphertext = None
         try:
             ciphertext = encrypt_bytes(p, key, row_cfg)
             row.ciphertext_hex = ciphertext.hex()
         except (DomainError, DivergenceError) as exc:
-            errors.append(f"encrypt: {exc}")
+            errors.append(("encrypt", str(exc)))
 
         try:
             row.plaintext_sensitivity_pct = plaintext_sensitivity(p, key, row_cfg, flip_bit)
         except (DomainError, DivergenceError) as exc:
-            errors.append(f"plaintext_sensitivity: {exc}")
+            errors.append(("plaintext_sensitivity", str(exc)))
 
         try:
             delta = domain.increment if key_delta is None else key_delta
             row.key_sensitivity_pct = key_sensitivity(p, key, row_cfg, delta=delta)
         except (DomainError, DivergenceError) as exc:
-            errors.append(f"key_sensitivity: {exc}")
+            errors.append(("key_sensitivity", str(exc)))
 
         try:
             identifiable = any(
@@ -477,7 +489,7 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
                 for iv in iteration_values)
             row.identifiable = "I" if identifiable else "NI"
         except (DomainError, DivergenceError) as exc:
-            errors.append(f"identifiability: {exc}")
+            errors.append(("identifiability", str(exc)))
 
         if ciphertext is not None:
             try:
@@ -486,18 +498,24 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
                     workers=workers)
                 row.robust_kpa = attack.verdict
             except (DomainError, DivergenceError) as exc:
-                errors.append(f"attack: {exc}")
+                errors.append(("attack", str(exc)))
         else:
-            errors.append("attack: skipped, no ciphertext")
+            errors.append(("attack", "skipped, no ciphertext"))
 
         row.brute_force_secret = "YES" if row.identifiable == "I" else "NO"
-        row.error = "; ".join(errors) if errors else None
+        row.error = "; ".join(f"{phase}: {message}" for phase, message in errors) or None
         rows.append(row)
         if log:
+            # phases that failed alike, such as both scans of a grid over the
+            # cap, share one message
+            shared: dict[str, list[str]] = {}
+            for phase, message in errors:
+                shared.setdefault(message, []).append(phase)
+            error = "; ".join(f"{', '.join(phases)}: {message}"
+                              for message, phases in shared.items())
             log(f"row {idx}/{len(rows_spec)} key=({key.params.a}, {key.params.b}) "
-                f"grid={domain.size()} ident={row.identifiable} kpa={row.robust_kpa} "
-                f"elapsed={perf_counter() - t0:.2f}s"
-                + (f" error={row.error}" if row.error else ""))
+                f"grid={_size_text(domain.size())} ident={row.identifiable} kpa={row.robust_kpa} "
+                f"elapsed={perf_counter() - t0:.2f}s" + (f" error={error}" if error else ""))
     return rows
 
 

@@ -8,19 +8,22 @@ regenerates the same state sequence from the key and inverts the mixing
 exactly.
 
 One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
-map with the bound tests the map needs, quantizes, mixes and feeds back,
-in either direction. It is spliced into two entry points, _BLOCK and
-_SCAN, which maps._kernel compiles on first use for each map kind and
-pair of iteration counts (n1, n2), with every step written out inline.
-The block entry runs one chunk of symbols and carries the state to the
-next; it serves encrypt, encrypt_bytes and decrypt in memory, and
-encrypt_file and decrypt_file, which feed it 64 KiB reads and write each
-block through a temp file that replaces the output only on success. The
-grid scanner behind _scan_grid serves the scans in analysis: it runs a
-tile of grid keys per call, each a-value of the tile against each
-b-value, stops each key at its first mismatching symbol and counts the
-keys that diverged. It runs symbol 0 peeled, with its grid-, row- and
-column-invariant parts lifted out of the key loop.
+map with the bound tests the map needs, quantizes, mixes and feeds back.
+It is spliced into two entry points, _BLOCK and _SCAN, which
+maps._kernel compiles on first use for each map kind and pair of
+iteration counts (n1, n2), with every step written out inline. Each
+entry tests its start state once, not once per symbol. The block entry
+runs one chunk of symbols and carries the state to the next; it is
+compiled once per direction, with the direction and the tracing chosen
+once per call: one block serves encrypt_bytes and encrypt_file, one
+encrypt with its traces, and one decrypt and decrypt_file. The file
+commands feed it 64 KiB reads and write each block through a temp file
+that replaces the output only on success. The grid scanner behind
+_scan_grid serves the scans in analysis: it runs a tile of grid keys per
+call, each a-value of the tile against each b-value, stops each key at
+its first mismatching symbol and counts the keys that diverged. It runs
+symbol 0 peeled, with its grid-, row- and column-invariant parts lifted
+out of the key loop.
 """
 
 from __future__ import annotations
@@ -152,23 +155,29 @@ def quantize(s: State, cfg: CipherConfig) -> int:
     return int(floor(scaled)) % cfg.symbol_modulus
 
 
-# The cipher's per-symbol body. For symbol k with input c it tests the
-# incoming state ($entry), advances the orbit n1 steps, snapshots it
-# ($snapshot), advances n2 steps, each a maps._TESTED_STEP (the kind's
-# bound test after every step, see maps._STEP_SOURCE); quantizes the two
-# snapshots, mixes ($mix), runs $check, and feeds z back into the state.
-# Each run of steps is written out in full, so the body is compiled once
-# per (kind, n1, n2). A failed bound test runs $diverge; a step or a
-# feedback that overflows makes fmod raise ValueError, which each entry
-# treats as a divergence.
+# The cipher's per-symbol body. For symbol k with input c it advances the
+# orbit n1 steps, snapshots it ($snapshot), advances n2 steps, each a
+# maps._TESTED_STEP (the kind's bound test after every step, see
+# maps._STEP_SOURCE); quantizes the two snapshots, mixes ($mix), runs
+# $check, and feeds z back into the state. Each run of steps is written
+# out in full, so the body is compiled once per (kind, n1, n2). A failed
+# bound test runs $diverge; a step or a feedback that overflows makes fmod
+# raise ValueError, which each entry treats as a divergence.
+#
+# The body does not test the state it starts from: each entry tests its
+# start state once ($entry), and a finished symbol leaves a state that
+# passes that test. Duffing's last step tested y, and the feedback only
+# moves x; Arnold's states stay finite, as fmod raises on an overflowed
+# feedback. (A NaN fed back, which no config allows, fails the next
+# symbol anyway: at a bound test, or at floor(nan), which raises
+# ValueError.) q1 and q2 are not reduced mod m: the mixes reduce the sums
+# they enter, which gives the same ints.
 _SYMBOL_BODY = """\
-if not ($entry):
-    $diverge
 $steps1
 $snapshot
 $steps2
-q1 = floor(abs(s1x) * q) % m
-q2 = floor(abs(x) * q) % m
+q1 = floor(abs(s1x) * q)
+q2 = floor(abs(x) * q)
 $mix
 $check
 x = fmod(x + g * z / m, 1.0)
@@ -177,40 +186,50 @@ _ENCRYPT = """\
 z = (c + q1) % m
 out = (z + q2) % m
 """
+_DECRYPT = """\
+z = (c - q2) % m
+out = (z - q1) % m
+"""
 
 # Entry point 1, the cipher: runs one chunk of symbols under one key from
 # state (x, y), symbol k being the chunk's first, and returns the output
-# bytes and the state to carry into the next chunk. A trace callable is
-# handed each symbol's z, output and two snapshots.
+# bytes and the state to carry into the next chunk. There is one block per
+# direction, each compiled on first use: _BLOCK_FILL encrypts without a
+# trace, and _cipher_blocks fills in _DECRYPT to decrypt, or $emit with a
+# call that hands trace each symbol's z, output and two snapshots.
 _BLOCK = """\
-def block(a, b, n, x, y, k, symbols, q, g, m, decrypting, trace):
+def block(a, b, n, x, y, k, symbols, q, g, m, trace):
     $setup
     result = bytearray()
     put = result.append
-    for k, c in enumerate(symbols, k):
+    if symbols and not ($entry):
+        $diverge
+    for c in symbols:
         try:
             $body
         except ValueError:
             $diverge
         put(out)
-        if trace is not None:
-            trace(z, out, s1x, s1y, x, y)
+        $emit
     return result, x, y
 """
 _BLOCK_FILL = {
-    "diverge": 'raise DivergenceError(f"orbit diverged while processing symbol {k}", symbol=k)',
-    "snapshot": "s1x, s1y = x, y",
-    "mix": "if decrypting:\n    z = (c - q2) % m\n    out = (z - q1) % m\nelse:\n    $encrypt",
-    "encrypt": _ENCRYPT,
+    "diverge": ('raise DivergenceError(f"orbit diverged while processing symbol '
+                '{k + len(result)}", symbol=k + len(result))'),
+    "snapshot": "s1x = x",
+    "mix": _ENCRYPT,
     "check": "pass",
+    "emit": "pass",
 }
+_TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, x, y)"}
 
 # Entry point 2, the grid scanner: encrypts the (c, expected) pairs under
 # each key (a, b) of a tile, a in a_values and b in b_values, and returns
 # the keys, in row-major order, that match every symbol, the count of keys
 # that diverged before their first mismatching symbol, and the count of
 # keys scanned. A key stops at its first mismatching symbol; a divergent
-# key is a miss.
+# key is a miss. Every key starts from (x0, y0), so a start state that
+# fails $entry diverges every key.
 #
 # Symbol 0 runs peeled, in the lift region between key_code and
 # end_of_lifts, and _hoist.hoist lifts its grid-invariant subtrees out of
@@ -222,6 +241,9 @@ _BLOCK_FILL = {
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, g, m, pairs):
     scanned = len(a_values) * len(b_values)
+    x, y = x0, y0
+    if not ($entry):
+        return [], scanned, scanned
     (c0, e0), *rest = pairs
     try:
         grid_invariant(x0, y0, n, q, g, m, c0, e0)
@@ -287,7 +309,7 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence
 
     Output symbols are ciphertext when encrypting and plaintext when
     decrypting; the state and the symbol index carry from one chunk to
-    the next. A symbol outside [0, symbol_modulus) raises DomainError,
+    the next. The direction and trace pick the compiled block once. A symbol outside [0, symbol_modulus) raises DomainError,
     and a divergent orbit DivergenceError with the index of the symbol
     being processed, after the symbols before it. A trace callable is
     called per symbol as trace(z, out, s1x, s1y, x, y): (s1x, s1y) is the
@@ -296,14 +318,19 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence
     """
     if cfg is None:
         cfg = default_config(key.kind)
-    block = _entry(_BLOCK, _BLOCK_FILL, key.kind, cfg)
+    fill = _BLOCK_FILL
+    if decrypting:
+        fill = {**fill, "mix": _DECRYPT}
+    elif trace is not None:
+        fill = {**fill, **_TRACED_FILL}
+    block = _entry(_BLOCK, fill, key.kind, cfg)
     p = key.params
     q, g, m = cfg.quant_scale, cfg.reinject_gain, cfg.symbol_modulus
     x, y, k = cfg.initial_state.x, cfg.initial_state.y, 0
     for chunk in chunks:
         bad = _first_out_of_range(chunk, m)
         out, x, y = block(p.a, p.b, p.n_modulus, x, y, k, chunk if bad is None else chunk[:bad],
-                          q, g, m, decrypting, trace)
+                          q, g, m, trace)
         if bad is not None:
             what = "ciphertext symbol" if decrypting else "plaintext byte"
             raise DomainError(f"{what} {chunk[bad]} out of range [0, {m})")

@@ -158,8 +158,8 @@ _STEP_SOURCE = {
         "inside": "boxed or -$bound <= x <= $bound and -$bound <= y <= $bound",
     },
     MapKind.DUFFING: {
-        "setup": "pass",
-        "step": "y, -b * x + a * y - y * y * y",
+        "setup": "nb = -b",
+        "step": "y, nb * x + a * y - y * y * y",
         "entry": "-$bound <= y <= $bound",
         "inside": "-$bound <= y <= $bound",
     },

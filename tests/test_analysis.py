@@ -130,6 +130,19 @@ def test_key_sensitivity_zero_delta_is_zero():
     assert key_sensitivity(b"any text", ARNOLD_KEY, delta=0.0) == 0.0
 
 
+def test_key_sensitivity_refuses_a_perturbation_that_leaves_the_key_unchanged():
+    # -4.0 + 1e-320 rounds back to -4.0, and the sign bit of 0.0 gives
+    # -0.0 == 0.0: each used to score 0% as if the cipher ignored the key
+    with pytest.raises(DomainError, match=r"delta 1e-320 leaves a = -4.0 unchanged"):
+        key_sensitivity(b"any text", ARNOLD_KEY, delta=1e-320)
+    zero = Key(MapKind.ARNOLD, MapParams(0.0, 0.5))
+    with pytest.raises(DomainError, match=r"flipping bit 63 of a = 0.0 gives the equal value -0.0"):
+        key_sensitivity(b"any text", zero, mode="bitflip", component="a", bit=63)
+    # the smallest delta that moves a is scored
+    assert 0.0 <= key_sensitivity(b"any text", ARNOLD_KEY, delta=1e-15) <= 100.0
+    assert key_sensitivity(b"any text", zero, mode="bitflip", component="a", bit=0) >= 0.0
+
+
 def test_key_sensitivity_increment_matches_two_encryption_oracle():
     msg = b"Meet me after 5p.m."
     c1 = encrypt_bytes(msg, ARNOLD_KEY)
@@ -175,6 +188,22 @@ def test_report_records_an_overflowing_orbit_as_a_row_error():
     assert row.error.startswith("encrypt: orbit diverged while processing symbol 0")
     assert "identifiability: orbit diverged" in row.error
     assert row.identifiable == "NI" and row.brute_force_secret == "NO"
+
+
+def test_report_row_at_a_tiny_increment_is_an_error_on_one_short_log_line():
+    # at increment 1e-300 the key delta rounds away and the grid has a
+    # 598-digit number of keys: both are row errors, and the log line
+    # names the grid size in a few characters
+    dom = KeyDomain(MapKind.ARNOLD, (-4.0, 0.5), (-3.9, 0.6), 1e-300)
+    lines = []
+    (row,) = analysis_report([("hello world", ARNOLD_KEY, dom)], log=lines.append)
+    assert row.error.startswith("key_sensitivity: delta 1e-300 leaves a = -4.0 unchanged; ")
+    assert "; identifiability: grid of over 10^598 keys exceeds the scan cap" in row.error
+    assert "; attack: grid of over 10^598 keys exceeds the scan cap" in row.error
+    (line,) = lines
+    assert " grid=over 10^598 " in line
+    assert "identifiability, attack: grid of over 10^598 keys" in line
+    assert len(line) < 300
 
 
 def test_constant_quantizer_defeats_identifiability():

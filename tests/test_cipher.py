@@ -306,8 +306,72 @@ def test_nan_feedback_is_a_divergence():
         p, s = key.params, cfg.initial_state
         with pytest.raises(DivergenceError) as err:
             block(p.a, p.b, p.n_modulus, s.x, s.y, 0, b"\x00\x00", cfg.quant_scale,
-                  float("nan"), cfg.symbol_modulus, False, None)
+                  float("nan"), cfg.symbol_modulus, None)
         assert err.value.symbol == 1
+
+
+# A seeded message longer than one 64 KiB chunk: bytes run through one
+# block call, and any other iterable in 64 KiB lists.
+LONG_MSG = random.Random(0).randbytes(2 * 65536 + 4000)
+LONG_KEYS = [ARNOLD_KEY, Key(MapKind.DUFFING, MapParams(1.8995, 0.0068))]
+
+
+@pytest.mark.parametrize("key", LONG_KEYS, ids=lambda key: key.kind.value)
+def test_every_block_matches_the_oracles_past_one_chunk(tmp_path, key):
+    # the untraced, traced and decrypting blocks, from memory and from files
+    data = LONG_MSG[:70000]
+    out, traces, diverged = run_oracle(key, default_config(key.kind), data)
+    plain, _, diverged_back = run_oracle(key, default_config(key.kind), data, decrypting=True)
+    assert diverged is None and diverged_back is None
+    for given in (data, list(data)):
+        assert encrypt_bytes(given, key) == out
+        ciphertext, got = encrypt(given, key)
+        assert ciphertext == out
+        assert bytes(trace.y for trace in got) == out
+        assert [(t.z, t.y, (t.s1.x, t.s1.y), (t.s2.x, t.s2.y)) for t in got] == traces
+        assert decrypt(given, key) == plain
+    assert decrypt(list(out), key) == data
+    src, hexfile, back = tmp_path / "plain.bin", tmp_path / "ct.hex", tmp_path / "back.bin"
+    src.write_bytes(data)
+    encrypt_file(src, hexfile, key)
+    assert hexfile.read_text() == out.hex() + "\n"
+    decrypt_file(hexfile, back, key)
+    assert back.read_bytes() == data
+
+
+def test_divergence_inside_the_second_chunk_names_its_symbol(tmp_path):
+    key = Key(MapKind.DUFFING, MapParams(2.6326, 0.1831))
+    data = LONG_MSG[:100000]
+    symbol = 91118  # the orbit leaves the box in the second 64 KiB chunk
+    assert run_oracle(key, default_config(key.kind), data)[2] == symbol
+    src, hexfile, back = tmp_path / "plain.bin", tmp_path / "ct.hex", tmp_path / "back.bin"
+    src.write_bytes(data)
+    ciphertext = encrypt_bytes(data[:symbol], key) + bytes(10)
+    hexfile.write_text(ciphertext.hex())
+    for call in (lambda: encrypt_bytes(data, key), lambda: encrypt_bytes(list(data), key),
+                 lambda: encrypt(list(data), key), lambda: decrypt(list(ciphertext), key),
+                 lambda: encrypt_file(src, tmp_path / "out.hex", key),
+                 lambda: decrypt_file(hexfile, back, key)):
+        with pytest.raises(DivergenceError) as err:
+            call()
+        assert err.value.symbol == symbol
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.hex", "plain.bin"]
+
+
+def test_start_outside_the_box_diverges_at_symbol_0_only_if_there_is_one():
+    # each entry tests its start state once, before its first symbol
+    cfg = replace(default_config(MapKind.DUFFING), initial_state=State(0.1, 2e6))
+    for call in (encrypt_bytes, decrypt, lambda data, key, cfg: encrypt(data, key, cfg)[0]):
+        for data in (b"ab", [97, 98]):
+            with pytest.raises(DivergenceError) as err:
+                call(data, DUFFING_KEY, cfg)
+            assert err.value.symbol == 0
+        assert call(b"", DUFFING_KEY, cfg) == b""
+        assert call([], DUFFING_KEY, cfg) == b""
+    assert encrypt(b"", DUFFING_KEY, cfg) == (b"", [])
+    # every key of a scan starts there, so every key diverges
+    tile = ([2.75, 2.76, 2.77], [0.1, 0.11])
+    assert cipher._scan_grid(MapKind.DUFFING, 1.0, b"ab", cfg, b"xy", tile) == ([], 6, 6)
 
 
 def test_file_roundtrip(tmp_path):

@@ -387,6 +387,15 @@ def test_huge_quant_scale_is_one_error_line(tmp_path, arnold_key_file, capsys):
     assert not out.exists()
 
 
+def test_sensitivity_refuses_a_delta_that_leaves_the_key_unchanged(arnold_key_file, capsys):
+    rc = main(["sensitivity", "--text", "hello", "--key", arnold_key_file, "--mode", "key",
+               "--delta", "1e-320"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: delta 1e-320 leaves a = -4.0 unchanged\n"
+
+
 def test_identify_refuses_a_grid_over_the_scan_cap(arnold_key_file, capsys, monkeypatch):
     # 1e-300 steps make a grid of a 596-digit number of keys, which the
     # scan used to start and never finish
@@ -539,6 +548,9 @@ CONFIGS = mostly(['{}', '{"n2": 2}', '{"quant_scale": 7.0}'],
                   '{"initial_state": {"x": 0.1}}', '{"quant_scale": "big"}', "[1, 2]",
                   "{not json"])
 TEXTS = mostly(["hello", "Meet me after 5p.m.", "\u00e9t\u00e9"], [""])
+DELTAS = mostly(["1e-4", "0.01", "0", "-1e-4"],
+                ["1e-320", "5e-324", "-0.0", "1e308", "-1e308", "nan", "inf", "x"])
+FLIP_BITS = mostly(["0", "7", "39"], ["-1", "40", "1000000000000", "0.5"])
 _MAX_FUZZ_GRID = 10 ** 4
 
 
@@ -568,7 +580,7 @@ def grids(draw):
 @st.composite
 def cli_calls(draw):
     command = draw(st.sampled_from(["encrypt", "decrypt", "keygen", "trajectory",
-                                    "identify", "attack"]))
+                                    "sensitivity", "identify", "attack"]))
     files = {"k.json": draw(KEYS), "c.json": draw(CONFIGS)}
     kind = ["--kind", draw(st.sampled_from(["arnold", "duffing"]))]
     domain = draw(grids())
@@ -589,6 +601,15 @@ def cli_calls(draw):
                 "--out", "@out"]
         if draw(st.booleans()):
             argv.append(f"--init={draw(FLOATS)},{draw(FLOATS)}")
+    elif command == "sensitivity":
+        # the CLI perturbs a by --delta (key mode) or flips --flip-bit of
+        # the text (pt mode); it has no bit-flip key mode
+        argv = ["--text", text, "--key", "@k.json", *config,
+                "--mode", draw(mostly(["pt", "key"], ["bitflip", ""]))]
+        if draw(st.booleans()):
+            argv.append(f"--delta={draw(DELTAS)}")
+        if draw(st.booleans()):
+            argv.append(f"--flip-bit={draw(FLIP_BITS)}")
     elif command == "identify":
         argv = ["--text", text, "--key", "@k.json", *domain, *config,
                 "--iters", draw(mostly(["1", "3"], ["0", "1001"]))]
@@ -610,6 +631,10 @@ def cli_calls(draw):
            "c.json": '{"quant_scale": 1e308}'}))
 @example((["identify", "--text", "hello", "--key", "@k.json",
            "--domain=-4.0,0.5,-3.99,0.51", "--increment", "1e-300"],
+          {"k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}'}))
+# a key delta below the resolution of a, which printed 0.0000 and exit 0
+@example((["sensitivity", "--text", "hello", "--key", "@k.json", "--mode", "key",
+           "--delta", "1e-320"],
           {"k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}'}))
 def test_cli_contract_holds_for_hostile_input(call):
     argv, files = call
