@@ -313,8 +313,8 @@ def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
     mismatching symbol; divergent keys do not match."""
     total = domain.size()
     if total > _MAX_SCAN_KEYS:
-        raise DomainError(f"grid of {_size_text(total)} keys exceeds the scan cap of {_MAX_SCAN_KEYS}; "
-                          "use a larger increment or a smaller domain")
+        raise DomainError(f"grid of {_size_text(total)} keys exceeds the scan cap of "
+                          f"{_MAX_SCAN_KEYS}; use a larger increment or a smaller domain")
     workers = min(effective_workers(workers), -(-total // _MAX_POOL_CHUNK))
     if workers <= 1:
         chunk = 4096

@@ -309,9 +309,10 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence
 
     Output symbols are ciphertext when encrypting and plaintext when
     decrypting; the state and the symbol index carry from one chunk to
-    the next. The direction and trace pick the compiled block once. A symbol outside [0, symbol_modulus) raises DomainError,
-    and a divergent orbit DivergenceError with the index of the symbol
-    being processed, after the symbols before it. A trace callable is
+    the next, and the direction and trace pick the compiled block once.
+    A symbol outside [0, symbol_modulus) raises DomainError, and a
+    divergent orbit DivergenceError with the index of the symbol being
+    processed, after the symbols before it. A trace callable is
     called per symbol as trace(z, out, s1x, s1y, x, y): (s1x, s1y) is the
     state after the first n1 steps and (x, y) the state after the symbol,
     feedback included.

@@ -132,13 +132,13 @@ def test_key_sensitivity_zero_delta_is_zero():
 
 def test_key_sensitivity_refuses_a_perturbation_that_leaves_the_key_unchanged():
     # -4.0 + 1e-320 rounds back to -4.0, and the sign bit of 0.0 gives
-    # -0.0 == 0.0: each used to score 0% as if the cipher ignored the key
+    # -0.0 == 0.0: scoring either would read 0% as if the cipher ignored the key
     with pytest.raises(DomainError, match=r"delta 1e-320 leaves a = -4.0 unchanged"):
         key_sensitivity(b"any text", ARNOLD_KEY, delta=1e-320)
     zero = Key(MapKind.ARNOLD, MapParams(0.0, 0.5))
     with pytest.raises(DomainError, match=r"flipping bit 63 of a = 0.0 gives the equal value -0.0"):
         key_sensitivity(b"any text", zero, mode="bitflip", component="a", bit=63)
-    # the smallest delta that moves a is scored
+    # a delta that moves a is scored
     assert 0.0 <= key_sensitivity(b"any text", ARNOLD_KEY, delta=1e-15) <= 100.0
     assert key_sensitivity(b"any text", zero, mode="bitflip", component="a", bit=0) >= 0.0
 

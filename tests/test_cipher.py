@@ -372,6 +372,10 @@ def test_start_outside_the_box_diverges_at_symbol_0_only_if_there_is_one():
     # every key of a scan starts there, so every key diverges
     tile = ([2.75, 2.76, 2.77], [0.1, 0.11])
     assert cipher._scan_grid(MapKind.DUFFING, 1.0, b"ab", cfg, b"xy", tile) == ([], 6, 6)
+    # also where x0 cancels y0^3, so that the steps after stay inside the box
+    cfg = CipherConfig(State(2.0 ** 74 - 2.0 ** 35, 2.0 ** 20), 1, 2)
+    tile = ([2.0], [-2.0 ** -14])
+    assert cipher._scan_grid(MapKind.DUFFING, 1.0, b"ab", cfg, b"xy", tile) == ([], 1, 1)
 
 
 def test_file_roundtrip(tmp_path):
@@ -716,3 +720,14 @@ def test_scan_grid_matches_per_key_oracle(case):
         assert hits == [ab for ab, outcome in zip(keys, outcomes) if outcome == "hit"]
         assert diverged == outcomes.count("diverged")
         assert scanned == len(keys)
+
+
+def test_scanner_negates_b_once_per_column():
+    # the Duffing setup negates b once; the lift pass moves that negation
+    # out of the key loop into the per-column table
+    cfg = replace(default_config(MapKind.DUFFING), n1=2, n2=3)
+    scan = cipher._entry(cipher._SCAN, cipher._SCAN_FILL, MapKind.DUFFING, cfg)
+    lines = [line.strip() for line in linecache.getlines(scan.__code__.co_filename)]
+    column_loop, key_loop = lines.index("for b in b_values:"), lines.index("for column in columns:")
+    negations = [k for k, line in enumerate(lines) if "-b" in line]
+    assert len(negations) == 1 and column_loop < negations[0] < key_loop
