@@ -427,9 +427,10 @@ class AnalysisRow:
     ciphertext_hex: str = ""
     plaintext_sensitivity_pct: float = field(default=math.nan)
     key_sensitivity_pct: float = field(default=math.nan)
-    identifiable: str = "NI"
-    robust_kpa: str = "R"
-    brute_force_secret: str = "NO"
+    # a verdict stays empty when its phase did not run
+    identifiable: str = ""
+    robust_kpa: str = ""
+    brute_force_secret: str = ""
     error: str | None = None
 
 
@@ -451,7 +452,8 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
     """Run every analysis on each (plaintext, key, domain) triple.
 
     Per-row failures are recorded in the row's error field and the run
-    continues; the brute-force verdict always mirrors identifiability.
+    continues; a phase that fails leaves its verdict empty. The
+    brute-force verdict always mirrors identifiability, empty included.
     """
     rows_spec = list(rows_spec)
     rows = []
@@ -502,7 +504,7 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
         else:
             errors.append(("attack", "skipped, no ciphertext"))
 
-        row.brute_force_secret = "YES" if row.identifiable == "I" else "NO"
+        row.brute_force_secret = {"I": "YES", "NI": "NO"}.get(row.identifiable, "")
         row.error = "; ".join(f"{phase}: {message}" for phase, message in errors) or None
         rows.append(row)
         if log:
@@ -550,8 +552,8 @@ def read_report_csv(inp: TextIO, kind: MapKind) -> list[AnalysisRow]:
             raise ValueError(f"report row has {len(rec)} columns, expected {len(REPORT_HEADER)}")
         (index, plaintext, key_a, key_b, ciphertext_hex, pt_pct, key_pct,
          lo_a, lo_b, hi_a, hi_b, increment, identifiable, robust, brute) = rec
-        if identifiable not in ("I", "NI") or robust not in ("R", "NR") \
-                or brute not in ("YES", "NO"):
+        if identifiable not in ("I", "NI", "") or robust not in ("R", "NR", "") \
+                or brute not in ("YES", "NO", ""):
             raise ValueError(f"unexpected verdicts in report row {index}")
         domain = KeyDomain(kind, (float(lo_a), float(lo_b)),
                            (float(hi_a), float(hi_b)), float(increment))

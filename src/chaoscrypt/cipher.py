@@ -5,7 +5,9 @@ advance is quantized to an integer and mixed into the byte by addition
 mod 256. The first-stage mixed value is then folded back into the state,
 so the dynamics depend on everything already encrypted. Decryption
 regenerates the same state sequence from the key and inverts the mixing
-exactly.
+exactly. Symbols are bytes: the alphabet is fixed at SYMBOL_MODULUS =
+256, and _chunks, where a list or other iterable of ints enters, holds
+the one check that a symbol is a byte.
 
 One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
 map with the bound tests the map needs, quantizes, mixes and feeds back.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from math import floor
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator
 
 from .maps import (
     DIVERGENCE_BOUND,
@@ -106,7 +108,6 @@ class CipherConfig:
     n2: int = 3
     quant_scale: float = 1e6
     reinject_gain: float = 1.0
-    symbol_modulus: int = SYMBOL_MODULUS
 
     def __post_init__(self):
         for name in ("n1", "n2"):
@@ -148,11 +149,11 @@ def default_config(kind: MapKind) -> CipherConfig:
 
 
 def quantize(s: State, cfg: CipherConfig) -> int:
-    """floor(|x| * quant_scale) mod symbol_modulus, for the state's x."""
+    """floor(|x| * quant_scale) mod 256, for the state's x."""
     scaled = abs(s.x) * cfg.quant_scale
     if not math.isfinite(scaled):
         raise DomainError(f"cannot quantize x = {s.x!r} at quant_scale {cfg.quant_scale!r}")
-    return int(floor(scaled)) % cfg.symbol_modulus
+    return int(floor(scaled)) % SYMBOL_MODULUS
 
 
 # The cipher's per-symbol body. For symbol k with input c it advances the
@@ -170,8 +171,8 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 # moves x; Arnold's states stay finite, as fmod raises on an overflowed
 # feedback. (A NaN fed back, which no config allows, fails the next
 # symbol anyway: at a bound test, or at floor(nan), which raises
-# ValueError.) q1 and q2 are not reduced mod m: the mixes reduce the sums
-# they enter, which gives the same ints.
+# ValueError.) q1 and q2 are not reduced mod $modulus, the literal 256:
+# the mixes reduce the sums they enter, which gives the same ints.
 _SYMBOL_BODY = """\
 $steps1
 $snapshot
@@ -180,15 +181,15 @@ q1 = floor(abs(s1x) * q)
 q2 = floor(abs(x) * q)
 $mix
 $check
-x = fmod(x + g * z / m, 1.0)
+x = fmod(x + g * z / $modulus, 1.0)
 """
 _ENCRYPT = """\
-z = (c + q1) % m
-out = (z + q2) % m
+z = (c + q1) % $modulus
+out = (z + q2) % $modulus
 """
 _DECRYPT = """\
-z = (c - q2) % m
-out = (z - q1) % m
+z = (c - q2) % $modulus
+out = (z - q1) % $modulus
 """
 
 # Entry point 1, the cipher: runs one chunk of symbols under one key from
@@ -198,7 +199,7 @@ out = (z - q1) % m
 # trace, and _cipher_blocks fills in _DECRYPT to decrypt, or $emit with a
 # call that hands trace each symbol's z, output and two snapshots.
 _BLOCK = """\
-def block(a, b, n, x, y, k, symbols, q, g, m, trace):
+def block(a, b, n, x, y, k, symbols, q, g, trace):
     $setup
     result = bytearray()
     put = result.append
@@ -239,14 +240,14 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # grid's, a row's, or a column's by an empty table entry, whose unpacking
 # raises ValueError like the overflow would.
 _SCAN = """\
-def scan(a_values, b_values, n, x0, y0, q, g, m, pairs):
+def scan(a_values, b_values, n, x0, y0, q, g, pairs):
     scanned = len(a_values) * len(b_values)
     x, y = x0, y0
     if not ($entry):
         return [], scanned, scanned
     (c0, e0), *rest = pairs
     try:
-        grid_invariant(x0, y0, n, q, g, m, c0, e0)
+        grid_invariant(x0, y0, n, q, g, c0, e0)
     except ValueError:
         return [], scanned, scanned
     columns = []
@@ -290,29 +291,22 @@ _SCAN_FILL = {
 
 
 def _entry(template: str, fill: dict[str, str], kind: MapKind, cfg: CipherConfig) -> Callable:
-    """The entry point template defines, with _SYMBOL_BODY and fill, for
-    kind and cfg's iteration counts."""
-    return _kernel(kind, template, cfg.n1, cfg.n2, body=_SYMBOL_BODY, **fill)
+    """The entry point template defines, with _SYMBOL_BODY, fill and
+    SYMBOL_MODULUS as $modulus, for kind and cfg's iteration counts."""
+    return _kernel(kind, template, cfg.n1, cfg.n2, body=_SYMBOL_BODY,
+                   modulus=repr(SYMBOL_MODULUS), **fill)
 
 
-def _first_out_of_range(symbols: Sequence[int], m: int) -> int | None:
-    """Index of the first symbol outside [0, m), or None."""
-    if m >= 256 and isinstance(symbols, (bytes, bytearray)):
-        return None
-    return next((j for j, c in enumerate(symbols) if not 0 <= c < m), None)
-
-
-def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence[int]],
+def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[bytes],
                    decrypting: bool = False, trace: Callable | None = None,
                    ) -> Iterator[bytearray]:
-    """The cipher itself: one output block per chunk of input symbols.
+    """The cipher itself: one output block per chunk of input bytes.
 
-    Output symbols are ciphertext when encrypting and plaintext when
+    Output bytes are ciphertext when encrypting and plaintext when
     decrypting; the state and the symbol index carry from one chunk to
     the next, and the direction and trace pick the compiled block once.
-    A symbol outside [0, symbol_modulus) raises DomainError, and a
-    divergent orbit DivergenceError with the index of the symbol being
-    processed, after the symbols before it. A trace callable is
+    A divergent orbit raises DivergenceError with the index of the symbol
+    being processed, after the symbols before it. A trace callable is
     called per symbol as trace(z, out, s1x, s1y, x, y): (s1x, s1y) is the
     state after the first n1 steps and (x, y) the state after the symbol,
     feedback included.
@@ -326,15 +320,10 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence
         fill = {**fill, **_TRACED_FILL}
     block = _entry(_BLOCK, fill, key.kind, cfg)
     p = key.params
-    q, g, m = cfg.quant_scale, cfg.reinject_gain, cfg.symbol_modulus
+    q, g = cfg.quant_scale, cfg.reinject_gain
     x, y, k = cfg.initial_state.x, cfg.initial_state.y, 0
     for chunk in chunks:
-        bad = _first_out_of_range(chunk, m)
-        out, x, y = block(p.a, p.b, p.n_modulus, x, y, k, chunk if bad is None else chunk[:bad],
-                          q, g, m, trace)
-        if bad is not None:
-            what = "ciphertext symbol" if decrypting else "plaintext byte"
-            raise DomainError(f"{what} {chunk[bad]} out of range [0, {m})")
+        out, x, y = block(p.a, p.b, p.n_modulus, x, y, k, chunk, q, g, trace)
         k += len(chunk)
         yield out
 
@@ -342,13 +331,29 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[Sequence
 _CHUNK = 1 << 16
 
 
-def _chunks(symbols: bytes | Iterable[int]) -> Iterable[Sequence[int]]:
+def _chunks(symbols: bytes | Iterable[int]) -> Iterator[bytes]:
     """symbols as the chunks _cipher_blocks takes: bytes whole, any other
-    iterable in lists of up to _CHUNK."""
+    iterable as bytes of up to _CHUNK symbols. This is the cipher's one
+    symbol check: a chunk with a symbol that is not an int in [0, 256)
+    yields the symbols before it, so that a divergence among them still
+    wins, then raises DomainError naming the symbol."""
     if isinstance(symbols, (bytes, bytearray)):
-        return (symbols,)
-    it = iter(symbols)
-    return iter(lambda: list(islice(it, _CHUNK)), [])
+        yield symbols
+        return
+    it, k = iter(symbols), 0
+    while chunk := list(islice(it, _CHUNK)):
+        try:
+            block = bytes(chunk)
+        except (TypeError, ValueError):
+            valid = bytearray()
+            with suppress(TypeError, ValueError):
+                for c in chunk:
+                    valid.append(c)
+            yield valid
+            raise DomainError(f"symbol {c!r} at index {k + len(valid)} is not a byte, "
+                              f"an int in [0, {SYMBOL_MODULUS})") from None
+        yield block
+        k += len(chunk)
 
 
 def _scan_grid(kind: MapKind, n_modulus: float, data: bytes, cfg: CipherConfig,
@@ -357,14 +362,10 @@ def _scan_grid(kind: MapKind, n_modulus: float, data: bytes, cfg: CipherConfig,
     order, whose encryption of the non-empty data is reference; the count
     of keys whose orbit left the box or overflowed before their first
     mismatching symbol (such keys do not match); and the count of keys
-    scanned. The data symbols are checked once, for the whole tile."""
+    scanned. data is bytes, so its symbols need no check."""
     scan = _entry(_SCAN, _SCAN_FILL, kind, cfg)
-    m = cfg.symbol_modulus
-    bad = _first_out_of_range(data, m)
-    if bad is not None:
-        raise DomainError(f"plaintext byte {data[bad]} out of range [0, {m})")
     x, y = cfg.initial_state.x, cfg.initial_state.y
-    return scan(*tile, n_modulus, x, y, cfg.quant_scale, cfg.reinject_gain, m,
+    return scan(*tile, n_modulus, x, y, cfg.quant_scale, cfg.reinject_gain,
                 list(zip(data, reference)))
 
 

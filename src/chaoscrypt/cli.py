@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import signal
@@ -223,15 +224,18 @@ def cmd_report(args) -> int:
         log=lambda s: print(f"[report] {s}", file=sys.stderr))
     with cipher._atomic_write(args.out, "x", encoding="utf-8", newline="") as f:
         analysis.write_report_csv(rows, f)
-    pt_min, pt_max = analysis._minmax(r.plaintext_sensitivity_pct for r in rows)
-    ks_min, ks_max = analysis._minmax(r.key_sensitivity_pct for r in rows)
+    # a range no row has a value for is null: JSON has no NaN
+    pt_range, ks_range = (
+        None if math.isnan(low) else [low, high]
+        for low, high in (analysis._minmax(r.plaintext_sensitivity_pct for r in rows),
+                          analysis._minmax(r.key_sensitivity_pct for r in rows)))
     band = analysis.REFERENCE_PT_SENSITIVITY_BAND.get(
         rows[0].domain.kind) if rows else None
     print(json.dumps({
         "rows": len(rows),
         "out": args.out,
-        "pt_sensitivity_range_pct": [pt_min, pt_max],
-        "key_sensitivity_range_pct": [ks_min, ks_max],
+        "pt_sensitivity_range_pct": pt_range,
+        "key_sensitivity_range_pct": ks_range,
         "reference_pt_band_pct": list(band) if band else None,
         "errors": sum(1 for r in rows if r.error),
         "elapsed_s": perf_counter() - t0,

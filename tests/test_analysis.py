@@ -187,7 +187,8 @@ def test_report_records_an_overflowing_orbit_as_a_row_error():
     (row,) = analysis_report([("overflow", ARNOLD_KEY, dom)], cfg)
     assert row.error.startswith("encrypt: orbit diverged while processing symbol 0")
     assert "identifiability: orbit diverged" in row.error
-    assert row.identifiable == "NI" and row.brute_force_secret == "NO"
+    # no phase that gives a verdict ran to its end
+    assert (row.identifiable, row.robust_kpa, row.brute_force_secret) == ("", "", "")
 
 
 def test_report_row_at_a_tiny_increment_is_an_error_on_one_short_log_line():
@@ -204,6 +205,34 @@ def test_report_row_at_a_tiny_increment_is_an_error_on_one_short_log_line():
     assert " grid=over 10^598 " in line
     assert "identifiability, attack: grid of over 10^598 keys" in line
     assert len(line) < 300
+
+
+def test_report_leaves_the_verdicts_of_phases_that_did_not_run_empty():
+    # neither scan runs on a grid over the cap: the row claims no verdict,
+    # its CSV cells stay empty, and compare counts it as neither
+    # identifiable nor robust
+    dom = KeyDomain(MapKind.ARNOLD, (-4.0, 0.5), (-3.9, 0.6), 1e-300)
+    (row,) = analysis_report([("hello world", ARNOLD_KEY, dom)])
+    assert (row.identifiable, row.robust_kpa, row.brute_force_secret) == ("", "", "")
+    buf = io.StringIO()
+    write_report_csv([row], buf)
+    assert buf.getvalue().splitlines()[1].endswith(",1e-300,,,")
+    buf.seek(0)
+    (parsed,) = read_report_csv(buf, MapKind.ARNOLD)
+    assert (parsed.identifiable, parsed.robust_kpa, parsed.brute_force_secret) == ("", "", "")
+    summary, _ = compare_ciphers([parsed], [parsed])
+    assert (summary.identifiable_keys, summary.robust_keys) == (0, 0)
+    assert not (summary.any_identifiable or summary.any_robust)
+
+
+def test_failed_attack_leaves_the_identifiability_verdicts():
+    # the scan at prefix length 0 is refused; identifiability still ran
+    dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-3)
+    (row,) = analysis_report([("hello", ARNOLD_KEY, dom)], kpa_prefix_len=0)
+    assert row.error.startswith("attack: ")
+    assert row.robust_kpa == ""
+    assert row.identifiable in ("I", "NI")
+    assert row.brute_force_secret == ("YES" if row.identifiable == "I" else "NO")
 
 
 def test_constant_quantizer_defeats_identifiability():
@@ -288,6 +317,23 @@ def test_scan_result_is_worker_invariant(monkeypatch):
     serial = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=1)
     parallel = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=3)
     assert serial == parallel
+
+
+def test_threads_cap_keeps_a_pooling_scan_serial(monkeypatch):
+    # 441 keys in 64-key pool chunks: workers=3 starts a pool unless
+    # CHAOSCRYPT_THREADS caps it at one process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+    dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
+    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    serial = identifiability_scan(b"capped", ARNOLD_KEY, dom, workers=1)
+    with pytest.raises(AssertionError, match="a pool was started"):
+        identifiability_scan(b"capped", ARNOLD_KEY, dom, workers=3)
+    monkeypatch.setenv("CHAOSCRYPT_THREADS", "1")
+    assert identifiability_scan(b"capped", ARNOLD_KEY, dom, workers=3) == serial
 
 
 def test_small_grid_scans_without_a_pool(monkeypatch):
@@ -517,11 +563,6 @@ def test_attack_checks_config_and_prefix_before_scanning():
         known_plaintext_attack(ciphertext, b"xyz", dom, replace(cfg, n1=0))
     with pytest.raises(DomainError, match="n1 and n2"):
         known_plaintext_attack(ciphertext, b"xyz", dom, replace(cfg, n2=0))
-    # the second prefix symbol is out of range: refused even though every
-    # grid key may already mismatch at the first
-    with pytest.raises(DomainError, match="plaintext byte 200"):
-        known_plaintext_attack(ciphertext, bytes([3, 200]), dom,
-                               replace(cfg, symbol_modulus=16))
 
 
 # --- known-plaintext attack --------------------------------------------------

@@ -215,10 +215,16 @@ def test_kernel_matches_flat_oracle_on_random_grid_keys(iters):
 
 
 def test_plaintext_byte_out_of_range():
-    with pytest.raises(DomainError):
-        encrypt_bytes([65, 300], DUFFING_KEY)
-    with pytest.raises(DomainError):
-        decrypt([65, -1], DUFFING_KEY)
+    # symbols are bytes: anything else in a list is one DomainError naming it
+    # (the Duffing orbit diverges at symbol 615 of the 7s; the cat-map one never)
+    for call, symbols, key, named in [
+            (encrypt_bytes, [65, 300], DUFFING_KEY, "300 at index 1"),
+            (decrypt, [65, -1], DUFFING_KEY, "-1 at index 1"),
+            (encrypt_bytes, [1.5], DUFFING_KEY, "1.5 at index 0"),
+            (encrypt_bytes, ["a"], DUFFING_KEY, "'a' at index 0"),
+            (encrypt, [7] * 70000 + [256], ARNOLD_KEY, "256 at index 70000")]:
+        with pytest.raises(DomainError, match=f"symbol {named} is not a byte"):
+            call(symbols, key)
 
 
 def test_config_iteration_counts_validated():
@@ -306,7 +312,7 @@ def test_nan_feedback_is_a_divergence():
         p, s = key.params, cfg.initial_state
         with pytest.raises(DivergenceError) as err:
             block(p.a, p.b, p.n_modulus, s.x, s.y, 0, b"\x00\x00", cfg.quant_scale,
-                  float("nan"), cfg.symbol_modulus, None)
+                  float("nan"), None)
         assert err.value.symbol == 1
 
 
@@ -356,6 +362,20 @@ def test_divergence_inside_the_second_chunk_names_its_symbol(tmp_path):
             call()
         assert err.value.symbol == symbol
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ct.hex", "plain.bin"]
+
+
+def test_divergence_before_a_bad_symbol_wins():
+    # a list runs its symbols before the first bad one, so the divergence
+    # at symbol 91118 (see above) wins over a bad symbol later in its
+    # chunk or in the next
+    key = Key(MapKind.DUFFING, MapParams(2.6326, 0.1831))
+    symbol = 91118
+    ciphertext = encrypt_bytes(LONG_MSG[:symbol], key)
+    for bad in (95000, 135000):
+        for call, data in ((encrypt_bytes, LONG_MSG), (decrypt, ciphertext + bytes(bad))):
+            with pytest.raises(DivergenceError) as err:
+                call(list(data[:bad]) + [300], key)
+            assert err.value.symbol == symbol
 
 
 def test_start_outside_the_box_diverges_at_symbol_0_only_if_there_is_one():
@@ -478,8 +498,7 @@ def test_default_initial_states_per_kind():
     assert default_config(MapKind.DUFFING).initial_state == State(-0.04, 0.2)
     for kind in MapKind:
         cfg = default_config(kind)
-        assert (cfg.n1, cfg.n2, cfg.quant_scale, cfg.reinject_gain,
-                cfg.symbol_modulus) == (3, 3, 1e6, 1.0, 256)
+        assert (cfg.n1, cfg.n2, cfg.quant_scale, cfg.reinject_gain) == (3, 3, 1e6, 1.0)
 
 
 def test_package_exports_every_module_name():

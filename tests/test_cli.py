@@ -1,8 +1,10 @@
 """In-process tests of the command-line front end."""
 
+import csv
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -228,6 +230,19 @@ def test_interrupt_is_one_error_line(tmp_path, arnold_key_file, capsys, monkeypa
     assert not out.exists()
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# a one-row spec at increment 1e-300, where neither scan nor the key
+# sensitivity can run, and the report CSV it writes
+TINY_STEP_SPEC = ('[{"plaintext": "hello world", "key": {"kind": "arnold", "a": -4.0, '
+                  '"b": 0.5}, "domain": {"lower": [-4.0, 0.5], "upper": [-3.9, 0.6], '
+                  '"increment": 1e-300}}]')
+TINY_STEP_CSV = (",".join(analysis.REPORT_HEADER) + "\r\n1,hello world,-4.0,0.5,"
+                 "2c0f9196203a5116f08d33,48.86363636363637,nan,-4.0,0.5,-3.9,0.6,1e-300,,,\r\n")
+
+
 SMALL_ARNOLD_SPEC = [{"plaintext": "Meet me", "key": {"kind": "arnold", "a": -4.0, "b": 0.5},
                       "domain": {"lower": [-4.0, 0.5], "upper": [-4.0, 0.5]}}]
 
@@ -318,6 +333,16 @@ def test_identify_singleton_domain(arnold_key_file, capsys):
     assert result["verdict"] == "I"
     assert result["matching"] == 1
     assert result["grid"] == 1
+
+
+def test_bad_threads_cap_is_one_error_line(arnold_key_file, capsys, monkeypatch):
+    monkeypatch.setenv("CHAOSCRYPT_THREADS", "x")
+    rc = main(["identify", "--text", "hello", "--key", arnold_key_file,
+               "--domain=-4,0.5,-4,0.5"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CHAOSCRYPT_THREADS must be an integer, got 'x'\n"
 
 
 def test_scan_json_counts_diverged_keys(tmp_path, capsys):
@@ -490,6 +515,18 @@ def test_report_and_compare_small_specs(tmp_path, capsys):
     assert cmp_lines[2].startswith("duffing,")
 
 
+def test_report_prints_strict_json_when_no_row_has_a_sensitivity(tmp_path, capsys):
+    # at increment 1e-300 the key delta rounds away, so no row has a key
+    # sensitivity, and neither scan runs
+    spec, out = tmp_path / "spec.json", tmp_path / "report.csv"
+    spec.write_text(TINY_STEP_SPEC)
+    assert main(["report", "--spec", str(spec), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert summary["key_sensitivity_range_pct"] is None
+    assert summary["errors"] == 1
+    assert out.read_text().splitlines()[1].endswith(",1e-300,,,")
+
+
 def test_builtin_spec_names_resolve(tmp_path, capsys):
     # resolution only; the full 20-row runs live in the acceptance suite
     from chaoscrypt.cli import _resolve_spec
@@ -555,10 +592,11 @@ _MAX_FUZZ_GRID = 10 ** 4
 
 
 @st.composite
-def grids(draw):
-    """--domain and --increment: a small box around a key of either kind,
-    the same box in steps of 1e-300, or any corners and increment. A grid
-    is either small enough to scan at once or over the scan cap."""
+def boxes(draw):
+    """A grid's corners and increment, as four strings and one: a small
+    box around a key of either kind, the same box in steps of 1e-300, or
+    any corners and increment. A grid is either small enough to scan at
+    once or over the scan cap."""
     shape = draw(mostly(["small", "small", "fine"], ["any"]))
     if shape == "any":
         box, increment = [draw(FLOATS) for _ in range(4)], draw(INCREMENTS)
@@ -574,13 +612,70 @@ def grids(draw):
         na, nb = draw(st.integers(0, 60)), draw(st.integers(0, 60))
         box = [repr(v) for v in (a, b, a + na * step, b + nb * step)]
         increment = "1e-300" if shape == "fine" else repr(step)
-    return [f"--domain={','.join(box)}", f"--increment={increment}"]
+    return box, increment
+
+
+def grids():
+    """--domain and --increment of a grid drawn by boxes."""
+    return boxes().map(lambda grid: [f"--domain={','.join(grid[0])}",
+                                     f"--increment={grid[1]}"])
+
+
+@st.composite
+def report_specs(draw):
+    """A report spec of one or two rows, each a drawn key, text and grid
+    (its numbers as JSON writes the floats they spell, NaN included), or
+    a spec of the wrong shape."""
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        box, increment = draw(boxes())
+        lo_a, lo_b, hi_a, hi_b, inc = (json.dumps(float(v)) for v in (*box, increment))
+        rows.append(f'{{"plaintext": {json.dumps(draw(TEXTS))}, "key": {draw(KEYS)}, '
+                    f'"domain": {{"lower": [{lo_a}, {lo_b}], "upper": [{hi_a}, {hi_b}], '
+                    f'"increment": {inc}}}}}')
+    return draw(mostly([f"[{', '.join(rows)}]"],
+                       ["[]", "{}", "[1]", '[{"plaintext": "x"}]', "{not json"]))
+
+
+@st.composite
+def report_csvs(draw):
+    """A report CSV for compare, and its counts of I and R verdicts, or
+    None for a CSV with a flaw: rows of any verdicts, empty ones included,
+    or a wrong header, a short row, a value that is not a number, an
+    unknown verdict, no rows, or bytes that are not UTF-8."""
+    rows = []
+    for index in range(1, draw(st.integers(1, 3)) + 1):
+        ident, brute = draw(st.sampled_from([("I", "YES"), ("NI", "NO"), ("", "")]))
+        rows.append([str(index), draw(TEXTS), "-4.0", "0.5", "00ff",
+                     *(draw(st.sampled_from(["12.5", "48.9", "nan"])) for _ in range(2)),
+                     "-4.0", "0.5", "-3.9", "0.6", draw(st.sampled_from(["0.0001", "1e-300"])),
+                     ident, draw(st.sampled_from(["R", "NR", ""])), brute])
+    header = list(analysis.REPORT_HEADER)
+    flaw = draw(mostly([None], ["header", "short", "number", "verdict", "no rows", "utf-8"]))
+    if flaw == "header":
+        header[0] = "idx"
+    elif flaw == "short":
+        rows[-1].pop()
+    elif flaw == "number":
+        rows[-1][draw(st.sampled_from([0, 2, 5, 11]))] = draw(st.sampled_from(["x", "", "0"]))
+    elif flaw == "verdict":
+        rows[-1][draw(st.integers(12, 14))] = draw(st.sampled_from(["X", "i", " I"]))
+    elif flaw == "no rows":
+        rows = []
+    buf = StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    content = (b"\xff" if flaw == "utf-8" else b"") + buf.getvalue().encode()
+    counts = None if flaw else (sum(r[12] == "I" for r in rows), sum(r[13] == "R" for r in rows))
+    return content, counts
 
 
 @st.composite
 def cli_calls(draw):
+    """argv, the files to write, and for compare the (I, R) verdict counts
+    of each input CSV (None for one with a flaw)."""
     command = draw(st.sampled_from(["encrypt", "decrypt", "keygen", "trajectory",
-                                    "sensitivity", "identify", "attack"]))
+                                    "sensitivity", "identify", "attack", "report",
+                                    "compare"]))
     files = {"k.json": draw(KEYS), "c.json": draw(CONFIGS)}
     kind = ["--kind", draw(st.sampled_from(["arnold", "duffing"]))]
     domain = draw(grids())
@@ -613,11 +708,21 @@ def cli_calls(draw):
     elif command == "identify":
         argv = ["--text", text, "--key", "@k.json", *domain, *config,
                 "--iters", draw(mostly(["1", "3"], ["0", "1001"]))]
-    else:
+    elif command == "attack":
         files["ct.hex"] = draw(mostly(["a1b2c3d4e5f60718293a4b5c6d7e8f90"], ["", "zz"]))
         argv = ["--cipher", "@ct.hex", "--known-prefix", text, *kind, *domain,
                 *n_modulus, *config, "--json"]
-    return [command, *argv], files
+    elif command == "report":
+        files["spec.json"] = draw(report_specs())
+        argv = ["--spec", "@spec.json", "--out", "@out"]
+    else:
+        (files["a.csv"], counts_a), (files["d.csv"], counts_d) = draw(report_csvs()), \
+            draw(report_csvs())
+        argv = ["--arnold", "@a.csv", "--duffing", "@d.csv"]
+        if draw(st.booleans()):
+            argv += ["--out", "@out"]
+        return [command, *argv], files, {"arnold": counts_a, "duffing": counts_d}
+    return [command, *argv], files, None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -628,17 +733,29 @@ def cli_calls(draw):
 @example((["encrypt", "--in", "@in", "--out", "@out", "--key", "@k.json",
            "--config", "@c.json"],
           {"in": b"hello", "k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}',
-           "c.json": '{"quant_scale": 1e308}'}))
+           "c.json": '{"quant_scale": 1e308}'}, None))
 @example((["identify", "--text", "hello", "--key", "@k.json",
            "--domain=-4.0,0.5,-3.99,0.51", "--increment", "1e-300"],
-          {"k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}'}))
+          {"k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}'}, None))
 # a key delta below the resolution of a, which printed 0.0000 and exit 0
 @example((["sensitivity", "--text", "hello", "--key", "@k.json", "--mode", "key",
            "--delta", "1e-320"],
-          {"k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}'}))
+          {"k.json": '{"kind": "arnold", "a": -4.0, "b": 0.5}'}, None))
+# a report whose scans never ran wrote the verdicts NI, R, NO, and printed
+# a NaN key-sensitivity range; compare refused the empty verdicts it
+# writes now
+@example((["report", "--spec", "@spec.json", "--out", "@out"],
+          {"spec.json": TINY_STEP_SPEC}, None))
+@example((["compare", "--arnold", "@a.csv", "--duffing", "@d.csv"],
+          {"a.csv": TINY_STEP_CSV, "d.csv": TINY_STEP_CSV},
+          {"arnold": (0, 0), "duffing": (0, 0)}))
 def test_cli_contract_holds_for_hostile_input(call):
-    argv, files = call
+    argv, files, counts = call
     scanned = []
+
+    def matching_keys(*args, **kwargs):
+        scanned.clear()  # report runs up to three scans a row: bound each
+        return real_matching_keys(*args, **kwargs)
 
     def scan(*args):
         result = real_scan(*args)
@@ -646,10 +763,17 @@ def test_cli_contract_holds_for_hostile_input(call):
         assert sum(scanned) <= _MAX_FUZZ_GRID, "a scan started on a grid over the cap"
         return result
 
-    real_scan = analysis._scan_grid
+    def report(*args, **kwargs):
+        reported.extend(real_report(*args, **kwargs))
+        return reported
+
+    real_matching_keys, real_scan = analysis._matching_keys, analysis._scan_grid
+    real_report, reported = analysis.analysis_report, []
     out, err = StringIO(), StringIO()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_matching_keys", matching_keys)
         mp.setattr(analysis, "_scan_grid", scan)
+        mp.setattr(analysis, "analysis_report", report)
         for name, content in files.items():
             Path(tmp, name).write_bytes(content if isinstance(content, bytes)
                                         else content.encode())
@@ -659,7 +783,25 @@ def test_cli_contract_holds_for_hostile_input(call):
                 rc = main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 rc = exc.code
+        out_csv = Path(tmp, "out")
+        written = out_csv.read_text() if argv[0] in ("report", "compare") \
+            and out_csv.exists() else None
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert rc in (0, 1, 2, 3)
     assert len(errors) == (rc != 0)
     assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert not re.search(r"\b(NaN|-?Infinity)\b", out.getvalue())
+    if argv[0] == "report" and rc == 0:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+        # a verdict cell is empty exactly when its phase did not run
+        for row, rec in zip(reported, list(csv.reader(StringIO(written)))[1:], strict=True):
+            failed = {part.split(":")[0] for part in (row.error or "").split("; ")}
+            assert (rec[12] == "") == ("identifiability" in failed)
+            assert (rec[13] == "") == ("attack" in failed)
+            assert rec[14] == {"I": "YES", "NI": "NO", "": ""}[rec[12]]
+    if argv[0] == "compare" and None not in counts.values():
+        assert rc == 0
+        table = csv.DictReader(StringIO(written if written is not None else out.getvalue()))
+        assert {r["cipher"]: (int(r["identifiable_keys"]), int(r["robust_keys"]))
+                for r in table} == counts
