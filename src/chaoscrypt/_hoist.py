@@ -1,12 +1,12 @@
-"""The scanner's lift pass: one ast pass that takes every grid-, row- and
-column-invariant subtree of a key's first symbol out of the key loop of
-a spliced scanner template, before maps._kernel compiles it (see hoist).
+"""The scanner's lift pass: one ast pass over the code a key runs for its
+first symbol, which takes out every grid-, row- and column-invariant
+subtree and returns the snippets maps._kernel splices into the scanner
+template in its place (see hoist).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 
 # The levels of the loop nest a scanner runs keys in, as the set of loop
 # axes a value depends on: grid-invariant values depend on neither, a
@@ -16,11 +16,11 @@ _ROW = frozenset({"row"})
 _COLUMN = frozenset({"column"})
 _KEY = _ROW | _COLUMN
 
-# The marker calls hoist replaces, each on a line of its own. A level
-# marker's arguments are the names that are invariant at its level.
-_LEVEL_MARKERS = {"grid_invariant": _GRID, "row_invariant": _ROW, "column_invariant": _COLUMN}
-_MARKER = re.compile(r"( *)(?:\w+ = )?(grid_invariant|row_invariant|column_invariant"
-                     r"|key_code|end_of_lifts)\((.*)\)\n")
+# The names the lift region reads before it assigns them, by the level
+# they are invariant at: the call's arguments and symbol 0's pair (c0,
+# e0), a row's a and a column's b.
+_INVARIANT = {**dict.fromkeys(("x0", "y0", "n", "q", "g", "c0", "e0"), _GRID),
+              "a": _ROW, "b": _COLUMN}
 
 # Operations a lifted subtree may contain. Float +, -, * and comparisons
 # never raise, and fmod raises ValueError only on an infinite dividend;
@@ -98,8 +98,6 @@ class _Lifter:
 
     def statement(self, stmt: ast.stmt) -> list[ast.stmt]:
         """The key's code left of stmt once its invariant values are lifted."""
-        if isinstance(stmt, ast.Pass):
-            return []
         if isinstance(stmt, ast.If) and not stmt.orelse:
             test, level = self.visit(stmt.test)
             if level not in (None, _KEY) and not _trivial(test):
@@ -157,87 +155,69 @@ def _trivial(node: ast.expr) -> bool:
     return isinstance(node, (ast.Name, ast.Constant))
 
 
-def _code(stmts: list[ast.stmt], column: int) -> str:
-    """stmts as source lines indented to column."""
-    return "".join(" " * column + line + "\n" for stmt in stmts
-                   for line in ast.unparse(ast.fix_missing_locations(stmt)).splitlines())
+def _code(stmts: list[ast.stmt]) -> str:
+    """stmts as source lines."""
+    return "".join(ast.unparse(ast.fix_missing_locations(stmt)) + "\n" for stmt in stmts)
 
 
-def hoist(source: str) -> str:
-    """source, a scanner template spliced, with every invariant subtree of
-    a key's first symbol lifted out of the key loop.
+def hoist(region: str) -> dict[str, str]:
+    """The snippets that run region, the code a scanner's key runs for its
+    first symbol, with every invariant subtree lifted out of the key loop.
 
-    The template marks its loop nest with calls, each on a line of its own:
-    - grid_invariant(names), row_invariant(names): replaced by the lifted
-      statements of that level; the arguments are the names invariant
-      at it;
-    - column = column_invariant(names): the call becomes the tuple of the
-      column's invariant values, after the column's lifted statements;
-    - key_code(column), which becomes the unpacking of that tuple, and
-      end_of_lifts(): the lift region between them is straight-line code,
-      one statement per line at key_code's indentation (an if's body
-      indented below it), that every key runs until it leaves the loop,
-      and the only ways out before its last statement count the key as
-      diverged.
+    region is straight-line code that reads the names of _INVARIANT before
+    it assigns them. Every key runs it until it leaves the loop, and the
+    only ways out before its last lifted subtree count the key as
+    diverged. The snippets, each source lines that the splicer indents:
+    - grid_lifts, row_lifts, column_lifts: the lifted statements of each
+      level, for the scanner to run once per call, per row and per
+      column (`pass` when there are none);
+    - column_values: b and the names of the column's lifted values,
+      comma-separated: a tuple inside parentheses, and the target that
+      unpacks one (a lone b is neither, but with no column lifts to
+      raise, no column's entry is the empty tuple);
+    - key_code: region with its invariant subtrees replaced by the names
+      that hold them, and then each name that stands for another given its
+      value back.
 
     The pass follows each name's current value through the region, so
     that after `x, y = x0, y0` the name x stands for x0. It takes out
     every maximal pure subtree (+, -, *, unary minus, not, abs, fmod,
     comparisons, and/or, names, constants) whose names are all invariant
-    at one level and puts it, under a fresh name, before that level's
-    loop; a name assigned such a value stands for that name from then on.
-    A short-circuited operand moves only with its parent. At end_of_lifts
-    each name that stands for another gets its value back. A statement
-    met again in the same state of the walk (the steps of a run are one
-    text) is rewritten as it was the first time.
+    at one level and puts it under a fresh name in that level's lifts; a
+    name assigned such a value stands for that name from then on. A
+    short-circuited operand moves only with its parent. A statement met
+    again in the same state of the walk (the steps of a run are copies of
+    one step) is rewritten as it was the first time.
 
     Whole subtrees are moved, with every operation and operand order
     kept, so every float comes out bit for bit as before. Only fmod can
     raise (ValueError, on an overflowed dividend). A key that runs the
-    lift region either reaches the lifted subtree or diverges first, so
-    when it raises, the template counts every key of that grid, row or
-    column as diverged: the outcome each would have had unlifted.
+    region either reaches the lifted subtree or diverges first, so when
+    it raises, the scanner counts every key of that grid, row or column
+    as diverged: the outcome each would have had unlifted.
     """
-    lines = source.splitlines(keepends=True)
-    at = {}  # marker -> (line index, indentation, arguments)
-    for k, line in enumerate(lines):
-        if (m := _MARKER.fullmatch(line)):
-            at[m[2]] = (k, len(m[1]), m[3])
-    lifter = _Lifter({name: level for marker, level in _LEVEL_MARKERS.items()
-                      for name in at[marker][2].split(", ")})
-    begin, column, unpacked = at["key_code"]
-    end = at["end_of_lifts"][0]
-    statements = []  # the region's statements, each with its if's body
-    for line in lines[begin + 1:end]:
-        if len(line) - len(line.lstrip(" ")) == column:
-            statements.append("")
-        statements[-1] += line[column:]
-    region, rewritten = [], {}
-    for text in statements:
-        version = lifter.version
-        new = rewritten.get((text, version))
-        if new is None:
-            new = _code([s for stmt in ast.parse(text).body for s in lifter.statement(stmt)],
-                        column)
-            if lifter.version == version:
-                rewritten[text, version] = new
-        region.append(new)
-    region.append(_code([ast.Assign([ast.Name(name, ast.Store())], value)
-                         for name, value in lifter.alias.items()], column))
-    # the column values the key's code reads: its words are a superset
-    read = set(re.findall(r"\w+", "".join(region) + "".join(lines[end + 1:])))
-    names = [name for name, level in lifter.levels.items() if level == _COLUMN and name in read]
-
-    def values(ctx):
-        return ast.Tuple([ast.Name(name, ctx) for name in names], ctx)
-
-    for marker, level in _LEVEL_MARKERS.items():
-        k, indent, _ = at[marker]
-        lifted = lifter.lifted[level]
-        if level == _COLUMN:  # the line is `<name> = column_invariant(...)`
-            lifted = lifted + [ast.Assign([ast.Name(lines[k].split()[0], ast.Store())],
-                                          values(ast.Load()))]
-        lines[k] = _code(lifted or [ast.Pass()], indent)
-    unpack = ast.Assign([values(ast.Store())], ast.Name(unpacked, ast.Load()))
-    lines[begin:end + 1] = [_code([unpack], column), *region]
-    return "".join(lines)
+    lifter, rewritten, key_code = _Lifter(_INVARIANT), {}, []
+    # Each line at column 0 starts a statement; an if's body is indented
+    # below it. Only the first copy of a text in a state of the walk is
+    # parsed: parsing the region whole would take longer than compiling
+    # the scanner does. A text that changes the state is never met again
+    # in the state it started from.
+    texts = []
+    for line in region.splitlines(keepends=True):
+        if line.startswith(" "):
+            texts[-1] += line
+        else:
+            texts.append(line)
+    for text in texts:
+        seen = text, lifter.version
+        if seen not in rewritten:
+            rewritten[seen] = _code([s for stmt in ast.parse(text).body
+                                     for s in lifter.statement(stmt)])
+        key_code.append(rewritten[seen])
+    restored = [ast.Assign([ast.Name(name, ast.Store())], value)
+                for name, value in lifter.alias.items()]
+    columns = [name for name, level in lifter.levels.items() if level == _COLUMN]
+    lifts = {f"{name}_lifts": _code(lifter.lifted[level] or [ast.Pass()])
+             for name, level in (("grid", _GRID), ("row", _ROW), ("column", _COLUMN))}
+    return {**lifts, "column_values": ", ".join(columns),
+            "key_code": "".join(key_code) + _code(restored)}

@@ -5,8 +5,9 @@ sensitivity percentages, the output-equality identifiability scan, the
 known-plaintext key search, and generation of the per-key report tables.
 
 Grid scans are embarrassingly parallel; results are identical regardless
-of evaluation order or worker count, and the CHAOSCRYPT_THREADS
-environment variable caps parallelism globally.
+of evaluation order or worker count. The worker count is capped by the
+CPUs the process may run on, and by the CHAOSCRYPT_THREADS environment
+variable.
 """
 
 from __future__ import annotations
@@ -77,8 +78,10 @@ _GRID_EPS = 1e-9
 
 
 def effective_workers(requested: int | None = None) -> int:
-    """Requested worker count clamped by the CHAOSCRYPT_THREADS cap."""
-    workers = 1 if requested is None else max(1, int(requested))
+    """Requested worker count clamped by the CPUs this process may run on
+    and by the CHAOSCRYPT_THREADS cap."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = 1 if requested is None else max(1, min(int(requested), cpus or 1))
     cap = os.environ.get("CHAOSCRYPT_THREADS")
     if cap:
         try:

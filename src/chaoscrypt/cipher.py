@@ -232,13 +232,15 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # key is a miss. Every key starts from (x0, y0), so a start state that
 # fails $entry diverges every key.
 #
-# Symbol 0 runs peeled, in the lift region between key_code and
-# end_of_lifts, and _hoist.hoist lifts its grid-invariant subtrees out of
-# the call's loops, its row-invariant ones out of the column loop, and its
-# column-invariant ones into a table with one entry per b (see there). A
-# lifted value that overflows diverges every key that depends on it: a
-# grid's, a row's, or a column's by an empty table entry, whose unpacking
-# raises ValueError like the overflow would.
+# A key runs symbol 0 peeled, as $lifted: its setup, start state and
+# symbol body. maps._kernel hands that code to _hoist.hoist, which lifts
+# its grid-invariant subtrees out of the call's loops ($grid_lifts), its
+# row-invariant ones out of the column loop ($row_lifts) and its
+# column-invariant ones into a table with one entry per b ($column_lifts,
+# $column_values), and returns the rest as $key_code (see there). A lifted
+# value that overflows diverges every key that depends on it: a grid's, a
+# row's, or a column's by an empty table entry, whose unpacking raises
+# ValueError like the overflow would.
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, g, pairs):
     scanned = len(a_values) * len(b_values)
@@ -247,13 +249,14 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs):
         return [], scanned, scanned
     (c0, e0), *rest = pairs
     try:
-        grid_invariant(x0, y0, n, q, g, c0, e0)
+        $grid_lifts
     except ValueError:
         return [], scanned, scanned
     columns = []
     for b in b_values:
         try:
-            column = column_invariant(b)
+            $column_lifts
+            column = ($column_values)
         except ValueError:
             column = ()
         columns.append(column)
@@ -261,17 +264,14 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs):
     diverged = 0
     for a in a_values:
         try:
-            row_invariant(a)
+            $row_lifts
         except ValueError:
             diverged += len(columns)
             continue
         for column in columns:
             try:
-                key_code(column)
-                $setup
-                c, expected = c0, e0
-                x, y = x0, y0
-                $peeled
+                $column_values = column
+                $key_code
                 for c, expected in rest:
                     $body
                 else:
@@ -281,8 +281,9 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs):
     return hits, diverged, scanned
 """
 _SCAN_FILL = {
-    "peeled": (_SYMBOL_BODY, (("diverge", "diverged += 1\ncontinue"),
-                              ("check", "if out != expected:\n    continue\nend_of_lifts()"))),
+    "lifted": ("$setup\nc, expected = c0, e0\nx, y = x0, y0\n$body",
+               (("diverge", "diverged += 1\ncontinue"),
+                ("check", "if out != expected:\n    continue"))),
     "diverge": "diverged += 1\nbreak",
     "snapshot": "s1x = x",
     "mix": _ENCRYPT,

@@ -31,6 +31,17 @@ from .maps import DivergenceError, MapKind, MapParams, State
 _MAX_TRAJECTORY_STEPS = 10 ** 6
 
 
+def _arg_type(parse):
+    """parse as an argparse type= function: argparse shows the message of
+    an ArgumentTypeError, but replaces a ValueError's with its own."""
+    def arg(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return arg
+
+
 def _parse_floats(text: str, n_min: int, n_max: int, what: str) -> list[float]:
     parts = [p for p in text.split(",") if p.strip()]
     if not n_min <= len(parts) <= n_max:
@@ -40,16 +51,19 @@ def _parse_floats(text: str, n_min: int, n_max: int, what: str) -> list[float]:
     return [float(p) for p in parts]
 
 
+@_arg_type
 def _domain_arg(text: str) -> tuple[float, float, float, float]:
     a_lo, b_lo, a_hi, b_hi = _parse_floats(text, 4, 4, "--domain")
     return a_lo, b_lo, a_hi, b_hi
 
 
+@_arg_type
 def _params_arg(text: str) -> MapParams:
     vals = _parse_floats(text, 2, 3, "--params")
     return MapParams(vals[0], vals[1], vals[2] if len(vals) == 3 else 1.0)
 
 
+@_arg_type
 def _init_arg(text: str) -> State:
     x, y = _parse_floats(text, 2, 2, "--init")
     return State(x, y)
@@ -262,6 +276,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
+_WORKERS_HELP = "parallel scan processes (capped by the usable CPUs and CHAOSCRYPT_THREADS)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaoscrypt",
@@ -330,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="iteration count used for both cipher stages")
     p.add_argument("--compare-len", type=int, default=None,
                    help="symbols compared (default: min(len, 8))")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel scan processes (capped by CHAOSCRYPT_THREADS)")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--config", help="cipher config JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -344,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a_lo,b_lo,a_hi,b_hi")
     p.add_argument("--increment", type=float, default=1e-4)
     p.add_argument("--n-modulus", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel scan processes (capped by CHAOSCRYPT_THREADS)")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--config", help="cipher config JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -354,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="row spec JSON path, or a builtin name "
                         "(table1_arnold, table2_duffing)")
     p.add_argument("--out", required=True, help="report CSV output path")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel scan processes (capped by CHAOSCRYPT_THREADS)")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
     p = add("compare", cmd_compare, "merge two reports into the comparison table")
     p.add_argument("--arnold", required=True, help="report CSV of the cat-map cipher")

@@ -9,9 +9,10 @@ Each step equation and its bound tests are spelled once, in _STEP_SOURCE,
 and a step with its bound test once, in _TESTED_STEP. _kernel is the one
 compiler: it splices the two into a template and compiles it on first
 use. The orbit tools run its orbit generator, cipher its block and scan
-entries; the scanner first goes through _hoist.hoist, which lifts its
-grid-, row- and column-invariant subtrees out of its key loop. Nothing
-is compiled at import.
+entries. For the scanner it first hands _hoist.hoist the code a key runs
+for symbol 0, and splices in the snippets hoist returns: that code with
+its grid-, row- and column-invariant subtrees lifted out of the key loop.
+Nothing is compiled at import.
 """
 
 from __future__ import annotations
@@ -199,19 +200,21 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0, **fill: str)
 
     The snippets spliced in are the kind's _STEP_SOURCE fields, $bound,
     $tested_step, $steps1 and $steps2 (the tested step n1 and n2 times)
-    and the caller's fill. A template with a key_code marker is then run
-    through _hoist.hoist. fmod, floor and DivergenceError are its
-    globals. Its file name names the kind, the function and n1/n2, and
-    linecache holds its source, so a traceback through it shows its lines.
+    and the caller's fill. A fill with a $lifted snippet (the scanner's)
+    also gets the snippets that _hoist.hoist makes of it, spliced. fmod,
+    floor and DivergenceError are its globals. Its file name names the
+    kind, the function and n1/n2, and linecache holds its source, so a
+    traceback through it shows its lines.
     """
     snippets = {**_STEP_SOURCE[kind], "bound": repr(DIVERGENCE_BOUND),
                 "tested_step": _TESTED_STEP, "steps1": "$tested_step\n" * n1,
                 "steps2": "$tested_step\n" * n2, **fill}
-    source = _splice(template, snippets)
-    if "key_code(" in template:
+    if "lifted" in snippets:
         # only scanners need the pass, so the other commands never import it
         from ._hoist import hoist
-        source = hoist(source)
+        snippets.update(hoist(_splice("$lifted", snippets)))
+    source = _splice(template, snippets)
+    del snippets  # the scanner's key code is about as large as its source
     name = template[len("def "):template.index("(")]
     filename = f"<chaoscrypt {kind.value} {name} {n1}/{n2}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)

@@ -1,6 +1,7 @@
 """Tests for the cryptanalysis procedures."""
 
 import io
+import os
 import random
 import time
 from dataclasses import replace
@@ -309,10 +310,18 @@ def test_longer_comparison_never_enlarges_matching_set():
         previous = current
 
 
+def usable_cpus(monkeypatch, count):
+    """Make effective_workers see count CPUs, so that a test that must
+    start a pool starts one on any runner."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
 def test_scan_result_is_worker_invariant(monkeypatch):
     # 441 keys: short pool chunks, so that workers=3 runs the pool
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    usable_cpus(monkeypatch, 3)
     dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
     serial = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=1)
     parallel = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=3)
@@ -320,29 +329,39 @@ def test_scan_result_is_worker_invariant(monkeypatch):
 
 
 def test_threads_cap_keeps_a_pooling_scan_serial(monkeypatch):
-    # 441 keys in 64-key pool chunks: workers=3 starts a pool unless
-    # CHAOSCRYPT_THREADS caps it at one process
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    # 441 keys in 64-key pool chunks on 4 CPUs: workers=3 asks for a pool
+    # unless CHAOSCRYPT_THREADS caps it at one process, and no request asks
+    # for more processes than there are CPUs. The spy records each pool's
+    # size and starts no process.
+    asked = []
+
+    def spy_pool(max_workers):
+        asked.append(max_workers)
+        raise RuntimeError("a pool was asked for")
 
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", spy_pool)
+    usable_cpus(monkeypatch, 4)
     dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     serial = identifiability_scan(b"capped", ARNOLD_KEY, dom, workers=1)
-    with pytest.raises(AssertionError, match="a pool was started"):
-        identifiability_scan(b"capped", ARNOLD_KEY, dom, workers=3)
+    for domain, workers in ((dom, 3), (dom, 10 ** 5), (FULL_KEY_DOMAIN[MapKind.ARNOLD], 10 ** 5)):
+        with pytest.raises(RuntimeError, match="a pool was asked for"):
+            identifiability_scan(b"capped", ARNOLD_KEY, domain, workers=workers)
+    assert asked == [3, 4, 4]
     monkeypatch.setenv("CHAOSCRYPT_THREADS", "1")
     assert identifiability_scan(b"capped", ARNOLD_KEY, dom, workers=3) == serial
 
 
 def test_small_grid_scans_without_a_pool(monkeypatch):
-    # a grid of at most _MAX_POOL_CHUNK keys is one pool chunk: no pool
+    # a grid of at most _MAX_POOL_CHUNK keys is one pool chunk: no pool,
+    # though there are CPUs for two workers
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    usable_cpus(monkeypatch, 2)
     side = 256
     span = (side - 1) * 1e-4
     dom = KeyDomain(MapKind.ARNOLD, (-4.0, 0.5), (-4.0 + span, 0.5 + span), 1e-4)
@@ -464,6 +483,7 @@ def test_scans_match_oracles_when_chunks_start_mid_row(monkeypatch, workers):
     # tiles of 1875 columns.
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 2048)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    usable_cpus(monkeypatch, 2)
     lo, hi, inc = (-4.0002, 0.5), (-4.0, 0.9999), 1e-4
     dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc)
     assert dom.axis_counts() == (3, 5000)
@@ -490,6 +510,7 @@ def test_pooled_scans_in_short_chunks_match_oracles(monkeypatch, workers):
     # 97-key pool chunks cut the 70 rows of 61 keys into one-row tiles
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 97)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    usable_cpus(monkeypatch, 3)
     lo, hi, inc = (-4.0069, 0.5), (-4.0, 0.506), 1e-4
     dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc)
     text = b"Meet me after 5p.m."
@@ -510,6 +531,7 @@ def test_interrupted_pooled_scan_stops_early(monkeypatch):
     # 4.2e6 keys in 64 pool chunks of 65536: after the first chunk comes
     # back, only the chunks already running may finish
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    usable_cpus(monkeypatch, 2)
     side = 2048
     span = (side - 1) * 1e-4
     dom = KeyDomain(MapKind.ARNOLD, (-5.0, 0.4), (-5.0 + span, 0.4 + span), 1e-4)

@@ -1,9 +1,11 @@
 """Tests for the message-embedded cipher."""
 
+import ast
 import json
 import linecache
 import pickle
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from math import floor
@@ -741,12 +743,39 @@ def test_scan_grid_matches_per_key_oracle(case):
         assert scanned == len(keys)
 
 
-def test_scanner_negates_b_once_per_column():
-    # the Duffing setup negates b once; the lift pass moves that negation
-    # out of the key loop into the per-column table
-    cfg = replace(default_config(MapKind.DUFFING), n1=2, n2=3)
-    scan = cipher._entry(cipher._SCAN, cipher._SCAN_FILL, MapKind.DUFFING, cfg)
-    lines = [line.strip() for line in linecache.getlines(scan.__code__.co_filename)]
-    column_loop, key_loop = lines.index("for b in b_values:"), lines.index("for column in columns:")
-    negations = [k for k, line in enumerate(lines) if "-b" in line]
-    assert len(negations) == 1 and column_loop < negations[0] < key_loop
+def loops_around(tree: ast.AST, expression: str) -> list[tuple[str, ...]]:
+    """For each place in tree that computes expression, the targets of the
+    for loops around it, outermost first."""
+    places = []
+
+    def visit(node, loops):
+        if isinstance(node, ast.expr) and ast.unparse(node) == expression:
+            places.append(loops)
+        if isinstance(node, ast.For):
+            loops += (ast.unparse(node.target),)
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(tree, ())
+    return places
+
+
+def test_scanner_lifts_invariant_values_out_of_its_loops():
+    # Each value is computed once, in the loop of the level it is invariant
+    # at: the call's (no loop), a row's (for a) or a column's (for b), not
+    # in the key loop (for column). A template name that the lift pass does
+    # not know would leave them there.
+    lifted = {
+        MapKind.ARNOLD: {"fmod(2.0 * x0 + y0, n)": (), "a - 1.0": ("a",), "1.0 - b": ("b",)},
+        MapKind.DUFFING: {"y0 * y0 * y0": (), "-b": ("b",)},
+    }
+    for kind, places in lifted.items():
+        cfg = replace(default_config(kind), n1=2, n2=2)
+        scan = cipher._entry(cipher._SCAN, cipher._SCAN_FILL, kind, cfg)
+        source = "".join(linecache.getlines(scan.__code__.co_filename))
+        assert "$" not in source
+        assert not re.search(r"grid_invariant|row_invariant|column_invariant|key_code"
+                             r"|end_of_lifts", source)
+        tree = ast.parse(source)
+        for expression, loops in places.items():
+            assert loops_around(tree, expression) == [loops], expression

@@ -546,9 +546,25 @@ def test_every_command_has_help(capsys):
 
 
 def test_unknown_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["encrypt", "--nonsense"])
-    assert exit_info.value.code == 2
+    # a flag value refused by its type= function keeps the refusal's
+    # message, not argparse's "invalid <function name> value"
+    orbit = ["trajectory", "--kind", "arnold", "--n", "2", "--out", "orbit.csv"]
+    for argv, message in (
+            (["encrypt", "--in", "x", "--out", "y", "--key", "k", "--nonsense"],
+             "unrecognized arguments: --nonsense"),
+            (["keygen", "--kind", "arnold", "--domain", "1,2"],
+             "argument --domain: --domain expects 4 comma-separated numbers, got '1,2'"),
+            (orbit + ["--params=1,nan"], "argument --params: map parameters must be finite"),
+            (orbit + ["--params=1,x"],
+             "argument --params: could not convert string to float: 'x'"),
+            (orbit + ["--params=1,2", "--init", "0,inf"],
+             "argument --init: state coordinates must be finite")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert message in last
+        assert not re.search(r"_\w+_arg", last)
 
 
 def test_missing_key_file_is_runtime_error(tmp_path, capsys):
