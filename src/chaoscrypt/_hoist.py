@@ -102,8 +102,11 @@ class _Lifter:
             test, level = self.visit(stmt.test)
             if level not in (None, _KEY) and not _trivial(test):
                 test = self.lift(level, test)
-            used = {n.id for s in stmt.body for n in ast.walk(s) if isinstance(n, ast.Name)}
-            if used & (self.alias.keys() | self.levels.keys()):
+            # the body is kept verbatim: it may read invariants, such as a
+            # and b, but not a name that stands for another, and it may
+            # assign no invariant
+            if any(n.id in self.alias or (n.id in self.levels and not isinstance(n.ctx, ast.Load))
+                   for s in stmt.body for n in ast.walk(s) if isinstance(n, ast.Name)):
                 raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
             return [ast.If(test, stmt.body, [])]
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):

@@ -296,10 +296,13 @@ _MAX_POOL_CHUNK = 1 << 16
 _MAX_SCAN_KEYS = 10 ** 9
 
 
-def _scan_tile(domain: KeyDomain, data: bytes, cfg: CipherConfig, reference: bytes, tile):
-    """_scan_grid over the tile of domain whose rows and columns are tile."""
-    return _scan_grid(domain.kind, domain.n_modulus, data, cfg, reference,
-                      domain.tile_values(*tile))
+def _scan_tile(domain: KeyDomain, queries: list, tile) -> tuple[int, list]:
+    """The count of keys scanned in the tile of domain whose rows and
+    columns are tile, and each query's (hits, diverged) there, from one
+    _scan_grid call."""
+    result = _scan_grid(domain.kind, domain.n_modulus, *queries[0], domain.tile_values(*tile),
+                        *queries[1:])
+    return result[2], [result[0:2], result[3:5]][:len(queries)]
 
 
 def _size_text(size: int) -> str:
@@ -307,13 +310,15 @@ def _size_text(size: int) -> str:
     return str(size) if size < 10 ** 15 else f"over 10^{len(str(size)) - 1}"
 
 
-def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
-                   reference: bytes, workers: int,
-                   on_progress: Callable[[int, int], None] | None) -> tuple[list[Key], int]:
-    """Grid keys, in grid order, whose encryption of data is reference,
-    and the count of keys whose orbit left the box or overflowed before
-    their first mismatching symbol. Each key is dropped at its first
-    mismatching symbol; divergent keys do not match."""
+def _matching_keys(domain: KeyDomain, queries: Sequence[tuple[bytes, CipherConfig, bytes]],
+                   workers: int, on_progress: Callable[[int, int], None] | None,
+                   ) -> list[tuple[list[Key], int]]:
+    """For each of one or two queries (data, cfg, reference), scanned in
+    one pass over the grid, what a scan of it alone finds: the grid keys,
+    in grid order, whose encryption of data is reference, and the count
+    of keys whose orbit left the box or overflowed before their first
+    mismatching symbol. Each key is dropped at its first mismatching
+    symbol; divergent keys do not match."""
     total = domain.size()
     if total > _MAX_SCAN_KEYS:
         raise DomainError(f"grid of {_size_text(total)} keys exceeds the scan cap of "
@@ -329,14 +334,14 @@ def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
     # Index ranges, so only the worker scanning a tile builds its key values.
     tiles = ((range(i, min(i + height, na)), range(j, min(j + width, nb)))
              for i in range(0, na, height) for j in range(0, nb, width))
-    scan = partial(_scan_tile, domain, data, cfg, reference)
-    hits = []
-    diverged = done = 0
+    scan = partial(_scan_tile, domain, list(queries))
+    hits, diverged, done = [[] for _ in queries], [0] * len(queries), 0
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for tile_hits, tile_diverged, scanned in (pool.map if pool else map)(scan, tiles):
-            hits.extend(tile_hits)
-            diverged += tile_diverged
+        for scanned, found in (pool.map if pool else map)(scan, tiles):
+            for k, (tile_hits, tile_diverged) in enumerate(found):
+                hits[k] += tile_hits
+                diverged[k] += tile_diverged
             done += scanned
             if on_progress:
                 on_progress(done, total)
@@ -344,7 +349,35 @@ def _matching_keys(domain: KeyDomain, data: bytes, cfg: CipherConfig,
         if pool:
             # after an exception, the tiles not yet started are dropped
             pool.shutdown(cancel_futures=True)
-    return [Key(domain.kind, MapParams(a, b, domain.n_modulus)) for a, b in hits], diverged
+    return [([Key(domain.kind, MapParams(a, b, domain.n_modulus)) for a, b in keys], count)
+            for keys, count in zip(hits, diverged)]
+
+
+def _identification(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
+                    cfg: CipherConfig | None, iteration_value: int,
+                    compare_len: int | None) -> tuple:
+    """identifiability_scan's arguments checked, as its scan's query and the
+    function that makes the result of what _matching_keys finds for it."""
+    p = _as_bytes(plaintext)
+    if not p:
+        raise DomainError("identifiability scan needs a non-empty plaintext")
+    if true_key.kind is not domain.kind:
+        raise DomainError("true key and domain use different map kinds")
+    if compare_len is None:
+        compare_len = min(len(p), 8)
+    if not 1 <= compare_len <= len(p):
+        raise DomainError(f"compare_len {compare_len} outside [1, {len(p)}]")
+    if cfg is None:
+        cfg = default_config(true_key.kind)
+    scan_cfg = replace(cfg, n1=iteration_value, n2=iteration_value)
+    snapped = Key(domain.kind, domain.snap(true_key.params))
+    data = p[:compare_len]
+
+    def finish(matching: list[Key], diverged: int) -> IdentifiabilityResult:
+        return IdentifiabilityResult(matching == [snapped], snapped, matching, domain.size(),
+                                     diverged)
+
+    return (data, scan_cfg, encrypt_bytes(data, snapped, scan_cfg)), finish
 
 
 def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
@@ -360,29 +393,33 @@ def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomai
     compare_len symbols (default: min(len(plaintext), 8)). The true key
     is snapped to the nearest grid point first.
     """
-    p = _as_bytes(plaintext)
-    if not p:
-        raise DomainError("identifiability scan needs a non-empty plaintext")
-    if true_key.kind is not domain.kind:
-        raise DomainError("true key and domain use different map kinds")
-    if compare_len is None:
-        compare_len = min(len(p), 8)
-    if not 1 <= compare_len <= len(p):
-        raise DomainError(f"compare_len {compare_len} outside [1, {len(p)}]")
+    query, finish = _identification(plaintext, true_key, domain, cfg, iteration_value,
+                                    compare_len)
+    return finish(*_matching_keys(domain, [query], workers, on_progress)[0])
+
+
+def _attack(ciphertext: bytes, known_prefix: bytes | str, domain: KeyDomain,
+            cfg: CipherConfig | None) -> tuple:
+    """known_plaintext_attack's arguments checked, as its scan's query and
+    the function that makes the result of what _matching_keys finds for it."""
+    prefix = _as_bytes(known_prefix)
+    if not prefix:
+        raise DomainError("known-plaintext attack needs a non-empty prefix")
+    ciphertext = bytes(ciphertext)
+    if len(ciphertext) < len(prefix):
+        raise DomainError("ciphertext shorter than the known prefix")
     if cfg is None:
-        cfg = default_config(true_key.kind)
-    scan_cfg = replace(cfg, n1=iteration_value, n2=iteration_value)
-    snapped = Key(domain.kind, domain.snap(true_key.params))
-    data = p[:compare_len]
-    reference = encrypt_bytes(data, snapped, scan_cfg)
-    matching, diverged = _matching_keys(domain, data, scan_cfg, reference, workers, on_progress)
-    return IdentifiabilityResult(
-        identifiable=(matching == [snapped]),
-        true_key=snapped,
-        matching_keys=matching,
-        grid_size=domain.size(),
-        diverged=diverged,
-    )
+        cfg = default_config(domain.kind)
+
+    def finish(candidates: list[Key], diverged: int) -> AttackResult:
+        recovered = candidates[0] if len(candidates) == 1 else None
+        try:
+            robust = recovered is None or not decrypt(ciphertext, recovered, cfg).startswith(prefix)
+        except DivergenceError:
+            robust = True
+        return AttackResult(candidates, recovered, robust, diverged)
+
+    return (prefix, cfg, ciphertext[:len(prefix)]), finish
 
 
 def known_plaintext_attack(ciphertext: bytes, known_prefix: bytes | str,
@@ -397,26 +434,8 @@ def known_plaintext_attack(ciphertext: bytes, known_prefix: bytes | str,
     isolated, or when the isolated key fails to decrypt the full
     ciphertext into an extension of the known prefix.
     """
-    prefix = _as_bytes(known_prefix)
-    if not prefix:
-        raise DomainError("known-plaintext attack needs a non-empty prefix")
-    ciphertext = bytes(ciphertext)
-    if len(ciphertext) < len(prefix):
-        raise DomainError("ciphertext shorter than the known prefix")
-    if cfg is None:
-        cfg = default_config(domain.kind)
-    reference = ciphertext[:len(prefix)]
-    candidates, diverged = _matching_keys(domain, prefix, cfg, reference, workers, on_progress)
-    recovered = candidates[0] if len(candidates) == 1 else None
-    if recovered is None:
-        robust = True
-    else:
-        try:
-            robust = not decrypt(ciphertext, recovered, cfg).startswith(prefix)
-        except DivergenceError:
-            robust = True
-    return AttackResult(candidates=candidates, recovered=recovered, robust=robust,
-                        diverged=diverged)
+    query, finish = _attack(ciphertext, known_prefix, domain, cfg)
+    return finish(*_matching_keys(domain, [query], workers, on_progress)[0])
 
 
 @dataclass
@@ -460,6 +479,7 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
     """
     rows_spec = list(rows_spec)
     rows = []
+    caught = (DomainError, DivergenceError)
     for idx, (plaintext, key, domain) in enumerate(rows_spec, start=1):
         t0 = perf_counter()
         p = _as_bytes(plaintext)
@@ -472,40 +492,61 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
         try:
             ciphertext = encrypt_bytes(p, key, row_cfg)
             row.ciphertext_hex = ciphertext.hex()
-        except (DomainError, DivergenceError) as exc:
+        except caught as exc:
             errors.append(("encrypt", str(exc)))
 
         try:
             row.plaintext_sensitivity_pct = plaintext_sensitivity(p, key, row_cfg, flip_bit)
-        except (DomainError, DivergenceError) as exc:
+        except caught as exc:
             errors.append(("plaintext_sensitivity", str(exc)))
 
         try:
             delta = domain.increment if key_delta is None else key_delta
             row.key_sensitivity_pct = key_sensitivity(p, key, row_cfg, delta=delta)
-        except (DomainError, DivergenceError) as exc:
+        except caught as exc:
             errors.append(("key_sensitivity", str(exc)))
 
-        try:
-            identifiable = any(
-                identifiability_scan(p, key, domain, row_cfg, iteration_value=iv,
-                                     compare_len=min(len(p), compare_len),
-                                     workers=workers).identifiable
-                for iv in iteration_values)
-            row.identifiable = "I" if identifiable else "NI"
-        except (DomainError, DivergenceError) as exc:
-            errors.append(("identifiability", str(exc)))
-
-        if ciphertext is not None:
+        # One grid pass runs the attack's scan and identifiability's at the
+        # first iteration value; later iteration values scan alone.
+        jobs, failed = {}, {}
+        if iteration_values:
             try:
-                attack = known_plaintext_attack(
-                    ciphertext, p[:min(len(p), kpa_prefix_len)], domain, row_cfg,
-                    workers=workers)
-                row.robust_kpa = attack.verdict
-            except (DomainError, DivergenceError) as exc:
-                errors.append(("attack", str(exc)))
+                jobs["identifiability"] = _identification(
+                    p, key, domain, row_cfg, iteration_values[0], min(len(p), compare_len))
+            except caught as exc:
+                failed["identifiability"] = str(exc)
+        if ciphertext is None:
+            failed["attack"] = "skipped, no ciphertext"
         else:
-            errors.append(("attack", "skipped, no ciphertext"))
+            try:
+                jobs["attack"] = _attack(ciphertext, p[:min(len(p), kpa_prefix_len)],
+                                         domain, row_cfg)
+            except caught as exc:
+                failed["attack"] = str(exc)
+        results = {}
+        if jobs:
+            try:
+                found = _matching_keys(domain, [query for query, _ in jobs.values()], workers,
+                                       None)
+                results = {phase: finish(*keys) for (phase, (_, finish)), keys
+                           in zip(jobs.items(), found)}
+            except caught as exc:
+                failed.update(dict.fromkeys(jobs, str(exc)))
+        if "identifiability" not in failed:
+            try:
+                first = results.get("identifiability")
+                identifiable = (first is not None and first.identifiable) or any(
+                    identifiability_scan(p, key, domain, row_cfg, iteration_value=iv,
+                                         compare_len=min(len(p), compare_len),
+                                         workers=workers).identifiable
+                    for iv in iteration_values[1:])
+                row.identifiable = "I" if identifiable else "NI"
+            except caught as exc:
+                failed["identifiability"] = str(exc)
+        if "attack" in results:
+            row.robust_kpa = results["attack"].verdict
+        errors += [(phase, failed[phase]) for phase in ("identifiability", "attack")
+                   if phase in failed]
 
         row.brute_force_secret = {"I": "YES", "NI": "NO"}.get(row.identifiable, "")
         row.error = "; ".join(f"{phase}: {message}" for phase, message in errors) or None

@@ -25,7 +25,12 @@ _scan_grid serves the scans in analysis: it runs a tile of grid keys per
 call, each a-value of the tile against each b-value, stops each key at
 its first mismatching symbol and counts the keys that diverged. It runs
 symbol 0 peeled, with its grid-, row- and column-invariant parts lifted
-out of the key loop.
+out of the key loop. A scanner runs one query's schedule (n1, n2), its
+main one, and may test a second, side query's symbol 0 on the way, from
+the same orbit: symbol 0 depends only on the key and the public start
+state, so the steps of the schedule with more of them hold the other's.
+The keys that pass the side test are finished by the side query's own
+scanner, so that one grid pass gives each query what its own scan gives.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import groupby, islice
 from math import floor
+from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator
 
 from .maps import (
@@ -241,17 +247,31 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # value that overflows diverges every key that depends on it: a grid's, a
 # row's, or a column's by an empty table entry, whose unpacking raises
 # ValueError like the overflow would.
+#
+# The scanner runs one query's schedule (n1, n2), its main one. Compiled
+# with _SIDE_FILL and a side schedule (n1', n2') of no more steps, it also
+# tests a second, side query's symbol 0 on the way, since symbol 0's orbit
+# depends only on the key and the start state: the peeled symbol 0 gets a
+# snapshot after step n1' and, after step n1' + n2', a compare of
+# (q1' + q2') % 256 against target, the grid-invariant (e0' - c0') % 256
+# that symbol 0's mix must meet. The keys that pass it go to side, and
+# reached counts the keys that got there: every other key diverged first.
+# (Of the lifted values only fmod's can raise, and those come from a key's
+# first step, which every side check follows, as n1' + n2' >= 2.) The main
+# query's lines stay as they are, and a single-query scanner has no $side_
+# line (an empty snippet leaves no line).
 _SCAN = """\
-def scan(a_values, b_values, n, x0, y0, q, g, pairs):
+def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
     scanned = len(a_values) * len(b_values)
+    $side_init
     x, y = x0, y0
     if not ($entry):
-        return [], scanned, scanned
+        return [], scanned, scanned$side_results
     (c0, e0), *rest = pairs
     try:
         $grid_lifts
     except ValueError:
-        return [], scanned, scanned
+        return [], scanned, scanned$side_results
     columns = []
     for b in b_values:
         try:
@@ -278,7 +298,7 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs):
                     hits.append((a, b))
             except ValueError:
                 diverged += 1
-    return hits, diverged, scanned
+    return hits, diverged, scanned$side_results
 """
 _SCAN_FILL = {
     "lifted": ("$setup\nc, expected = c0, e0\nx, y = x0, y0\n$body",
@@ -288,13 +308,28 @@ _SCAN_FILL = {
     "snapshot": "s1x = x",
     "mix": _ENCRYPT,
     "check": "if out != expected:\n    break",
+    "side_params": "",
+    "side_init": "",
+    "side_results": "",
+}
+_SIDE_FILL = {
+    **_SCAN_FILL,
+    "side_params": ", target",
+    "side_init": "side, reached = [], 0",
+    "side_results": ", side, reached",
+    "side_snapshot": "side_s1x = x",
+    "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
+                   "    side.append((a, b))\n"
+                   "reached = reached + 1"),
 }
 
 
-def _entry(template: str, fill: dict[str, str], kind: MapKind, cfg: CipherConfig) -> Callable:
+def _entry(template: str, fill: dict[str, str], kind: MapKind, cfg: CipherConfig,
+           side: tuple[int, int] | None = None) -> Callable:
     """The entry point template defines, with _SYMBOL_BODY, fill and
-    SYMBOL_MODULUS as $modulus, for kind and cfg's iteration counts."""
-    return _kernel(kind, template, cfg.n1, cfg.n2, body=_SYMBOL_BODY,
+    SYMBOL_MODULUS as $modulus, for kind, cfg's iteration counts and the
+    side schedule, if any."""
+    return _kernel(kind, template, cfg.n1, cfg.n2, side, body=_SYMBOL_BODY,
                    modulus=repr(SYMBOL_MODULUS), **fill)
 
 
@@ -358,16 +393,44 @@ def _chunks(symbols: bytes | Iterable[int]) -> Iterator[bytes]:
 
 
 def _scan_grid(kind: MapKind, n_modulus: float, data: bytes, cfg: CipherConfig,
-               reference: bytes, tile: tuple[list, list]) -> tuple[list, int, int]:
+               reference: bytes, tile: tuple[list, list],
+               side: tuple[bytes, CipherConfig, bytes] | None = None) -> tuple:
     """The keys (a, b) of the tile (a_values, b_values), in row-major
     order, whose encryption of the non-empty data is reference; the count
     of keys whose orbit left the box or overflowed before their first
     mismatching symbol (such keys do not match); and the count of keys
-    scanned. data is bytes, so its symbols need no check."""
-    scan = _entry(_SCAN, _SCAN_FILL, kind, cfg)
-    x, y = cfg.initial_state.x, cfg.initial_state.y
-    return scan(*tile, n_modulus, x, y, cfg.quant_scale, cfg.reinject_gain,
-                list(zip(data, reference)))
+    scanned. data is bytes, so its symbols need no check.
+
+    A side query (data', cfg', reference') over the same tile adds its own
+    keys and count: (hits, diverged, scanned, side hits, side diverged),
+    each as its own scan returns it. When the two configs share their
+    start state and quantizer, one pass serves both: the query with more
+    steps in symbol 0 is the main one, and the other's symbol-0 matches
+    are finished by its own scanner, one row's matches per call.
+    """
+    start = cfg.initial_state
+    args = (*tile, n_modulus, start.x, start.y, cfg.quant_scale, cfg.reinject_gain,
+            list(zip(data, reference)))
+    if side is None:
+        return _entry(_SCAN, _SCAN_FILL, kind, cfg)(*args)
+    side_data, side_cfg, side_reference = side
+    if (side_cfg.initial_state, side_cfg.quant_scale) != (start, cfg.quant_scale):
+        hits, diverged, scanned = _scan_grid(kind, n_modulus, data, cfg, reference, tile)
+        return hits, diverged, scanned, *_scan_grid(kind, n_modulus, *side, tile)[:2]
+    if side_cfg.n1 + side_cfg.n2 > cfg.n1 + cfg.n2:
+        side_hits, side_diverged, scanned, hits, diverged = _scan_grid(
+            kind, n_modulus, *side, tile, (data, cfg, reference))
+        return hits, diverged, scanned, side_hits, side_diverged
+    scan = _entry(_SCAN, _SIDE_FILL, kind, cfg, (side_cfg.n1, side_cfg.n2))
+    target = (side_reference[0] - side_data[0]) % SYMBOL_MODULUS
+    hits, diverged, scanned, matches, reached = scan(*args, target)
+    side_hits, side_diverged = [], scanned - reached
+    for a, row in groupby(matches, key=itemgetter(0)):
+        row_hits, row_diverged, _ = _scan_grid(kind, n_modulus, *side,
+                                               ([a], [b for _, b in row]))
+        side_hits += row_hits
+        side_diverged += row_diverged
+    return hits, diverged, scanned, side_hits, side_diverged
 
 
 def encrypt(plaintext: bytes | Iterable[int], key: Key,

@@ -12,7 +12,9 @@ use. The orbit tools run its orbit generator, cipher its block and scan
 entries. For the scanner it first hands _hoist.hoist the code a key runs
 for symbol 0, and splices in the snippets hoist returns: that code with
 its grid-, row- and column-invariant subtrees lifted out of the key loop.
-Nothing is compiled at import.
+A scanner may also serve a second, side schedule of iteration counts
+from the same symbol-0 orbit (see _kernel). Nothing is compiled at
+import.
 """
 
 from __future__ import annotations
@@ -195,28 +197,41 @@ def _splice(text: str, snippets: dict) -> str:
 
 
 @lru_cache(maxsize=64)
-def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0, **fill: str) -> Callable:
+def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
+            side: tuple[int, int] | None = None, **fill: str) -> Callable:
     """The function that template defines, compiled for kind on first use.
 
     The snippets spliced in are the kind's _STEP_SOURCE fields, $bound,
     $tested_step, $steps1 and $steps2 (the tested step n1 and n2 times)
     and the caller's fill. A fill with a $lifted snippet (the scanner's)
-    also gets the snippets that _hoist.hoist makes of it, spliced. fmod,
-    floor and DivergenceError are its globals. Its file name names the
-    kind, the function and n1/n2, and linecache holds its source, so a
-    traceback through it shows its lines.
+    also gets the snippets that _hoist.hoist makes of it, spliced. A side
+    schedule (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the
+    steps of $lifted alone: $side_snapshot after its step n1' and
+    $side_check after its step n1' + n2'. A line that splices to nothing
+    but blanks is dropped. fmod, floor and DivergenceError are its
+    globals. Its file name names the kind, the function, n1/n2 and the
+    side schedule, and linecache holds its source, so a traceback through
+    it shows its lines.
     """
+    run = ["$tested_step\n"] * (n1 + n2)
     snippets = {**_STEP_SOURCE[kind], "bound": repr(DIVERGENCE_BOUND),
-                "tested_step": _TESTED_STEP, "steps1": "$tested_step\n" * n1,
-                "steps2": "$tested_step\n" * n2, **fill}
+                "tested_step": _TESTED_STEP, "steps1": "".join(run[:n1]),
+                "steps2": "".join(run[n1:]), **fill}
     if "lifted" in snippets:
         # only scanners need the pass, so the other commands never import it
         from ._hoist import hoist
-        snippets.update(hoist(_splice("$lifted", snippets)))
-    source = _splice(template, snippets)
+        peeled = snippets
+        if side:
+            run[side[0] - 1] += "$side_snapshot\n"
+            run[sum(side) - 1] += "$side_check\n"
+            peeled = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:])}
+        snippets.update(hoist(_splice("$lifted", peeled)))
+    source = "".join(line for line in _splice(template, snippets).splitlines(True)
+                     if not line.isspace())
     del snippets  # the scanner's key code is about as large as its source
     name = template[len("def "):template.index("(")]
-    filename = f"<chaoscrypt {kind.value} {name} {n1}/{n2}>"
+    schedule = f"{n1}/{n2}" + (f"+{side[0]}/{side[1]}" if side else "")
+    filename = f"<chaoscrypt {kind.value} {name} {schedule}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"fmod": fmod, "floor": floor, "DivergenceError": DivergenceError}
     exec(compile(source, filename, "exec"), namespace)

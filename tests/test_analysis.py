@@ -5,10 +5,11 @@ import os
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from chaoscrypt import analysis
+from chaoscrypt import analysis, cipher
 from chaoscrypt.analysis import (
     BRUTE_FORCE_FLOOR,
     FULL_KEY_DOMAIN,
@@ -550,6 +551,95 @@ def test_interrupted_pooled_scan_stops_early(monkeypatch):
         identifiability_scan(b"abcdefgh", ARNOLD_KEY, dom, workers=2, on_progress=interrupt)
     # two workers need at least 32 chunk times for the whole grid
     assert time.perf_counter() - start < 16 * chunk_s
+
+
+# Rows whose report pass scans identifiability at the first iteration
+# value and the attack together: (key, box, config fields, iteration
+# values, the (main, side) schedules of the pass, and the share of keys
+# each query sees diverge, as a (low, high) range).
+ROW_PASS_CASES = {
+    "arnold default": (ARNOLD_KEY, ((-4.0007, 0.4993), (-3.9993, 0.5007), 1e-4), {},
+                       (2, 3), ((3, 3), (2, 2)), (0.0, 0.0)),
+    "duffing default": (DUFFING_KEY, ((2.7493, 0.0993), (2.7507, 0.1007), 1e-4), {},
+                        (2, 3), ((3, 3), (2, 2)), (0.0, 0.0)),
+    # identifiability's 2 + 2 steps outnumber the attack's 1 + 1
+    "arnold identify main": (ARNOLD_KEY, ((-4.0007, 0.4993), (-3.9993, 0.5007), 1e-4),
+                             {"n1": 1, "n2": 1}, (2, 3), ((2, 2), (1, 1)), (0.0, 0.0)),
+    "duffing identify main": (DUFFING_KEY, ((2.7493, 0.0993), (2.7507, 0.1007), 1e-4),
+                              {"n1": 1, "n2": 1}, (2, 3), ((2, 2), (1, 1)), (0.0, 0.0)),
+    # equal step totals with different snapshots: the first query is main
+    "arnold equal steps": (ARNOLD_KEY, ((-4.0007, 0.4993), (-3.9993, 0.5007), 1e-4),
+                           {"n1": 2, "n2": 4}, (3,), ((3, 3), (2, 4)), (0.0, 0.0)),
+    "duffing equal steps": (DUFFING_KEY, ((2.7493, 0.0993), (2.7507, 0.1007), 1e-4),
+                            {"n1": 2, "n2": 4}, (3,), ((3, 3), (2, 4)), (0.0, 0.0)),
+    # from y = 1e308, the columns from b = 3.0 overflow x + (1 - b) y in
+    # their first step: 3 of 15 columns have an empty lifted entry
+    "arnold overflowing columns": (ARNOLD_KEY, ((-4.5, 0.0), (-3.5, 3.5), 0.25),
+                                   {"initial_state": State(0.5, 1e308)}, (2, 3),
+                                   ((3, 3), (2, 2)), (0.2, 0.2)),
+    # from y = 1.92 about a sixth of the box diverges within 4 steps and
+    # about half within 6, many keys between the side check and the end
+    # of symbol 0
+    "duffing divergent": (Key(MapKind.DUFFING, MapParams(2.675, 0.1)),
+                          ((2.5, -0.3), (2.9, 0.2), 0.025),
+                          {"initial_state": State(-0.04, 1.92)}, (2, 3),
+                          ((3, 3), (2, 2)), (0.1, 0.6)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(ROW_PASS_CASES))
+def test_report_row_pass_matches_separate_scans(monkeypatch, case, workers):
+    # the report's one grid pass gives each query what its own scan gives:
+    # hits in grid order and the diverged count, at any worker count
+    key, (lo, hi, inc), fields, iteration_values, schedules, shares = ROW_PASS_CASES[case]
+    dom = KeyDomain(key.kind, lo, hi, inc)
+    cfg = replace(default_config(key.kind), **fields)
+    text = "Meet me after 5p.m."
+    # short pool chunks, so that workers=2 runs the pool
+    monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
+    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
+    usable_cpus(monkeypatch, 2)
+    passes, scanners = [], []
+    matching_keys, entry = analysis._matching_keys, cipher._entry
+
+    def spy_matching_keys(domain, queries, *args):
+        passes.append(matching_keys(domain, queries, *args))
+        return passes[-1]
+
+    def spy_entry(template, fill, kind, entry_cfg, side=None):
+        if template is cipher._SCAN:
+            scanners.append(((entry_cfg.n1, entry_cfg.n2), side))
+        return entry(template, fill, kind, entry_cfg, side)
+
+    monkeypatch.setattr(analysis, "_matching_keys", spy_matching_keys)
+    monkeypatch.setattr(cipher, "_entry", spy_entry)
+    (row,) = analysis_report([(text, key, dom)], cfg, iteration_values=iteration_values,
+                             workers=workers)
+    assert row.error is None
+    (ident_keys, ident_diverged), (attack_keys, attack_diverged) = passes[0]
+    if workers == 1:
+        assert scanners[0] == schedules
+    passes.clear()
+    ciphertext = bytes.fromhex(row.ciphertext_hex)
+    ident = identifiability_scan(text, key, dom, cfg, iteration_value=iteration_values[0],
+                                 workers=workers)
+    attack = known_plaintext_attack(ciphertext, text[:2], dom, cfg, workers=workers)
+    assert all(len(found) == 1 for found in passes)
+    assert (ident_keys, ident_diverged) == (ident.matching_keys, ident.diverged)
+    assert (attack_keys, attack_diverged) == (attack.candidates, attack.diverged)
+    assert row.robust_kpa == attack.verdict
+    for diverged in (ident.diverged, attack.diverged):
+        assert shares[0] * dom.size() <= diverged <= shares[1] * dom.size()
+
+
+def test_report_reproduces_the_packaged_tables():
+    # the CSVs the bench checks, byte for byte
+    expected = Path(__file__).resolve().parent.parent / "bench" / "expected"
+    for table in ("table1_arnold", "table2_duffing"):
+        out = io.StringIO(newline="")
+        write_report_csv(analysis_report(load_report_spec(builtin_spec_path(table))), out)
+        assert out.getvalue().encode("utf-8") == (expected / f"{table}.csv").read_bytes()
 
 
 def test_scan_honours_every_config_field():

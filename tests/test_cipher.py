@@ -743,6 +743,80 @@ def test_scan_grid_matches_per_key_oracle(case):
         assert scanned == len(keys)
 
 
+@st.composite
+def side_scans(draw):
+    """A scan case and a side query over its tile: a schedule of 1 to 4
+    steps each, its own data and reference, and at times a different
+    start state or quantizer, which the fused pass cannot share."""
+    case = draw(scan_cases())
+    kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs = case
+    side_cfg = replace(cfg, n1=draw(st.integers(1, 4)), n2=draw(st.integers(1, 4)))
+    unshared = draw(st.sampled_from([None, None, None, "start", "quant"]))
+    if unshared == "start":
+        side_cfg = replace(side_cfg, initial_state=State(cfg.initial_state.y,
+                                                         cfg.initial_state.x))
+    elif unshared == "quant":
+        side_cfg = replace(side_cfg, quant_scale=3.0 if cfg.quant_scale != 3.0 else 7.0)
+    side_data = draw(st.binary(min_size=1, max_size=4))
+    i, j = draw(st.sampled_from(refs))
+    return case, (side_data, side_cfg, (a0 + i * inc, b0 + j * inc))
+
+
+def scan_reference(kind, data, cfg, a, b, n):
+    """The key's output on data, or data itself when its orbit diverges or
+    the key is not finite."""
+    try:
+        return encrypt_bytes(data, Key(kind, MapParams(a, b, n)), cfg)
+    except (DivergenceError, DomainError):
+        return bytes(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(side_scans())
+# Arnold columns from b = 1e308 whose first step overflows: a lifted
+# column entry that is empty counts for the side query too
+@example(((MapKind.ARNOLD, (-4.0, 1e308), 1e307, 1.0, (range(3), range(9)),
+           CipherConfig(State(0.5, 1.5), 2, 3, 1e16), b"ab", [(0, 0)]),
+          (b"xy", CipherConfig(State(0.5, 1.5), 1, 1, 1e16), (-4.0, 1e308))))
+# a coarse quantizer: most keys pass the side query's symbol 0
+@example(((MapKind.ARNOLD, (-4.0, 0.3), 0.02, 1.0, (range(3), range(7)),
+           CipherConfig(State(0.5, 0.06), 1, 1, 7.0), b"abcd", [(0, 3)]),
+          (b"ab", CipherConfig(State(0.5, 0.06), 3, 2, 7.0), (-4.0, 0.36))))
+# Duffing rows from a = 3.5 diverge within symbol 0; equal step totals
+@example(((MapKind.DUFFING, (3.5, -0.2), 0.01, 1.0, (range(12), range(12)),
+           CipherConfig(State(-0.04, 0.2), 3, 3, 1e16), b"abc", [(0, 7)]),
+          (b"abc", CipherConfig(State(-0.04, 0.2), 2, 4, 1e16), (3.5, -0.13))))
+def test_side_query_gets_what_its_own_scan_gets(case):
+    # one pass over a tile for two queries: each gets the hits and the
+    # diverged count of a scan of it alone, whichever has the more steps
+    (kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs), side = case
+    side_data, side_cfg, (a, b) = side
+    i, j = refs[0]
+    reference = scan_reference(kind, data, cfg, a0 + i * inc, b0 + j * inc, n)
+    side_query = (side_data, side_cfg, scan_reference(kind, side_data, side_cfg, a, b, n))
+    tile = ([a0 + i * inc for i in rows], [b0 + j * inc for j in columns])
+    alone = cipher._scan_grid(kind, n, data, cfg, reference, tile)
+    side_alone = cipher._scan_grid(kind, n, *side_query, tile)
+    fused = cipher._scan_grid(kind, n, data, cfg, reference, tile, side_query)
+    assert fused == (*alone, *side_alone[:2])
+
+
+def test_lift_pass_keeps_an_if_body_that_reads_invariants():
+    # an if body is kept verbatim, so it may read a row's a and a column's
+    # b, but not a name that stands for another value, and it may assign
+    # no invariant
+    from chaoscrypt._hoist import hoist
+
+    head = "x, y = x0, y0\nz = x * a\n"
+    snippets = hoist(head + "if z > b:\n    found.append((a, b))\n")
+    assert snippets["row_lifts"] == "_r9 = x0 * a\n"
+    assert "if _r9 > b:\n    found.append((a, b))\n" in snippets["key_code"]
+    for body in ("found.append(z)", "found.append(x)", "a = 1.0", "b = 2.0", "q = 0.5"):
+        with pytest.raises(ValueError, match="cannot lift across"):
+            hoist(head + f"if z > b:\n    {body}\n")
+
+
 def loops_around(tree: ast.AST, expression: str) -> list[tuple[str, ...]]:
     """For each place in tree that computes expression, the targets of the
     for loops around it, outermost first."""
