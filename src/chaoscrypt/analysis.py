@@ -296,13 +296,9 @@ _MAX_POOL_CHUNK = 1 << 16
 _MAX_SCAN_KEYS = 10 ** 9
 
 
-def _scan_tile(domain: KeyDomain, queries: list, tile) -> tuple[int, list]:
-    """The count of keys scanned in the tile of domain whose rows and
-    columns are tile, and each query's (hits, diverged) there, from one
-    _scan_grid call."""
-    result = _scan_grid(domain.kind, domain.n_modulus, *queries[0], domain.tile_values(*tile),
-                        *queries[1:])
-    return result[2], [result[0:2], result[3:5]][:len(queries)]
+def _scan_tile(domain: KeyDomain, cfg: CipherConfig, queries: list, tile) -> tuple[int, list]:
+    """_scan_grid on the tile of domain whose rows and columns are tile."""
+    return _scan_grid(domain.kind, domain.n_modulus, cfg, queries, domain.tile_values(*tile))
 
 
 def _size_text(size: int) -> str:
@@ -310,15 +306,16 @@ def _size_text(size: int) -> str:
     return str(size) if size < 10 ** 15 else f"over 10^{len(str(size)) - 1}"
 
 
-def _matching_keys(domain: KeyDomain, queries: Sequence[tuple[bytes, CipherConfig, bytes]],
-                   workers: int, on_progress: Callable[[int, int], None] | None,
-                   ) -> list[tuple[list[Key], int]]:
-    """For each of one or two queries (data, cfg, reference), scanned in
-    one pass over the grid, what a scan of it alone finds: the grid keys,
-    in grid order, whose encryption of data is reference, and the count
+def _matching_keys(domain: KeyDomain, cfg: CipherConfig, jobs: Sequence[tuple[tuple, Callable]],
+                   workers: int, on_progress: Callable[[int, int], None] | None) -> list:
+    """Each of one or two jobs (query, finish) finished with what a scan
+    of its query (data, reference, n1, n2) alone finds: the grid keys, in
+    grid order, whose encryption of data under cfg's start state,
+    quantizer and gain with n1/n2 iterations is reference, and the count
     of keys whose orbit left the box or overflowed before their first
-    mismatching symbol. Each key is dropped at its first mismatching
-    symbol; divergent keys do not match."""
+    mismatching symbol. The queries share one pass over the grid. Each
+    key is dropped at its first mismatching symbol; divergent keys do not
+    match."""
     total = domain.size()
     if total > _MAX_SCAN_KEYS:
         raise DomainError(f"grid of {_size_text(total)} keys exceeds the scan cap of "
@@ -334,8 +331,8 @@ def _matching_keys(domain: KeyDomain, queries: Sequence[tuple[bytes, CipherConfi
     # Index ranges, so only the worker scanning a tile builds its key values.
     tiles = ((range(i, min(i + height, na)), range(j, min(j + width, nb)))
              for i in range(0, na, height) for j in range(0, nb, width))
-    scan = partial(_scan_tile, domain, list(queries))
-    hits, diverged, done = [[] for _ in queries], [0] * len(queries), 0
+    scan = partial(_scan_tile, domain, cfg, [query for query, _ in jobs])
+    hits, diverged, done = [[] for _ in jobs], [0] * len(jobs), 0
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for scanned, found in (pool.map if pool else map)(scan, tiles):
@@ -349,15 +346,14 @@ def _matching_keys(domain: KeyDomain, queries: Sequence[tuple[bytes, CipherConfi
         if pool:
             # after an exception, the tiles not yet started are dropped
             pool.shutdown(cancel_futures=True)
-    return [([Key(domain.kind, MapParams(a, b, domain.n_modulus)) for a, b in keys], count)
-            for keys, count in zip(hits, diverged)]
+    return [finish([Key(domain.kind, MapParams(a, b, domain.n_modulus)) for a, b in keys], count)
+            for (_, finish), keys, count in zip(jobs, hits, diverged)]
 
 
 def _identification(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
-                    cfg: CipherConfig | None, iteration_value: int,
-                    compare_len: int | None) -> tuple:
-    """identifiability_scan's arguments checked, as its scan's query and the
-    function that makes the result of what _matching_keys finds for it."""
+                    cfg: CipherConfig, iteration_value: int, compare_len: int | None) -> tuple:
+    """identifiability_scan's arguments checked, as its scan's job for
+    _matching_keys: the query and the function that makes the result."""
     p = _as_bytes(plaintext)
     if not p:
         raise DomainError("identifiability scan needs a non-empty plaintext")
@@ -367,8 +363,6 @@ def _identification(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
         compare_len = min(len(p), 8)
     if not 1 <= compare_len <= len(p):
         raise DomainError(f"compare_len {compare_len} outside [1, {len(p)}]")
-    if cfg is None:
-        cfg = default_config(true_key.kind)
     scan_cfg = replace(cfg, n1=iteration_value, n2=iteration_value)
     snapped = Key(domain.kind, domain.snap(true_key.params))
     data = p[:compare_len]
@@ -377,7 +371,8 @@ def _identification(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
         return IdentifiabilityResult(matching == [snapped], snapped, matching, domain.size(),
                                      diverged)
 
-    return (data, scan_cfg, encrypt_bytes(data, snapped, scan_cfg)), finish
+    reference = encrypt_bytes(data, snapped, scan_cfg)
+    return (data, reference, iteration_value, iteration_value), finish
 
 
 def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
@@ -393,23 +388,21 @@ def identifiability_scan(plaintext: bytes | str, true_key: Key, domain: KeyDomai
     compare_len symbols (default: min(len(plaintext), 8)). The true key
     is snapped to the nearest grid point first.
     """
-    query, finish = _identification(plaintext, true_key, domain, cfg, iteration_value,
-                                    compare_len)
-    return finish(*_matching_keys(domain, [query], workers, on_progress)[0])
+    cfg = cfg if cfg is not None else default_config(true_key.kind)
+    job = _identification(plaintext, true_key, domain, cfg, iteration_value, compare_len)
+    return _matching_keys(domain, cfg, [job], workers, on_progress)[0]
 
 
 def _attack(ciphertext: bytes, known_prefix: bytes | str, domain: KeyDomain,
-            cfg: CipherConfig | None) -> tuple:
-    """known_plaintext_attack's arguments checked, as its scan's query and
-    the function that makes the result of what _matching_keys finds for it."""
+            cfg: CipherConfig) -> tuple:
+    """known_plaintext_attack's arguments checked, as its scan's job for
+    _matching_keys: the query and the function that makes the result."""
     prefix = _as_bytes(known_prefix)
     if not prefix:
         raise DomainError("known-plaintext attack needs a non-empty prefix")
     ciphertext = bytes(ciphertext)
     if len(ciphertext) < len(prefix):
         raise DomainError("ciphertext shorter than the known prefix")
-    if cfg is None:
-        cfg = default_config(domain.kind)
 
     def finish(candidates: list[Key], diverged: int) -> AttackResult:
         recovered = candidates[0] if len(candidates) == 1 else None
@@ -419,7 +412,7 @@ def _attack(ciphertext: bytes, known_prefix: bytes | str, domain: KeyDomain,
             robust = True
         return AttackResult(candidates, recovered, robust, diverged)
 
-    return (prefix, cfg, ciphertext[:len(prefix)]), finish
+    return (prefix, ciphertext[:len(prefix)], cfg.n1, cfg.n2), finish
 
 
 def known_plaintext_attack(ciphertext: bytes, known_prefix: bytes | str,
@@ -434,8 +427,9 @@ def known_plaintext_attack(ciphertext: bytes, known_prefix: bytes | str,
     isolated, or when the isolated key fails to decrypt the full
     ciphertext into an extension of the known prefix.
     """
-    query, finish = _attack(ciphertext, known_prefix, domain, cfg)
-    return finish(*_matching_keys(domain, [query], workers, on_progress)[0])
+    cfg = cfg if cfg is not None else default_config(domain.kind)
+    job = _attack(ciphertext, known_prefix, domain, cfg)
+    return _matching_keys(domain, cfg, [job], workers, on_progress)[0]
 
 
 @dataclass
@@ -526,10 +520,8 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
         results = {}
         if jobs:
             try:
-                found = _matching_keys(domain, [query for query, _ in jobs.values()], workers,
-                                       None)
-                results = {phase: finish(*keys) for (phase, (_, finish)), keys
-                           in zip(jobs.items(), found)}
+                results = dict(zip(jobs, _matching_keys(domain, row_cfg, list(jobs.values()),
+                                                        workers, None)))
             except caught as exc:
                 failed.update(dict.fromkeys(jobs, str(exc)))
         if "identifiability" not in failed:
@@ -633,7 +625,10 @@ def load_report_spec(path: str | os.PathLike) -> list[tuple[str, Key, KeyDomain]
         domain = KeyDomain(key.kind, lower, upper,
                            _number(dobj, "increment", f"{where} domain", 1e-4),
                            n_modulus=key.params.n_modulus)
-        triples.append((str(_field(item, "plaintext", where)), key, domain))
+        plaintext = _field(item, "plaintext", where)
+        if not isinstance(plaintext, str):
+            raise ValueError(f"{where} field 'plaintext' must be a string, got {plaintext!r}")
+        triples.append((plaintext, key, domain))
     return triples
 
 

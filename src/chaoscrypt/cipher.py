@@ -25,12 +25,14 @@ _scan_grid serves the scans in analysis: it runs a tile of grid keys per
 call, each a-value of the tile against each b-value, stops each key at
 its first mismatching symbol and counts the keys that diverged. It runs
 symbol 0 peeled, with its grid-, row- and column-invariant parts lifted
-out of the key loop. A scanner runs one query's schedule (n1, n2), its
-main one, and may test a second, side query's symbol 0 on the way, from
-the same orbit: symbol 0 depends only on the key and the public start
-state, so the steps of the schedule with more of them hold the other's.
-The keys that pass the side test are finished by the side query's own
-scanner, so that one grid pass gives each query what its own scan gives.
+out of the key loop. A scan takes one or two queries (data, reference,
+n1, n2), which share one config's start state, quantizer and gain. Its
+scanner runs the schedule (n1, n2) of the query with more steps, the
+main one, and tests the other, side query's symbol 0 on the way, from
+the same orbit: symbol 0 depends only on the key and the start state,
+so the main schedule's steps hold the side's. The keys that pass the
+side test are finished by the side query's own scanner, so that one grid
+pass gives each query what its own scan gives.
 """
 
 from __future__ import annotations
@@ -221,6 +223,8 @@ def block(a, b, n, x, y, k, symbols, q, g, trace):
     return result, x, y
 """
 _BLOCK_FILL = {
+    "body": _SYMBOL_BODY,
+    "modulus": repr(SYMBOL_MODULUS),
     "diverge": ('raise DivergenceError(f"orbit diverged while processing symbol '
                 '{k + len(result)}", symbol=k + len(result))'),
     "snapshot": "s1x = x",
@@ -250,16 +254,17 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 #
 # The scanner runs one query's schedule (n1, n2), its main one. Compiled
 # with _SIDE_FILL and a side schedule (n1', n2') of no more steps, it also
-# tests a second, side query's symbol 0 on the way, since symbol 0's orbit
-# depends only on the key and the start state: the peeled symbol 0 gets a
-# snapshot after step n1' and, after step n1' + n2', a compare of
-# (q1' + q2') % 256 against target, the grid-invariant (e0' - c0') % 256
-# that symbol 0's mix must meet. The keys that pass it go to side, and
-# reached counts the keys that got there: every other key diverged first.
-# (Of the lifted values only fmod's can raise, and those come from a key's
-# first step, which every side check follows, as n1' + n2' >= 2.) The main
-# query's lines stay as they are, and a single-query scanner has no $side_
-# line (an empty snippet leaves no line).
+# tests a second, side query's symbol 0 on the way. The two queries share
+# the start state, quantizer q and gain g, and symbol 0's orbit depends
+# only on the key and the start state, so both run on one orbit: the
+# peeled symbol 0 gets a snapshot after step n1' and, after step n1' + n2',
+# a compare of (q1' + q2') % 256 against target, the grid-invariant
+# (e0' - c0') % 256 that symbol 0's mix must meet. The keys that pass it
+# go to side, and reached counts the keys that got there: every other key
+# diverged first. (Of the lifted values only fmod's can raise, and those
+# come from a key's first step, which every side check follows, as
+# n1' + n2' >= 2.) The main query's lines stay as they are, and a
+# single-query scanner has no $side_ line (an empty snippet leaves no line).
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
     scanned = len(a_values) * len(b_values)
@@ -301,6 +306,8 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
     return hits, diverged, scanned$side_results
 """
 _SCAN_FILL = {
+    "body": _SYMBOL_BODY,
+    "modulus": repr(SYMBOL_MODULUS),
     "lifted": ("$setup\nc, expected = c0, e0\nx, y = x0, y0\n$body",
                (("diverge", "diverged += 1\ncontinue"),
                 ("check", "if out != expected:\n    continue"))),
@@ -324,15 +331,6 @@ _SIDE_FILL = {
 }
 
 
-def _entry(template: str, fill: dict[str, str], kind: MapKind, cfg: CipherConfig,
-           side: tuple[int, int] | None = None) -> Callable:
-    """The entry point template defines, with _SYMBOL_BODY, fill and
-    SYMBOL_MODULUS as $modulus, for kind, cfg's iteration counts and the
-    side schedule, if any."""
-    return _kernel(kind, template, cfg.n1, cfg.n2, side, body=_SYMBOL_BODY,
-                   modulus=repr(SYMBOL_MODULUS), **fill)
-
-
 def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[bytes],
                    decrypting: bool = False, trace: Callable | None = None,
                    ) -> Iterator[bytearray]:
@@ -354,7 +352,7 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[bytes],
         fill = {**fill, "mix": _DECRYPT}
     elif trace is not None:
         fill = {**fill, **_TRACED_FILL}
-    block = _entry(_BLOCK, fill, key.kind, cfg)
+    block = _kernel(key.kind, _BLOCK, cfg.n1, cfg.n2, **fill)
     p = key.params
     q, g = cfg.quant_scale, cfg.reinject_gain
     x, y, k = cfg.initial_state.x, cfg.initial_state.y, 0
@@ -392,45 +390,42 @@ def _chunks(symbols: bytes | Iterable[int]) -> Iterator[bytes]:
         k += len(chunk)
 
 
-def _scan_grid(kind: MapKind, n_modulus: float, data: bytes, cfg: CipherConfig,
-               reference: bytes, tile: tuple[list, list],
-               side: tuple[bytes, CipherConfig, bytes] | None = None) -> tuple:
-    """The keys (a, b) of the tile (a_values, b_values), in row-major
-    order, whose encryption of the non-empty data is reference; the count
-    of keys whose orbit left the box or overflowed before their first
-    mismatching symbol (such keys do not match); and the count of keys
-    scanned. data is bytes, so its symbols need no check.
+def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
+               queries: list[tuple[bytes, bytes, int, int]], tile: tuple[list, list],
+               ) -> tuple[int, list[tuple[list, int]]]:
+    """The count of keys scanned in the tile (a_values, b_values), and for
+    each of one or two queries (data, reference, n1, n2), in the caller's
+    order: the keys (a, b), in row-major order, whose encryption of the
+    non-empty data under cfg's start state, quantizer and gain with n1/n2
+    iterations is reference, and the count of keys whose orbit left the
+    box or overflowed before their first mismatching symbol (such keys do
+    not match). data is bytes, so its symbols need no check.
 
-    A side query (data', cfg', reference') over the same tile adds its own
-    keys and count: (hits, diverged, scanned, side hits, side diverged),
-    each as its own scan returns it. When the two configs share their
-    start state and quantizer, one pass serves both: the query with more
-    steps in symbol 0 is the main one, and the other's symbol-0 matches
-    are finished by its own scanner, one row's matches per call.
+    One pass serves two queries: the one with more steps in symbol 0 is
+    the main one, the first on a tie, and the other's symbol-0 matches are
+    finished by its own scanner, one row's matches per call.
     """
+    main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
+    data, reference, n1, n2 = queries[main]
     start = cfg.initial_state
     args = (*tile, n_modulus, start.x, start.y, cfg.quant_scale, cfg.reinject_gain,
             list(zip(data, reference)))
-    if side is None:
-        return _entry(_SCAN, _SCAN_FILL, kind, cfg)(*args)
-    side_data, side_cfg, side_reference = side
-    if (side_cfg.initial_state, side_cfg.quant_scale) != (start, cfg.quant_scale):
-        hits, diverged, scanned = _scan_grid(kind, n_modulus, data, cfg, reference, tile)
-        return hits, diverged, scanned, *_scan_grid(kind, n_modulus, *side, tile)[:2]
-    if side_cfg.n1 + side_cfg.n2 > cfg.n1 + cfg.n2:
-        side_hits, side_diverged, scanned, hits, diverged = _scan_grid(
-            kind, n_modulus, *side, tile, (data, cfg, reference))
-        return hits, diverged, scanned, side_hits, side_diverged
-    scan = _entry(_SCAN, _SIDE_FILL, kind, cfg, (side_cfg.n1, side_cfg.n2))
+    if len(queries) == 1:
+        hits, diverged, scanned = _kernel(kind, _SCAN, n1, n2, **_SCAN_FILL)(*args)
+        return scanned, [(hits, diverged)]
+    side = queries[1 - main]
+    side_data, side_reference, *schedule = side
+    scan = _kernel(kind, _SCAN, n1, n2, tuple(schedule), **_SIDE_FILL)
     target = (side_reference[0] - side_data[0]) % SYMBOL_MODULUS
     hits, diverged, scanned, matches, reached = scan(*args, target)
     side_hits, side_diverged = [], scanned - reached
     for a, row in groupby(matches, key=itemgetter(0)):
-        row_hits, row_diverged, _ = _scan_grid(kind, n_modulus, *side,
-                                               ([a], [b for _, b in row]))
+        _, [(row_hits, row_diverged)] = _scan_grid(kind, n_modulus, cfg, [side],
+                                                   ([a], [b for _, b in row]))
         side_hits += row_hits
         side_diverged += row_diverged
-    return hits, diverged, scanned, side_hits, side_diverged
+    found = [(hits, diverged), (side_hits, side_diverged)]
+    return scanned, found if main == 0 else found[::-1]
 
 
 def encrypt(plaintext: bytes | Iterable[int], key: Key,

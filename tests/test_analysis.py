@@ -601,23 +601,23 @@ def test_report_row_pass_matches_separate_scans(monkeypatch, case, workers):
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 2)
     passes, scanners = [], []
-    matching_keys, entry = analysis._matching_keys, cipher._entry
+    matching_keys, kernel = analysis._matching_keys, cipher._kernel
 
-    def spy_matching_keys(domain, queries, *args):
-        passes.append(matching_keys(domain, queries, *args))
+    def spy_matching_keys(domain, scan_cfg, jobs, *args):
+        passes.append(matching_keys(domain, scan_cfg, jobs, *args))
         return passes[-1]
 
-    def spy_entry(template, fill, kind, entry_cfg, side=None):
+    def spy_kernel(kind, template, n1=0, n2=0, side=None, **fill):
         if template is cipher._SCAN:
-            scanners.append(((entry_cfg.n1, entry_cfg.n2), side))
-        return entry(template, fill, kind, entry_cfg, side)
+            scanners.append(((n1, n2), side))
+        return kernel(kind, template, n1, n2, side, **fill)
 
     monkeypatch.setattr(analysis, "_matching_keys", spy_matching_keys)
-    monkeypatch.setattr(cipher, "_entry", spy_entry)
+    monkeypatch.setattr(cipher, "_kernel", spy_kernel)
     (row,) = analysis_report([(text, key, dom)], cfg, iteration_values=iteration_values,
                              workers=workers)
     assert row.error is None
-    (ident_keys, ident_diverged), (attack_keys, attack_diverged) = passes[0]
+    fused = passes[0]
     if workers == 1:
         assert scanners[0] == schedules
     passes.clear()
@@ -626,8 +626,8 @@ def test_report_row_pass_matches_separate_scans(monkeypatch, case, workers):
                                  workers=workers)
     attack = known_plaintext_attack(ciphertext, text[:2], dom, cfg, workers=workers)
     assert all(len(found) == 1 for found in passes)
-    assert (ident_keys, ident_diverged) == (ident.matching_keys, ident.diverged)
-    assert (attack_keys, attack_diverged) == (attack.candidates, attack.diverged)
+    # every field: the hits in grid order, the diverged counts and the verdicts
+    assert fused == [ident, attack]
     assert row.robust_kpa == attack.verdict
     for diverged in (ident.diverged, attack.diverged):
         assert shares[0] * dom.size() <= diverged <= shares[1] * dom.size()

@@ -310,7 +310,7 @@ def test_nan_feedback_is_a_divergence():
         cfg = default_config(key.kind)
         with pytest.raises(DomainError, match="reinject_gain"):
             replace(cfg, reinject_gain=float("nan"))
-        block = cipher._entry(cipher._BLOCK, cipher._BLOCK_FILL, key.kind, cfg)
+        block = maps._kernel(key.kind, cipher._BLOCK, cfg.n1, cfg.n2, **cipher._BLOCK_FILL)
         p, s = key.params, cfg.initial_state
         with pytest.raises(DivergenceError) as err:
             block(p.a, p.b, p.n_modulus, s.x, s.y, 0, b"\x00\x00", cfg.quant_scale,
@@ -393,11 +393,13 @@ def test_start_outside_the_box_diverges_at_symbol_0_only_if_there_is_one():
     assert encrypt(b"", DUFFING_KEY, cfg) == (b"", [])
     # every key of a scan starts there, so every key diverges
     tile = ([2.75, 2.76, 2.77], [0.1, 0.11])
-    assert cipher._scan_grid(MapKind.DUFFING, 1.0, b"ab", cfg, b"xy", tile) == ([], 6, 6)
+    query = (b"ab", b"xy", cfg.n1, cfg.n2)
+    assert cipher._scan_grid(MapKind.DUFFING, 1.0, cfg, [query], tile) == (6, [([], 6)])
     # also where x0 cancels y0^3, so that the steps after stay inside the box
     cfg = CipherConfig(State(2.0 ** 74 - 2.0 ** 35, 2.0 ** 20), 1, 2)
     tile = ([2.0], [-2.0 ** -14])
-    assert cipher._scan_grid(MapKind.DUFFING, 1.0, b"ab", cfg, b"xy", tile) == ([], 1, 1)
+    query = (b"ab", b"xy", cfg.n1, cfg.n2)
+    assert cipher._scan_grid(MapKind.DUFFING, 1.0, cfg, [query], tile) == (1, [([], 1)])
 
 
 def test_file_roundtrip(tmp_path):
@@ -737,7 +739,8 @@ def test_scan_grid_matches_per_key_oracle(case):
                                         cfg.quant_scale, cfg.reinject_gain)
                     for a, b in keys]
         tile = ([a0 + i * inc for i in rows], [b0 + j * inc for j in columns])
-        hits, diverged, scanned = cipher._scan_grid(kind, n, data, cfg, reference, tile)
+        scanned, [(hits, diverged)] = cipher._scan_grid(
+            kind, n, cfg, [(data, reference, cfg.n1, cfg.n2)], tile)
         assert hits == [ab for ab, outcome in zip(keys, outcomes) if outcome == "hit"]
         assert diverged == outcomes.count("diverged")
         assert scanned == len(keys)
@@ -746,17 +749,10 @@ def test_scan_grid_matches_per_key_oracle(case):
 @st.composite
 def side_scans(draw):
     """A scan case and a side query over its tile: a schedule of 1 to 4
-    steps each, its own data and reference, and at times a different
-    start state or quantizer, which the fused pass cannot share."""
+    steps each, and its own data and reference."""
     case = draw(scan_cases())
     kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs = case
     side_cfg = replace(cfg, n1=draw(st.integers(1, 4)), n2=draw(st.integers(1, 4)))
-    unshared = draw(st.sampled_from([None, None, None, "start", "quant"]))
-    if unshared == "start":
-        side_cfg = replace(side_cfg, initial_state=State(cfg.initial_state.y,
-                                                         cfg.initial_state.x))
-    elif unshared == "quant":
-        side_cfg = replace(side_cfg, quant_scale=3.0 if cfg.quant_scale != 3.0 else 7.0)
     side_data = draw(st.binary(min_size=1, max_size=4))
     i, j = draw(st.sampled_from(refs))
     return case, (side_data, side_cfg, (a0 + i * inc, b0 + j * inc))
@@ -789,17 +785,23 @@ def scan_reference(kind, data, cfg, a, b, n):
           (b"abc", CipherConfig(State(-0.04, 0.2), 2, 4, 1e16), (3.5, -0.13))))
 def test_side_query_gets_what_its_own_scan_gets(case):
     # one pass over a tile for two queries: each gets the hits and the
-    # diverged count of a scan of it alone, whichever has the more steps
+    # diverged count of a scan of it alone, in the caller's order,
+    # whichever has the more steps
     (kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs), side = case
     side_data, side_cfg, (a, b) = side
     i, j = refs[0]
-    reference = scan_reference(kind, data, cfg, a0 + i * inc, b0 + j * inc, n)
-    side_query = (side_data, side_cfg, scan_reference(kind, side_data, side_cfg, a, b, n))
+    query = (data, scan_reference(kind, data, cfg, a0 + i * inc, b0 + j * inc, n),
+             cfg.n1, cfg.n2)
+    side_query = (side_data, scan_reference(kind, side_data, side_cfg, a, b, n),
+                  side_cfg.n1, side_cfg.n2)
     tile = ([a0 + i * inc for i in rows], [b0 + j * inc for j in columns])
-    alone = cipher._scan_grid(kind, n, data, cfg, reference, tile)
-    side_alone = cipher._scan_grid(kind, n, *side_query, tile)
-    fused = cipher._scan_grid(kind, n, data, cfg, reference, tile, side_query)
-    assert fused == (*alone, *side_alone[:2])
+    scanned, [alone] = cipher._scan_grid(kind, n, cfg, [query], tile)
+    side_scanned, [side_alone] = cipher._scan_grid(kind, n, cfg, [side_query], tile)
+    assert side_scanned == scanned
+    assert cipher._scan_grid(kind, n, cfg, [query, side_query], tile) == (
+        scanned, [alone, side_alone])
+    assert cipher._scan_grid(kind, n, cfg, [side_query, query], tile) == (
+        scanned, [side_alone, alone])
 
 
 def test_lift_pass_keeps_an_if_body_that_reads_invariants():
@@ -845,7 +847,7 @@ def test_scanner_lifts_invariant_values_out_of_its_loops():
     }
     for kind, places in lifted.items():
         cfg = replace(default_config(kind), n1=2, n2=2)
-        scan = cipher._entry(cipher._SCAN, cipher._SCAN_FILL, kind, cfg)
+        scan = maps._kernel(kind, cipher._SCAN, cfg.n1, cfg.n2, **cipher._SCAN_FILL)
         source = "".join(linecache.getlines(scan.__code__.co_filename))
         assert "$" not in source
         assert not re.search(r"grid_invariant|row_invariant|column_invariant|key_code"

@@ -180,6 +180,12 @@ def test_encrypt_through_a_symlinked_out_keeps_the_link(tmp_path, arnold_key_fil
     ("encrypt", {"n1": 2, "n2": 2.7}, "'n2'"),
     ("encrypt", {"n1": 1000000000}, "'n1'"),
     ("encrypt", {"n1": 2, "n2": 1001}, "'n2'"),
+    ("report", [{"plaintext": None, "key": {"kind": "arnold", "a": -4.0, "b": 0.5},
+                 "domain": {"lower": [-4.0, 0.5], "upper": [-4.0, 0.5]}}],
+     "report spec item 1 field 'plaintext' must be a string, got None"),
+    ("report", [{"plaintext": 12, "key": {"kind": "arnold", "a": -4.0, "b": 0.5},
+                 "domain": {"lower": [-4.0, 0.5], "upper": [-4.0, 0.5]}}],
+     "report spec item 1 field 'plaintext' must be a string, got 12"),
 ])
 def test_malformed_json_shape_is_one_error_line(tmp_path, arnold_key_file, capsys,
                                                 command, payload, named):
@@ -775,7 +781,7 @@ def test_cli_contract_holds_for_hostile_input(call):
 
     def scan(*args):
         result = real_scan(*args)
-        scanned.append(result[2])
+        scanned.append(result[0])
         assert sum(scanned) <= _MAX_FUZZ_GRID, "a scan started on a grid over the cap"
         return result
 

@@ -1,5 +1,6 @@
 """Tests for the chaotic map primitives."""
 
+import io
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -240,6 +241,17 @@ def test_trajectory_csv_round_trips_full_precision(tmp_path):
         assert float(ys) == pts[k].y
     with open(path) as f:
         assert read_trajectory_csv(f) == pts
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,y\n0,0.5,0.25\n", "unexpected trajectory header"),
+    ("k,x,y\n0,0.5,0.25\n2,0.5,0.25\n", "non-contiguous step index 2"),
+    ("k,x,y\n0,0.5\n", "not enough values"),
+    ("k,x,y\n0,0.5,0.25\n1,inf,0.25\n", "finite"),
+], ids=["header", "gap", "two fields", "non-finite"])
+def test_trajectory_csv_refuses_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_trajectory_csv(io.StringIO(text))
 
 
 # --- the orbit tools against a flat, both-coordinates oracle ---------------
