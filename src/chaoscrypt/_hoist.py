@@ -17,9 +17,9 @@ _COLUMN = frozenset({"column"})
 _KEY = _ROW | _COLUMN
 
 # The names the lift region reads before it assigns them, by the level
-# they are invariant at: the call's arguments and symbol 0's pair (c0,
-# e0), a row's a and a column's b.
-_INVARIANT = {**dict.fromkeys(("x0", "y0", "n", "q", "g", "c0", "e0"), _GRID),
+# they are invariant at: the call's arguments, symbol 0's input c0 and
+# the keystream byte t0 it must meet, a row's a and a column's b.
+_INVARIANT = {**dict.fromkeys(("x0", "y0", "n", "q", "g", "c0", "t0"), _GRID),
               "a": _ROW, "b": _COLUMN}
 
 # Operations a lifted subtree may contain. Float +, -, * and comparisons
@@ -169,8 +169,9 @@ def hoist(region: str) -> dict[str, str]:
 
     region is straight-line code that reads the names of _INVARIANT before
     it assigns them. Every key runs it until it leaves the loop, and the
-    only ways out before its last lifted subtree count the key as
-    diverged. The snippets, each source lines that the splicer indents:
+    only ways out before its last lifted subtree that can raise (one with
+    fmod) count the key as diverged. The snippets, each source lines that
+    the splicer indents:
     - grid_lifts, row_lifts, column_lifts: the lifted statements of each
       level, for the scanner to run once per call, per row and per
       column (`pass` when there are none);

@@ -165,13 +165,14 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 
 
 # The cipher's per-symbol body. For symbol k with input c it advances the
-# orbit n1 steps, snapshots it ($snapshot), advances n2 steps, each a
-# maps._TESTED_STEP (the kind's bound test after every step, see
-# maps._STEP_SOURCE); quantizes the two snapshots, mixes ($mix), runs
-# $check, and feeds z back into the state. Each run of steps is written
-# out in full, so the body is compiled once per (kind, n1, n2). A failed
-# bound test runs $diverge; a step or a feedback that overflows makes fmod
-# raise ValueError, which each entry treats as a divergence.
+# orbit n1 steps, snapshots it ($snapshot), advances n2 steps; quantizes
+# the two snapshots, mixes ($mix), runs $check, and feeds z back into the
+# state. Each step is a maps._BETWEEN_STEP, but the symbol's last, which
+# is a maps._TESTED_STEP, so a key whose orbit cannot come back into the
+# box tests it once per symbol (see maps._STEP_SOURCE). Each run of steps
+# is written out in full, so the body is compiled once per (kind, n1, n2).
+# A failed bound test runs $diverge; a step or a feedback that overflows
+# makes fmod raise ValueError, which each entry treats as a divergence.
 #
 # The body does not test the state it starts from: each entry tests its
 # start state once ($entry), and a finished symbol leaves a state that
@@ -179,8 +180,10 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 # moves x; Arnold's states stay finite, as fmod raises on an overflowed
 # feedback. (A NaN fed back, which no config allows, fails the next
 # symbol anyway: at a bound test, or at floor(nan), which raises
-# ValueError.) q1 and q2 are not reduced mod $modulus, the literal 256:
-# the mixes reduce the sums they enter, which gives the same ints.
+# ValueError.) The quantizations follow the last test, so they only see
+# states inside the box. q1 and q2 are not reduced mod $modulus, the
+# literal 256: the mixes reduce the sums they enter, which gives the same
+# ints.
 _SYMBOL_BODY = """\
 $steps1
 $snapshot
@@ -252,19 +255,28 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # row's, or a column's by an empty table entry, whose unpacking raises
 # ValueError like the overflow would.
 #
+# More than 99% of keys stop at symbol 0, so it does only what decides
+# that. Its mix is _MATCH_0: the output (c0 + q1 + q2) % 256 is e0
+# exactly when the keystream byte (q1 + q2) % 256 is t0, the
+# grid-invariant (e0 - c0) % 256, so it compares that and computes z only
+# for the keys that pass. Its last step is maps._SPLIT_STEP, which needs
+# only x' to quantize: the keys that pass take the step in full after the
+# compare, and a boxed Arnold key that does not never computes its y'.
+#
 # The scanner runs one query's schedule (n1, n2), its main one. Compiled
 # with _SIDE_FILL and a side schedule (n1', n2') of no more steps, it also
 # tests a second, side query's symbol 0 on the way. The two queries share
 # the start state, quantizer q and gain g, and symbol 0's orbit depends
 # only on the key and the start state, so both run on one orbit: the
 # peeled symbol 0 gets a snapshot after step n1' and, after step n1' + n2',
-# a compare of (q1' + q2') % 256 against target, the grid-invariant
-# (e0' - c0') % 256 that symbol 0's mix must meet. The keys that pass it
-# go to side, and reached counts the keys that got there: every other key
-# diverged first. (Of the lifted values only fmod's can raise, and those
-# come from a key's first step, which every side check follows, as
-# n1' + n2' >= 2.) The main query's lines stay as they are, and a
-# single-query scanner has no $side_ line (an empty snippet leaves no line).
+# which is a tested step, a compare of (q1' + q2') % 256 against target,
+# the grid-invariant (e0' - c0') % 256 that symbol 0's mix must meet. The
+# keys that pass it go to side, and reached counts the keys that got
+# there: every other key diverged first. (Of the lifted values only
+# fmod's can raise, and those come from a key's first step, which every
+# side check follows, as n1' + n2' >= 2.) The main query's lines stay as
+# they are, and a single-query scanner has no $side_ line (an empty
+# snippet leaves no line).
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
     scanned = len(a_values) * len(b_values)
@@ -273,6 +285,7 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
     if not ($entry):
         return [], scanned, scanned$side_results
     (c0, e0), *rest = pairs
+    t0 = (e0 - c0) % $modulus
     try:
         $grid_lifts
     except ValueError:
@@ -305,12 +318,18 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
                 diverged += 1
     return hits, diverged, scanned$side_results
 """
+_MATCH_0 = """\
+if (q1 + q2) % $modulus != t0:
+    continue
+z = (c0 + q1) % $modulus
+$split_rest
+"""
 _SCAN_FILL = {
     "body": _SYMBOL_BODY,
     "modulus": repr(SYMBOL_MODULUS),
-    "lifted": ("$setup\nc, expected = c0, e0\nx, y = x0, y0\n$body",
-               (("diverge", "diverged += 1\ncontinue"),
-                ("check", "if out != expected:\n    continue"))),
+    "lifted": ("$setup\nx, y = x0, y0\n$body",
+               (("diverge", "diverged += 1\ncontinue"), ("last_step", "$split_step"),
+                ("mix", _MATCH_0), ("check", ""))),
     "diverge": "diverged += 1\nbreak",
     "snapshot": "s1x = x",
     "mix": _ENCRYPT,

@@ -6,7 +6,7 @@ state arithmetic is plain 64-bit floating point; every operation here is
 a pure function, so values can be shared freely across threads.
 
 Each step equation and its bound tests are spelled once, in _STEP_SOURCE,
-and a step with its bound test once, in _TESTED_STEP. _kernel is the one
+and a step with its bound test once, in _STEP. _kernel is the one
 compiler: it splices the two into a template and compiles it on first
 use. The orbit tools run its orbit generator, cipher its block and scan
 entries. For the scanner it first hands _hoist.hoist the code a key runs
@@ -134,10 +134,14 @@ def signed_mod(dividend: float, divisor: float) -> float:
 
 # The two step equations, each spelled once, with their bound tests:
 # - setup: a statement binding names from the parameters (a, b, n);
-# - step: the next state, as an expression of the state (x, y);
+# - x, y: the next state's coordinates, as expressions of the state (x, y);
 # - entry: a test of the state a run of steps starts from;
-# - inside: a test, after each step, that the new state is in the box.
-# _kernel splices these fields, and runs of _TESTED_STEP, into the orbit
+# - inside: a test that the state ($new_x, $new_y) a step made is in the
+#   box, exactly;
+# - between: the test after a step that is not the last of a cipher
+#   symbol's run. It may pass a state outside the box when the orbit
+#   cannot come back into it before the inside test at the run's end.
+# _kernel splices these fields, and runs of _STEP, into the orbit
 # generator below and cipher's entries.
 #
 # The tests stop a run of steps at the first state outside
@@ -145,36 +149,72 @@ def signed_mod(dividend: float, divisor: float) -> float:
 # for a run that starts from finite or NaN coordinates. Each map tests
 # only what a step can move out of the box:
 # - Duffing: x' is the previous y, so once entry has tested the incoming
-#   y, each step need only test its new y.
+#   y, each step need only test its new y. Once a step first puts y
+#   outside the box, every later y stays outside or is not finite, when
+#   |a| + |b| <= 1e11 (no_return, set once per key): with |x| <= |y| and
+#   |y| > 1e6, |y'| >= |y| (|y|^2 - |a| - |b|) > |y|, rounding included,
+#   and inf and NaN never become finite again. So a no_return key tests y
+#   only after a run's last step. (With a about y^2, an orbit can leave
+#   the box and come back.)
 # - Arnold: fmod is exact, so |fmod(v, N)| < N for a finite v (it raises
 #   on an infinite one), and rounding is monotone, so |y'| < N and
 #   |x'| = fl(|a-1| |fmod(v, N)|) <= fl(|a-1| N). When boxed
-#   (fl(|a-1| N) <= bound and N <= bound, set once per key), no step from
-#   a finite state leaves the box and the test is skipped; entry turns a
-#   NaN coordinate, which boxed would let through, into a failed test.
-#   Otherwise both coordinates are tested.
+#   ((1 + |a-1| + |1-b|) N <= bound, set once per key; it implies
+#   fl(|a-1| N) <= bound and N <= bound), no step from a finite state
+#   leaves the box and the test is skipped; entry turns a NaN coordinate,
+#   which boxed would let through, into a failed test. Otherwise both
+#   coordinates are tested. boxed also bounds |x + (1-b) y|, so for a
+#   boxed key fmod cannot raise on it: _SPLIT_STEP may put y' off.
+# Each guard is written as a column's value against a row's, so that a
+# scanner lifts both out of its key loop and compares once per key.
 _STEP_SOURCE = {
     MapKind.ARNOLD: {
-        "setup": "a1, b1 = a - 1.0, 1.0 - b; boxed = abs(a1) * n <= $bound and n <= $bound",
-        "step": "a1 * fmod(2.0 * x + y, n), fmod(x + b1 * y, n)",
+        "setup": "a1, b1 = a - 1.0, 1.0 - b; boxed = abs(b1) * n <= $bound - (1.0 + abs(a1)) * n",
+        "x": "a1 * fmod(2.0 * x + y, n)",
+        "y": "fmod(x + b1 * y, n)",
         "entry": "x == x and y == y",
-        "inside": "boxed or -$bound <= x <= $bound and -$bound <= y <= $bound",
+        "inside": "boxed or -$bound <= $new_x <= $bound and -$bound <= $new_y <= $bound",
+        "between": "$inside",
     },
     MapKind.DUFFING: {
-        "setup": "nb = -b",
-        "step": "y, nb * x + a * y - y * y * y",
+        "setup": "nb = -b; no_return = abs(b) <= 1e11 - abs(a)",
+        "x": "y",
+        "y": "nb * x + a * y - y * y * y",
         "entry": "-$bound <= y <= $bound",
-        "inside": "-$bound <= y <= $bound",
+        "inside": "-$bound <= $new_y <= $bound",
+        "between": "no_return or $inside",
     },
 }
 
 
 # One step and its bound test, inserted by every compiled run of steps,
-# here and in cipher's kernel. A failed test runs $diverge.
-_TESTED_STEP = """\
-x, y = $step
+# here and in cipher's kernel: _TESTED_STEP with the exact test, and
+# _BETWEEN_STEP with the test between a symbol's steps. A failed test runs
+# $diverge.
+_STEP = """\
+x, y = $x, $y
+if not ($test):
+    $diverge
+"""
+_TESTED_STEP = (_STEP, (("test", "$inside"),))
+_BETWEEN_STEP = (_STEP, (("test", "$between"),))
+
+# A run's last step for a caller that needs only x' before it decides
+# whether to go on (the scanner's symbol 0): it tests the state the step
+# makes, computing its coordinates inside the test (so a boxed Arnold key,
+# which skips the test, computes neither there), then sets x to x', keeps
+# the x before it in x_prev and leaves y as it was. _SPLIT_REST takes the
+# step in full from there, for a caller that goes on. It needs no test:
+# the test passed on the same values, or the key is boxed, so the state
+# stays in the box and fmod cannot raise.
+_SPLIT_STEP = ("""\
 if not ($inside):
     $diverge
+x_prev, x = x, $x
+""", (("new_x", "$x"), ("new_y", "$y")))
+_SPLIT_REST = """\
+x = x_prev
+x, y = $x, $y
 """
 
 _FIELD = re.compile(r"\$(\w+)")
@@ -202,20 +242,28 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     """The function that template defines, compiled for kind on first use.
 
     The snippets spliced in are the kind's _STEP_SOURCE fields, $bound,
-    $tested_step, $steps1 and $steps2 (the tested step n1 and n2 times)
-    and the caller's fill. A fill with a $lifted snippet (the scanner's)
-    also gets the snippets that _hoist.hoist makes of it, spliced. A side
-    schedule (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the
-    steps of $lifted alone: $side_snapshot after its step n1' and
-    $side_check after its step n1' + n2'. A line that splices to nothing
-    but blanks is dropped. fmod, floor and DivergenceError are its
-    globals. Its file name names the kind, the function, n1/n2 and the
-    side schedule, and linecache holds its source, so a traceback through
-    it shows its lines.
+    $new_x and $new_y (x and y, the state the tests read unless a step
+    says otherwise), $tested_step, $between_step, $split_step,
+    $split_rest, $steps1 and $steps2 (a
+    symbol's n1 and n2 steps: each a between step, but the last, which is
+    $last_step, the tested step unless the fill says otherwise) and the
+    caller's fill. A fill with a $lifted snippet (the scanner's) also gets
+    the snippets that _hoist.hoist makes of it, spliced. A side schedule
+    (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the steps of
+    $lifted alone: $side_snapshot after its step n1' and $side_check after
+    its step n1' + n2', which is a tested step. A line that splices to
+    nothing but blanks is dropped. fmod, floor and DivergenceError are
+    its globals. Its file name names the kind, the function, n1/n2 and
+    the side schedule, and linecache holds its source, so a traceback
+    through it shows its lines.
     """
-    run = ["$tested_step\n"] * (n1 + n2)
-    snippets = {**_STEP_SOURCE[kind], "bound": repr(DIVERGENCE_BOUND),
-                "tested_step": _TESTED_STEP, "steps1": "".join(run[:n1]),
+    run = ["$between_step\n"] * (n1 + n2)
+    if run:
+        run[-1] = "$last_step\n"
+    snippets = {**_STEP_SOURCE[kind], "bound": repr(DIVERGENCE_BOUND), "new_x": "x",
+                "new_y": "y", "tested_step": _TESTED_STEP, "between_step": _BETWEEN_STEP,
+                "last_step": "$tested_step", "split_step": _SPLIT_STEP,
+                "split_rest": _SPLIT_REST, "steps1": "".join(run[:n1]),
                 "steps2": "".join(run[n1:]), **fill}
     if "lifted" in snippets:
         # only scanners need the pass, so the other commands never import it
@@ -223,6 +271,8 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
         peeled = snippets
         if side:
             run[side[0] - 1] += "$side_snapshot\n"
+            if sum(side) < n1 + n2:
+                run[sum(side) - 1] = "$tested_step\n"
             run[sum(side) - 1] += "$side_check\n"
             peeled = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:])}
         snippets.update(hoist(_splice("$lifted", peeled)))
@@ -247,7 +297,7 @@ def orbit(a, b, n, x, y, steps):
     $setup
     k = 0
     if steps and not ($entry):
-        x, y = $step
+        x, y = $x, $y
         $diverge
     for k in range(steps):
         try:
@@ -331,17 +381,35 @@ def write_trajectory_csv(points: Iterable[State], out: TextIO) -> None:
 
 
 def read_trajectory_csv(inp: TextIO) -> list[State]:
-    """Parse a k,x,y CSV back into points (bit-exact at 17 digits)."""
+    """Parse a k,x,y CSV back into points (bit-exact at 17 digits).
+
+    A malformed data line raises ValueError naming its line number and
+    the fault: a field count other than 3, a k that is not an integer or
+    not the next step index, or a coordinate that is not a finite number.
+    """
     header = inp.readline().strip()
     if header != "k,x,y":
         raise ValueError(f"unexpected trajectory header: {header!r}")
     points = []
-    for line in inp:
+    for number, line in enumerate(inp, start=2):
         line = line.strip()
         if not line:
             continue
-        k, x, y = line.split(",")
-        if int(k) != len(points):
-            raise ValueError(f"non-contiguous step index {k}")
-        points.append(State(float(x), float(y)))
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"trajectory line {number}: expected 3 fields k,x,y, "
+                             f"got {len(fields)}")
+        k, x, y = fields
+        try:
+            k = int(k)
+        except ValueError:
+            raise ValueError(f"trajectory line {number}: step index {k!r} is not an "
+                             f"integer") from None
+        if k != len(points):
+            raise ValueError(f"trajectory line {number}: non-contiguous step index {k}")
+        try:
+            points.append(State(float(x), float(y)))
+        except ValueError:
+            raise ValueError(f"trajectory line {number}: coordinates {x!r}, {y!r} are not "
+                             f"finite numbers") from None
     return points

@@ -159,6 +159,14 @@ def arnold_oracle_step(a, b, n):
     return lambda x, y: ((a - 1.0) * fmod(2.0 * x + y, n), fmod(x + (1.0 - b) * y, n))
 
 
+def arnold_edge_params(n, a_side, u, b_side, f):
+    """Arnold (a, b, N) with |a - 1| N = u 1e6, and |1 - b| N f times what
+    is left of 1e6 after (1 + |a - 1|) N: f = 1 puts the key on the edge
+    below which the cipher skips the bound test."""
+    a = 1.0 + a_side * u * 1e6 / n
+    return a, 1.0 - b_side * f * (1e6 - (1.0 + abs(a - 1.0)) * n) / n, n
+
+
 def oracle_matching_set(kind, lo, hi, inc, n_mod, true_ab, data, iters):
     """(snapped key, matching (a, b) list in grid order) by exhaustion."""
     na = oracle_axis(lo[0], hi[0], inc)

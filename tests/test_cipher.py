@@ -40,6 +40,7 @@ from chaoscrypt.cipher import (
 )
 from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State, iterate
 from oracles import (
+    arnold_edge_params,
     arnold_oracle_step,
     duffing_oracle_step,
     oracle_encrypt,
@@ -802,6 +803,171 @@ def test_side_query_gets_what_its_own_scan_gets(case):
         scanned, [alone, side_alone])
     assert cipher._scan_grid(kind, n, cfg, [side_query, query], tile) == (
         scanned, [side_alone, alone])
+
+
+def assert_scans_match_oracle(kind, n, cfg, tile, queries):
+    """Each query (data, reference, n1, n2) scanned over tile alone, and
+    the queries scanned in one pass in either order, give the hits and
+    diverged counts of the per-key oracle."""
+    keys = [(a, b) for a in tile[0] for b in tile[1]]
+    s = cfg.initial_state
+    expected = []
+    for data, reference, n1, n2 in queries:
+        outcomes = [oracle_scan_outcome(data, reference, oracle_step(Key(kind, MapParams(a, b, n))),
+                                        s.x, s.y, n1, n2, cfg.quant_scale, cfg.reinject_gain)
+                    for a, b in keys]
+        expected.append(([ab for ab, outcome in zip(keys, outcomes) if outcome == "hit"],
+                         outcomes.count("diverged")))
+    for query, found in zip(queries, expected):
+        assert cipher._scan_grid(kind, n, cfg, [query], tile) == (len(keys), [found])
+    assert cipher._scan_grid(kind, n, cfg, queries, tile) == (len(keys), expected)
+    assert cipher._scan_grid(kind, n, cfg, queries[::-1], tile) == (len(keys), expected[::-1])
+
+
+def assert_block_matches_oracle(key, cfg, data):
+    out, traces, diverged = run_oracle(key, cfg, data)
+    expect_outcome(lambda: encrypt_bytes(data, key, cfg), out, diverged)
+    expect_outcome(lambda: encrypt(data, key, cfg),
+                   (out, [SymbolTrace(z, y, State(*s1), State(*s2)) for z, y, s1, s2 in traces]),
+                   diverged)
+    plain, _, diverged_back = run_oracle(key, cfg, data, decrypting=True)
+    expect_outcome(lambda: decrypt(data, key, cfg), plain, diverged_back)
+
+
+@st.composite
+def two_queries(draw, kind, n, cfg, tile):
+    """Two queries over tile, each with its own schedule and data, whose
+    references are the outputs of tile keys (or the data, for a key whose
+    orbit diverges)."""
+    queries = []
+    for _ in range(2):
+        query_cfg = replace(cfg, n1=draw(st.integers(1, 4)), n2=draw(st.integers(1, 4)))
+        data = draw(st.binary(min_size=1, max_size=4))
+        a, b = draw(st.sampled_from(tile[0])), draw(st.sampled_from(tile[1]))
+        queries.append((data, scan_reference(kind, data, query_cfg, a, b, n),
+                        query_cfg.n1, query_cfg.n2))
+    return queries
+
+
+# Duffing keys on both sides of |a| + |b| = 1e11, below which a key tests
+# its bound once per symbol, and above which after every step. Their
+# orbits leave the box for good within a few steps unless they start at
+# (or next to) the origin. The tile's rows and columns cross the edge.
+@st.composite
+def duffing_guard_cases(draw):
+    a = draw(st.floats(-1e11, 1e11))
+    b = (draw(st.sampled_from([1.0, -1.0])) * (1e11 - abs(a))
+         * draw(st.sampled_from([1 - 2.0 ** -40, 1.0, 1 + 2.0 ** -40, 0.5, 2.0])))
+    if draw(st.booleans()):
+        a, b = b, a
+    inc = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    tile = ([a + i * inc for i in range(3)], [b + j * inc for j in range(3)])
+    start = draw(st.sampled_from([(0.0, 0.0), (1e-9, 0.0), (0.0, -1e-12)])
+                 | st.tuples(st.floats(-1e-6, 1e-6), st.floats(-1e-9, 1e-9)))
+    cfg = CipherConfig(State(*start), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                       draw(st.sampled_from([1e16, 1e6])), draw(st.sampled_from([0.0, 1e-12, 1.0])))
+    data = draw(st.binary(min_size=1, max_size=8))
+    return tile, cfg, data, draw(two_queries(MapKind.DUFFING, 1.0, cfg, tile))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(duffing_guard_cases())
+# a = 4e12 is y^2 for the y = 2e6 of the first step, which leaves the box:
+# the second step brings y back to 0, and the orbit stays at (0, 0) from
+# the third on, so a test at the end of a symbol alone would let it through
+@example((([4e12, 4e12 + 1e-3, 4e12 + 1.0], [0.0, 1e-3, 1.0]), CipherConfig(State(0.0, 5e-7), 1, 1),
+          b"abc", [(b"ab", b"ab", 1, 1), (b"x", b"y", 1, 3)]))
+def test_duffing_guard_matches_checked_oracle(case):
+    tile, cfg, data, queries = case
+    for a in tile[0]:
+        assert_block_matches_oracle(Key(MapKind.DUFFING, MapParams(a, tile[1][0])), cfg, data)
+    assert_scans_match_oracle(MapKind.DUFFING, 1.0, cfg, tile, queries)
+
+
+# Arnold keys for symbol 0's split last step. "overflow": |1 - b| near the
+# largest float and N > 1, so that x + (1 - b) y overflows in the last
+# step of some keys' symbol 0 but not in their first (|y0| < 1). "edge":
+# keys on both sides of (1 + |a - 1| + |1 - b|) N = 1e6, below which a key
+# puts its last y' off until after the compare, and above which it
+# computes y' in the step's bound test.
+@st.composite
+def arnold_split_cases(draw):
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([3.0, 1e3]))
+        a0 = draw(st.floats(-6.0, 2.0))
+        b0 = draw(st.sampled_from([1e308, -1e308, 5e307, -1.7e308]))
+        b_inc = -b0 * draw(st.sampled_from([2.0 ** -3, 2.0 ** -20, 2.0 ** -52]))
+        a_inc = 0.02
+        start = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    else:
+        a0, b0, n = arnold_edge_params(
+            draw(st.sampled_from([1.0, 3.0, 1e3, 2e5])), draw(st.sampled_from([1.0, -1.0])),
+            draw(st.floats(0.0, 0.5)), draw(st.sampled_from([1.0, -1.0])),
+            draw(st.sampled_from([1 - 2.0 ** -40, 1.0, 1 + 2.0 ** -40, 0.5, 2.0])))
+        # steps of 2^-45 or 2^-40 of |1 - b0|, so that a tile can cross the edge
+        a_inc, b_inc = 1e-3, abs(1.0 - b0) * draw(st.sampled_from([2.0 ** -45, 2.0 ** -40]))
+        start = draw(st.sampled_from([(0.5, 0.06), (-0.3, 0.7)]))
+    tile = ([a0 + i * a_inc for i in range(3)], [b0 + j * b_inc for j in range(4)])
+    # a coarse quantizer lets many keys past the compare, into the rest of
+    # the split step
+    cfg = CipherConfig(State(*start), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                       draw(st.sampled_from([1e16, 7.0])), draw(st.sampled_from([1.0, 0.75])))
+    data = draw(st.binary(min_size=1, max_size=8))
+    return n, tile, cfg, data, draw(two_queries(MapKind.ARNOLD, n, cfg, tile))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(arnold_split_cases())
+# 3/3 against 1/1: the keys whose y1 passes 1.8 overflow at step 2, the
+# side query's last step, and a 7.0 quantizer lets most keys past it
+@example((3.0, ([-4.0, -3.98, -3.96], [-1.7e308, -1.7e308 + 2.0 ** -3 * 1.7e308]),
+          CipherConfig(State(0.5, 0.9), 3, 3, 7.0), b"ab",
+          [(b"ab", b"cd", 3, 3), (b"x", b"y", 1, 1)]))
+# N > 1e6: y' leaves the box however small (|a - 1| + |1 - b|) N / 1e6 is
+@example((2e6, ([1.25, 1.5], [0.9, 0.95]), CipherConfig(State(1.5e6, 0.0), 2, 3), b"xy",
+          [(b"xy", b"ab", 2, 3), (b"x", b"y", 1, 1)]))
+def test_arnold_split_step_matches_checked_oracle(case):
+    n, tile, cfg, data, queries = case
+    for b in tile[1]:
+        assert_block_matches_oracle(Key(MapKind.ARNOLD, MapParams(tile[0][0], b, n)), cfg, data)
+    assert_scans_match_oracle(MapKind.ARNOLD, n, cfg, tile, queries)
+
+
+def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
+    # symbol 0's last step sets x alone. Before the keystream compare, its
+    # y' = fmod(x + (1 - b) y, n) is computed only in the bound test, after
+    # boxed, so a boxed key that misses never computes it; a key that
+    # passes takes the step in full after the compare
+    for n1, n2, side in [(2, 2, None), (1, 2, None), (3, 3, (2, 2)), (2, 2, (1, 3))]:
+        fill = cipher._SIDE_FILL if side else cipher._SCAN_FILL
+        scan = maps._kernel(MapKind.ARNOLD, cipher._SCAN, n1, n2, side, **fill)
+        tree = ast.parse("".join(linecache.getlines(scan.__code__.co_filename)))
+        key_loop = next(node for node in ast.walk(tree)
+                        if isinstance(node, ast.For) and ast.unparse(node.target) == "column")
+        code = key_loop.body[0].body
+        compare = next(k for k, stmt in enumerate(code)
+                       if ast.unparse(stmt).startswith("if (q1 + q2) % 256 != t0:"))
+
+        def sets(stmt, name):
+            return isinstance(stmt, ast.Assign) and name in [
+                node.id for target in stmt.targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)]
+
+        last_y = max(k for k in range(compare) if sets(code[k], "y"))
+        last_x = max(k for k in range(compare) if sets(code[k], "x"))
+        assert last_y < last_x, (n1, n2, side)
+        y_steps = []
+        for stmt in code[last_y + 1:compare]:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                    assert ast.unparse(node.values[0]) == "boxed"
+                    node.values[1:] = []  # computed by unboxed keys only
+            y_steps += [node for node in ast.walk(stmt)
+                        if re.fullmatch(r"fmod\(x \+ _c\d+ \* y, n\)", ast.unparse(node))]
+        assert y_steps == [], (n1, n2, side)
+        assert any(sets(stmt, "x") and sets(stmt, "y") for stmt in code[compare + 1:])
 
 
 def test_lift_pass_keeps_an_if_body_that_reads_invariants():

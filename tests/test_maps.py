@@ -26,7 +26,7 @@ from chaoscrypt.maps import (
     write_trajectory_csv,
 )
 
-from oracles import arnold_oracle_step, duffing_oracle_step, oracle_orbit
+from oracles import arnold_edge_params, arnold_oracle_step, duffing_oracle_step, oracle_orbit
 
 # Parameter sets and start points from the reference scatter plots.
 FIG_ARNOLD = MapParams(-3.5, 0.9, 1.0)
@@ -244,30 +244,48 @@ def test_trajectory_csv_round_trips_full_precision(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("x,y\n0,0.5,0.25\n", "unexpected trajectory header"),
-    ("k,x,y\n0,0.5,0.25\n2,0.5,0.25\n", "non-contiguous step index 2"),
-    ("k,x,y\n0,0.5\n", "not enough values"),
-    ("k,x,y\n0,0.5,0.25\n1,inf,0.25\n", "finite"),
-], ids=["header", "gap", "two fields", "non-finite"])
+    ("x,y\n0,0.5,0.25\n", "unexpected trajectory header: 'x,y'"),
+    ("k,x,y\n0,0.5,0.25\n2,0.5,0.25\n", "trajectory line 3: non-contiguous step index 2"),
+    ("k,x,y\n0,0.5\n", "trajectory line 2: expected 3 fields k,x,y, got 2"),
+    ("k,x,y\n0,0.5,0.25\n\n1,0.5,0.25,7\n",
+     "trajectory line 4: expected 3 fields k,x,y, got 4"),
+    ("k,x,y\nz,0.5,0.25\n", "trajectory line 2: step index 'z' is not an integer"),
+    ("k,x,y\n0,0.5,0.25\n1,inf,0.25\n",
+     "trajectory line 3: coordinates 'inf', '0.25' are not finite numbers"),
+], ids=["header", "gap", "two fields", "four fields", "k not an integer", "non-finite"])
 def test_trajectory_csv_refuses_malformed_input(text, message):
-    with pytest.raises(ValueError, match=message):
+    # each message names the data line (the header is line 1) and the fault
+    with pytest.raises(ValueError) as err:
         read_trajectory_csv(io.StringIO(text))
+    assert str(err.value) == message
 
 
 # --- the orbit tools against a flat, both-coordinates oracle ---------------
 
-# Arnold keys on both sides of |a - 1| * N = 1e6 and of N = 1e6, where the
-# per-step bound test is skipped or kept, and moduli up to 1e300.
+
+
+# Arnold keys on both sides of (1 + |a - 1| + |1 - b|) N = 1e6 (boxed), of
+# |a - 1| * N = 1e6 and of N = 1e6, where the per-step bound test is
+# skipped or kept, and moduli up to 1e300.
 arnold_params = st.one_of(
     st.tuples(st.floats(-6.0, 2.0), st.floats(-3.0, 3.0), st.sampled_from([0.5, 1.0, 2.0])),
     st.builds(lambda n, side, f, b: (1.0 + side * (1e6 / n) * f, b, n),
               st.sampled_from([1.0, 1e3, 1e6 * (1 - 2.0 ** -40), 1e6, 1e6 * (1 + 2.0 ** -40),
                                2e6, 1e300]),
               st.sampled_from([1.0, -1.0]),
-              st.sampled_from([1 - 2.0 ** -40, 1.0, 1 + 2.0 ** -40, 0.5, 2.0]),
-              st.floats(-3.0, 3.0)))
-# about a third of this Duffing box diverges
-duffing_params = st.tuples(st.floats(1.5, 3.1), st.floats(-0.8, 0.4), st.just(1.0))
+              st.sampled_from([1 - 2.0 ** -40, 1.0, 1 + 2.0 ** -40, 0.5, 1.5, 2.0]),
+              st.floats(-3.0, 3.0)),
+    st.builds(arnold_edge_params, st.sampled_from([1.0, 3.0, 1e3, 2e5]),
+              st.sampled_from([1.0, -1.0]), st.floats(0.0, 0.5), st.sampled_from([1.0, -1.0]),
+              st.sampled_from([1 - 2.0 ** -40, 1.0, 1 + 2.0 ** -40, 0.5, 2.0])))
+# about a third of this Duffing box diverges; the cipher tests a key with
+# |a| + |b| <= 1e11 once per symbol, so keys on both sides of that edge
+# check that the orbit tools still test every step
+duffing_params = st.one_of(
+    st.tuples(st.floats(1.5, 3.1), st.floats(-0.8, 0.4), st.just(1.0)),
+    st.builds(lambda a, side, f: (a, side * (1e11 - abs(a)) * f, 1.0),
+              st.floats(-1e11, 1e11), st.sampled_from([1.0, -1.0]),
+              st.sampled_from([1 - 2.0 ** -40, 1.0, 1 + 2.0 ** -40, 0.5, 2.0])))
 # inside the box, on both sides of its edge, and near the largest floats
 small = st.floats(-2.0, 2.0)
 coordinates = st.one_of(
@@ -319,6 +337,13 @@ def raises_as(call, failure):
 # ... also when x0 cancels y0^3 exactly, so that the step-0 y is inside
 @example((MapKind.DUFFING, MapParams(2.0, -2.0 ** -14), State(2.0 ** 74 - 2.0 ** 35, 2.0 ** 20),
           3, 1e-8))
+# the orbit leaves the box at step 0 and is back at (0, 0) from step 2 on
+@example((MapKind.DUFFING, MapParams(4e12, 0.0), State(0.0, 5e-7), 5, 1e-8))
+# past the edge of the boxed keys, an Arnold orbit leaves the box at step
+# 0: with N > 1e6, y' however small (|a - 1| + |1 - b|) N / 1e6 is, and
+# with |a - 1| N = 1.5e6, x'
+@example((MapKind.ARNOLD, MapParams(1.25, 0.9, 2e6), State(1.5e6, 0.0), 3, 1e-3))
+@example((MapKind.ARNOLD, MapParams(1.0 + 1.5e6, 1.0, 1.0), State(0.45, 0.0), 3, 1e-3))
 # x + delta overflows: the shifted Arnold orbit's first fmod raises
 @example((MapKind.ARNOLD, MapParams(-3.5, 0.9, 1.0), State(1.7e308, 0.5), 5, 1e307))
 # both Duffing orbits diverge: the unshifted one first (step 17 against
