@@ -609,6 +609,20 @@ def expect_outcome(call, out, diverged):
     assert str(err.value) == f"orbit diverged while processing symbol {diverged}"
 
 
+def assert_block_matches_oracle(key, cfg, data):
+    """encrypt_bytes, traced encrypt and decrypt of data give the checked
+    oracle's output and traces, or raise at its symbol; returns the
+    encryption's (output, diverged symbol or None)."""
+    out, traces, diverged = run_oracle(key, cfg, data)
+    expect_outcome(lambda: encrypt_bytes(data, key, cfg), out, diverged)
+    expect_outcome(lambda: encrypt(data, key, cfg),
+                   (out, [SymbolTrace(z, y, State(*s1), State(*s2)) for z, y, s1, s2 in traces]),
+                   diverged)
+    plain, _, diverged_back = run_oracle(key, cfg, data, decrypting=True)
+    expect_outcome(lambda: decrypt(data, key, cfg), plain, diverged_back)
+    return out, diverged
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kernel_cases())
@@ -622,13 +636,7 @@ def expect_outcome(call, out, diverged):
           CipherConfig(State(2.0 ** 74 - 2.0 ** 35, 2.0 ** 20), 1, 2), b"xy"))
 def test_kernel_matches_checked_oracle(case):
     key, cfg, data = case
-    out, traces, diverged = run_oracle(key, cfg, data)
-    expect_outcome(lambda: encrypt_bytes(data, key, cfg), out, diverged)
-    expect_outcome(lambda: encrypt(data, key, cfg),
-                   (out, [SymbolTrace(z, y, State(*s1), State(*s2)) for z, y, s1, s2 in traces]),
-                   diverged)
-    plain, _, diverged_back = run_oracle(key, cfg, data, decrypting=True)
-    expect_outcome(lambda: decrypt(data, key, cfg), plain, diverged_back)
+    out, diverged = assert_block_matches_oracle(key, cfg, data)
     if diverged is None and out:
         assert decrypt(out, key, cfg) == data
 
@@ -822,16 +830,6 @@ def assert_scans_match_oracle(kind, n, cfg, tile, queries):
         assert cipher._scan_grid(kind, n, cfg, [query], tile) == (len(keys), [found])
     assert cipher._scan_grid(kind, n, cfg, queries, tile) == (len(keys), expected)
     assert cipher._scan_grid(kind, n, cfg, queries[::-1], tile) == (len(keys), expected[::-1])
-
-
-def assert_block_matches_oracle(key, cfg, data):
-    out, traces, diverged = run_oracle(key, cfg, data)
-    expect_outcome(lambda: encrypt_bytes(data, key, cfg), out, diverged)
-    expect_outcome(lambda: encrypt(data, key, cfg),
-                   (out, [SymbolTrace(z, y, State(*s1), State(*s2)) for z, y, s1, s2 in traces]),
-                   diverged)
-    plain, _, diverged_back = run_oracle(key, cfg, data, decrypting=True)
-    expect_outcome(lambda: decrypt(data, key, cfg), plain, diverged_back)
 
 
 @st.composite
