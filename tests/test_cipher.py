@@ -918,8 +918,10 @@ def arnold_split_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(arnold_split_cases())
-# 3/3 against 1/1: the keys whose y1 passes 1.8 overflow at step 2, the
-# side query's last step, and a 7.0 quantizer lets most keys past it
+# from b = -1.7e308, y1 = 2 makes x + (1 - b) y overflow at step 2: the
+# last step of the 1/1 query's symbol 0 (its split step when scanned
+# alone, its side check when fused with 3/3); from the next b, some keys
+# overflow at step 4. A 7.0 quantizer lets many keys past the compares
 @example((3.0, ([-4.0, -3.98, -3.96], [-1.7e308, -1.7e308 + 2.0 ** -3 * 1.7e308]),
           CipherConfig(State(0.5, 0.9), 3, 3, 7.0), b"ab",
           [(b"ab", b"cd", 3, 3), (b"x", b"y", 1, 1)]))
