@@ -19,12 +19,13 @@ _KEY = _ROW | _COLUMN
 # The names the lift region reads before it assigns them, by the level
 # they are invariant at: the call's arguments, symbol 0's input c0 and
 # the keystream byte t0 it must meet, a row's a and a column's b.
-_INVARIANT = {**dict.fromkeys(("x0", "y0", "n", "q", "g", "c0", "t0"), _GRID),
+_INVARIANT = {**dict.fromkeys(("x0", "y0", "n", "q", "feed", "c0", "t0"), _GRID),
               "a": _ROW, "b": _COLUMN}
 
 # Operations a lifted subtree may contain. Float +, -, * and comparisons
 # never raise, and fmod raises ValueError only on an infinite dividend;
-# everything else (floor, /, %) stays where the template puts it.
+# everything else (floor, /, %, a subscript such as feed[z]) stays where
+# the template puts it.
 _PURE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.USub, ast.UAdd, ast.Not)
 _PURE_CALLS = ("abs", "fmod")
 
@@ -71,6 +72,8 @@ class _Lifter:
             pure, always, sometimes = isinstance(node.op, _PURE_OPS), ["left", "right"], []
         elif isinstance(node, ast.UnaryOp):
             pure, always, sometimes = isinstance(node.op, _PURE_OPS), ["operand"], []
+        elif isinstance(node, ast.Subscript):
+            pure, always, sometimes = False, ["value", "slice"], []
         elif isinstance(node, ast.Call) and not node.keywords:
             pure = isinstance(node.func, ast.Name) and node.func.id in _PURE_CALLS
             always, sometimes = [("args", k) for k in range(len(node.args))], []

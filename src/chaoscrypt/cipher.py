@@ -10,10 +10,12 @@ exactly. Symbols are bytes: the alphabet is fixed at SYMBOL_MODULUS =
 the one check that a symbol is a byte.
 
 One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
-map with the bound tests the map needs, quantizes, mixes and feeds back.
-It is spliced into two entry points, _BLOCK and _SCAN, which
-maps._kernel compiles on first use for each map kind and pair of
-iteration counts (n1, n2), with every step written out inline. Each
+map with the bound tests the map needs, quantizes, mixes and feeds back
+z, adding to x entry z of the gain's feedback table (_feed), which holds
+the 256 increments gain * z / 256. It is spliced into two entry points,
+_BLOCK and _SCAN, which maps._kernel compiles on first use for each map
+kind and pair of iteration counts (n1, n2), with every step written out
+inline; each takes the table in place of the gain. Each
 entry tests its start state once, not once per symbol. The block entry
 runs one chunk of symbols and carries the state to the next; it is
 compiled once per direction, with the direction and the tracing chosen
@@ -43,7 +45,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import groupby, islice
 from math import floor
 from operator import itemgetter
@@ -167,12 +169,16 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 # The cipher's per-symbol body. For symbol k with input c it advances the
 # orbit n1 steps, snapshots it ($snapshot), advances n2 steps; quantizes
 # the two snapshots, mixes ($mix), runs $check, and feeds z back into the
-# state. Each step is a maps._BETWEEN_STEP, but the symbol's last, which
-# is a maps._TESTED_STEP, so a key whose orbit cannot come back into the
-# box tests it once per symbol (see maps._STEP_SOURCE). Each run of steps
-# is written out in full, so the body is compiled once per (kind, n1, n2).
+# state by adding feed[z]: feed is the gain's feedback table (_feed), so
+# the body adds the float gain * z / 256 gives, with no arithmetic that
+# mixes an int and a float. Each step is a maps._BETWEEN_STEP, but the
+# symbol's last, which is a maps._TESTED_STEP, so a key whose orbit
+# cannot come back into the box tests it once per symbol (see
+# maps._STEP_SOURCE). Each run of steps is written out in full, so the
+# body is compiled once per (kind, n1, n2).
 # A failed bound test runs $diverge; a step or a feedback that overflows
-# makes fmod raise ValueError, which each entry treats as a divergence.
+# (an infinite table entry, or a sum past the largest float) makes fmod
+# raise ValueError, which each entry treats as a divergence.
 #
 # The body does not test the state it starts from: each entry tests its
 # start state once ($entry), and a finished symbol leaves a state that
@@ -192,7 +198,7 @@ q1 = floor(abs(s1x) * q)
 q2 = floor(abs(x) * q)
 $mix
 $check
-x = fmod(x + g * z / $modulus, 1.0)
+x = fmod(x + feed[z], 1.0)
 """
 _ENCRYPT = """\
 z = (c + q1) % $modulus
@@ -210,7 +216,7 @@ out = (z - q1) % $modulus
 # trace, and _cipher_blocks fills in _DECRYPT to decrypt, or $emit with a
 # call that hands trace each symbol's z, output and two snapshots.
 _BLOCK = """\
-def block(a, b, n, x, y, k, symbols, q, g, trace):
+def block(a, b, n, x, y, k, symbols, q, feed, trace):
     $setup
     result = bytearray()
     put = result.append
@@ -266,30 +272,35 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # The scanner runs one query's schedule (n1, n2), its main one. Compiled
 # with _SIDE_FILL and a side schedule (n1', n2') of no more steps, it also
 # tests a second, side query's symbol 0 on the way. The two queries share
-# the start state, quantizer q and gain g, and symbol 0's orbit depends
-# only on the key and the start state, so both run on one orbit: the
-# peeled symbol 0 gets a snapshot after step n1' and, after step n1' + n2',
-# which is a tested step, a compare of (q1' + q2') % 256 against target,
-# the grid-invariant (e0' - c0') % 256 that symbol 0's mix must meet. The
-# keys that pass it go to side, and reached counts the keys that got
-# there: every other key diverged first. (Of the lifted values only
-# fmod's can raise, and those come from a key's first step, which every
-# side check follows, as n1' + n2' >= 2.) The main query's lines stay as
-# they are, and a single-query scanner has no $side_ line (an empty
-# snippet leaves no line).
+# the start state, quantizer q and feedback table feed, and symbol 0's
+# orbit depends only on the key and the start state, so both run on one
+# orbit: the peeled symbol 0 gets a snapshot after step n1' and, after
+# step n1' + n2', which is a tested step, a compare of (q1' + q2') % 256
+# against target, the grid-invariant (e0' - c0') % 256 that symbol 0's
+# mix must meet. The keys that pass it go to side. A key that reaches the
+# compare pays nothing else for the side query: the scanner counts in
+# early the keys that leave before it, at a failed bound test of the
+# steps up to it ($side_diverge), or by a lifted value that raises (a
+# grid's, a row's, or a column's empty table entry). A key whose own code
+# raises may do so before the compare (x + (1 - b) y overflows in an
+# unboxed Arnold key's step) or after it, so it goes to side as well,
+# once: the side query's scanner, which finishes the keys in side, counts
+# it as diverged exactly when it raised first. The main query's lines
+# stay as they are, and a single-query scanner has no $side_ line (an
+# empty snippet leaves no line).
 _SCAN = """\
-def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
+def scan(a_values, b_values, n, x0, y0, q, feed, pairs$side_params):
     scanned = len(a_values) * len(b_values)
     $side_init
     x, y = x0, y0
     if not ($entry):
-        return [], scanned, scanned$side_results
+        return [], scanned, scanned$side_none
     (c0, e0), *rest = pairs
     t0 = (e0 - c0) % $modulus
     try:
         $grid_lifts
     except ValueError:
-        return [], scanned, scanned$side_results
+        return [], scanned, scanned$side_none
     columns = []
     for b in b_values:
         try:
@@ -305,6 +316,7 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
             $row_lifts
         except ValueError:
             diverged += len(columns)
+            $side_row
             continue
         for column in columns:
             try:
@@ -316,6 +328,7 @@ def scan(a_values, b_values, n, x0, y0, q, g, pairs$side_params):
                     hits.append((a, b))
             except ValueError:
                 diverged += 1
+                $side_key
     return hits, diverged, scanned$side_results
 """
 _MATCH_0 = """\
@@ -336,18 +349,42 @@ _SCAN_FILL = {
     "check": "if out != expected:\n    break",
     "side_params": "",
     "side_init": "",
+    "side_none": "",
+    "side_row": "",
+    "side_key": "",
     "side_results": "",
 }
 _SIDE_FILL = {
     **_SCAN_FILL,
     "side_params": ", target",
-    "side_init": "side, reached = [], 0",
-    "side_results": ", side, reached",
+    "side_init": "side, early = [], 0",
+    "side_none": ", [], scanned",
+    "side_row": "early += len(columns)",
+    "side_key": ("if column == ():\n"
+                 "    early += 1\n"
+                 "elif side[-1:] != [(a, b)]:\n"
+                 "    side.append((a, b))"),
+    "side_results": ", side, early",
     "side_snapshot": "side_s1x = x",
+    "side_diverge": "diverged += 1\nearly += 1\ncontinue",
     "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
-                   "    side.append((a, b))\n"
-                   "reached = reached + 1"),
+                   "    side.append((a, b))"),
 }
+
+
+def _feed(gain: float) -> tuple[float, ...]:
+    """The feedback table of a gain, which the compiled entries take in
+    its place: entry z is gain * z / 256, the increment the symbol body
+    adds to x for the mixed value z. Built once per gain."""
+    return _feed_table(gain, math.copysign(1.0, gain))
+
+
+# Keyed by the sign too: 0.0 == -0.0, but their entries differ in the sign
+# of zero, which shows when x is -0.0. Typed, as an int gain's products
+# can stay finite where those of the float equal to it overflow.
+@lru_cache(maxsize=16, typed=True)
+def _feed_table(gain: float, sign: float) -> tuple[float, ...]:
+    return tuple(gain * z / SYMBOL_MODULUS for z in range(SYMBOL_MODULUS))
 
 
 def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[bytes],
@@ -373,10 +410,10 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[bytes],
         fill = {**fill, **_TRACED_FILL}
     block = _kernel(key.kind, _BLOCK, cfg.n1, cfg.n2, **fill)
     p = key.params
-    q, g = cfg.quant_scale, cfg.reinject_gain
+    q, feed = cfg.quant_scale, _feed(cfg.reinject_gain)
     x, y, k = cfg.initial_state.x, cfg.initial_state.y, 0
     for chunk in chunks:
-        out, x, y = block(p.a, p.b, p.n_modulus, x, y, k, chunk, q, g, trace)
+        out, x, y = block(p.a, p.b, p.n_modulus, x, y, k, chunk, q, feed, trace)
         k += len(chunk)
         yield out
 
@@ -421,13 +458,14 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     not match). data is bytes, so its symbols need no check.
 
     One pass serves two queries: the one with more steps in symbol 0 is
-    the main one, the first on a tie, and the other's symbol-0 matches are
-    finished by its own scanner, one row's matches per call.
+    the main one, the first on a tie, and the keys it hands the other (its
+    symbol-0 matches, and the keys whose code raised) are finished by the
+    other's own scanner, one row's keys per call.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
     data, reference, n1, n2 = queries[main]
     start = cfg.initial_state
-    args = (*tile, n_modulus, start.x, start.y, cfg.quant_scale, cfg.reinject_gain,
+    args = (*tile, n_modulus, start.x, start.y, cfg.quant_scale, _feed(cfg.reinject_gain),
             list(zip(data, reference)))
     if len(queries) == 1:
         hits, diverged, scanned = _kernel(kind, _SCAN, n1, n2, **_SCAN_FILL)(*args)
@@ -436,8 +474,8 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     side_data, side_reference, *schedule = side
     scan = _kernel(kind, _SCAN, n1, n2, tuple(schedule), **_SIDE_FILL)
     target = (side_reference[0] - side_data[0]) % SYMBOL_MODULUS
-    hits, diverged, scanned, matches, reached = scan(*args, target)
-    side_hits, side_diverged = [], scanned - reached
+    hits, diverged, scanned, matches, early = scan(*args, target)
+    side_hits, side_diverged = [], early
     for a, row in groupby(matches, key=itemgetter(0)):
         _, [(row_hits, row_diverged)] = _scan_grid(kind, n_modulus, cfg, [side],
                                                    ([a], [b for _, b in row]))

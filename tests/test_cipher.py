@@ -304,9 +304,10 @@ def test_divergence_traceback_shows_kernel_source(entry):
 
 
 def test_nan_feedback_is_a_divergence():
-    # a NaN gain feeds a NaN back into x, and the next symbol's orbit
-    # counts as divergent, also for keys whose steps skip the bound test.
-    # A config refuses a NaN gain, so the block entry is called directly.
+    # a NaN gain's feedback table feeds a NaN back into x, and the next
+    # symbol's orbit counts as divergent, also for keys whose steps skip
+    # the bound test. A config refuses a NaN gain, so the block entry is
+    # called directly.
     for key in (ARNOLD_KEY, DUFFING_KEY):
         cfg = default_config(key.kind)
         with pytest.raises(DomainError, match="reinject_gain"):
@@ -315,7 +316,7 @@ def test_nan_feedback_is_a_divergence():
         p, s = key.params, cfg.initial_state
         with pytest.raises(DivergenceError) as err:
             block(p.a, p.b, p.n_modulus, s.x, s.y, 0, b"\x00\x00", cfg.quant_scale,
-                  float("nan"), None)
+                  (float("nan"),) * 256, None)
         assert err.value.symbol == 1
 
 
@@ -581,7 +582,7 @@ def kernel_cases(draw):
     n1 = draw(st.integers(1, 4))
     n2 = draw(st.integers(1, 4).filter(lambda v: v != n1))
     cfg = CipherConfig(State(*start), n1, n2, draw(st.sampled_from([1e6, 7.0, 12345.678])),
-                       draw(st.sampled_from([1.0, 0.0, 0.75, -2.5])))
+                       draw(st.sampled_from([1.0, 0.0, 0.75, -2.5, -0.0, 1e308, 5e-324])))
     return Key(kind, MapParams(a, b, n)), cfg, draw(st.binary(max_size=24))
 
 
@@ -609,15 +610,25 @@ def expect_outcome(call, out, diverged):
     assert str(err.value) == f"orbit diverged while processing symbol {diverged}"
 
 
+def trace_bits(z, y, s1, s2):
+    """A symbol's trace with each state coordinate as float.hex, so that
+    0.0 and -0.0, which State equality takes as equal, differ."""
+    return z, y, *map(float.hex, s1), *map(float.hex, s2)
+
+
 def assert_block_matches_oracle(key, cfg, data):
     """encrypt_bytes, traced encrypt and decrypt of data give the checked
-    oracle's output and traces, or raise at its symbol; returns the
-    encryption's (output, diverged symbol or None)."""
+    oracle's output and traces, the states bit for bit, or raise at its
+    symbol; returns the encryption's (output, diverged symbol or None)."""
     out, traces, diverged = run_oracle(key, cfg, data)
     expect_outcome(lambda: encrypt_bytes(data, key, cfg), out, diverged)
-    expect_outcome(lambda: encrypt(data, key, cfg),
-                   (out, [SymbolTrace(z, y, State(*s1), State(*s2)) for z, y, s1, s2 in traces]),
-                   diverged)
+
+    def traced():
+        ciphertext, found = encrypt(data, key, cfg)
+        return ciphertext, [trace_bits(t.z, t.y, (t.s1.x, t.s1.y), (t.s2.x, t.s2.y))
+                            for t in found]
+
+    expect_outcome(traced, (out, [trace_bits(*t) for t in traces]), diverged)
     plain, _, diverged_back = run_oracle(key, cfg, data, decrypting=True)
     expect_outcome(lambda: decrypt(data, key, cfg), plain, diverged_back)
     return out, diverged
@@ -634,6 +645,15 @@ def assert_block_matches_oracle(key, cfg, data):
 # symbol 0
 @example((Key(MapKind.DUFFING, MapParams(2.0, -2.0 ** -14)),
           CipherConfig(State(2.0 ** 74 - 2.0 ** 35, 2.0 ** 20), 1, 2), b"xy"))
+# gains 0.0 and -0.0 compare equal, but their feedback differs in the sign
+# of zero: from (0.0, 0.0) symbol 0 ends at x = -0.0, and the feedback
+# leaves x at 0.0 under gain 0.0 and at -0.0 under gain -0.0. Run one
+# right after the other, a feedback table cached for the first gain would
+# show in the traces of the second
+@example((Key(MapKind.DUFFING, MapParams(-2.0, 0.5)), CipherConfig(State(0.0, 0.0), 1, 1,
+                                                                  reinject_gain=0.0), b"\0\0\0"))
+@example((Key(MapKind.DUFFING, MapParams(-2.0, 0.5)), CipherConfig(State(0.0, 0.0), 1, 1,
+                                                                  reinject_gain=-0.0), b"\0\0\0"))
 def test_kernel_matches_checked_oracle(case):
     key, cfg, data = case
     out, diverged = assert_block_matches_oracle(key, cfg, data)
@@ -983,6 +1003,11 @@ def test_lift_pass_keeps_an_if_body_that_reads_invariants():
     for body in ("found.append(z)", "found.append(x)", "a = 1.0", "b = 2.0", "q = 0.5"):
         with pytest.raises(ValueError, match="cannot lift across"):
             hoist(head + f"if z > b:\n    {body}\n")
+    # a subscript stays where it is, like floor and %, also of the grid
+    # invariant feed: by a key value, it stays in the key code
+    snippets = hoist(head + "z = floor(z * b)\nx = fmod(x + feed[z], 1.0)\n")
+    assert "feed" not in snippets["grid_lifts"] + snippets["row_lifts"] + snippets["column_lifts"]
+    assert "z = floor(_r9 * b)\nx = fmod(x0 + feed[z], 1.0)\n" in snippets["key_code"]
 
 
 def loops_around(tree: ast.AST, expression: str) -> list[tuple[str, ...]]:
