@@ -281,13 +281,16 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # compare pays nothing else for the side query: the scanner counts in
 # early the keys that leave before it, at a failed bound test of the
 # steps up to it ($side_diverge), or by a lifted value that raises (a
-# grid's, a row's, or a column's empty table entry). A key whose own code
-# raises may do so before the compare (x + (1 - b) y overflows in an
-# unboxed Arnold key's step) or after it, so it goes to side as well,
-# once: the side query's scanner, which finishes the keys in side, counts
-# it as diverged exactly when it raised first. The main query's lines
-# stay as they are, and a single-query scanner has no $side_ line (an
-# empty snippet leaves no line).
+# grid's, which returns $side_none, a row's, or a column's empty table
+# entry). A key whose own code raises may do so before the compare
+# (x + (1 - b) y overflows in an unboxed Arnold key's step) or after it,
+# so it goes to side as well, unless it passed the compare (passed holds
+# the column of the row's last key that did): the side query's scanner,
+# which finishes the keys in side, counts it as diverged exactly when it
+# raised first. A tile may repeat a key, so passed names the key by its
+# column object, not by its values. The main query's lines stay as they
+# are, and a single-query scanner has no $side_ line (an empty snippet
+# leaves no line).
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, feed, pairs$side_params):
     scanned = len(a_values) * len(b_values)
@@ -318,6 +321,7 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs$side_params):
             diverged += len(columns)
             $side_row
             continue
+        $side_row_start
         for column in columns:
             try:
                 $column_values = column
@@ -351,6 +355,7 @@ _SCAN_FILL = {
     "side_init": "",
     "side_none": "",
     "side_row": "",
+    "side_row_start": "",
     "side_key": "",
     "side_results": "",
 }
@@ -360,15 +365,17 @@ _SIDE_FILL = {
     "side_init": "side, early = [], 0",
     "side_none": ", [], scanned",
     "side_row": "early += len(columns)",
+    "side_row_start": "passed = None",
     "side_key": ("if column == ():\n"
                  "    early += 1\n"
-                 "elif side[-1:] != [(a, b)]:\n"
+                 "elif passed is not column:\n"
                  "    side.append((a, b))"),
     "side_results": ", side, early",
     "side_snapshot": "side_s1x = x",
     "side_diverge": "diverged += 1\nearly += 1\ncontinue",
     "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
-                   "    side.append((a, b))"),
+                   "    side.append((a, b))\n"
+                   "    passed = column"),
 }
 
 

@@ -258,12 +258,12 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     the snippets that _hoist.hoist makes of it, spliced. A side schedule
     (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the steps of
     $lifted alone: $side_snapshot after its step n1' and $side_check after
-    its step n1' + n2', which is a tested step; a key that fails a test
-    up to that step runs $side_diverge in place of $diverge. A line that splices to
-    nothing but blanks is dropped. fmod, floor and DivergenceError are
-    its globals. Its file name names the kind, the function, n1/n2 and
-    the side schedule, and linecache holds its source, so a traceback
-    through it shows its lines.
+    its step n1' + n2', which is a tested step; a failed test up to that
+    step runs $side_diverge in place of $diverge (_SIDE_STEPS). A line
+    that splices to nothing but blanks is dropped. fmod, floor and
+    DivergenceError are its globals. Its file name names the kind, the
+    function, n1/n2 and the side schedule, and linecache holds its source,
+    so a traceback through it shows its lines.
     """
     run = ["$between_step\n"] * (n1 + n2)
     if run:
