@@ -277,33 +277,25 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # orbit: the peeled symbol 0 gets a snapshot after step n1' and, after
 # step n1' + n2', which is a tested step, a compare of (q1' + q2') % 256
 # against target, the grid-invariant (e0' - c0') % 256 that symbol 0's
-# mix must meet. The keys that pass it go to side. A key that reaches the
-# compare pays nothing else for the side query: the scanner counts in
-# early the keys that leave before it, at a failed bound test of the
-# steps up to it ($side_diverge), or by a lifted value that raises (a
-# grid's, which returns $side_none, a row's, or a column's empty table
-# entry). A key whose own code raises may do so before the compare
-# (x + (1 - b) y overflows in an unboxed Arnold key's step) or after it,
-# so it goes to side as well, unless it passed the compare (passed holds
-# the column of the row's last key that did): the side query's scanner,
-# which finishes the keys in side, counts it as diverged exactly when it
-# raised first. A tile may repeat a key, so passed names the key by its
-# column object, not by its values. The main query's lines stay as they
-# are, and a single-query scanner has no $side_ line (an empty snippet
-# leaves no line).
+# mix must meet. The keys that pass it go to side, and reached counts the
+# keys that got there: every other key diverged first. (Of the lifted
+# values only fmod's can raise, and those come from a key's first step,
+# which every side check follows, as n1' + n2' >= 2.) The main query's
+# lines stay as they are, and a single-query scanner has no $side_ line
+# (an empty snippet leaves no line).
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, feed, pairs$side_params):
     scanned = len(a_values) * len(b_values)
     $side_init
     x, y = x0, y0
     if not ($entry):
-        return [], scanned, scanned$side_none
+        return [], scanned, scanned$side_results
     (c0, e0), *rest = pairs
     t0 = (e0 - c0) % $modulus
     try:
         $grid_lifts
     except ValueError:
-        return [], scanned, scanned$side_none
+        return [], scanned, scanned$side_results
     columns = []
     for b in b_values:
         try:
@@ -319,9 +311,7 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs$side_params):
             $row_lifts
         except ValueError:
             diverged += len(columns)
-            $side_row
             continue
-        $side_row_start
         for column in columns:
             try:
                 $column_values = column
@@ -332,7 +322,6 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs$side_params):
                     hits.append((a, b))
             except ValueError:
                 diverged += 1
-                $side_key
     return hits, diverged, scanned$side_results
 """
 _MATCH_0 = """\
@@ -353,29 +342,17 @@ _SCAN_FILL = {
     "check": "if out != expected:\n    break",
     "side_params": "",
     "side_init": "",
-    "side_none": "",
-    "side_row": "",
-    "side_row_start": "",
-    "side_key": "",
     "side_results": "",
 }
 _SIDE_FILL = {
     **_SCAN_FILL,
     "side_params": ", target",
-    "side_init": "side, early = [], 0",
-    "side_none": ", [], scanned",
-    "side_row": "early += len(columns)",
-    "side_row_start": "passed = None",
-    "side_key": ("if column == ():\n"
-                 "    early += 1\n"
-                 "elif passed is not column:\n"
-                 "    side.append((a, b))"),
-    "side_results": ", side, early",
+    "side_init": "side, reached = [], 0",
+    "side_results": ", side, reached",
     "side_snapshot": "side_s1x = x",
-    "side_diverge": "diverged += 1\nearly += 1\ncontinue",
     "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
                    "    side.append((a, b))\n"
-                   "    passed = column"),
+                   "reached = reached + 1"),
 }
 
 
@@ -465,9 +442,8 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     not match). data is bytes, so its symbols need no check.
 
     One pass serves two queries: the one with more steps in symbol 0 is
-    the main one, the first on a tie, and the keys it hands the other (its
-    symbol-0 matches, and the keys whose code raised) are finished by the
-    other's own scanner, one row's keys per call.
+    the main one, the first on a tie, and the other's symbol-0 matches are
+    finished by its own scanner, one row's matches per call.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
     data, reference, n1, n2 = queries[main]
@@ -481,8 +457,8 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     side_data, side_reference, *schedule = side
     scan = _kernel(kind, _SCAN, n1, n2, tuple(schedule), **_SIDE_FILL)
     target = (side_reference[0] - side_data[0]) % SYMBOL_MODULUS
-    hits, diverged, scanned, matches, early = scan(*args, target)
-    side_hits, side_diverged = [], early
+    hits, diverged, scanned, matches, reached = scan(*args, target)
+    side_hits, side_diverged = [], scanned - reached
     for a, row in groupby(matches, key=itemgetter(0)):
         _, [(row_hits, row_diverged)] = _scan_grid(kind, n_modulus, cfg, [side],
                                                    ([a], [b for _, b in row]))

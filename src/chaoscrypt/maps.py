@@ -217,13 +217,6 @@ x = x_prev
 x, y = $x, $y
 """
 
-# The steps of a fused scanner's symbol 0 up to its side check (see
-# _kernel): each is the step of that name, but a key that fails its test
-# runs $side_diverge, so that the scanner can count the keys that never
-# reach the check.
-_SIDE_STEPS = {f"side_{step}": (f"${step}", (("diverge", "$side_diverge"),))
-               for step in ("between_step", "tested_step", "last_step")}
-
 _FIELD = re.compile(r"\$(\w+)")
 
 
@@ -258,12 +251,11 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     the snippets that _hoist.hoist makes of it, spliced. A side schedule
     (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the steps of
     $lifted alone: $side_snapshot after its step n1' and $side_check after
-    its step n1' + n2', which is a tested step; a failed test up to that
-    step runs $side_diverge in place of $diverge (_SIDE_STEPS). A line
-    that splices to nothing but blanks is dropped. fmod, floor and
-    DivergenceError are its globals. Its file name names the kind, the
-    function, n1/n2 and the side schedule, and linecache holds its source,
-    so a traceback through it shows its lines.
+    its step n1' + n2', which is a tested step. A line that splices to
+    nothing but blanks is dropped. fmod, floor and DivergenceError are
+    its globals. Its file name names the kind, the function, n1/n2 and
+    the side schedule, and linecache holds its source, so a traceback
+    through it shows its lines.
     """
     run = ["$between_step\n"] * (n1 + n2)
     if run:
@@ -278,14 +270,11 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
         from ._hoist import hoist
         peeled = snippets
         if side:
-            end = sum(side)
-            if end < n1 + n2:
-                run[end - 1] = "$tested_step\n"
-            run[:end] = ["$side_" + step[1:] for step in run[:end]]
             run[side[0] - 1] += "$side_snapshot\n"
-            run[end - 1] += "$side_check\n"
-            peeled = {**snippets, **_SIDE_STEPS, "steps1": "".join(run[:n1]),
-                      "steps2": "".join(run[n1:])}
+            if sum(side) < n1 + n2:
+                run[sum(side) - 1] = "$tested_step\n"
+            run[sum(side) - 1] += "$side_check\n"
+            peeled = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:])}
         snippets.update(hoist(_splice("$lifted", peeled)))
     source = "".join(line for line in _splice(template, snippets).splitlines(True)
                      if not line.isspace())

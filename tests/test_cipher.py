@@ -804,13 +804,6 @@ def scan_reference(kind, data, cfg, a, b, n):
 @example(((MapKind.ARNOLD, (-4.0, 1e308), 1e307, 1.0, (range(3), range(9)),
            CipherConfig(State(0.5, 1.5), 2, 3, 1e16), b"ab", [(0, 0)]),
           (b"xy", CipherConfig(State(0.5, 1.5), 1, 1, 1e16), (-4.0, 1e308))))
-# keys that repeat in a row (b = -1.7e308 swallows the increment) and
-# overflow x + (1 - b) y at step 2: the 1/1 side query's last step, before
-# its compare. A key that raises counts for the side query however many
-# equal keys come before it
-@example(((MapKind.ARNOLD, (-4.0, -1.7e308), 1e-3, 3.0, (range(2), range(3)),
-           CipherConfig(State(0.5, 0.9), 3, 3, 7.0), b"ab", [(0, 0)]),
-          (b"x", CipherConfig(State(0.5, 0.9), 1, 1, 7.0), (-4.0, -1.7e308))))
 # a coarse quantizer: most keys pass the side query's symbol 0
 @example(((MapKind.ARNOLD, (-4.0, 0.3), 0.02, 1.0, (range(3), range(7)),
            CipherConfig(State(0.5, 0.06), 1, 1, 7.0), b"abcd", [(0, 3)]),
