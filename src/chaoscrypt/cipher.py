@@ -34,7 +34,10 @@ main one, and tests the other, side query's symbol 0 on the way, from
 the same orbit: symbol 0 depends only on the key and the start state,
 so the main schedule's steps hold the side's. The keys that pass the
 side test are finished by the side query's own scanner, so that one grid
-pass gives each query what its own scan gives.
+pass gives each query what its own scan gives. Every scanner, with a
+side query or without, is the one template _SCAN compiled with the one
+fill _SCAN_FILL, and is called the same way: _scan_grid passes it each
+query's symbol-0 target, which it computes once.
 """
 
 from __future__ import annotations
@@ -214,7 +217,9 @@ out = (z - q1) % $modulus
 # bytes and the state to carry into the next chunk. There is one block per
 # direction, each compiled on first use: _BLOCK_FILL encrypts without a
 # trace, and _cipher_blocks fills in _DECRYPT to decrypt, or $emit with a
-# call that hands trace each symbol's z, output and two snapshots.
+# call that hands trace each symbol's z, output and two snapshots, and
+# names that variant in the block's file name, so that linecache keeps
+# each variant's source.
 _BLOCK = """\
 def block(a, b, n, x, y, k, symbols, q, feed, trace):
     $setup
@@ -264,38 +269,39 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # More than 99% of keys stop at symbol 0, so it does only what decides
 # that. Its mix is _MATCH_0: the output (c0 + q1 + q2) % 256 is e0
 # exactly when the keystream byte (q1 + q2) % 256 is t0, the
-# grid-invariant (e0 - c0) % 256, so it compares that and computes z only
-# for the keys that pass. Its last step is maps._SPLIT_STEP, which needs
-# only x' to quantize: the keys that pass take the step in full after the
-# compare, and a boxed Arnold key that does not never computes its y'.
+# grid-invariant (e0 - c0) % 256 that _scan_grid passes in, so it
+# compares that and computes z only for the keys that pass. Its last step
+# is maps._SPLIT_STEP, which needs only x' to quantize: the keys that pass
+# take the step in full after the compare, and a boxed Arnold key that
+# does not never computes its y'.
 #
 # The scanner runs one query's schedule (n1, n2), its main one. Compiled
-# with _SIDE_FILL and a side schedule (n1', n2') of no more steps, it also
-# tests a second, side query's symbol 0 on the way. The two queries share
-# the start state, quantizer q and feedback table feed, and symbol 0's
-# orbit depends only on the key and the start state, so both run on one
-# orbit: the peeled symbol 0 gets a snapshot after step n1' and, after
-# step n1' + n2', which is a tested step, a compare of (q1' + q2') % 256
-# against target, the grid-invariant (e0' - c0') % 256 that symbol 0's
-# mix must meet. The keys that pass it go to side, and reached counts the
-# keys that got there: every other key diverged first. (Of the lifted
-# values only fmod's can raise, and those come from a key's first step,
-# which every side check follows, as n1' + n2' >= 2.) The main query's
-# lines stay as they are, and a single-query scanner has no $side_ line
-# (an empty snippet leaves no line).
+# with a side schedule (n1', n2') of no more steps, it also tests a
+# second, side query's symbol 0 on the way. The two queries share the
+# start state, quantizer q and feedback table feed, and symbol 0's orbit
+# depends only on the key and the start state, so both run on one orbit:
+# the peeled symbol 0 gets a snapshot after step n1' and, after step
+# n1' + n2', which is a tested step, a compare of (q1' + q2') % 256
+# against target, the side query's t0. The keys that pass it go to side,
+# and reached counts the keys that got there: every other key diverged
+# first. (Of the lifted values only fmod's can raise, and those come from
+# a key's first step, which every side check follows, as n1' + n2' >= 2.)
+# The main query's lines stay as they are. maps._kernel splices
+# $side_snapshot and $side_check only into a scanner with a side
+# schedule, so one without reads no target and returns side and reached
+# as it set them.
 _SCAN = """\
-def scan(a_values, b_values, n, x0, y0, q, feed, pairs$side_params):
+def scan(a_values, b_values, n, x0, y0, q, feed, pairs, t0, target):
     scanned = len(a_values) * len(b_values)
-    $side_init
+    side, reached = [], 0
     x, y = x0, y0
     if not ($entry):
-        return [], scanned, scanned$side_results
-    (c0, e0), *rest = pairs
-    t0 = (e0 - c0) % $modulus
+        return [], scanned, scanned, side, reached
+    (c0, _), *rest = pairs
     try:
         $grid_lifts
     except ValueError:
-        return [], scanned, scanned$side_results
+        return [], scanned, scanned, side, reached
     columns = []
     for b in b_values:
         try:
@@ -322,7 +328,7 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs$side_params):
                     hits.append((a, b))
             except ValueError:
                 diverged += 1
-    return hits, diverged, scanned$side_results
+    return hits, diverged, scanned, side, reached
 """
 _MATCH_0 = """\
 if (q1 + q2) % $modulus != t0:
@@ -331,24 +337,12 @@ z = (c0 + q1) % $modulus
 $split_rest
 """
 _SCAN_FILL = {
-    "body": _SYMBOL_BODY,
-    "modulus": repr(SYMBOL_MODULUS),
+    **_BLOCK_FILL,
     "lifted": ("$setup\nx, y = x0, y0\n$body",
                (("diverge", "diverged += 1\ncontinue"), ("last_step", "$split_step"),
                 ("mix", _MATCH_0), ("check", ""))),
     "diverge": "diverged += 1\nbreak",
-    "snapshot": "s1x = x",
-    "mix": _ENCRYPT,
     "check": "if out != expected:\n    break",
-    "side_params": "",
-    "side_init": "",
-    "side_results": "",
-}
-_SIDE_FILL = {
-    **_SCAN_FILL,
-    "side_params": ", target",
-    "side_init": "side, reached = [], 0",
-    "side_results": ", side, reached",
     "side_snapshot": "side_s1x = x",
     "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
                    "    side.append((a, b))\n"
@@ -390,12 +384,12 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[bytes],
     """
     if cfg is None:
         cfg = default_config(key.kind)
-    fill = _BLOCK_FILL
+    fill, variant = _BLOCK_FILL, ""
     if decrypting:
-        fill = {**fill, "mix": _DECRYPT}
+        fill, variant = {**fill, "mix": _DECRYPT}, "decrypt"
     elif trace is not None:
-        fill = {**fill, **_TRACED_FILL}
-    block = _kernel(key.kind, _BLOCK, cfg.n1, cfg.n2, **fill)
+        fill, variant = {**fill, **_TRACED_FILL}, "traced"
+    block = _kernel(key.kind, _BLOCK, cfg.n1, cfg.n2, variant=variant, **fill)
     p = key.params
     q, feed = cfg.quant_scale, _feed(cfg.reinject_gain)
     x, y, k = cfg.initial_state.x, cfg.initial_state.y, 0
@@ -445,30 +439,30 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     not match). data is bytes, so its symbols need no check.
 
     One pass serves two queries: the one with more steps in symbol 0 is
-    the main one, the first on a tie, and the other's symbol-0 matches are
-    finished by its own scanner, one row's matches per call.
+    the main one, the first on a tie, and its scanner takes the other as
+    its side schedule; the other's symbol-0 matches are finished by its
+    own scanner, one row's matches per call. Each query's symbol-0 target
+    is computed here, once.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
+    targets = [(reference[0] - data[0]) % SYMBOL_MODULUS for data, reference, _, _ in queries]
     data, reference, n1, n2 = queries[main]
+    side = queries[1 - main] if len(queries) == 2 else None
+    scan = _kernel(kind, _SCAN, n1, n2, tuple(side[2:]) if side else None, **_SCAN_FILL)
     start = cfg.initial_state
-    args = (*tile, n_modulus, start.x, start.y, cfg.quant_scale, _feed(cfg.reinject_gain),
-            list(zip(data, reference)))
-    if len(queries) == 1:
-        hits, diverged, scanned = _kernel(kind, _SCAN, n1, n2, **_SCAN_FILL)(*args)
-        return scanned, [(hits, diverged)]
-    side = queries[1 - main]
-    side_data, side_reference, *schedule = side
-    scan = _kernel(kind, _SCAN, n1, n2, tuple(schedule), **_SIDE_FILL)
-    target = (side_reference[0] - side_data[0]) % SYMBOL_MODULUS
-    hits, diverged, scanned, matches, reached = scan(*args, target)
-    side_hits, side_diverged = [], scanned - reached
-    for a, row in groupby(matches, key=itemgetter(0)):
-        _, [(row_hits, row_diverged)] = _scan_grid(kind, n_modulus, cfg, [side],
-                                                   ([a], [b for _, b in row]))
-        side_hits += row_hits
-        side_diverged += row_diverged
-    found = [(hits, diverged), (side_hits, side_diverged)]
-    return scanned, found if main == 0 else found[::-1]
+    hits, diverged, scanned, matches, reached = scan(
+        *tile, n_modulus, start.x, start.y, cfg.quant_scale, _feed(cfg.reinject_gain),
+        list(zip(data, reference)), targets[main], targets[1 - main] if side else None)
+    found = [(hits, diverged)]
+    if side:
+        side_hits, side_diverged = [], scanned - reached
+        for a, row in groupby(matches, key=itemgetter(0)):
+            _, [(row_hits, row_diverged)] = _scan_grid(kind, n_modulus, cfg, [side],
+                                                       ([a], [b for _, b in row]))
+            side_hits += row_hits
+            side_diverged += row_diverged
+        found.insert(1 - main, (side_hits, side_diverged))
+    return scanned, found
 
 
 def encrypt(plaintext: bytes | Iterable[int], key: Key,

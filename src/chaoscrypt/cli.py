@@ -19,6 +19,7 @@ import random
 import signal
 import sys
 import threading
+from functools import cache
 from time import perf_counter
 
 from . import analysis, cipher, maps
@@ -107,24 +108,26 @@ def cmd_file(args) -> int:
     return 0
 
 
+def _domain(args, kind: MapKind, n_modulus: float) -> KeyDomain:
+    """The key grid that --domain and --increment spell."""
+    a_lo, b_lo, a_hi, b_hi = args.domain
+    return KeyDomain(kind, (a_lo, b_lo), (a_hi, b_hi), args.increment, n_modulus=n_modulus)
+
+
 def _check_key_domain(args, key: Key) -> int:
     if args.domain is None:
         return 0
-    a_lo, b_lo, a_hi, b_hi = args.domain
-    box = KeyDomain(key.kind, (a_lo, b_lo), (a_hi, b_hi), args.increment,
-                    n_modulus=key.params.n_modulus)
+    box = _domain(args, key.kind, key.params.n_modulus)
     if not box.contains(key.params):
         print(f"error: key ({key.params.a}, {key.params.b}) outside domain "
-              f"[{a_lo}, {b_lo}]..[{a_hi}, {b_hi}]", file=sys.stderr)
+              "[{}, {}]..[{}, {}]".format(*box.lower, *box.upper), file=sys.stderr)
         return 3
     return 0
 
 
 def cmd_keygen(args) -> int:
     kind = MapKind.parse(args.kind)
-    a_lo, b_lo, a_hi, b_hi = args.domain
-    domain = KeyDomain(kind, (a_lo, b_lo), (a_hi, b_hi), args.increment,
-                       n_modulus=args.n_modulus)
+    domain = _domain(args, kind, args.n_modulus)
     rng = random.Random(args.seed)
     na, nb = domain.axis_counts()
     key = Key(kind, domain.params_at(rng.randrange(na), rng.randrange(nb)))
@@ -162,9 +165,7 @@ def cmd_sensitivity(args) -> int:
 def cmd_identify(args) -> int:
     cipher._check_iterations(args.iters, "--iters")
     key = cipher.load_key(args.key)
-    a_lo, b_lo, a_hi, b_hi = args.domain
-    domain = KeyDomain(key.kind, (a_lo, b_lo), (a_hi, b_hi), args.increment,
-                       n_modulus=key.params.n_modulus)
+    domain = _domain(args, key.kind, key.params.n_modulus)
     if not domain.contains(key.params):
         print(f"warning: key ({key.params.a}, {key.params.b}) outside the scan "
               "domain; it will be snapped to the nearest grid point", file=sys.stderr)
@@ -195,9 +196,7 @@ def cmd_identify(args) -> int:
 
 def cmd_attack(args) -> int:
     kind = MapKind.parse(args.kind)
-    a_lo, b_lo, a_hi, b_hi = args.domain
-    domain = KeyDomain(kind, (a_lo, b_lo), (a_hi, b_hi), args.increment,
-                       n_modulus=args.n_modulus)
+    domain = _domain(args, kind, args.n_modulus)
     cfg = _load_cfg(args, kind)
     ciphertext = b"".join(cipher._hex_chunks(args.cipher))
     t0 = perf_counter()
@@ -279,7 +278,11 @@ def cmd_compare(args) -> int:
 _WORKERS_HELP = "parallel scan processes (capped by the usable CPUs and CHAOSCRYPT_THREADS)"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: its
+    nine subparsers take milliseconds to build, and parsing leaves the
+    parser as it was."""
     parser = argparse.ArgumentParser(
         prog="chaoscrypt",
         description="Chaotic-map stream cipher and cryptanalysis toolkit")

@@ -238,7 +238,7 @@ def _splice(text: str, snippets: dict) -> str:
 
 @lru_cache(maxsize=64)
 def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
-            side: tuple[int, int] | None = None, **fill: str) -> Callable:
+            side: tuple[int, int] | None = None, variant: str = "", **fill: str) -> Callable:
     """The function that template defines, compiled for kind on first use.
 
     The snippets spliced in are the kind's _STEP_SOURCE fields, $bound,
@@ -253,9 +253,10 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     $lifted alone: $side_snapshot after its step n1' and $side_check after
     its step n1' + n2', which is a tested step. A line that splices to
     nothing but blanks is dropped. fmod, floor and DivergenceError are
-    its globals. Its file name names the kind, the function, n1/n2 and
-    the side schedule, and linecache holds its source, so a traceback
-    through it shows its lines.
+    its globals. Its file name names the kind, the function, n1/n2, the
+    side schedule and the variant, which tells apart the fills of one
+    template, and linecache holds its source, so a traceback through it
+    shows its lines.
     """
     run = ["$between_step\n"] * (n1 + n2)
     if run:
@@ -281,7 +282,7 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     del snippets  # the scanner's key code is about as large as its source
     name = template[len("def "):template.index("(")]
     schedule = f"{n1}/{n2}" + (f"+{side[0]}/{side[1]}" if side else "")
-    filename = f"<chaoscrypt {kind.value} {name} {schedule}>"
+    filename = f"<chaoscrypt {kind.value} {name} {schedule}{variant and ' ' + variant}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"fmod": fmod, "floor": floor, "DivergenceError": DivergenceError}
     exec(compile(source, filename, "exec"), namespace)

@@ -303,6 +303,26 @@ def test_divergence_traceback_shows_kernel_source(entry):
     assert linecache.getline(filename, tb.tb_lineno).lstrip().startswith("raise DivergenceError(")
 
 
+def test_each_block_variant_keeps_its_own_source():
+    # the encrypt, traced and decrypt blocks of one kind and (n1, n2) each
+    # have a file name of their own, so compiling one leaves the source
+    # that a traceback through another shows
+    cfg = replace(default_config(MapKind.DUFFING), initial_state=State(0.0, 2e6), n1=3, n2=5)
+    lines = {"": "z = (c + q1) % 256", "traced": "trace(z, out, s1x, s1y, x, y)",
+             "decrypt": "z = (c - q2) % 256"}
+    filenames = {}
+    for variant, run in (("", encrypt_bytes), ("traced", encrypt), ("decrypt", decrypt)):
+        with pytest.raises(DivergenceError) as info:
+            run(b"abc", DUFFING_KEY, cfg)
+        tb = info.tb
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        filenames[variant] = tb.tb_frame.f_code.co_filename
+    for variant, line in lines.items():
+        assert filenames[variant] == f"<chaoscrypt duffing block 3/5{variant and ' ' + variant}>"
+        assert line in [text.strip() for text in linecache.getlines(filenames[variant])]
+
+
 def test_nan_feedback_is_a_divergence():
     # a NaN gain's feedback table feeds a NaN back into x, and the next
     # symbol's orbit counts as divergent, also for keys whose steps skip
@@ -961,8 +981,7 @@ def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
     # boxed, so a boxed key that misses never computes it; a key that
     # passes takes the step in full after the compare
     for n1, n2, side in [(2, 2, None), (1, 2, None), (3, 3, (2, 2)), (2, 2, (1, 3))]:
-        fill = cipher._SIDE_FILL if side else cipher._SCAN_FILL
-        scan = maps._kernel(MapKind.ARNOLD, cipher._SCAN, n1, n2, side, **fill)
+        scan = maps._kernel(MapKind.ARNOLD, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
         tree = ast.parse("".join(linecache.getlines(scan.__code__.co_filename)))
         key_loop = next(node for node in ast.walk(tree)
                         if isinstance(node, ast.For) and ast.unparse(node.target) == "column")
@@ -988,6 +1007,23 @@ def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
                         if re.fullmatch(r"fmod\(x \+ _c\d+ \* y, n\)", ast.unparse(node))]
         assert y_steps == [], (n1, n2, side)
         assert any(sets(stmt, "x") and sets(stmt, "y") for stmt in code[compare + 1:])
+
+
+def test_scanner_without_a_side_schedule_keeps_no_side_work_per_key():
+    # every scanner takes the side query's target and returns side and
+    # reached, but only one compiled with a side schedule tests it: the
+    # key loop of one without (the per-key code of a single-query scan)
+    # reads and counts nothing for a side query
+    side_names = {"side", "reached", "target", "side_s1x"}
+    for kind in MapKind:
+        for n1, n2 in [(1, 1), (2, 2), (3, 3), (2, 4)]:
+            for side in (None, (1, 1)):
+                scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
+                tree = ast.parse("".join(linecache.getlines(scan.__code__.co_filename)))
+                key_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
+                                and ast.unparse(node.target) == "column")
+                names = {node.id for node in ast.walk(key_loop) if isinstance(node, ast.Name)}
+                assert bool(names & side_names) == bool(side), (kind, n1, n2, side)
 
 
 def test_lift_pass_keeps_an_if_body_that_reads_invariants():

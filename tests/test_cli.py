@@ -1,5 +1,6 @@
 """In-process tests of the command-line front end."""
 
+import argparse
 import csv
 import json
 import os
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chaoscrypt import analysis, cipher, maps
+from chaoscrypt import analysis, cipher, cli, maps
 from chaoscrypt.cipher import Key, encrypt_bytes, save_key
 from chaoscrypt.cli import main
 from chaoscrypt.maps import DivergenceError, MapKind, MapParams
@@ -316,6 +317,26 @@ def test_import_compiles_no_kernel():
             "assert maps._kernel.cache_info().currsize == 0\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # the parser and its nine subparsers are built on the first call only
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    try:
+        for seed in ("1", "2"):
+            assert main(["keygen", "--kind", "arnold", "--domain=-4,0.5,-3.9,0.6",
+                         "--seed", seed]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 10 and built[0] == "chaoscrypt"
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_sensitivity_prints_percentage(arnold_key_file, capsys):
