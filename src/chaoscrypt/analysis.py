@@ -36,7 +36,7 @@ from .cipher import (
     default_config,
     encrypt_bytes,
 )
-from .maps import DivergenceError, DomainError, MapKind, MapParams
+from .maps import DivergenceError, DomainError, MapKind, MapParams, _finite
 
 __all__ = [
     "KEY_SPACE_RESOLUTION",
@@ -92,9 +92,9 @@ def effective_workers(requested: int | None = None) -> int:
 
 
 def _axis_count(lo: float, hi: float, step: float) -> int:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+    if not (_finite(lo) and _finite(hi)) or hi < lo:
         raise DomainError(f"degenerate axis [{lo}, {hi}]")
-    if not (math.isfinite(step) and step > 0.0):
+    if not (_finite(step) and step > 0.0):
         raise DomainError("axis step must be finite and > 0")
     steps = (hi - lo) / step + _GRID_EPS
     if not math.isfinite(steps):
@@ -234,7 +234,7 @@ def key_sensitivity(plaintext: bytes | str, key: Key,
         raise DomainError("key sensitivity needs a non-empty plaintext")
     params = key.params
     if mode == "increment":
-        if not math.isfinite(delta):
+        if not _finite(delta):
             raise DomainError("delta must be finite")
         perturbed = replace(params, a=params.a + delta)
         if delta and perturbed == params:
@@ -467,78 +467,66 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
                     log: Callable[[str], None] | None = None) -> list[AnalysisRow]:
     """Run every analysis on each (plaintext, key, domain) triple.
 
-    Per-row failures are recorded in the row's error field and the run
-    continues; a phase that fails leaves its verdict empty. The
-    brute-force verdict always mirrors identifiability, empty included.
+    Identifiability tries iteration_values in turn, up to the first that
+    isolates the true key: the first value's scan shares one grid pass
+    with the attack's, and later values scan alone. Per-row failures are
+    recorded in the row's error field and the run continues. A phase that
+    fails, a later iteration value's scan included, leaves its verdict
+    empty; so does an empty iteration_values for identifiability. The
+    brute-force verdict mirrors identifiability, empty included.
     """
     rows_spec = list(rows_spec)
     rows = []
-    caught = (DomainError, DivergenceError)
     for idx, (plaintext, key, domain) in enumerate(rows_spec, start=1):
         t0 = perf_counter()
         p = _as_bytes(plaintext)
         text = plaintext if isinstance(plaintext, str) else p.decode("utf-8", "backslashreplace")
         row_cfg = cfg if cfg is not None else default_config(key.kind)
         row = AnalysisRow(index=idx, plaintext=text, key=key, domain=domain)
-        errors = []  # (phase, message) pairs, in phase order
+        failed = {}  # phase -> message of the error that stopped it
 
-        ciphertext = None
-        try:
-            ciphertext = encrypt_bytes(p, key, row_cfg)
-            row.ciphertext_hex = ciphertext.hex()
-        except caught as exc:
-            errors.append(("encrypt", str(exc)))
-
-        try:
-            row.plaintext_sensitivity_pct = plaintext_sensitivity(p, key, row_cfg, flip_bit)
-        except caught as exc:
-            errors.append(("plaintext_sensitivity", str(exc)))
-
-        try:
-            delta = domain.increment if key_delta is None else key_delta
-            row.key_sensitivity_pct = key_sensitivity(p, key, row_cfg, delta=delta)
-        except caught as exc:
-            errors.append(("key_sensitivity", str(exc)))
-
-        # One grid pass runs the attack's scan and identifiability's at the
-        # first iteration value; later iteration values scan alone.
-        jobs, failed = {}, {}
-        if iteration_values:
+        def run(phases, task, *args, **kwargs):
+            """task's result, or None with its error recorded under phases."""
             try:
-                jobs["identifiability"] = _identification(
-                    p, key, domain, row_cfg, iteration_values[0], min(len(p), compare_len))
-            except caught as exc:
-                failed["identifiability"] = str(exc)
+                return task(*args, **kwargs)
+            except (DomainError, DivergenceError) as exc:
+                failed.update(dict.fromkeys(phases, str(exc)))
+                return None
+
+        ciphertext = run(["encrypt"], encrypt_bytes, p, key, row_cfg)
+        row.ciphertext_hex = "" if ciphertext is None else ciphertext.hex()
+        pct = run(["plaintext_sensitivity"], plaintext_sensitivity, p, key, row_cfg, flip_bit)
+        row.plaintext_sensitivity_pct = math.nan if pct is None else pct
+        delta = domain.increment if key_delta is None else key_delta
+        pct = run(["key_sensitivity"], key_sensitivity, p, key, row_cfg, delta=delta)
+        row.key_sensitivity_pct = math.nan if pct is None else pct
+
+        attack = None  # the attack's job, until a grid pass carries it
         if ciphertext is None:
             failed["attack"] = "skipped, no ciphertext"
         else:
-            try:
-                jobs["attack"] = _attack(ciphertext, p[:min(len(p), kpa_prefix_len)],
-                                         domain, row_cfg)
-            except caught as exc:
-                failed["attack"] = str(exc)
-        results = {}
-        if jobs:
-            try:
-                results = dict(zip(jobs, _matching_keys(domain, row_cfg, list(jobs.values()),
-                                                        workers, None)))
-            except caught as exc:
-                failed.update(dict.fromkeys(jobs, str(exc)))
-        if "identifiability" not in failed:
-            try:
-                first = results.get("identifiability")
-                identifiable = (first is not None and first.identifiable) or any(
-                    identifiability_scan(p, key, domain, row_cfg, iteration_value=iv,
-                                         compare_len=min(len(p), compare_len),
-                                         workers=workers).identifiable
-                    for iv in iteration_values[1:])
-                row.identifiable = "I" if identifiable else "NI"
-            except caught as exc:
-                failed["identifiability"] = str(exc)
-        if "attack" in results:
-            row.robust_kpa = results["attack"].verdict
-        errors += [(phase, failed[phase]) for phase in ("identifiability", "attack")
-                   if phase in failed]
+            attack = run(["attack"], _attack, ciphertext, p[:min(len(p), kpa_prefix_len)],
+                         domain, row_cfg)
+        # one pass per iteration value; without one (None), the attack's alone
+        for iteration_value in iteration_values or [None]:
+            ident_job = None if iteration_value is None else run(
+                ["identifiability"], _identification, p, key, domain, row_cfg, iteration_value,
+                min(len(p), compare_len))
+            jobs = {phase: job for phase, job in (("identifiability", ident_job),
+                                                  ("attack", attack)) if job is not None}
+            attack = None
+            results = run(list(jobs), _matching_keys, domain, row_cfg, list(jobs.values()),
+                          workers, None) if jobs else None
+            found = dict(zip(jobs, results or []))
+            if "attack" in found:
+                row.robust_kpa = found["attack"].verdict
+            # a value whose scan did not finish leaves the verdict empty
+            ident = found.get("identifiability")
+            row.identifiable = "" if ident is None else ident.verdict
+            if row.identifiable != "NI":
+                break
+        order = ("encrypt", "plaintext_sensitivity", "key_sensitivity", "identifiability", "attack")
+        errors = [(phase, failed[phase]) for phase in order if phase in failed]
 
         row.brute_force_secret = {"I": "YES", "NI": "NO"}.get(row.identifiable, "")
         row.error = "; ".join(f"{phase}: {message}" for phase, message in errors) or None

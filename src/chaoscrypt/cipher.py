@@ -61,6 +61,7 @@ from .maps import (
     MapKind,
     MapParams,
     State,
+    _finite,
     _kernel,
 )
 
@@ -128,10 +129,11 @@ class CipherConfig:
                               f"config field {name!r} (iteration counts n1 and n2)")
         # every quantized coordinate lies in the box [-bound, bound], so
         # scaling it never overflows
-        if not (self.quant_scale > 0.0 and math.isfinite(self.quant_scale * DIVERGENCE_BOUND)):
+        if not (self.quant_scale > 0.0 and _finite(self.quant_scale)
+                and _finite(self.quant_scale * DIVERGENCE_BOUND)):
             raise DomainError(f"config field 'quant_scale' must be > 0, with quant_scale * "
                               f"{DIVERGENCE_BOUND:g} finite, got {self.quant_scale!r}")
-        if not math.isfinite(self.reinject_gain):
+        if not _finite(self.reinject_gain):
             raise DomainError(f"config field 'reinject_gain' must be finite, "
                               f"got {self.reinject_gain!r}")
 

@@ -54,6 +54,14 @@ class DomainError(ValueError):
     """An argument lies outside the operation's domain."""
 
 
+def _finite(value) -> bool:
+    """math.isfinite, but false for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 class DivergenceError(ArithmeticError):
     """An orbit left the divergence bound (or became non-finite).
 
@@ -101,9 +109,9 @@ class MapParams:
     n_modulus: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        if not (_finite(self.a) and _finite(self.b)):
             raise DomainError("map parameters must be finite")
-        if not (math.isfinite(self.n_modulus) and self.n_modulus > 0.0):
+        if not (_finite(self.n_modulus) and self.n_modulus > 0.0):
             raise DomainError("n_modulus must be finite and > 0")
 
 
@@ -115,7 +123,7 @@ class State:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not (_finite(self.x) and _finite(self.y)):
             raise DomainError("state coordinates must be finite")
 
 
@@ -125,7 +133,7 @@ def signed_mod(dividend: float, divisor: float) -> float:
     Real-valued: r = dividend - divisor * trunc(dividend / divisor), so
     |r| < divisor, signed_mod(5, 3) == 2 and signed_mod(-5, 3) == -2.
     """
-    if not (math.isfinite(dividend) and math.isfinite(divisor)):
+    if not (_finite(dividend) and _finite(divisor)):
         raise DomainError("signed_mod requires finite arguments")
     if divisor <= 0.0:
         raise DomainError("signed_mod divisor must be > 0")
@@ -361,7 +369,7 @@ def divergence_measure(kind: MapKind, s0: State, delta: float, p: MapParams, n: 
     A strongly positive value on a tiny delta is the operational signature
     of sensitive dependence on initial conditions.
     """
-    if not (math.isfinite(delta) and delta > 0.0):
+    if not (_finite(delta) and delta > 0.0):
         raise DomainError("delta must be finite and > 0")
     if n < 1:
         raise DomainError("step count must be >= 1")

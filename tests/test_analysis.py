@@ -33,7 +33,15 @@ from chaoscrypt.analysis import (
     write_report_csv,
 )
 from chaoscrypt.cipher import Key, default_config, encrypt_bytes
-from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State
+from chaoscrypt.maps import (
+    DivergenceError,
+    DomainError,
+    MapKind,
+    MapParams,
+    State,
+    divergence_measure,
+    signed_mod,
+)
 
 from oracles import (
     arnold_oracle_step,
@@ -95,6 +103,38 @@ def test_domain_snap_clamps_and_rounds():
     assert snapped == dom.params_at(34, 13)
     below = dom.snap(MapParams(-1.0, 99.0, 1.0))
     assert below == dom.params_at(0, 40)
+
+
+# An int beyond the float range, where math.isfinite raises OverflowError:
+# each check refuses it as it refuses inf, with a DomainError.
+HUGE = 10 ** 400
+ARNOLD_BOX = ((-4.0, 0.5), (-3.9, 0.6))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MapParams(HUGE, 0.5), "map parameters must be finite"),
+    (lambda: MapParams(-4.0, -HUGE), "map parameters must be finite"),
+    (lambda: MapParams(-4.0, 0.5, HUGE), "n_modulus must be finite"),
+    (lambda: State(HUGE, 0.0), "state coordinates must be finite"),
+    (lambda: State(0.0, -HUGE), "state coordinates must be finite"),
+    (lambda: replace(default_config(MapKind.ARNOLD), quant_scale=HUGE), "'quant_scale'"),
+    (lambda: replace(default_config(MapKind.ARNOLD), reinject_gain=-HUGE), "'reinject_gain'"),
+    (lambda: KeyDomain(MapKind.ARNOLD, (-HUGE, 0.5), ARNOLD_BOX[1]), "degenerate axis"),
+    (lambda: KeyDomain(MapKind.ARNOLD, ARNOLD_BOX[0], (-3.9, HUGE)), "degenerate axis"),
+    (lambda: KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX, HUGE), "axis step must be finite"),
+    (lambda: key_space_size(KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX), HUGE),
+     "axis step must be finite"),
+    (lambda: key_sensitivity("hello", ARNOLD_KEY, delta=HUGE), "delta must be finite"),
+    (lambda: signed_mod(HUGE, 3.0), "signed_mod requires finite arguments"),
+    (lambda: signed_mod(5.0, HUGE), "signed_mod requires finite arguments"),
+    (lambda: divergence_measure(MapKind.ARNOLD, State(0.5, 0.06), HUGE, ARNOLD_KEY.params, 5),
+     "delta must be finite"),
+], ids=["a", "b", "n_modulus", "x", "y", "quant_scale", "reinject_gain", "domain lower",
+        "domain upper", "increment", "resolution", "key delta", "dividend", "divisor",
+        "divergence delta"])
+def test_ints_beyond_the_float_range_are_domain_errors(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
 
 
 # --- sensitivities ---------------------------------------------------------
@@ -235,6 +275,93 @@ def test_failed_attack_leaves_the_identifiability_verdicts():
     assert row.robust_kpa == ""
     assert row.identifiable in ("I", "NI")
     assert row.brute_force_secret == ("YES" if row.identifiable == "I" else "NO")
+
+
+def spy_report_passes(monkeypatch):
+    """The (n1, n2) of each query of each grid pass that analysis_report
+    makes, one list per pass in the order the jobs were given."""
+    passes, matching_keys = [], analysis._matching_keys
+
+    def spy(domain, scan_cfg, jobs, *args):
+        passes.append([(n1, n2) for (_, _, n1, n2), _ in jobs])
+        return matching_keys(domain, scan_cfg, jobs, *args)
+
+    monkeypatch.setattr(analysis, "_matching_keys", spy)
+    return passes
+
+
+def box_around(key, cells, increment):
+    """The cells x cells grid at increment whose middle key is key."""
+    a, b = key.params.a, key.params.b
+    half = (cells - 1) // 2 * increment
+    return KeyDomain(key.kind, (a - half, b - half), (a + half, b + half), increment)
+
+
+@pytest.mark.parametrize("key, text", [(ARNOLD_KEY, "ab"), (DUFFING_KEY, "hello")],
+                         ids=["arnold", "duffing"])
+def test_report_scans_a_later_iteration_value_alone(monkeypatch, key, text):
+    # at iteration value 2 other keys of this 25-key box match the true
+    # key's output (NI), at 3 none does: the row reads I, as any() of the
+    # separate scans does, after the fused pass and one scan at 3 alone
+    dom = box_around(key, 5, 1e-11)
+    scans = [identifiability_scan(text, key, dom, iteration_value=iv) for iv in (2, 3)]
+    assert [scan.verdict for scan in scans] == ["NI", "I"]
+    assert len(scans[0].matching_keys) > 1
+    passes = spy_report_passes(monkeypatch)
+    (row,) = analysis_report([(text, key, dom)])
+    assert passes == [[(2, 2), (3, 3)], [(3, 3)]]
+    assert (row.identifiable, row.brute_force_secret, row.error) == ("I", "YES", None)
+    assert row.robust_kpa in ("R", "NR")
+
+
+def test_report_scans_every_iteration_value_of_a_row_that_stays_unidentifiable(monkeypatch):
+    # a constant quantizer: every key emits the same symbols at any value
+    dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-3)
+    cfg = replace(default_config(MapKind.ARNOLD), quant_scale=1e-300)
+    passes = spy_report_passes(monkeypatch)
+    (row,) = analysis_report([("abcdefgh", ARNOLD_KEY, dom)], cfg)
+    assert passes == [[(2, 2), (3, 3)], [(3, 3)]]
+    assert (row.identifiable, row.robust_kpa, row.brute_force_secret) == ("NI", "R", "NO")
+    assert row.error is None
+
+
+@pytest.mark.parametrize("kpa_prefix_len", [2, 0])
+def test_report_failing_later_iteration_value_leaves_identifiability_empty(
+        monkeypatch, kpa_prefix_len):
+    # NI at value 2, and the job at value 3 raises: the row claims no
+    # identifiability verdict, and the attack's stands. With the attack
+    # refused too, the row's error still names the phases in phase order.
+    key, text = ARNOLD_KEY, "ab"
+    dom = box_around(key, 5, 1e-11)
+    identification = analysis._identification
+
+    def failing_at_3(plaintext, true_key, domain, cfg, iteration_value, compare_len):
+        if iteration_value == 3:
+            raise DivergenceError("orbit diverged at value 3")
+        return identification(plaintext, true_key, domain, cfg, iteration_value, compare_len)
+
+    monkeypatch.setattr(analysis, "_identification", failing_at_3)
+    (row,) = analysis_report([(text, key, dom)], kpa_prefix_len=kpa_prefix_len)
+    assert (row.identifiable, row.brute_force_secret) == ("", "")
+    if kpa_prefix_len:
+        assert row.robust_kpa in ("R", "NR")
+        assert row.error == "identifiability: orbit diverged at value 3"
+    else:
+        assert row.robust_kpa == ""
+        assert row.error == ("identifiability: orbit diverged at value 3; "
+                             "attack: known-plaintext attack needs a non-empty prefix")
+
+
+def test_report_without_iteration_values_leaves_identifiability_empty(monkeypatch):
+    # no identifiability scan ran, so the row claims no verdict; the
+    # attack scans alone
+    dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-3)
+    passes = spy_report_passes(monkeypatch)
+    (row,) = analysis_report([("hello", ARNOLD_KEY, dom)], iteration_values=())
+    assert passes == [[(3, 3)]]
+    assert (row.identifiable, row.brute_force_secret) == ("", "")
+    assert row.robust_kpa in ("R", "NR")
+    assert row.error is None
 
 
 def test_constant_quantizer_defeats_identifiability():

@@ -362,6 +362,38 @@ def test_identify_singleton_domain(arnold_key_file, capsys):
     assert result["grid"] == 1
 
 
+# plaintext bytes that are not UTF-8: a --plaintext-file is read raw
+RAW_PLAINTEXT = b"\xff\xfe caf\xe9 \x80 ok"
+
+
+@pytest.mark.parametrize("mode", ["pt", "key"])
+def test_sensitivity_reads_a_plaintext_file_as_raw_bytes(tmp_path, arnold_key_file, capsys,
+                                                         mode):
+    with pytest.raises(UnicodeDecodeError):
+        RAW_PLAINTEXT.decode("utf-8")
+    path = tmp_path / "p.bin"
+    path.write_bytes(RAW_PLAINTEXT)
+    assert main(["sensitivity", "--plaintext-file", str(path), "--key", arnold_key_file,
+                 "--mode", mode]) == 0
+    if mode == "pt":
+        pct = analysis.plaintext_sensitivity(RAW_PLAINTEXT, ARNOLD_KEY)
+    else:
+        pct = analysis.key_sensitivity(RAW_PLAINTEXT, ARNOLD_KEY, delta=1e-4)
+    assert capsys.readouterr().out == f"{pct:.4f}\n"
+
+
+def test_identify_reads_a_plaintext_file_as_raw_bytes(tmp_path, arnold_key_file, capsys):
+    path = tmp_path / "p.bin"
+    path.write_bytes(RAW_PLAINTEXT)
+    assert main(["identify", "--plaintext-file", str(path), "--key", arnold_key_file,
+                 "--domain=-4.0005,0.4995,-3.9995,0.5005", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    domain = analysis.KeyDomain(MapKind.ARNOLD, (-4.0005, 0.4995), (-3.9995, 0.5005))
+    expected = analysis.identifiability_scan(RAW_PLAINTEXT, ARNOLD_KEY, domain)
+    assert (result["verdict"], result["matching"], result["grid"], result["diverged"]) == (
+        expected.verdict, len(expected.matching_keys), expected.grid_size, expected.diverged)
+
+
 def test_bad_threads_cap_is_one_error_line(arnold_key_file, capsys, monkeypatch):
     monkeypatch.setenv("CHAOSCRYPT_THREADS", "x")
     rc = main(["identify", "--text", "hello", "--key", arnold_key_file,
@@ -487,6 +519,42 @@ def test_attack_json_output(tmp_path, arnold_key_file, capsys):
     if result["candidates"] == 1:
         assert result["recovered"] is not None
         assert result["verdict"] == "NR"
+
+
+def test_attack_without_json_prints_one_summary_line(tmp_path, capsys):
+    msg = b"Meet me after 5p.m."
+    ciphertext = encrypt_bytes(msg, ARNOLD_KEY)
+    ct = tmp_path / "c.hex"
+    ct.write_text(ciphertext.hex() + "\n")
+    assert main(["attack", "--cipher", str(ct), "--known-prefix", "Me", "--kind", "arnold",
+                 "--domain=-4.0005,0.4995,-3.9995,0.5005"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    domain = analysis.KeyDomain(MapKind.ARNOLD, (-4.0005, 0.4995), (-3.9995, 0.5005))
+    result = analysis.known_plaintext_attack(ciphertext, b"Me", domain)
+    recovered = (f"({result.recovered.params.a}, {result.recovered.params.b})"
+                 if result.recovered else "none")
+    assert line.startswith(f"candidates={len(result.candidates)} recovered={recovered} "
+                           f"verdict={result.verdict} grid=121 elapsed=")
+    assert re.fullmatch(r".* elapsed=\d+\.\d\ds", line)
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package's __main__, in a process of its own
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "chaoscrypt", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+
+    drawn = run("keygen", "--kind", "arnold", "--domain=-5,0.4,-0.9,1.5", "--seed", "7")
+    assert (drawn.returncode, drawn.stderr) == (0, "")
+    key = cipher.key_from_json(drawn.stdout)
+    assert key.kind is MapKind.ARNOLD
+    assert analysis.FULL_KEY_DOMAIN[MapKind.ARNOLD].contains(key.params)
+    missing = run("keygen", "--kind", "arnold")
+    assert (missing.returncode, missing.stdout) == (2, "")
+    errors = [line for line in missing.stderr.splitlines() if "error:" in line]
+    assert errors == ["chaoscrypt keygen: error: the following arguments are required: --domain"]
+    assert "Traceback" not in missing.stderr
 
 
 @pytest.mark.parametrize("n_modulus", ["0", "nan", "-1"])
