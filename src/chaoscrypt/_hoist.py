@@ -102,9 +102,8 @@ class _Lifter:
     def statement(self, stmt: ast.stmt) -> list[ast.stmt]:
         """The key's code left of stmt once its invariant values are lifted."""
         if isinstance(stmt, ast.If) and not stmt.orelse:
-            test, level = self.visit(stmt.test)
-            if level not in (None, _KEY) and not _trivial(test):
-                test = self.lift(level, test)
+            # a test keeps its place; only its parts of another level move
+            test, _ = self.visit(stmt.test)
             # the body is kept verbatim: it may read invariants, such as a
             # and b, but not a name that stands for another, and it may
             # assign no invariant

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
@@ -96,7 +95,8 @@ def _axis_count(lo: float, hi: float, step: float) -> int:
         raise DomainError(f"degenerate axis [{lo}, {hi}]")
     if not (_finite(step) and step > 0.0):
         raise DomainError("axis step must be finite and > 0")
-    steps = (hi - lo) / step + _GRID_EPS
+    # ints subtract exactly, and may span more than a float holds
+    steps = (hi - lo) / step + _GRID_EPS if _finite(hi - lo) else math.inf
     if not math.isfinite(steps):
         raise DomainError(f"axis [{lo}, {hi}] has too many steps of {step}")
     return int(floor(steps)) + 1
@@ -177,8 +177,7 @@ REFERENCE_PT_SENSITIVITY_BAND = {
 def key_space_size(domain: KeyDomain, resolution: float) -> int:
     """Number of keys in the box at the given per-axis resolution
     (product over the two axes of floor(span / resolution) + 1)."""
-    return (_axis_count(domain.lower[0], domain.upper[0], resolution)
-            * _axis_count(domain.lower[1], domain.upper[1], resolution))
+    return replace(domain, increment=resolution).size()
 
 
 def hamming_bits(c1: bytes, c2: bytes) -> int:
@@ -333,7 +332,10 @@ def _matching_keys(domain: KeyDomain, cfg: CipherConfig, jobs: Sequence[tuple[tu
              for i in range(0, na, height) for j in range(0, nb, width))
     scan = partial(_scan_tile, domain, cfg, [query for query, _ in jobs])
     hits, diverged, done = [[] for _ in jobs], [0] * len(jobs), 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # only a scan that pools imports the pool
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         for scanned, found in (pool.map if pool else map)(scan, tiles):
             for k, (tile_hits, tile_diverged) in enumerate(found):

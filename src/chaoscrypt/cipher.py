@@ -56,7 +56,6 @@ from typing import IO, Callable, Iterable, Iterator
 
 from .maps import (
     DIVERGENCE_BOUND,
-    DivergenceError,
     DomainError,
     MapKind,
     MapParams,
@@ -245,8 +244,8 @@ _BLOCK_FILL = {
                 '{k + len(result)}", symbol=k + len(result))'),
     "snapshot": "s1x = x",
     "mix": _ENCRYPT,
-    "check": "pass",
-    "emit": "pass",
+    "check": "",
+    "emit": "",
 }
 _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, x, y)"}
 

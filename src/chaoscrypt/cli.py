@@ -109,9 +109,11 @@ def cmd_file(args) -> int:
 
 
 def _domain(args, kind: MapKind, n_modulus: float) -> KeyDomain:
-    """The key grid that --domain and --increment spell."""
+    """The key grid that --domain and --increment spell. The encrypt and
+    decrypt guard has no --increment: it tests containment only."""
     a_lo, b_lo, a_hi, b_hi = args.domain
-    return KeyDomain(kind, (a_lo, b_lo), (a_hi, b_hi), args.increment, n_modulus=n_modulus)
+    return KeyDomain(kind, (a_lo, b_lo), (a_hi, b_hi),
+                     getattr(args, "increment", KeyDomain.increment), n_modulus=n_modulus)
 
 
 def _check_key_domain(args, key: Key) -> int:
@@ -304,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="cipher config JSON file")
         p.add_argument("--domain", type=_domain_arg, default=None,
                        help="a_lo,b_lo,a_hi,b_hi; reject keys outside it (exit 3)")
-        p.add_argument("--increment", type=float, default=1e-4,
-                       help="grid increment used with --domain")
 
     p = add("keygen", cmd_keygen, "draw a key uniformly from a domain grid")
     p.add_argument("--kind", required=True, choices=["arnold", "duffing"])
@@ -382,18 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _interrupt(signum, frame):
-    raise KeyboardInterrupt
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # While the command runs, SIGTERM is handled like Ctrl-C: an interrupted
+    # While the command runs, SIGTERM gets Ctrl-C's handler: an interrupted
     # file command removes its temp file. Handlers are set only from the
     # main thread, and the previous one is put back for the next caller.
     previous = None
     if threading.current_thread() is threading.main_thread():
-        previous = signal.signal(signal.SIGTERM, _interrupt)
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except DivergenceError as exc:

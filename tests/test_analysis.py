@@ -1,5 +1,6 @@
 """Tests for the cryptanalysis procedures."""
 
+import concurrent.futures
 import io
 import os
 import random
@@ -32,7 +33,7 @@ from chaoscrypt.analysis import (
     write_comparison_csv,
     write_report_csv,
 )
-from chaoscrypt.cipher import Key, default_config, encrypt_bytes
+from chaoscrypt.cipher import Key, decrypt, default_config, encrypt_bytes
 from chaoscrypt.maps import (
     DivergenceError,
     DomainError,
@@ -129,9 +130,12 @@ ARNOLD_BOX = ((-4.0, 0.5), (-3.9, 0.6))
     (lambda: signed_mod(5.0, HUGE), "signed_mod requires finite arguments"),
     (lambda: divergence_measure(MapKind.ARNOLD, State(0.5, 0.06), HUGE, ARNOLD_KEY.params, 5),
      "delta must be finite"),
+    # two bounds a float holds, whose difference it does not
+    (lambda: KeyDomain(MapKind.ARNOLD, (-10 ** 308, 0.0), (10 ** 308, 1.0)),
+     "has too many steps of 0.0001"),
 ], ids=["a", "b", "n_modulus", "x", "y", "quant_scale", "reinject_gain", "domain lower",
         "domain upper", "increment", "resolution", "key delta", "dividend", "divisor",
-        "divergence delta"])
+        "divergence delta", "int span"])
 def test_ints_beyond_the_float_range_are_domain_errors(build, message):
     with pytest.raises(DomainError, match=message):
         build()
@@ -144,6 +148,8 @@ def test_plaintext_sensitivity_range_and_self_zero():
     assert 0.0 <= pct <= 100.0
     c1 = encrypt_bytes(b"hello", ARNOLD_KEY)
     assert hamming_bits(c1, c1) == 0
+    with pytest.raises(DomainError, match="equal-length"):
+        hamming_bits(b"a", b"ab")
 
 
 def test_plaintext_sensitivity_single_byte_matches_manual_count():
@@ -201,6 +207,8 @@ def test_key_sensitivity_bitflip_mode():
     assert 0.0 <= pct <= 100.0
     with pytest.raises(DomainError):
         key_sensitivity(msg, DUFFING_KEY, mode="bitflip", component="c")
+    with pytest.raises(DomainError, match=r"float bit index 64 outside \[0, 64\)"):
+        key_sensitivity(msg, DUFFING_KEY, mode="bitflip", bit=64)
     with pytest.raises(DomainError):
         key_sensitivity(msg, DUFFING_KEY, mode="unknown")
     with pytest.raises(DomainError):
@@ -468,7 +476,7 @@ def test_threads_cap_keeps_a_pooling_scan_serial(monkeypatch):
         raise RuntimeError("a pool was asked for")
 
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", spy_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy_pool)
     usable_cpus(monkeypatch, 4)
     dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
@@ -487,7 +495,7 @@ def test_small_grid_scans_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 2)
     side = 256
@@ -873,6 +881,16 @@ def test_attack_survives_divergent_grid_keys():
     ciphertext = encrypt_bytes(msg, DUFFING_KEY)
     res = known_plaintext_attack(ciphertext, msg[:2], dom)
     assert res.robust in (True, False)
+    # a lone candidate whose full decryption diverges (at symbol 4) is no
+    # recovered key: the cipher reads robust
+    dom = KeyDomain(MapKind.DUFFING, (2.84, 0.14), (2.844, 0.144), 1e-3)
+    res = known_plaintext_attack(bytes(range(64)), b"\x00", dom)
+    [candidate] = res.candidates
+    assert (candidate.params.a, candidate.params.b) == pytest.approx((2.844, 0.141))
+    with pytest.raises(DivergenceError) as diverged:
+        decrypt(bytes(range(64)), candidate)
+    assert diverged.value.symbol == 4
+    assert res.robust and res.verdict == "R"
 
 
 # --- report and comparison ---------------------------------------------------
@@ -934,6 +952,10 @@ def test_read_report_csv_rejects_bad_input():
         read_report_csv(io.StringIO(""), MapKind.ARNOLD)
     with pytest.raises(ValueError):
         read_report_csv(io.StringIO("a,b,c\n1,2,3\n"), MapKind.ARNOLD)
+    row = "1,hi,-4.0,0.5,00,12.5,48.9,-4.0,0.5,-3.9,0.6,0.0001,X,R,YES"
+    with pytest.raises(ValueError, match="unexpected verdicts in report row 1"):
+        read_report_csv(io.StringIO(",".join(REPORT_HEADER) + "\n" + row + "\n"),
+                        MapKind.ARNOLD)
 
 
 def test_builtin_specs_load_and_keys_sit_on_their_grids():

@@ -517,6 +517,9 @@ def test_config_file_defaults_and_overrides(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError):
         load_config(path, MapKind.ARNOLD)
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match="malformed config JSON"):
+        load_config(path, MapKind.ARNOLD)
 
 
 def test_default_initial_states_per_kind():

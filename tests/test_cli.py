@@ -102,6 +102,25 @@ def test_encrypt_rejects_out_of_domain_key(tmp_path, arnold_key_file, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_domain_guard_takes_no_increment(tmp_path, arnold_key_file, capsys, command):
+    # the guard tests containment, which no grid increment changes
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--increment" not in capsys.readouterr().out
+    (tmp_path / "in").write_bytes(b"00ff")
+    argv = [command, "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out"),
+            "--key", arnold_key_file, "--domain=-4.1,0.4,-3.9,0.6"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--increment", "1e-4"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert main(argv) == 0
+    assert main(argv[:-1] + ["--domain=0,0,0.1,0.1"]) == 3
+    assert "outside domain" in capsys.readouterr().err
+
+
 def test_decrypt_rejects_malformed_hex(tmp_path, arnold_key_file, capsys):
     bad = tmp_path / "bad.hex"
     bad.write_text("zz00")
@@ -187,6 +206,7 @@ def test_encrypt_through_a_symlinked_out_keeps_the_link(tmp_path, arnold_key_fil
     ("report", [{"plaintext": 12, "key": {"kind": "arnold", "a": -4.0, "b": 0.5},
                  "domain": {"lower": [-4.0, 0.5], "upper": [-4.0, 0.5]}}],
      "report spec item 1 field 'plaintext' must be a string, got 12"),
+    ("report", {"plaintext": "Hi"}, "report spec must be a JSON list"),
 ])
 def test_malformed_json_shape_is_one_error_line(tmp_path, arnold_key_file, capsys,
                                                 command, payload, named):
@@ -311,8 +331,12 @@ def test_sigterm_leaves_no_temp_file(tmp_path, arnold_key_file):
 
 
 def test_import_compiles_no_kernel():
-    code = ("import linecache, chaoscrypt.cli\n"
+    # importing the CLI compiles no kernel, and loads no process pool: only
+    # a scan that pools imports it
+    code = ("import linecache, sys, chaoscrypt.cli\n"
             "assert not [f for f in linecache.cache if f.startswith('<chaoscrypt')]\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
             "from chaoscrypt import maps\n"
             "assert maps._kernel.cache_info().currsize == 0\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -798,7 +822,7 @@ def cli_calls(draw):
                        else draw(mostly(["00ff10", "00 11\n", ""], ["0g", "abc"])))
         argv = ["--in", "@in", "--out", "@out", "--key", "@k.json", *config]
         if draw(st.booleans()):
-            argv += domain
+            argv.append(domain[0])  # the guard's --domain; it takes no --increment
     elif command == "keygen":
         argv = [*kind, *domain, *n_modulus, "--seed", "1"]
     elif command == "trajectory":
