@@ -179,8 +179,8 @@ def hoist(region: str) -> dict[str, str]:
       column (`pass` when there are none);
     - column_values: b and the names of the column's lifted values,
       comma-separated: a tuple inside parentheses, and the target that
-      unpacks one (a lone b is neither, but with no column lifts to
-      raise, no column's entry is the empty tuple);
+      unpacks one (a lone b is neither, and then each column's entry is
+      its b);
     - key_code: region with its invariant subtrees replaced by the names
       that hold them, and then each name that stands for another given its
       value back.

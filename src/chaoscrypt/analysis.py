@@ -90,9 +90,13 @@ def effective_workers(requested: int | None = None) -> int:
     return workers
 
 
-def _axis_count(lo: float, hi: float, step: float) -> int:
+def _check_axis(lo: float, hi: float) -> None:
     if not (_finite(lo) and _finite(hi)) or hi < lo:
         raise DomainError(f"degenerate axis [{lo}, {hi}]")
+
+
+def _axis_count(lo: float, hi: float, step: float) -> int:
+    _check_axis(lo, hi)
     if not (_finite(step) and step > 0.0):
         raise DomainError("axis step must be finite and > 0")
     # ints subtract exactly, and may span more than a float holds

@@ -263,9 +263,9 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # row-invariant ones out of the column loop ($row_lifts) and its
 # column-invariant ones into a table with one entry per b ($column_lifts,
 # $column_values), and returns the rest as $key_code (see there). A lifted
-# value that overflows diverges every key that depends on it: a grid's, a
-# row's, or a column's by an empty table entry, whose unpacking raises
-# ValueError like the overflow would.
+# value that overflows diverges every key that depends on it, a grid's, a
+# row's or a column's, and the scanner counts them where the lift fails:
+# a failed column's keys once, as the table leaves that column out.
 #
 # More than 99% of keys stop at symbol 0, so it does only what decides
 # that. Its mix is _MATCH_0: the output (c0 + q1 + q2) % 256 is e0
@@ -304,15 +304,14 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs, t0, target):
     except ValueError:
         return [], scanned, scanned, side, reached
     columns = []
+    diverged = 0
     for b in b_values:
         try:
             $column_lifts
-            column = ($column_values)
+            columns.append(($column_values))
         except ValueError:
-            column = ()
-        columns.append(column)
+            diverged += len(a_values)
     hits = []
-    diverged = 0
     for a in a_values:
         try:
             $row_lifts

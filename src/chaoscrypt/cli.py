@@ -54,8 +54,7 @@ def _parse_floats(text: str, n_min: int, n_max: int, what: str) -> list[float]:
 
 @_arg_type
 def _domain_arg(text: str) -> tuple[float, float, float, float]:
-    a_lo, b_lo, a_hi, b_hi = _parse_floats(text, 4, 4, "--domain")
-    return a_lo, b_lo, a_hi, b_hi
+    return tuple(_parse_floats(text, 4, 4, "--domain"))
 
 
 @_arg_type
@@ -71,13 +70,11 @@ def _init_arg(text: str) -> State:
 
 
 def _load_cfg(args, kind: MapKind) -> CipherConfig:
-    if getattr(args, "config", None):
-        return cipher.load_config(args.config, kind)
-    return cipher.default_config(kind)
+    return cipher.load_config(args.config, kind) if args.config else cipher.default_config(kind)
 
 
 def _plaintext_from(args) -> bytes:
-    if getattr(args, "text", None) is not None:
+    if args.text is not None:
         return args.text.encode("utf-8")
     with open(args.plaintext_file, "rb") as f:
         return f.read()
@@ -109,20 +106,21 @@ def cmd_file(args) -> int:
 
 
 def _domain(args, kind: MapKind, n_modulus: float) -> KeyDomain:
-    """The key grid that --domain and --increment spell. The encrypt and
-    decrypt guard has no --increment: it tests containment only."""
+    """The key grid that --domain and --increment spell."""
     a_lo, b_lo, a_hi, b_hi = args.domain
-    return KeyDomain(kind, (a_lo, b_lo), (a_hi, b_hi),
-                     getattr(args, "increment", KeyDomain.increment), n_modulus=n_modulus)
+    return KeyDomain(kind, (a_lo, b_lo), (a_hi, b_hi), args.increment, n_modulus=n_modulus)
 
 
 def _check_key_domain(args, key: Key) -> int:
+    """encrypt's and decrypt's guard: the key against the --domain bounds alone."""
     if args.domain is None:
         return 0
-    box = _domain(args, key.kind, key.params.n_modulus)
-    if not box.contains(key.params):
+    a_lo, b_lo, a_hi, b_hi = args.domain
+    analysis._check_axis(a_lo, a_hi)
+    analysis._check_axis(b_lo, b_hi)
+    if not (a_lo <= key.params.a <= a_hi and b_lo <= key.params.b <= b_hi):
         print(f"error: key ({key.params.a}, {key.params.b}) outside domain "
-              "[{}, {}]..[{}, {}]".format(*box.lower, *box.upper), file=sys.stderr)
+              "[{}, {}]..[{}, {}]".format(*args.domain), file=sys.stderr)
         return 3
     return 0
 
@@ -164,6 +162,16 @@ def cmd_sensitivity(args) -> int:
     return 0
 
 
+def _print_scan(args, elapsed: float, fields: dict, summary: str) -> int:
+    """identify's and attack's output, the scan's wall time last: with --json
+    the JSON object of fields and elapsed_s, else summary and elapsed=...s."""
+    if args.json:
+        print(json.dumps({**fields, "elapsed_s": elapsed}))
+    else:
+        print(f"{summary} elapsed={elapsed:.2f}s")
+    return 0
+
+
 def cmd_identify(args) -> int:
     cipher._check_iterations(args.iters, "--iters")
     key = cipher.load_key(args.key)
@@ -178,22 +186,16 @@ def cmd_identify(args) -> int:
         plaintext, key, domain, cfg, iteration_value=args.iters,
         compare_len=args.compare_len, workers=args.workers,
         on_progress=_progress("identify"))
-    elapsed = perf_counter() - t0
-    if args.json:
-        print(json.dumps({
-            "verdict": result.verdict,
-            "identifiable": result.identifiable,
-            "matching": len(result.matching_keys),
-            "grid": result.grid_size,
-            "true_key": cipher._key_dict(result.true_key),
-            "matching_keys": [cipher._key_dict(k) for k in result.matching_keys[:20]],
-            "diverged": result.diverged,
-            "elapsed_s": elapsed,
-        }))
-    else:
-        print(f"verdict={result.verdict} matching={len(result.matching_keys)} "
-              f"grid={result.grid_size} elapsed={elapsed:.2f}s")
-    return 0
+    return _print_scan(args, perf_counter() - t0, {
+        "verdict": result.verdict,
+        "identifiable": result.identifiable,
+        "matching": len(result.matching_keys),
+        "grid": result.grid_size,
+        "true_key": cipher._key_dict(result.true_key),
+        "matching_keys": [cipher._key_dict(k) for k in result.matching_keys[:20]],
+        "diverged": result.diverged,
+    }, f"verdict={result.verdict} matching={len(result.matching_keys)} "
+       f"grid={result.grid_size}")
 
 
 def cmd_attack(args) -> int:
@@ -205,24 +207,18 @@ def cmd_attack(args) -> int:
     result = analysis.known_plaintext_attack(
         ciphertext, args.known_prefix.encode("utf-8"), domain, cfg,
         workers=args.workers, on_progress=_progress("attack"))
-    elapsed = perf_counter() - t0
-    if args.json:
-        print(json.dumps({
-            "candidates": len(result.candidates),
-            "candidate_keys": [cipher._key_dict(k) for k in result.candidates[:20]],
-            "recovered": cipher._key_dict(result.recovered) if result.recovered else None,
-            "robust": result.robust,
-            "verdict": result.verdict,
-            "grid": domain.size(),
-            "diverged": result.diverged,
-            "elapsed_s": elapsed,
-        }))
-    else:
-        rec = (f"({result.recovered.params.a}, {result.recovered.params.b})"
-               if result.recovered else "none")
-        print(f"candidates={len(result.candidates)} recovered={rec} "
-              f"verdict={result.verdict} grid={domain.size()} elapsed={elapsed:.2f}s")
-    return 0
+    rec = (f"({result.recovered.params.a}, {result.recovered.params.b})"
+           if result.recovered else "none")
+    return _print_scan(args, perf_counter() - t0, {
+        "candidates": len(result.candidates),
+        "candidate_keys": [cipher._key_dict(k) for k in result.candidates[:20]],
+        "recovered": cipher._key_dict(result.recovered) if result.recovered else None,
+        "robust": result.robust,
+        "verdict": result.verdict,
+        "grid": domain.size(),
+        "diverged": result.diverged,
+    }, f"candidates={len(result.candidates)} recovered={rec} "
+       f"verdict={result.verdict} grid={domain.size()}")
 
 
 def _resolve_spec(source: str):
@@ -289,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chaoscrypt",
         description="Chaotic-map stream cipher and cryptanalysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = [kind.value for kind in MapKind]
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text,
@@ -308,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a_lo,b_lo,a_hi,b_hi; reject keys outside it (exit 3)")
 
     p = add("keygen", cmd_keygen, "draw a key uniformly from a domain grid")
-    p.add_argument("--kind", required=True, choices=["arnold", "duffing"])
+    p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--domain", type=_domain_arg, required=True,
                    help="a_lo,b_lo,a_hi,b_hi")
     p.add_argument("--increment", type=float, default=1e-4)
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the key JSON here instead of stdout")
 
     p = add("trajectory", cmd_trajectory, "dump an orbit as k,x,y CSV")
-    p.add_argument("--kind", required=True, choices=["arnold", "duffing"])
+    p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--params", type=_params_arg, required=True, help="a,b[,N]")
     p.add_argument("--init", type=_init_arg, default=None,
                    help="x,y start point (default: the kind's cipher start state)")
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cipher", required=True, help="hex ciphertext file")
     p.add_argument("--known-prefix", required=True,
                    help="known leading plaintext characters (UTF-8)")
-    p.add_argument("--kind", required=True, choices=["arnold", "duffing"])
+    p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--domain", type=_domain_arg, required=True,
                    help="a_lo,b_lo,a_hi,b_hi")
     p.add_argument("--increment", type=float, default=1e-4)

@@ -822,8 +822,8 @@ def scan_reference(kind, data, cfg, a, b, n):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(side_scans())
-# Arnold columns from b = 1e308 whose first step overflows: a lifted
-# column entry that is empty counts for the side query too
+# Arnold columns from b = 1e308 whose first step overflows: a column whose
+# lifts fail, its keys counted once as diverged, counts for the side query too
 @example(((MapKind.ARNOLD, (-4.0, 1e308), 1e307, 1.0, (range(3), range(9)),
            CipherConfig(State(0.5, 1.5), 2, 3, 1e16), b"ab", [(0, 0)]),
           (b"xy", CipherConfig(State(0.5, 1.5), 1, 1, 1e16), (-4.0, 1e308))))

@@ -121,6 +121,37 @@ def test_domain_guard_takes_no_increment(tmp_path, arnold_key_file, capsys, comm
     assert "outside domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_domain_guard_tests_the_box_alone(tmp_path, arnold_key_file, capsys, command):
+    # the guard tests the four bounds, so no grid step count refuses a box
+    # that holds the key, however wide
+    plain = tmp_path / "p.bin"
+    plain.write_bytes(b"a box holds a key without a grid")
+    reference = tmp_path / "ref.hex"
+    assert main(["encrypt", "--in", str(plain), "--out", str(reference),
+                 "--key", arnold_key_file]) == 0
+    source, expected = (plain, reference) if command == "encrypt" else (reference, plain)
+    out = tmp_path / "out"
+
+    def guarded(domain):
+        out.unlink(missing_ok=True)
+        code = main([command, "--in", str(source), "--out", str(out),
+                     "--key", arnold_key_file, f"--domain={domain}"])
+        return code, capsys.readouterr().err
+
+    for domain in ("-1e305,0,1e305,1", "-1e308,0,1e308,1",
+                   "-1.7e308,-1.7e308,1.7e308,1.7e308"):
+        assert guarded(domain) == (0, "")
+        assert out.read_bytes() == expected.read_bytes()
+    for domain, axis in (("1,0,0,1", "[1.0, 0.0]"), ("nan,0,1,1", "[nan, 1.0]"),
+                         ("-inf,0,0,1", "[-inf, 0.0]")):
+        assert guarded(domain) == (1, f"error: degenerate axis {axis}\n")
+        assert not out.exists()
+    assert guarded("0,0,0.1,0.1") == (
+        3, "error: key (-4.0, 0.5) outside domain [0.0, 0.0]..[0.1, 0.1]\n")
+    assert not out.exists()
+
+
 def test_decrypt_rejects_malformed_hex(tmp_path, arnold_key_file, capsys):
     bad = tmp_path / "bad.hex"
     bad.write_text("zz00")
