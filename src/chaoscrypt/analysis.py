@@ -13,7 +13,6 @@ variable.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import struct
@@ -30,6 +29,7 @@ from .cipher import (
     _field,
     _key_from_dict,
     _number,
+    _parse_json,
     _scan_grid,
     decrypt,
     default_config,
@@ -150,8 +150,9 @@ class KeyDomain:
     def snap(self, params: MapParams) -> MapParams:
         """Nearest grid key, clamped into the box."""
         na, nb = self.axis_counts()
-        i = min(max(round((params.a - self.lower[0]) / self.increment), 0), na - 1)
-        j = min(max(round((params.b - self.lower[1]) / self.increment), 0), nb - 1)
+        # clamped before rounding, as a key far outside gives an infinite index
+        i = round(min(max((params.a - self.lower[0]) / self.increment, 0), na - 1))
+        j = round(min(max((params.b - self.lower[1]) / self.increment, 0), nb - 1))
         return self.params_at(i, j)
 
     def contains(self, params: MapParams) -> bool:
@@ -288,10 +289,10 @@ class AttackResult:
         return "R" if self.robust else "NR"
 
 
-# Most keys one pool worker scans per call, so that an interrupted pooled
-# scan only waits for a few short tiles already running. A scan uses at
-# most one worker per such tile, so a grid of up to this many keys is
-# scanned in-process: starting a pool costs more than it saves there.
+# Most keys in one tile of a scan, serial or pooled, so that an interrupted
+# pooled scan only waits for a few short tiles already running. A scan uses
+# at most one worker per tile, so a grid of up to this many keys is one
+# in-process scanner call: starting a pool costs more than it saves there.
 _MAX_POOL_CHUNK = 1 << 16
 
 # Largest grid a scan accepts, about 15 minutes of one worker; the full key
@@ -324,10 +325,9 @@ def _matching_keys(domain: KeyDomain, cfg: CipherConfig, jobs: Sequence[tuple[tu
         raise DomainError(f"grid of {_size_text(total)} keys exceeds the scan cap of "
                           f"{_MAX_SCAN_KEYS}; use a larger increment or a smaller domain")
     workers = min(effective_workers(workers), -(-total // _MAX_POOL_CHUNK))
-    if workers <= 1:
-        chunk = 4096
-    else:
-        chunk = min(_MAX_POOL_CHUNK, max(256, -(-total // (workers * 4))))
+    # serially the whole grid, pooled a quarter of a worker's share; a pool
+    # starts only above the cap, so a pooled tile holds over an eighth of it
+    chunk = min(_MAX_POOL_CHUNK, total if workers == 1 else -(-total // (workers * 4)))
     na, nb = domain.axis_counts()
     height, width = max(1, chunk // nb), min(nb, chunk)
     # Row-major tiles: whole rows, or column ranges of a row longer than chunk.
@@ -568,16 +568,23 @@ def write_report_csv(rows: Sequence[AnalysisRow], out: TextIO) -> None:
 
 def read_report_csv(inp: TextIO, kind: MapKind) -> list[AnalysisRow]:
     """Parse a report CSV back into rows (the CSV does not carry the map
-    kind or torus modulus, so the kind is supplied by the caller)."""
-    reader = csv.reader(inp)
+    kind or torus modulus, so the kind is supplied by the caller). Fields
+    of up to 2**31 - 1 characters are read, the most csv's field limit
+    takes on every platform; the limit is put back after."""
+    limit = csv.field_size_limit(2 ** 31 - 1)
     try:
-        header = next(reader)
-    except StopIteration:
+        records = list(csv.reader(inp))
+    except csv.Error as exc:
+        raise ValueError(f"malformed report CSV: {exc}")
+    finally:
+        csv.field_size_limit(limit)
+    if not records:
         raise ValueError("empty report CSV")
+    header, *records = records
     if header != REPORT_HEADER:
         raise ValueError(f"unexpected report header: {header}")
     rows = []
-    for rec in reader:
+    for rec in records:
         if len(rec) != len(REPORT_HEADER):
             raise ValueError(f"report row has {len(rec)} columns, expected {len(REPORT_HEADER)}")
         (index, plaintext, key_a, key_b, ciphertext_hex, pt_pct, key_pct,
@@ -604,10 +611,7 @@ def load_report_spec(path: str | os.PathLike) -> list[tuple[str, Key, KeyDomain]
     An item of the wrong shape raises ValueError naming the item and field.
     """
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            items = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed report spec JSON: {exc}")
+        items = _parse_json(f.read(), "report spec")
     if not isinstance(items, list):
         raise ValueError("report spec must be a JSON list")
     triples = []

@@ -613,12 +613,17 @@ def key_to_json(key: Key) -> str:
     return json.dumps(_key_dict(key))
 
 
-def key_from_json(text: str) -> Key:
+def _parse_json(text: str, what: str):
+    """text parsed as JSON; malformed or too deeply nested text raises
+    ValueError naming what it was read as."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed key JSON: {exc}")
-    return _key_from_dict(obj)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}")
+
+
+def key_from_json(text: str) -> Key:
+    return _key_from_dict(_parse_json(text, "key"))
 
 
 def save_key(key: Key, path: str | os.PathLike) -> None:
@@ -654,8 +659,4 @@ def config_from_dict(obj: dict, kind: MapKind) -> CipherConfig:
 
 def load_config(path: str | os.PathLike, kind: MapKind) -> CipherConfig:
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed config JSON: {exc}")
-    return config_from_dict(obj, kind)
+        return config_from_dict(_parse_json(f.read(), "config"), kind)

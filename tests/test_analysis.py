@@ -1,6 +1,7 @@
 """Tests for the cryptanalysis procedures."""
 
 import concurrent.futures
+import csv
 import io
 import os
 import random
@@ -104,6 +105,17 @@ def test_domain_snap_clamps_and_rounds():
     assert snapped == dom.params_at(34, 13)
     below = dom.snap(MapParams(-1.0, 99.0, 1.0))
     assert below == dom.params_at(0, 40)
+
+
+@pytest.mark.parametrize("a", [-1e308, 1e308])
+@pytest.mark.parametrize("b", [-1e308, 1e308])
+def test_domain_snap_clamps_keys_whose_index_overflows(a, b):
+    # (a - lower) / increment is infinite for these keys; the corner of the
+    # box on their side is the nearest grid key
+    dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
+    na, nb = dom.axis_counts()
+    assert dom.snap(MapParams(a, b, 1.0)) == dom.params_at(0 if a < 0 else na - 1,
+                                                           0 if b < 0 else nb - 1)
 
 
 # An int beyond the float range, where math.isfinite raises OverflowError:
@@ -506,6 +518,25 @@ def test_small_grid_scans_without_a_pool(monkeypatch):
     assert identifiability_scan(b"no pool", ARNOLD_KEY, dom, workers=2) == serial
 
 
+def test_serial_scan_of_up_to_the_tile_cap_is_one_scanner_call(monkeypatch):
+    # the key census's Arnold box: 456 rows of 123 keys, one tile serially
+    dom = replace(FULL_KEY_DOMAIN[MapKind.ARNOLD], increment=0.009)
+    assert dom.size() == 56088 <= analysis._MAX_POOL_CHUNK
+    calls, real_scan = [], analysis._scan_grid
+
+    def scan(*args):
+        calls.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(analysis, "_scan_grid", scan)
+    done = []
+    identifiability_scan(b"census", ARNOLD_KEY, dom, on_progress=lambda *n: done.append(n))
+    known_plaintext_attack(encrypt_bytes(b"census", ARNOLD_KEY), b"ce", dom,
+                           on_progress=lambda *n: done.append(n))
+    assert len(calls) == 2
+    assert done == [(dom.size(), dom.size())] * 2
+
+
 def test_scans_refuse_grids_over_the_cap(monkeypatch):
     # 3 x 4 keys: scanned at a cap of 12, refused before any work at 11
     dom = KeyDomain(MapKind.ARNOLD, (-4.0, 0.5), (-3.998, 0.503), 1e-3)
@@ -613,10 +644,9 @@ def test_scans_match_flat_oracles_on_random_grids(kind, iters):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scans_match_oracles_when_chunks_start_mid_row(monkeypatch, workers):
-    # 3 rows of 5000 keys: wider than the serial 4096-key tile, so each row
-    # is cut into column ranges, and the second range of a row starts at
-    # column 4096. Short pool chunks, so that workers=2 runs the pool, in
-    # tiles of 1875 columns.
+    # 3 rows of 5000 keys: wider than the 2048-key tile cap, so each row is
+    # cut into column ranges, serially at columns 2048 and 4096. Short pool
+    # chunks, so that workers=2 runs the pool, in tiles of 1875 columns.
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 2048)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 2)
@@ -658,9 +688,8 @@ def test_pooled_scans_in_short_chunks_match_oracles(monkeypatch, workers):
     res = known_plaintext_attack(ciphertext, text[:1], dom, workers=workers,
                                  on_progress=lambda n, total: done.append(n))
     assert [(k.params.a, k.params.b) for k in res.candidates] == expected
-    # progress counts whole tiles: 67 rows serially, one row in the pool
-    tile = (4096 // 61 if workers == 1 else 1) * 61
-    assert done == [min(n, dom.size()) for n in range(tile, dom.size() + tile, tile)]
+    # progress counts whole tiles: one row each, serially as in the pool
+    assert done == list(range(61, dom.size() + 1, 61))
 
 
 def test_interrupted_pooled_scan_stops_early(monkeypatch):
@@ -945,6 +974,22 @@ def test_report_csv_round_trips_through_reader():
     assert got.domain == want.domain
     assert (got.identifiable, got.robust_kpa, got.brute_force_secret) == \
         (want.identifiable, want.robust_kpa, want.brute_force_secret)
+
+
+def test_report_csv_round_trips_a_field_over_csvs_default_limit():
+    # a 70 000-byte plaintext has a 140 000-digit ciphertext_hex, over the
+    # 131 072 characters csv reads by default; the reader puts its limit back
+    dom = KeyDomain(MapKind.ARNOLD, (-4.0005, 0.4995), (-3.9995, 0.5005), 1e-4)
+    row = AnalysisRow(1, "x" * 70000, ARNOLD_KEY, dom, "ab" * 70000, 1.25, 48.5, "I", "R", "YES")
+    buf = io.StringIO()
+    write_report_csv([row], buf)
+    limit = csv.field_size_limit()
+    assert read_report_csv(io.StringIO(buf.getvalue()), MapKind.ARNOLD) == [row]
+    assert csv.field_size_limit() == limit
+    # csv's own errors, here a bare carriage return, are ValueErrors too
+    with pytest.raises(ValueError, match="malformed report CSV: new-line character"):
+        read_report_csv(io.StringIO("index\rplaintext\n"), MapKind.ARNOLD)
+    assert csv.field_size_limit() == limit
 
 
 def test_read_report_csv_rejects_bad_input():

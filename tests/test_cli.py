@@ -259,6 +259,30 @@ def test_malformed_json_shape_is_one_error_line(tmp_path, arnold_key_file, capsy
     assert not out.exists()
 
 
+# 100 000 nested lists: deeper than the JSON parser's recursion limit
+DEEP_JSON = "[" * 100000
+
+
+@pytest.mark.parametrize("flag, what", [("--key", "key"), ("--config", "config"),
+                                        ("--spec", "report spec")])
+def test_deeply_nested_json_is_one_error_line(tmp_path, arnold_key_file, capsys, flag, what):
+    deep, out = tmp_path / "deep.json", tmp_path / "out"
+    deep.write_text(DEEP_JSON)
+    if flag == "--spec":
+        argv = ["report", "--spec", str(deep), "--out", str(out)]
+    else:
+        plain = tmp_path / "p.bin"
+        plain.write_bytes(b"data")
+        argv = ["encrypt", "--in", str(plain), "--out", str(out),
+                "--key", str(deep) if flag == "--key" else arnold_key_file,
+                *(["--config", str(deep)] if flag == "--config" else [])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {what} JSON: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     (["identify", "--text", "Hi", "--domain=-4,0.5,-4,0.5", "--iters", "1001"], "--iters"),
     (["trajectory", "--kind", "arnold", "--params=-4,0.5", "--n", "1000001"], "--n"),
@@ -559,6 +583,29 @@ def test_identify_warns_on_out_of_domain_key(arnold_key_file, capsys):
     assert "verdict=" in captured.out
 
 
+# a key so far outside the box that its grid index is infinite
+FAR_KEY = '{"kind": "arnold", "a": 1e308, "b": 0.5}'
+FAR_BOX = ((-4.001, 0.499), (-3.999, 0.501))
+
+
+def test_identify_and_report_snap_a_key_far_outside_the_box(tmp_path, capsys):
+    key = tmp_path / "far.json"
+    key.write_text(FAR_KEY)
+    (lo_a, lo_b), (hi_a, hi_b) = FAR_BOX
+    assert main(["identify", "--text", "hello", "--key", str(key),
+                 f"--domain={lo_a},{lo_b},{hi_a},{hi_b}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: key (1e+308, 0.5) outside the scan domain")
+    assert "verdict=" in captured.out
+    spec, out = tmp_path / "spec.json", tmp_path / "report.csv"
+    spec.write_text(f'[{{"plaintext": "hello", "key": {FAR_KEY}, "domain": '
+                    f'{{"lower": [{lo_a}, {lo_b}], "upper": [{hi_a}, {hi_b}]}}}}]')
+    assert main(["report", "--spec", str(spec), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 1
+    (row,) = list(csv.DictReader(out.open(newline="")))
+    assert (row["key_a"], row["identifiable"]) == ("1e+308", "I")
+
+
 def test_attack_json_output(tmp_path, arnold_key_file, capsys):
     msg = b"Meet me after 5p.m."
     ct = tmp_path / "c.hex"
@@ -675,6 +722,28 @@ def test_report_prints_strict_json_when_no_row_has_a_sensitivity(tmp_path, capsy
     assert summary["key_sensitivity_range_pct"] is None
     assert summary["errors"] == 1
     assert out.read_text().splitlines()[1].endswith(",1e-300,,,")
+
+
+@pytest.mark.parametrize("plaintext", ["x" * 70000, "a\0b"], ids=["long", "nul"])
+def test_compare_reads_every_plaintext_report_writes(tmp_path, capsys, plaintext):
+    # a 140 000-digit ciphertext_hex is over csv's default field limit; a
+    # NUL is read from Python 3.11 on, and is one error line before
+    dom = analysis.KeyDomain(MapKind.ARNOLD, *FAR_BOX)
+    row = analysis.AnalysisRow(1, plaintext, ARNOLD_KEY, dom, "ab" * len(plaintext),
+                               1.25, 48.5, "I", "R", "YES")
+    report = tmp_path / "report.csv"
+    with report.open("w", newline="") as f:
+        analysis.write_report_csv([row], f)
+    rc = main(["compare", "--arnold", str(report), "--duffing", str(report)])
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    if "\0" in plaintext and sys.version_info < (3, 11):
+        assert rc == 1
+        assert errors == ["error: malformed report CSV: line contains NUL"]
+    else:
+        assert (rc, errors) == (0, [])
+        assert captured.out.splitlines()[1].startswith("arnold,1,")
+    assert "Traceback" not in captured.err
 
 
 def test_builtin_spec_names_resolve(tmp_path, capsys):
@@ -915,6 +984,12 @@ def cli_calls(draw):
 @example((["compare", "--arnold", "@a.csv", "--duffing", "@d.csv"],
           {"a.csv": TINY_STEP_CSV, "d.csv": TINY_STEP_CSV},
           {"arnold": (0, 0), "duffing": (0, 0)}))
+# JSON nested past the parser's recursion limit, and a key whose grid
+# index overflows, ended in tracebacks
+@example((["report", "--spec", "@spec.json", "--out", "@out"],
+          {"spec.json": DEEP_JSON}, None))
+@example((["identify", "--text", "hello", "--key", "@k.json",
+           "--domain=-4.001,0.499,-3.999,0.501"], {"k.json": FAR_KEY}, None))
 def test_cli_contract_holds_for_hostile_input(call):
     argv, files, counts = call
     scanned = []

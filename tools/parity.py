@@ -17,8 +17,11 @@ that checkout's package and collects:
   compiles, even where two variants share one file name;
 - the outputs of a seeded case set: ciphertexts, traces (floats as
   `float.hex`), decryptions, `DivergenceError` texts and symbols,
-  orbits, and single and fused `_scan_grid` calls, the fused ones with
-  the queries in both orders.
+  orbits, single and fused `_scan_grid` calls, the fused ones with the
+  queries in both orders, and serial `identifiability_scan` and
+  `known_plaintext_attack` calls on grids of one to about 60 000 keys,
+  some with rows wider than 4096 keys, which cover how the scan driver
+  tiles a grid (their results only, not their progress).
 
 It prints every difference: the kernel sources that differ, split into
 the scanner's key loop (the per-key code) and the lines outside it and
@@ -45,6 +48,7 @@ LARGE = (1000, 1000)
 LARGE_SIDES = [(1, 1), (2, 2), (3, 3)]
 CIPHER_CASES = 400
 SCAN_CASES = 200
+DRIVER_CASES = 24
 SEED = 20120810
 # The boxes the cases draw keys from: the packaged full key domains, and
 # wider ones, where more orbits diverge.
@@ -63,6 +67,7 @@ def _collect() -> dict:
 
     import chaoscrypt
     from chaoscrypt import cipher, maps
+    from chaoscrypt.analysis import KeyDomain, identifiability_scan, known_plaintext_attack
     from chaoscrypt.cipher import Key, decrypt, default_config, encrypt, encrypt_bytes
     from chaoscrypt.maps import DivergenceError, MapKind, MapParams, State
 
@@ -178,6 +183,54 @@ def _collect() -> dict:
             outputs[f"{at} single {k}"] = found([query])
         outputs[f"{at} fused"] = found(queries)
         outputs[f"{at} fused reversed"] = found(queries[::-1])
+
+    def keys(found):
+        return [[k.params.a.hex(), k.params.b.hex()] for k in found]
+
+    for case in range(DRIVER_CASES):
+        kind = rng.choice(list(MapKind))
+        (a_lo, b_lo), (a_hi, b_hi) = rng.choice(BOXES[kind.value])
+        # one key, up to 250 rows of up to 240 keys, or a few rows wider
+        # than 4096 keys
+        na, nb = [(1, 1), (rng.randint(1, 250), rng.randint(1, 240)),
+                  (rng.randint(1, 12), rng.randint(4097, 5000))][case % 3]
+        step = rng.choice([1e-4, 1e-3, 0.01])
+        a0, b0 = rng.uniform(a_lo, a_hi), rng.uniform(b_lo, b_hi)
+        n_modulus = draw_modulus(kind)
+        # the default config every other case, so that most true keys encrypt
+        cfg = draw_cfg(kind) if case % 2 else default_config(kind)
+        domain = KeyDomain(kind, (a0, b0), (a0 + (na - 1) * step, b0 + (nb - 1) * step), step,
+                           n_modulus)
+        # a grid key, or a key between grid points or outside the box
+        at_i, at_j = ((rng.randint(0, na - 1), rng.randint(0, nb - 1)) if rng.random() < 0.5
+                      else (rng.uniform(-2, na + 1), rng.uniform(-2, nb + 1)))
+        key = Key(kind, MapParams(a0 + at_i * step, b0 + at_j * step, n_modulus))
+        text = rng.randbytes(rng.randint(1, 12))
+        # one or two symbols compared, or one known, match many keys in
+        # every tile; three known isolate the key of a small grid
+        iteration_value, compare_len = rng.randint(1, 4), rng.randint(1, min(2, len(text)))
+        try:
+            ciphertext = encrypt_bytes(text, key, cfg)
+        except DivergenceError:
+            ciphertext = rng.randbytes(len(text))
+        prefix = text[:rng.randint(1, min(3, len(text)))]
+
+        def identify():
+            res = identifiability_scan(text, key, domain, cfg, iteration_value, compare_len,
+                                       workers=1)
+            return {"verdict": res.verdict, "true_key": keys([res.true_key]),
+                    "matching": keys(res.matching_keys), "grid_size": res.grid_size,
+                    "diverged": res.diverged}
+
+        def attack():
+            res = known_plaintext_attack(ciphertext, prefix, domain, cfg, workers=1)
+            return {"verdict": res.verdict, "candidates": keys(res.candidates),
+                    "recovered": res.recovered and keys([res.recovered]),
+                    "diverged": res.diverged}
+
+        at = f"driver {case}"
+        outputs[f"{at} identify"] = outcome(identify)
+        outputs[f"{at} attack"] = outcome(attack)
 
     return {"package": chaoscrypt.__file__, "python": sys.version.split()[0],
             "kernels": kernels, "outputs": outputs}
