@@ -27,17 +27,19 @@ _scan_grid serves the scans in analysis: it runs a tile of grid keys per
 call, each a-value of the tile against each b-value, stops each key at
 its first mismatching symbol and counts the keys that diverged. It runs
 symbol 0 peeled, with its grid-, row- and column-invariant parts lifted
-out of the key loop. A scan takes one or two queries (data, reference,
-n1, n2), which share one config's start state, quantizer and gain. Its
-scanner runs the schedule (n1, n2) of the query with more steps, the
-main one, and tests the other, side query's symbol 0 on the way, from
-the same orbit: symbol 0 depends only on the key and the start state,
-so the main schedule's steps hold the side's. The keys that pass the
-side test are finished by the side query's own scanner, so that one grid
-pass gives each query what its own scan gives. Every scanner, with a
-side query or without, is the one template _SCAN compiled with the one
-fill _SCAN_FILL, and is called the same way: _scan_grid passes it each
-query's symbol-0 target, which it computes once.
+out of the key loop, and a row whose every key passes the map's bound
+guard in a second key loop, which computes and tests no guard. A scan
+takes one or two queries (data, reference, n1, n2), which share one
+config's start state, quantizer and gain. Its scanner runs the schedule
+(n1, n2) of the query with more steps, the main one, and tests the
+other, side query's symbol 0 on the way, from the same orbit: symbol 0
+depends only on the key and the start state, so the main schedule's
+steps hold the side's. The keys that pass the side test are finished by
+the side query's own scanner, so that one grid pass gives each query
+what its own scan gives. Every scanner, with a side query or without, is
+the one template _SCAN compiled with the one fill _SCAN_FILL, and is
+called the same way: _scan_grid passes it each query's symbol-0 target,
+which it computes once.
 """
 
 from __future__ import annotations
@@ -291,6 +293,14 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # $side_snapshot and $side_check only into a scanner with a side
 # schedule, so one without reads no target and returns side and reached
 # as it set them.
+#
+# A row runs its keys in one of two copies of _KEY_LOOP. A key's guard
+# (maps._STEP_SOURCE) is "column value <= row value", so top, the largest
+# column value of the tile (NaN once one is NaN), decides it per row: a
+# row whose value is at least top runs $free_loop, the key loop with the
+# guard as the literal True, which the compiler folds away with the bound
+# tests it skips; any other row, or one whose comparison is NaN, runs
+# $key_loop, which computes and tests each key's guard.
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, feed, pairs, t0, target):
     scanned = len(a_values) * len(b_values)
@@ -305,10 +315,13 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs, t0, target):
         return [], scanned, scanned, side, reached
     columns = []
     diverged = 0
+    top = 0.0
     for b in b_values:
         try:
             $column_lifts
             columns.append(($column_values))
+            if top == top and not $guard_column <= top:
+                top = $guard_column
         except ValueError:
             diverged += len(a_values)
     hits = []
@@ -318,17 +331,23 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs, t0, target):
         except ValueError:
             diverged += len(columns)
             continue
-        for column in columns:
-            try:
-                $column_values = column
-                $key_code
-                for c, expected in rest:
-                    $body
-                else:
-                    hits.append((a, b))
-            except ValueError:
-                diverged += 1
+        if top <= $guard_row:
+            $free_loop
+        else:
+            $key_loop
     return hits, diverged, scanned, side, reached
+"""
+_KEY_LOOP = """\
+for column in columns:
+    try:
+        $column_values = column
+        $key_code
+        for c, expected in rest:
+            $body
+        else:
+            hits.append((a, b))
+    except ValueError:
+        diverged += 1
 """
 _MATCH_0 = """\
 if (q1 + q2) % $modulus != t0:
@@ -343,6 +362,8 @@ _SCAN_FILL = {
                 ("mix", _MATCH_0), ("check", ""))),
     "diverge": "diverged += 1\nbreak",
     "check": "if out != expected:\n    break",
+    "key_loop": _KEY_LOOP,
+    "free_loop": (_KEY_LOOP, (("guarded", "True"), ("key_code", "$free_code"))),
     "side_snapshot": "side_s1x = x",
     "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
                    "    side.append((a, b))\n"

@@ -141,7 +141,9 @@ def signed_mod(dividend: float, divisor: float) -> float:
 
 
 # The two step equations, each spelled once, with their bound tests:
-# - setup: a statement binding names from the parameters (a, b, n);
+# - setup: a statement binding names from the parameters (a, b, n),
+#   among them the name guarded holds, set to the key's guard (below);
+# - guard: that guard, an expression, which the tests read as $guarded;
 # - x, y: the next state's coordinates, as expressions of the state (x, y);
 # - entry: a test of the state a run of steps starts from;
 # - inside: a test that the state ($new_x, $new_y) a step made is in the
@@ -173,24 +175,29 @@ def signed_mod(dividend: float, divisor: float) -> float:
 #   which boxed would let through, into a failed test. Otherwise both
 #   coordinates are tested. boxed also bounds |x + (1-b) y|, so for a
 #   boxed key fmod cannot raise on it: _SPLIT_STEP may put y' off.
-# Each guard is written as a column's value against a row's, so that a
-# scanner lifts both out of its key loop and compares once per key.
+# Each guard has the form "column value <= row value", a value of b
+# against a value of a, so that a scanner lifts both out of its key loop
+# and decides it for a whole row at once (see cipher._SCAN).
 _STEP_SOURCE = {
     MapKind.ARNOLD: {
-        "setup": "a1, b1 = a - 1.0, 1.0 - b; boxed = abs(b1) * n <= $bound - (1.0 + abs(a1)) * n",
+        "setup": "a1, b1 = a - 1.0, 1.0 - b; boxed = $guard",
+        "guard": "abs(b1) * n <= $bound - (1.0 + abs(a1)) * n",
+        "guarded": "boxed",
         "x": "a1 * fmod(2.0 * x + y, n)",
         "y": "fmod(x + b1 * y, n)",
         "entry": "x == x and y == y",
-        "inside": "boxed or -$bound <= $new_x <= $bound and -$bound <= $new_y <= $bound",
+        "inside": "$guarded or -$bound <= $new_x <= $bound and -$bound <= $new_y <= $bound",
         "between": "$inside",
     },
     MapKind.DUFFING: {
-        "setup": "nb = -b; no_return = abs(b) <= 1e11 - abs(a)",
+        "setup": "nb = -b; no_return = $guard",
+        "guard": "abs(b) <= 1e11 - abs(a)",
+        "guarded": "no_return",
         "x": "y",
         "y": "nb * x + a * y - y * y * y",
         "entry": "-$bound <= y <= $bound",
         "inside": "-$bound <= $new_y <= $bound",
-        "between": "no_return or $inside",
+        "between": "$guarded or $inside",
     },
 }
 
@@ -256,15 +263,16 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     symbol's n1 and n2 steps: each a between step, but the last, which is
     $last_step, the tested step unless the fill says otherwise) and the
     caller's fill. A fill with a $lifted snippet (the scanner's) also gets
-    the snippets that _hoist.hoist makes of it, spliced. A side schedule
+    the snippets that _hoist.hoist makes of it and of its guard-free copy,
+    $lifted spliced with $guard and $guarded as True. A side schedule
     (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the steps of
     $lifted alone: $side_snapshot after its step n1' and $side_check after
     its step n1' + n2', which is a tested step. A line that splices to
-    nothing but blanks is dropped. fmod, floor and DivergenceError are
-    its globals. Its file name names the kind, the function, n1/n2, the
-    side schedule and the variant, which tells apart the fills of one
-    template, and linecache holds its source, so a traceback through it
-    shows its lines.
+    nothing but blanks is dropped. fmod, floor and abs are locals of the
+    function, as keyword-only defaults, and DivergenceError its global.
+    Its file name names the kind, the function, n1/n2, the side schedule
+    and the variant, which tells apart the fills of one template, and
+    linecache holds its source, so a traceback through it shows its lines.
     """
     run = ["$between_step\n"] * (n1 + n2)
     if run:
@@ -284,7 +292,10 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
                 run[sum(side) - 1] = "$tested_step\n"
             run[sum(side) - 1] += "$side_check\n"
             peeled = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:])}
-        snippets.update(hoist(_splice("$lifted", peeled)))
+        free = {**peeled, "guard": "True", "guarded": "True"}
+        snippets.update(hoist(_splice("$lifted", peeled), _splice("$lifted", free),
+                              _splice("$guard", peeled)))
+    template = template.replace("):\n", ", *, fmod=fmod, floor=floor, abs=abs):\n", 1)
     source = "".join(line for line in _splice(template, snippets).splitlines(True)
                      if not line.isspace())
     del snippets  # the scanner's key code is about as large as its source

@@ -1,6 +1,7 @@
 """Tests for the message-embedded cipher."""
 
 import ast
+import dis
 import json
 import linecache
 import pickle
@@ -774,6 +775,20 @@ def scan_cases(draw):
 # -b x0 + (a y0 - y0^3) for these keys
 @example((MapKind.DUFFING, (2.0, -0.2), 0.01, 1.0, (range(3), range(3)),
           CipherConfig(State(0.3, 0.45), 2, 2, 1e16), b"xy", [(0, 0), (1, 0), (2, 0)]))
+# Rows on both sides of a guard, and a row whose columns straddle it, its
+# first column inside: a scanner decides the guard for a whole row from
+# its largest column value. A key of a row whose first column passes the
+# guard leaves the box only as below, far past the guard's edge, so no
+# row of these tiles passes it at every column. Arnold, from b = 0.5,
+# (1 + |a - 1| + |1 - b|) N across 1e6: in row 0, x + (1 - b) y
+# overflows in symbol 0's last step at b = -1.7e308, which a boxed key
+# would not compute before its compare. Duffing, from b = 0, |a| + |b|
+# across 1e11: at a = 0 and b = 2.56e18, y leaves the box at step 1 and
+# is 0 at step 2.
+@example((MapKind.ARNOLD, (-4.0, 0.5), -0.85e308, 3.0, (range(3), range(3)),
+          CipherConfig(State(0.5, 0.9), 1, 1, 1e16), b"ab", [(0, 0), (0, 2)]))
+@example((MapKind.DUFFING, (0.0, 0.0), 1.28e18, 1.0, (range(3), range(3)),
+          CipherConfig(State(0.0, 200.0), 1, 1, 7.0), b"ab", [(0, 0), (0, 2)]))
 def test_scan_grid_matches_per_key_oracle(case):
     kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs = case
     s = cfg.initial_state
@@ -919,6 +934,11 @@ def duffing_guard_cases(draw):
 # the third on, so a test at the end of a symbol alone would let it through
 @example((([4e12, 4e12 + 1e-3, 4e12 + 1.0], [0.0, 1e-3, 1.0]), CipherConfig(State(0.0, 5e-7), 1, 1),
           b"abc", [(b"ab", b"ab", 1, 1), (b"x", b"y", 1, 3)]))
+# row 0 straddles |a| + |b| = 1e11, and at b = 2.56e18 leaves the box at
+# step 1 and comes back at step 2 (see test_scan_grid_matches_per_key_oracle);
+# row 1 is past it at every column
+@example((([0.0, 2e11], [0.0, 1e3, 2.56e18]), CipherConfig(State(0.0, 200.0), 1, 1),
+          b"ab", [(b"ab", b"cd", 1, 1), (b"x", b"y", 2, 2)]))
 def test_duffing_guard_matches_checked_oracle(case):
     tile, cfg, data, queries = case
     for a in tile[0]:
@@ -971,6 +991,11 @@ def arnold_split_cases(draw):
 # N > 1e6: y' leaves the box however small (|a - 1| + |1 - b|) N / 1e6 is
 @example((2e6, ([1.25, 1.5], [0.9, 0.95]), CipherConfig(State(1.5e6, 0.0), 2, 3), b"xy",
           [(b"xy", b"ab", 2, 3), (b"x", b"y", 1, 1)]))
+# row 0 straddles (1 + |a - 1| + |1 - b|) N = 1e6, and at b = -1.7e308
+# overflows in the 1/1 query's last step of symbol 0 (see
+# test_scan_grid_matches_per_key_oracle); row 1 is past it at every column
+@example((3.0, ([-4.0, 1e7], [0.5, -1.7e308]), CipherConfig(State(0.5, 0.9), 3, 3), b"ab",
+          [(b"ab", b"cd", 3, 3), (b"x", b"y", 1, 1)]))
 def test_arnold_split_step_matches_checked_oracle(case):
     n, tile, cfg, data, queries = case
     for b in tile[1]:
@@ -978,55 +1003,106 @@ def test_arnold_split_step_matches_checked_oracle(case):
     assert_scans_match_oracle(MapKind.ARNOLD, n, cfg, tile, queries)
 
 
+def scanner_tree(kind, n1, n2, side):
+    scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
+    return ast.parse("".join(linecache.getlines(scan.__code__.co_filename)))
+
+
+def key_loops(tree):
+    """Every key loop of a scanner (each `for column in columns:`)."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.For) and ast.unparse(node.target) == "column"]
+
+
 def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
     # symbol 0's last step sets x alone. Before the keystream compare, its
     # y' = fmod(x + (1 - b) y, n) is computed only in the bound test, after
-    # boxed, so a boxed key that misses never computes it; a key that
-    # passes takes the step in full after the compare
+    # boxed (or True, in the loop of a row whose keys are all boxed), so a
+    # boxed key that misses never computes it; a key that passes takes the
+    # step in full after the compare. So in every key loop
     for n1, n2, side in [(2, 2, None), (1, 2, None), (3, 3, (2, 2)), (2, 2, (1, 3))]:
-        scan = maps._kernel(MapKind.ARNOLD, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
-        tree = ast.parse("".join(linecache.getlines(scan.__code__.co_filename)))
-        key_loop = next(node for node in ast.walk(tree)
-                        if isinstance(node, ast.For) and ast.unparse(node.target) == "column")
-        code = key_loop.body[0].body
-        compare = next(k for k, stmt in enumerate(code)
-                       if ast.unparse(stmt).startswith("if (q1 + q2) % 256 != t0:"))
+        loops = key_loops(scanner_tree(MapKind.ARNOLD, n1, n2, side))
+        assert len(loops) == 2
+        for key_loop in loops:
+            code = key_loop.body[0].body
+            compare = next(k for k, stmt in enumerate(code)
+                           if ast.unparse(stmt).startswith("if (q1 + q2) % 256 != t0:"))
 
-        def sets(stmt, name):
-            return isinstance(stmt, ast.Assign) and name in [
-                node.id for target in stmt.targets for node in ast.walk(target)
-                if isinstance(node, ast.Name)]
+            def sets(stmt, name):
+                return isinstance(stmt, ast.Assign) and name in [
+                    node.id for target in stmt.targets for node in ast.walk(target)
+                    if isinstance(node, ast.Name)]
 
-        last_y = max(k for k in range(compare) if sets(code[k], "y"))
-        last_x = max(k for k in range(compare) if sets(code[k], "x"))
-        assert last_y < last_x, (n1, n2, side)
-        y_steps = []
-        for stmt in code[last_y + 1:compare]:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
-                    assert ast.unparse(node.values[0]) == "boxed"
-                    node.values[1:] = []  # computed by unboxed keys only
-            y_steps += [node for node in ast.walk(stmt)
-                        if re.fullmatch(r"fmod\(x \+ _c\d+ \* y, n\)", ast.unparse(node))]
-        assert y_steps == [], (n1, n2, side)
-        assert any(sets(stmt, "x") and sets(stmt, "y") for stmt in code[compare + 1:])
+            last_y = max(k for k in range(compare) if sets(code[k], "y"))
+            last_x = max(k for k in range(compare) if sets(code[k], "x"))
+            assert last_y < last_x, (n1, n2, side)
+            y_steps = []
+            for stmt in code[last_y + 1:compare]:
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                        assert ast.unparse(node.values[0]) in ("boxed", "True")
+                        node.values[1:] = []  # computed by unboxed keys only
+                y_steps += [node for node in ast.walk(stmt)
+                            if re.fullmatch(r"fmod\(x \+ _c\d+ \* y, n\)", ast.unparse(node))]
+            assert y_steps == [], (n1, n2, side)
+            assert any(sets(stmt, "x") and sets(stmt, "y") for stmt in code[compare + 1:])
 
 
 def test_scanner_without_a_side_schedule_keeps_no_side_work_per_key():
     # every scanner takes the side query's target and returns side and
     # reached, but only one compiled with a side schedule tests it: the
-    # key loop of one without (the per-key code of a single-query scan)
-    # reads and counts nothing for a side query
+    # key loops of one without (the per-key code of a single-query scan)
+    # read and count nothing for a side query
     side_names = {"side", "reached", "target", "side_s1x"}
     for kind in MapKind:
         for n1, n2 in [(1, 1), (2, 2), (3, 3), (2, 4)]:
             for side in (None, (1, 1)):
-                scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
-                tree = ast.parse("".join(linecache.getlines(scan.__code__.co_filename)))
-                key_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
-                                and ast.unparse(node.target) == "column")
-                names = {node.id for node in ast.walk(key_loop) if isinstance(node, ast.Name)}
-                assert bool(names & side_names) == bool(side), (kind, n1, n2, side)
+                loops = key_loops(scanner_tree(kind, n1, n2, side))
+                assert len(loops) == 2
+                for key_loop in loops:
+                    names = {node.id for node in ast.walk(key_loop) if isinstance(node, ast.Name)}
+                    assert bool(names & side_names) == bool(side), (kind, n1, n2, side)
+
+
+def test_free_key_loop_is_the_guarded_one_with_the_guard_true():
+    # A row runs its keys in one of two loops, chosen once per row: the
+    # guard-free loop when every key of the row passes the guard, and the
+    # guarded loop otherwise. The free loop is the guarded one with the
+    # guard as the literal True, which the compiler folds away, so its
+    # per-key code reads no guard, Arnold's symbol 0 holds no bound test,
+    # and Duffing's only its exact ones: the test after symbol 0's last
+    # step, and after the step before a side check.
+    folded = compile("if not (True or -1e6 <= x <= 1e6):\n    x = 0\n", "<guard>", "exec")
+    assert not [op for op in dis.get_instructions(folded)
+                if op.opname in ("COMPARE_OP", "STORE_NAME")]
+    for kind, guarded in ((MapKind.ARNOLD, "boxed"), (MapKind.DUFFING, "no_return")):
+        for n1, n2, side in [(1, 1, None), (2, 2, None), (3, 2, None), (2, 2, (1, 1)),
+                             (2, 2, (1, 3)), (3, 3, (2, 2)), (2, 3, (1, 4)), (4, 4, (1, 2))]:
+            (choice,) = [node for node in ast.walk(scanner_tree(kind, n1, n2, side))
+                         if isinstance(node, ast.If) and ast.unparse(node.test).startswith("top <=")]
+            (free,), (checked,) = choice.body, choice.orelse
+            assert guarded not in {node.id for node in ast.walk(free)
+                                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            # the two loops differ only in the lines of the guard
+            lines = [ast.unparse(loop).splitlines() for loop in (free, checked)]
+            assigns = re.compile(rf"\s*{guarded} = ")
+            assert [line for line in lines[0] if not assigns.match(line)] == [
+                re.sub(rf"\b{guarded}\b", "True", line)
+                for line in lines[1] if not assigns.match(line)], (kind, n1, n2, side)
+            assert sum(guarded in line for line in lines[1]) > 1
+            # symbol 0: the key code before the loop over the other symbols
+            symbol_0 = free.body[0].body
+            symbol_0 = symbol_0[:next(k for k, stmt in enumerate(symbol_0)
+                                      if isinstance(stmt, ast.For))]
+            tests = [ast.unparse(stmt.test) for stmt in symbol_0 if isinstance(stmt, ast.If)
+                     and "1000000.0" in ast.unparse(stmt.test)
+                     and not ast.unparse(stmt.test).startswith("not (True or ")]
+            if kind is MapKind.ARNOLD:
+                assert tests == [], (n1, n2, side)
+            else:
+                exact = 1 + bool(side and sum(side) < n1 + n2)
+                assert len(tests) == exact and all(" or " not in test for test in tests), (
+                    n1, n2, side, tests)
 
 
 def test_lift_pass_keeps_an_if_body_that_reads_invariants():

@@ -21,13 +21,17 @@ that checkout's package and collects:
   queries in both orders, and serial `identifiability_scan` and
   `known_plaintext_attack` calls on grids of one to about 60 000 keys,
   some with rows wider than 4096 keys, which cover how the scan driver
-  tiles a grid (their results only, not their progress).
+  tiles a grid (their results only, not their progress), and single and
+  fused `_scan_grid` calls on tiles across each map's bound guard, whose
+  rows take either of the scanner's key loops.
 
 It prints every difference: the kernel sources that differ, split into
-the scanner's key loop (the per-key code) and the lines outside it and
-grouped by identical difference, file names that differ, and each output
-that differs. It exits 0 when there is none, 1 when there is any, and 2
-when a checkout cannot be read.
+the scanner's key loops (the per-key code), each compared with the
+parent's (or, where the two differ in their count of loops, with the
+closest one), and the lines outside them, and grouped by identical
+difference, with each run of a repeated block of lines written once;
+file names that differ; and each output that differs. It exits 0 when
+there is none, 1 when there is any, and 2 when a checkout cannot be read.
 
 Standard library only. Running it on one checkout against itself
 (`python3 tools/parity.py . .`) must print no difference.
@@ -41,6 +45,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 SCHEDULES = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)]
@@ -49,6 +54,7 @@ LARGE_SIDES = [(1, 1), (2, 2), (3, 3)]
 CIPHER_CASES = 400
 SCAN_CASES = 200
 DRIVER_CASES = 24
+GUARD_CASES = 80
 SEED = 20120810
 # The boxes the cases draw keys from: the packaged full key domains, and
 # wider ones, where more orbits diverge.
@@ -150,19 +156,13 @@ def _collect() -> dict:
         outputs[f"{at} orbit"] = outcome(lambda: [
             state(s) for s in maps.trajectory(kind, cfg.initial_state, key.params, steps)])
 
-    for case in range(SCAN_CASES):
-        kind = rng.choice(list(MapKind))
-        (a_lo, b_lo), (a_hi, b_hi) = rng.choice(BOXES[kind.value])
-        step = rng.choice([1e-4, 1e-2, 0.05])
-        a0, b0 = rng.uniform(a_lo, a_hi), rng.uniform(b_lo, b_hi)
-        tile = ([a0 + i * step for i in range(rng.randint(1, 12))],
-                [b0 + j * step for j in range(rng.randint(1, 12))])
-        n_modulus, cfg = draw_modulus(kind), draw_cfg(kind)
+    def scan_case(at, kind, tile, n_modulus, cfg, schedules=()):
+        """Outputs of each of two queries over tile alone and of both
+        fused, in either order: the queries of the schedules given, then
+        of schedules drawn; the references are the outputs of a tile key."""
         true = MapParams(rng.choice(tile[0]), rng.choice(tile[1]), n_modulus)
-        if case == 0:
-            schedules = [LARGE, (2, 2)]
-        else:
-            schedules = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(2)]
+        schedules = [*schedules, *((rng.randint(1, 4), rng.randint(1, 4))
+                                   for _ in range(2 - len(schedules)))]
         data = rng.randbytes(rng.randint(1, 6))
         queries = []
         for n1, n2 in schedules:
@@ -178,11 +178,20 @@ def _collect() -> dict:
             return [scanned, [[[[a.hex(), b.hex()] for a, b in hits], diverged]
                               for hits, diverged in results]]
 
-        at = f"scan {case}"
         for k, query in enumerate(queries):
             outputs[f"{at} single {k}"] = found([query])
         outputs[f"{at} fused"] = found(queries)
         outputs[f"{at} fused reversed"] = found(queries[::-1])
+
+    for case in range(SCAN_CASES):
+        kind = rng.choice(list(MapKind))
+        (a_lo, b_lo), (a_hi, b_hi) = rng.choice(BOXES[kind.value])
+        step = rng.choice([1e-4, 1e-2, 0.05])
+        a0, b0 = rng.uniform(a_lo, a_hi), rng.uniform(b_lo, b_hi)
+        tile = ([a0 + i * step for i in range(rng.randint(1, 12))],
+                [b0 + j * step for j in range(rng.randint(1, 12))])
+        n_modulus, cfg = draw_modulus(kind), draw_cfg(kind)
+        scan_case(f"scan {case}", kind, tile, n_modulus, cfg, [LARGE, (2, 2)] if case == 0 else ())
 
     def keys(found):
         return [[k.params.a.hex(), k.params.b.hex()] for k in found]
@@ -232,6 +241,50 @@ def _collect() -> dict:
         outputs[f"{at} identify"] = outcome(identify)
         outputs[f"{at} attack"] = outcome(attack)
 
+    # Tiles across each guard, whose rows take either key loop of a
+    # scanner: Arnold N and a near (1 + |a - 1| + |1 - b|) N = 1e6, with
+    # steps in b of a small share of |1 - b| up to a third of it; Duffing
+    # |a| + |b| across 1e11, from a start at or near the origin, where
+    # orbits stay in the box longest. Every fourth tile of a kind has rows
+    # whose first column passes the guard and whose last is far past it,
+    # where a key's outcome depends on the loop that runs it: in Arnold's
+    # symbol 0, x + (1 - b) y can overflow in the last step only, which a
+    # key that passes the guard does not compute before its compare; from
+    # Duffing's (0, y0), at a about 0 and b about y0^8, y leaves the box
+    # at step 1 and is about 0 at step 2.
+    for case in range(GUARD_CASES):
+        kind = [MapKind.ARNOLD, MapKind.DUFFING][case % 2]
+        side = rng.choice([-1.0, 1.0])
+        width = rng.randint(2, 8)
+        if case % 8 >= 6 and kind is MapKind.ARNOLD:
+            n_modulus, a0, a_step, b0 = 3.0, rng.uniform(-6.0, 2.0), 0.02, rng.uniform(-1.0, 1.0)
+            b_step = -rng.choice([1.7e308, 1e308, 5e307]) / (width - 1)
+            start = rng.choice([(0.5, 0.9), (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))])
+        elif case % 8 >= 6:
+            y0 = rng.choice([150.0, 200.0, 250.0])
+            n_modulus, a0, a_step, b0 = 1.0, rng.choice([0.0, -1e-8]), 1e-8, 0.0
+            b_step = y0 ** 8 / (width - 1)
+            start = (0.0, y0)
+        elif kind is MapKind.ARNOLD:
+            n_modulus = rng.choice([1.0, 3.0, 1e3, 2e5])
+            a0 = 1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 0.5) * 1e6 / n_modulus
+            edge = (1e6 - (1.0 + abs(a0 - 1.0)) * n_modulus) / n_modulus
+            b0 = 1.0 - side * edge * rng.choice([0.5, 0.9, 1 - 2.0 ** -40])
+            a_step = rng.choice([1e-3, 0.1, 1e4 / n_modulus])
+            b_step = side * edge * rng.choice([2.0 ** -40, 0.05, 0.3])
+            start = rng.choice([(0.5, 0.06), (-0.3, 0.7), (0.5, 0.9)])
+        else:
+            n_modulus, a0 = 1.0, rng.uniform(-1e11, 1e11)
+            b0 = side * (1e11 - abs(a0)) * rng.choice([0.5, 0.9, 1 - 2.0 ** -40])
+            a_step = b_step = side * rng.choice([1e-3, 1.0, 1e3, 1e10])
+            start = rng.choice([(0.0, 0.0), (1e-9, 0.0), (0.0, -1e-12),
+                                (rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-9, 1e-9))])
+        tile = ([a0 + i * a_step for i in range(rng.randint(1, 6))],
+                [b0 + j * b_step for j in range(width)])
+        cfg = replace(draw_cfg(kind), initial_state=State(*start))
+        # Duffing's orbit comes back only at step 2: a 1/1 query ends there
+        scan_case(f"guard {case}", kind, tile, n_modulus, cfg, [(1, 1)] if case % 8 == 7 else ())
+
     return {"package": chaoscrypt.__file__, "python": sys.version.split()[0],
             "kernels": kernels, "outputs": outputs}
 
@@ -251,27 +304,71 @@ def collect(checkout: Path) -> dict:
     return found
 
 
-def _key_loop(source: str) -> tuple[str, str]:
-    """A scanner's key loop (the `for column in columns:` block) and the
-    source around it, with the loop left as one marker line; a source
-    without one is all around."""
-    lines = source.splitlines(True)
-    for start, line in enumerate(lines):
-        if line.strip() == "for column in columns:":
-            indent = len(line) - len(line.lstrip())
-            end = start + 1
+def _key_loops(source: str) -> tuple[list[str], str]:
+    """A scanner's key loops (each `for column in columns:` block, dedented)
+    and the source around them, each loop left as one marker line; a
+    source without one is all around."""
+    lines, loops, around, k = source.splitlines(True), [], [], 0
+    while k < len(lines):
+        indent = len(lines[k]) - len(lines[k].lstrip())
+        end = k + 1
+        if lines[k].strip() == "for column in columns:":
             while end < len(lines) and len(lines[end]) - len(lines[end].lstrip()) > indent:
                 end += 1
-            return ("".join(lines[start:end]),
-                    "".join(lines[:start] + [" " * indent + "<key loop>\n"] + lines[end:]))
-    return "", source
+            loops.append(textwrap.dedent("".join(lines[k:end])))
+            around.append(" " * indent + "<key loop>\n")
+        else:
+            around.append(lines[k])
+        k = end
+    return loops, "".join(around)
+
+
+def _paired(old: list[str], new: list[str]) -> list[tuple[str, str, str]]:
+    """The key loops of two versions of one kernel, paired for comparing:
+    by position when both have as many, or else each loop of the version
+    with more paired with the closest loop of the other (an empty one when
+    it has none), and named by its place in that version."""
+    if len(old) == len(new):
+        pairs = list(zip(old, new))
+    elif len(new) > len(old):
+        pairs = [(min(old, default="", key=lambda o: len(_changed(o, loop))), loop)
+                 for loop in new]
+    else:
+        pairs = [(loop, min(new, default="", key=lambda n: len(_changed(loop, n))))
+                 for loop in old]
+    return [(f"key loop {k + 1}/{len(pairs)}", *pair) for k, pair in enumerate(pairs)]
+
+
+def _folded(text: str) -> list[str]:
+    """text's lines, each run of one block of up to 8 lines repeated in a
+    row (the steps of a run) written as one item: the block's lines, then
+    the count."""
+    lines, items, k = text.splitlines(), [], 0
+    while k < len(lines):
+        times = 1
+        for period in range(1, 9):
+            block = lines[k:k + period]
+            while lines[k + times * period:k + (times + 1) * period] == block:
+                times += 1
+            if times > 1:
+                items.append("\n".join(block + [f"  ({times} times in a row)"]))
+                k += times * period
+                break
+        else:
+            items.append(lines[k])
+            k += 1
+    return items
 
 
 def _changed(old: str, new: str) -> tuple[str, ...]:
-    """The lines that old loses and new gains, in order."""
-    return tuple(line.rstrip("\n") for line in difflib.unified_diff(
-        old.splitlines(True), new.splitlines(True), n=0)
-        if line[:1] in "+-" and line[:3] not in ("---", "+++"))
+    """The lines that old loses and new gains, in order, with each run of
+    a repeated block folded (see _folded)."""
+    a, b = _folded(old), _folded(new)
+    return tuple(sign + line
+                 for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
+                     None, a, b, autojunk=False).get_opcodes() if tag != "equal"
+                 for sign, items in (("-", a[i1:i2]), ("+", b[j1:j2]))
+                 for item in items for line in item.split("\n"))
 
 
 def compare(base: dict, new: dict) -> list[str]:
@@ -295,8 +392,10 @@ def compare(base: dict, new: dict) -> list[str]:
                                 for name in (old_name, new_name))
                 groups.setdefault(("file name", ("- " + pattern[0], "+ " + pattern[1])),
                                   []).append(call)
-            for region, old_part, new_part in zip(("key loop", "outside the key loop"),
-                                                  _key_loop(old_source), _key_loop(new_source)):
+            (old_loops, old_around), (new_loops, new_around) = map(_key_loops,
+                                                                  (old_source, new_source))
+            for region, old_part, new_part in [*_paired(old_loops, new_loops),
+                                               ("outside the key loops", old_around, new_around)]:
                 lines = _changed(old_part, new_part)
                 if lines:
                     groups.setdefault((region, lines), []).append(call)
