@@ -775,16 +775,17 @@ def scan_cases(draw):
 # -b x0 + (a y0 - y0^3) for these keys
 @example((MapKind.DUFFING, (2.0, -0.2), 0.01, 1.0, (range(3), range(3)),
           CipherConfig(State(0.3, 0.45), 2, 2, 1e16), b"xy", [(0, 0), (1, 0), (2, 0)]))
-# Rows on both sides of a guard, and a row whose columns straddle it, its
-# first column inside: a scanner decides the guard for a whole row from
-# its largest column value. A key of a row whose first column passes the
-# guard leaves the box only as below, far past the guard's edge, so no
-# row of these tiles passes it at every column. Arnold, from b = 0.5,
-# (1 + |a - 1| + |1 - b|) N across 1e6: in row 0, x + (1 - b) y
-# overflows in symbol 0's last step at b = -1.7e308, which a boxed key
-# would not compute before its compare. Duffing, from b = 0, |a| + |b|
-# across 1e11: at a = 0 and b = 2.56e18, y leaves the box at step 1 and
-# is 0 at step 2.
+# Tiles across a guard, which a scanner decides for a whole row from the
+# tile's largest column value: row 0 straddles it, its first column
+# inside, and the other rows are past it at every column. A key of a row
+# whose first column passes the guard can leave the box only far past
+# the guard's edge, as here, so a tile with a row inside at every column
+# holds no key whose outcome depends on the loop that runs it. Arnold,
+# from b = 0.5, (1 + |a - 1| + |1 - b|) N across 1e6: in row 0,
+# x + (1 - b) y overflows in symbol 0's last step at b = -1.7e308, which
+# a boxed key would not compute before its compare. Duffing, from b = 0,
+# |a| + |b| across 1e11: at a = 0 and b = 2.56e18, y leaves the box at
+# step 1 and is 0 at step 2.
 @example((MapKind.ARNOLD, (-4.0, 0.5), -0.85e308, 3.0, (range(3), range(3)),
           CipherConfig(State(0.5, 0.9), 1, 1, 1e16), b"ab", [(0, 0), (0, 2)]))
 @example((MapKind.DUFFING, (0.0, 0.0), 1.28e18, 1.0, (range(3), range(3)),
