@@ -74,6 +74,8 @@ class _Lifter:
             pure, always, sometimes = isinstance(node.op, _PURE_OPS), ["operand"], []
         elif isinstance(node, ast.Subscript):
             pure, always, sometimes = False, ["value", "slice"], []
+        elif isinstance(node, ast.Tuple):
+            pure, always, sometimes = False, [("elts", k) for k in range(len(node.elts))], []
         elif isinstance(node, ast.Call) and not node.keywords:
             pure = isinstance(node.func, ast.Name) and node.func.id in _PURE_CALLS
             always, sometimes = [("args", k) for k in range(len(node.args))], []
@@ -111,6 +113,8 @@ class _Lifter:
                    for s in stmt.body for n in ast.walk(s) if isinstance(n, ast.Name)):
                 raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
             return [ast.If(test, stmt.body, [])]
+        if isinstance(stmt, ast.Expr):
+            return [ast.Expr(self.visit(stmt.value)[0])]
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
             raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
         target, value = stmt.targets[0], stmt.value
@@ -162,19 +166,25 @@ def _trivial(node: ast.expr) -> bool:
 
 def _code(stmts: list[ast.stmt]) -> str:
     """stmts as source lines."""
-    return "".join(ast.unparse(ast.fix_missing_locations(stmt)) + "\n" for stmt in stmts)
+    for stmt in stmts:
+        # the one location ast.unparse reads (to look up a type comment);
+        # setting it alone spares a walk over every node, which would be
+        # a third of a scanner's build
+        stmt.lineno = 1
+    return "".join(ast.unparse(stmt) + "\n" for stmt in stmts)
 
 
 def hoist(region: str, free_region: str = "", guard: str = "") -> dict[str, str]:
-    """The snippets that run region, the code a scanner's key runs for its
-    first symbol, and free_region, its copy with the key's guard True, with
-    every invariant subtree lifted out of the key loop.
+    """The snippets that run region, the code a scanner's key runs (its
+    first symbol, then the statement that hands the key on), and
+    free_region, its copy with the key's guard True, with every invariant
+    subtree lifted out of the key loop.
 
     region is straight-line code that reads the names of _INVARIANT before
     it assigns them. Every key runs it until it leaves the loop, and the
     only ways out before its last lifted subtree that can raise (one with
-    fmod) count the key as diverged. The snippets, each source lines that
-    the splicer indents:
+    fmod) count the key as diverged. Nothing after it reads a name it
+    assigns. The snippets, each source lines that the splicer indents:
     - grid_lifts, row_lifts, column_lifts: the lifted statements of each
       level, for the scanner to run once per call, per row and per
       column (`pass` when there are none);
@@ -183,8 +193,9 @@ def hoist(region: str, free_region: str = "", guard: str = "") -> dict[str, str]
       unpacks one (a lone b is neither, and then each column's entry is
       its b);
     - key_code, free_code: region and free_region with their invariant
-      subtrees replaced by the names that hold them, and then each name
-      that stands for another given its value back;
+      subtrees replaced by the names that hold them, and each name that
+      stands for another by its value (a name is not given its value
+      back at the end, as nothing after the region reads it);
     - guard_column, guard_row, given a guard "column value <= row value"
       of the names region binds: the names that hold its two sides.
 
@@ -194,7 +205,9 @@ def hoist(region: str, free_region: str = "", guard: str = "") -> dict[str, str]
     comparisons, and/or, names, constants) whose names are all invariant
     at one level and puts it under a fresh name in that level's lifts; a
     name assigned such a value stands for that name from then on. A
-    short-circuited operand moves only with its parent. A statement met
+    short-circuited operand moves only with its parent. An expression
+    statement, such as the call that hands the key on, keeps its place,
+    and so does a tuple in it (neither is pure). A statement met
     again in the same state of the walk (the steps of a run are copies of
     one step) is rewritten as it was the first time. free_region is walked
     after region, from the same start, and shares its lifts.
@@ -226,8 +239,7 @@ def hoist(region: str, free_region: str = "", guard: str = "") -> dict[str, str]
                 rewritten[seen] = _code([s for stmt in ast.parse(text).body
                                          for s in lifter.statement(stmt)])
             key_code.append(rewritten[seen])
-        return "".join(key_code) + _code([ast.Assign([ast.Name(name, ast.Store())], value)
-                                          for name, value in lifter.alias.items()])
+        return "".join(key_code)
 
     snippets = {"key_code": walk(region)}
     if guard:

@@ -12,34 +12,38 @@ the one check that a symbol is a byte.
 One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
 map with the bound tests the map needs, quantizes, mixes and feeds back
 z, adding to x entry z of the gain's feedback table (_feed), which holds
-the 256 increments gain * z / 256. It is spliced into two entry points,
-_BLOCK and _SCAN, which maps._kernel compiles on first use for each map
-kind and pair of iteration counts (n1, n2), with every step written out
-inline; each takes the table in place of the gain. Each
-entry tests its start state once, not once per symbol. The block entry
-runs one chunk of symbols and carries the state to the next; it is
-compiled once per direction, with the direction and the tracing chosen
-once per call: one block serves encrypt_bytes and encrypt_file, one
-encrypt with its traces, and one decrypt and decrypt_file. The file
-commands feed it 64 KiB reads and write each block through a temp file
-that replaces the output only on success. The grid scanner behind
-_scan_grid serves the scans in analysis: it runs a tile of grid keys per
-call, each a-value of the tile against each b-value, stops each key at
-its first mismatching symbol and counts the keys that diverged. It runs
-symbol 0 peeled, with its grid-, row- and column-invariant parts lifted
-out of the key loop, and a row whose every key passes the map's bound
-guard in a second key loop, which computes and tests no guard. A scan
-takes one or two queries (data, reference, n1, n2), which share one
-config's start state, quantizer and gain. Its scanner runs the schedule
-(n1, n2) of the query with more steps, the main one, and tests the
-other, side query's symbol 0 on the way, from the same orbit: symbol 0
-depends only on the key and the start state, so the main schedule's
-steps hold the side's. The keys that pass the side test are finished by
-the side query's own scanner, so that one grid pass gives each query
-what its own scan gives. Every scanner, with a side query or without, is
-the one template _SCAN compiled with the one fill _SCAN_FILL, and is
-called the same way: _scan_grid passes it each query's symbol-0 target,
-which it computes once.
+the 256 increments gain * z / 256. It is spliced into three entry points,
+_BLOCK, _SCAN and _FINISH, which maps._kernel compiles on first use for
+each map kind and pair of iteration counts (n1, n2), with every step
+written out inline; each takes the table in place of the gain. The
+block and scan entries test their start state once, not once per
+symbol. The block entry runs one chunk of symbols and carries the state
+to the next; it is compiled once per direction, with the direction and
+the tracing chosen once per call: one block serves encrypt_bytes and
+encrypt_file, one encrypt with its traces, and one decrypt and
+decrypt_file. The file commands feed it 64 KiB reads and write each
+block through a temp file that replaces the output only on success.
+
+The grid scan behind _scan_grid serves the scans in analysis in two
+steps. The scanner runs a tile of grid keys per call, each a-value of
+the tile against each b-value, through symbol 0 alone, which decides
+more than 99% of keys, and counts the keys that diverged. It runs symbol
+0 with its grid-, row- and column-invariant parts lifted out of the key
+loop, and a row whose every key passes the map's bound guard in a second
+key loop, which computes and tests no guard. The finish kernel then runs
+the later symbols of each key that passed, from the state it carries,
+stops it at its first mismatching symbol and counts the keys that
+diverged. A scan takes one or two queries (data, reference, n1, n2),
+which share one config's start state, quantizer and gain. Its scanner
+runs the schedule (n1, n2) of the query with more steps, the main one,
+and tests the other, side query's symbol 0 on the way, from the same
+orbit: symbol 0 depends only on the key and the start state, so the main
+schedule's steps hold the side's. The finish kernel of the side query's
+schedule runs the keys that pass the side test from symbol 0, so that
+one grid pass gives each query what its own scan gives. Every scanner,
+with a side query or without, is the one template _SCAN compiled with
+the one fill _SCAN_FILL, and is called the same way: _scan_grid passes
+it each query's symbol-0 target, which it computes once.
 """
 
 from __future__ import annotations
@@ -51,9 +55,8 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import groupby, islice
+from itertools import islice
 from math import floor
-from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator
 
 from .maps import (
@@ -186,8 +189,9 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 # (an infinite table entry, or a sum past the largest float) makes fmod
 # raise ValueError, which each entry treats as a divergence.
 #
-# The body does not test the state it starts from: each entry tests its
-# start state once ($entry), and a finished symbol leaves a state that
+# The body does not test the state it starts from: the block and scan
+# entries test their start state once ($entry), the finisher takes
+# states that passed it, and a finished symbol leaves a state that
 # passes that test. Duffing's last step tested y, and the feedback only
 # moves x; Arnold's states stay finite, as fmod raises on an overflowed
 # feedback. (A NaN fed back, which no config allows, fails the next
@@ -251,20 +255,21 @@ _BLOCK_FILL = {
 }
 _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, x, y)"}
 
-# Entry point 2, the grid scanner: encrypts the (c, expected) pairs under
-# each key (a, b) of a tile, a in a_values and b in b_values, and returns
-# the keys, in row-major order, that match every symbol, the count of keys
-# that diverged before their first mismatching symbol, and the count of
-# keys scanned. A key stops at its first mismatching symbol; a divergent
-# key is a miss. Every key starts from (x0, y0), so a start state that
-# fails $entry diverges every key.
+# Entry point 2, the grid scanner: runs symbol 0 under each key (a, b) of
+# a tile, a in a_values and b in b_values, and returns the keys, in
+# row-major order, whose output for it is e0, each as (a, b, x, y) with
+# (x, y) its state after symbol 0's feedback; the count of keys that
+# diverged first; and the count of keys scanned. A divergent key is a
+# miss. Every key starts from (x0, y0), so a start state that fails
+# $entry diverges every key. The keys it returns go on to _FINISH.
 #
-# A key runs symbol 0 peeled, as $lifted: its setup, start state and
-# symbol body. maps._kernel hands that code to _hoist.hoist, which lifts
-# its grid-invariant subtrees out of the call's loops ($grid_lifts), its
-# row-invariant ones out of the column loop ($row_lifts) and its
-# column-invariant ones into a table with one entry per b ($column_lifts,
-# $column_values), and returns the rest as $key_code (see there). A lifted
+# A key runs $lifted: its setup, start state and symbol 0's body, and the
+# line that adds it to passed. maps._kernel hands that code to
+# _hoist.hoist, which lifts its grid-invariant subtrees out of the call's
+# loops ($grid_lifts), its row-invariant ones out of the column loop
+# ($row_lifts) and its column-invariant ones into a table with one entry
+# per b ($column_lifts, $column_values), and returns the rest as
+# $key_code (see there). A lifted
 # value that overflows diverges every key that depends on it, a grid's, a
 # row's or a column's, and the scanner counts them where the lift fails:
 # a failed column's keys once, as the table leaves that column out.
@@ -283,12 +288,13 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # second, side query's symbol 0 on the way. The two queries share the
 # start state, quantizer q and feedback table feed, and symbol 0's orbit
 # depends only on the key and the start state, so both run on one orbit:
-# the peeled symbol 0 gets a snapshot after step n1' and, after step
-# n1' + n2', which is a tested step, a compare of (q1' + q2') % 256
-# against target, the side query's t0. The keys that pass it go to side,
-# and reached counts the keys that got there: every other key diverged
-# first. (Of the lifted values only fmod's can raise, and those come from
-# a key's first step, which every side check follows, as n1' + n2' >= 2.)
+# symbol 0 gets a snapshot after step n1' and, after step n1' + n2',
+# which is a tested step, a compare of (q1' + q2') % 256 against target,
+# the side query's t0. The keys that pass it go to side, as
+# (a, b, x0, y0), for _FINISH to run the side query from symbol 0, and
+# reached counts the keys that got there: every other key diverged first.
+# (Of the lifted values only fmod's can raise, and those come from a
+# key's first step, which every side check follows, as n1' + n2' >= 2.)
 # The main query's lines stay as they are. maps._kernel splices
 # $side_snapshot and $side_check only into a scanner with a side
 # schedule, so one without reads no target and returns side and reached
@@ -302,13 +308,12 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # tests it skips; any other row, or one whose comparison is NaN, runs
 # $key_loop, which computes and tests each key's guard.
 _SCAN = """\
-def scan(a_values, b_values, n, x0, y0, q, feed, pairs, t0, target):
+def scan(a_values, b_values, n, x0, y0, q, feed, c0, t0, target):
     scanned = len(a_values) * len(b_values)
     side, reached = [], 0
     x, y = x0, y0
     if not ($entry):
         return [], scanned, scanned, side, reached
-    (c0, _), *rest = pairs
     try:
         $grid_lifts
     except ValueError:
@@ -324,7 +329,7 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs, t0, target):
                 top = $guard_column
         except ValueError:
             diverged += len(a_values)
-    hits = []
+    passed = []
     for a in a_values:
         try:
             $row_lifts
@@ -335,17 +340,13 @@ def scan(a_values, b_values, n, x0, y0, q, feed, pairs, t0, target):
             $free_loop
         else:
             $key_loop
-    return hits, diverged, scanned, side, reached
+    return passed, diverged, scanned, side, reached
 """
 _KEY_LOOP = """\
 for column in columns:
     try:
         $column_values = column
         $key_code
-        for c, expected in rest:
-            $body
-        else:
-            hits.append((a, b))
     except ValueError:
         diverged += 1
 """
@@ -357,17 +358,44 @@ $split_rest
 """
 _SCAN_FILL = {
     **_BLOCK_FILL,
-    "lifted": ("$setup\nx, y = x0, y0\n$body",
-               (("diverge", "diverged += 1\ncontinue"), ("last_step", "$split_step"),
-                ("mix", _MATCH_0), ("check", ""))),
-    "diverge": "diverged += 1\nbreak",
-    "check": "if out != expected:\n    break",
+    "lifted": "$setup\nx, y = x0, y0\n$body\npassed.append((a, b, x, y))",
+    "diverge": "diverged += 1\ncontinue",
+    "last_step": "$split_step",
+    "mix": _MATCH_0,
     "key_loop": _KEY_LOOP,
-    "free_loop": (_KEY_LOOP, (("guarded", "True"), ("key_code", "$free_code"))),
+    "free_loop": (_KEY_LOOP, (("key_code", "$free_code"),)),
     "side_snapshot": "side_s1x = x",
     "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
-                   "    side.append((a, b))\n"
+                   "    side.append((a, b, x0, y0))\n"
                    "reached = reached + 1"),
+}
+
+# Entry point 3, the finisher: runs the (c, expected) pairs under each
+# key (a, b, x, y) of keys, from its state (x, y), and returns the keys
+# (a, b) that match every pair, in the order given, and the count of keys
+# that diverged before their first mismatching symbol. It serves the keys
+# the scanner passes, from symbol 1, and the side query's, from symbol 0.
+# Each key runs $setup, which computes its guard, and starts from a state
+# that passes $entry: a finished symbol leaves one, and the side query's
+# keys start from (x0, y0), which the scanner tested.
+_FINISH = """\
+def finish(keys, n, q, feed, pairs):
+    hits, diverged = [], 0
+    for a, b, x, y in keys:
+        $setup
+        try:
+            for c, expected in pairs:
+                $body
+            else:
+                hits.append((a, b))
+        except ValueError:
+            diverged += 1
+    return hits, diverged
+"""
+_FINISH_FILL = {
+    **_BLOCK_FILL,
+    "diverge": "diverged += 1\nbreak",
+    "check": "if out != expected:\n    break",
 }
 
 
@@ -459,30 +487,33 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     box or overflowed before their first mismatching symbol (such keys do
     not match). data is bytes, so its symbols need no check.
 
-    One pass serves two queries: the one with more steps in symbol 0 is
-    the main one, the first on a tie, and its scanner takes the other as
-    its side schedule; the other's symbol-0 matches are finished by its
-    own scanner, one row's matches per call. Each query's symbol-0 target
-    is computed here, once.
+    One scanner pass decides symbol 0 for two queries: the one with more
+    steps in symbol 0 is the main one, the first on a tie, and its
+    scanner takes the other as its side schedule. Each query's symbol-0
+    target is computed here, once. The finish kernel of each query's
+    (n1, n2) then runs its later symbols: the main query's from symbol 1,
+    from the state each passed key carries, and the side query's from
+    symbol 0, from the start state.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
     targets = [(reference[0] - data[0]) % SYMBOL_MODULUS for data, reference, _, _ in queries]
-    data, reference, n1, n2 = queries[main]
+    data, _, n1, n2 = queries[main]
     side = queries[1 - main] if len(queries) == 2 else None
     scan = _kernel(kind, _SCAN, n1, n2, tuple(side[2:]) if side else None, **_SCAN_FILL)
-    start = cfg.initial_state
-    hits, diverged, scanned, matches, reached = scan(
-        *tile, n_modulus, start.x, start.y, cfg.quant_scale, _feed(cfg.reinject_gain),
-        list(zip(data, reference)), targets[main], targets[1 - main] if side else None)
-    found = [(hits, diverged)]
+    start, q, feed = cfg.initial_state, cfg.quant_scale, _feed(cfg.reinject_gain)
+    passed, diverged, scanned, matches, reached = scan(
+        *tile, n_modulus, start.x, start.y, q, feed, data[0], targets[main],
+        targets[1 - main] if side else None)
+    # each query's keys, the symbol they go on from and the count that
+    # diverged before it
+    runs = [(queries[main], passed, 1, diverged)]
     if side:
-        side_hits, side_diverged = [], scanned - reached
-        for a, row in groupby(matches, key=itemgetter(0)):
-            _, [(row_hits, row_diverged)] = _scan_grid(kind, n_modulus, cfg, [side],
-                                                       ([a], [b for _, b in row]))
-            side_hits += row_hits
-            side_diverged += row_diverged
-        found.insert(1 - main, (side_hits, side_diverged))
+        runs.insert(1 - main, (side, matches, 0, scanned - reached))
+    found = []
+    for (data, reference, n1, n2), keys, k, earlier in runs:
+        finish = _kernel(kind, _FINISH, n1, n2, **_FINISH_FILL)
+        hits, later = finish(keys, n_modulus, q, feed, list(zip(data[k:], reference[k:])))
+        found.append((hits, earlier + later))
     return scanned, found
 
 

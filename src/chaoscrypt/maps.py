@@ -8,13 +8,13 @@ a pure function, so values can be shared freely across threads.
 Each step equation and its bound tests are spelled once, in _STEP_SOURCE,
 and a step with its bound test once, in _STEP. _kernel is the one
 compiler: it splices the two into a template and compiles it on first
-use. The orbit tools run its orbit generator, cipher its block and scan
-entries. For the scanner it first hands _hoist.hoist the code a key runs
-for symbol 0, and splices in the snippets hoist returns: that code with
-its grid-, row- and column-invariant subtrees lifted out of the key loop.
-A scanner may also serve a second, side schedule of iteration counts
-from the same symbol-0 orbit (see _kernel). Nothing is compiled at
-import.
+use. The orbit tools run its orbit generator, cipher its block, scan
+and finish entries. For the scanner it first hands _hoist.hoist the code
+a key runs for symbol 0, and splices in the snippets hoist returns: that
+code with its grid-, row- and column-invariant subtrees lifted out of
+the key loop. A scanner may also serve a second, side schedule of
+iteration counts from the same symbol-0 orbit (see _kernel). Nothing is
+compiled at import.
 """
 
 from __future__ import annotations

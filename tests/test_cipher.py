@@ -790,6 +790,11 @@ def scan_cases(draw):
           CipherConfig(State(0.5, 0.9), 1, 1, 1e16), b"ab", [(0, 0), (0, 2)]))
 @example((MapKind.DUFFING, (0.0, 0.0), 1.28e18, 1.0, (range(3), range(3)),
           CipherConfig(State(0.0, 200.0), 1, 1, 7.0), b"ab", [(0, 0), (0, 2)]))
+# past symbol 0 a key compares before it feeds back: at gain 1e308 the key
+# (-4.21, 0.28) passes symbol 0 with z = 0, then misses symbol 1, whose
+# feedback would overflow, so it is a miss, not a divergence
+@example((MapKind.ARNOLD, (-4.22, 0.28), 0.01, 1.0, (range(3), range(7)),
+          CipherConfig(State(0.5, 0.06), 1, 1, 7.0, 1e308), b"\xfe\xe0", [(2, 2)]))
 def test_scan_grid_matches_per_key_oracle(case):
     kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs = case
     s = cfg.initial_state
@@ -870,6 +875,30 @@ def test_side_query_gets_what_its_own_scan_gets(case):
         scanned, [alone, side_alone])
     assert cipher._scan_grid(kind, n, cfg, [side_query, query], tile) == (
         scanned, [side_alone, alone])
+
+
+def test_fused_scan_runs_one_scanner_and_one_finish_kernel_per_query(monkeypatch):
+    # one scanner decides symbol 0 for both queries; the finish kernel of
+    # each query's own schedule runs the rest, the side query's from
+    # symbol 0, so no second scanner runs the side query's matches
+    kind, n, cfg = MapKind.ARNOLD, 1.0, CipherConfig(State(0.5, 0.06), 3, 3, 7.0)
+    tile = ([-4.0 + i * 0.02 for i in range(3)], [0.3 + j * 0.02 for j in range(7)])
+    side_cfg = replace(cfg, n1=1, n2=1)
+    queries = [(b"abcd", scan_reference(kind, b"abcd", cfg, tile[0][0], tile[1][3], n), 3, 3),
+               (b"ab", scan_reference(kind, b"ab", side_cfg, tile[0][1], tile[1][2], n), 1, 1)]
+    expected = [cipher._scan_grid(kind, n, cfg, [query], tile) for query in queries]
+    kernels, kernel = [], cipher._kernel
+
+    def spy_kernel(kind, template, n1=0, n2=0, side=None, **fill):
+        kernels.append((template, n1, n2, side))
+        return kernel(kind, template, n1, n2, side, **fill)
+
+    monkeypatch.setattr(cipher, "_kernel", spy_kernel)
+    scanned, found = cipher._scan_grid(kind, n, cfg, queries, tile)
+    assert (scanned, found) == (21, [alone for _, [alone] in expected])
+    assert found[1][0], "the side query has matches to finish"
+    assert kernels == [(cipher._SCAN, 3, 3, (1, 1)), (cipher._FINISH, 3, 3, None),
+                       (cipher._FINISH, 1, 1, None)]
 
 
 def assert_scans_match_oracle(kind, n, cfg, tile, queries):
@@ -1091,10 +1120,13 @@ def test_free_key_loop_is_the_guarded_one_with_the_guard_true():
                 re.sub(rf"\b{guarded}\b", "True", line)
                 for line in lines[1] if not assigns.match(line)], (kind, n1, n2, side)
             assert sum(guarded in line for line in lines[1]) > 1
-            # symbol 0: the key code before the loop over the other symbols
-            symbol_0 = free.body[0].body
-            symbol_0 = symbol_0[:next(k for k, stmt in enumerate(symbol_0)
-                                      if isinstance(stmt, ast.For))]
+            # and the free loop stores no guard, which nothing would read
+            assert not [line for line in lines[0] if assigns.match(line)], (kind, n1, n2, side)
+            # the key code runs symbol 0 alone, with no loop over later
+            # symbols, and ends handing the key on with its state
+            *symbol_0, last = free.body[0].body
+            assert ast.unparse(last) == "passed.append((a, b, x, y))"
+            assert not [node for node in ast.walk(free.body[0]) if isinstance(node, ast.For)]
             tests = [ast.unparse(stmt.test) for stmt in symbol_0 if isinstance(stmt, ast.If)
                      and "1000000.0" in ast.unparse(stmt.test)
                      and not ast.unparse(stmt.test).startswith("not (True or ")]
@@ -1119,6 +1151,9 @@ def test_lift_pass_keeps_an_if_body_that_reads_invariants():
     for body in ("found.append(z)", "found.append(x)", "a = 1.0", "b = 2.0", "q = 0.5"):
         with pytest.raises(ValueError, match="cannot lift across"):
             hoist(head + f"if z > b:\n    {body}\n")
+    # an expression statement keeps its place, and reads each name that
+    # stands for another value as that value
+    assert hoist(head + "found.append((a, z))\n")["key_code"] == "found.append((a, _r9))\n"
     # a subscript stays where it is, like floor and %, also of the grid
     # invariant feed: by a key value, it stays in the key code
     snippets = hoist(head + "z = floor(z * b)\nx = fmod(x + feed[z], 1.0)\n")

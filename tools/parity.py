@@ -11,10 +11,11 @@ that checkout's package and collects:
   kind and (n1, n2) in {1..4}^2 and (1000, 1000), the blocks that
   `encrypt_bytes`, `encrypt` and `decrypt` compile, the single-query
   scanner and the fused scanner of every side schedule with no more
-  steps (1/1, 2/2 and 3/3 at 1000/1000), compiled through
-  `cipher._scan_grid`. Before each call the kernel cache and the kernel
-  sources in `linecache` are cleared, so each call yields what it
-  compiles, even where two variants share one file name;
+  steps (1/1, 2/2 and 3/3 at 1000/1000), with the finish kernel of each
+  query's schedule, compiled through `cipher._scan_grid`. Before each
+  call the kernel cache and the kernel sources in `linecache` are
+  cleared, so each call yields what it compiles, even where two variants
+  share one file name;
 - the outputs of a seeded case set: ciphertexts, traces (floats as
   `float.hex`), decryptions, `DivergenceError` texts and symbols,
   orbits, single and fused `_scan_grid` calls, the fused ones with the
@@ -23,13 +24,19 @@ that checkout's package and collects:
   some with rows wider than 4096 keys, which cover how the scan driver
   tiles a grid (their results only, not their progress), and single and
   fused `_scan_grid` calls on tiles across each map's bound guard, whose
-  rows take either of the scanner's key loops.
+  rows take either of the scanner's key loops, and single and fused
+  `_scan_grid` calls at gain 1e308, whose feedback overflows at every mix
+  value but 0 and 1, with each query's true key at mix value 0 or 1 in
+  symbol 0, so that the keys that pass symbol 0 with it mismatch or
+  overflow at symbol 1.
 
 It prints every difference: the kernel sources that differ, split into
 the scanner's key loops (the per-key code), each compared with the
 parent's (or, where the two differ in their count of loops, with the
 closest one), and the lines outside them, and grouped by identical
 difference, with each run of a repeated block of lines written once;
+the kernels that one checkout compiles and the other does not (where a
+call compiles a different count, the kernels are paired by file name);
 file names that differ; and each output that differs. It exits 0 when
 there is none, 1 when there is any, and 2 when a checkout cannot be read.
 
@@ -55,6 +62,7 @@ CIPHER_CASES = 400
 SCAN_CASES = 200
 DRIVER_CASES = 24
 GUARD_CASES = 80
+FEEDBACK_CASES = 16
 SEED = 20120810
 # The boxes the cases draw keys from: the packaged full key domains, and
 # wider ones, where more orbits diverge.
@@ -69,6 +77,7 @@ def _collect() -> dict:
     the package on sys.path, as one JSON-able dict."""
     import linecache
     import random
+    from contextlib import suppress
     from dataclasses import replace
 
     import chaoscrypt
@@ -156,20 +165,32 @@ def _collect() -> dict:
         outputs[f"{at} orbit"] = outcome(lambda: [
             state(s) for s in maps.trajectory(kind, cfg.initial_state, key.params, steps)])
 
-    def scan_case(at, kind, tile, n_modulus, cfg, schedules=()):
+    def scan_case(at, kind, tile, n_modulus, cfg, schedules=(), mix=None):
         """Outputs of each of two queries over tile alone and of both
         fused, in either order: the queries of the schedules given, then
-        of schedules drawn; the references are the outputs of a tile key."""
-        true = MapParams(rng.choice(tile[0]), rng.choice(tile[1]), n_modulus)
+        of schedules drawn; the references are the outputs of a tile key.
+        Given a mix value, each query's first symbol is the one the key
+        mixes to it, and a reference the key diverges on keeps its output
+        before the divergence."""
+        true = Key(kind, MapParams(rng.choice(tile[0]), rng.choice(tile[1]), n_modulus))
         schedules = [*schedules, *((rng.randint(1, 4), rng.randint(1, 4))
                                    for _ in range(2 - len(schedules)))]
         data = rng.randbytes(rng.randint(1, 6))
         queries = []
         for n1, n2 in schedules:
+            query_cfg = replace(cfg, n1=n1, n2=n2)
+            if mix is not None:
+                with suppress(DivergenceError):
+                    # symbol 0's mix value does not depend on the gain
+                    z = encrypt(data[:1], true, replace(query_cfg, reinject_gain=0.0))[1][0].z
+                    data = bytes([(data[0] + mix - z) % 256]) + data[1:]
             try:
-                reference = encrypt_bytes(data, Key(kind, true), replace(cfg, n1=n1, n2=n2))
-            except DivergenceError:
+                reference = encrypt_bytes(data, true, query_cfg)
+            except DivergenceError as exc:
                 reference = rng.randbytes(len(data))
+                if mix is not None:
+                    before = encrypt_bytes(data[:exc.symbol], true, query_cfg)
+                    reference = before + reference[len(before):]
             queries.append((data, reference, n1, n2))
             data = rng.randbytes(rng.randint(1, 6)) if rng.random() < 0.5 else data
 
@@ -285,6 +306,23 @@ def _collect() -> dict:
         # Duffing's orbit comes back only at step 2: a 1/1 query ends there
         scan_case(f"guard {case}", kind, tile, n_modulus, cfg, [(1, 1)] if case % 8 == 7 else ())
 
+    # Gain 1e308: the feedback table is finite at mix values 0 and 1 only
+    # (1e308 * z overflows for z >= 2), so a key gets past symbol 0 only
+    # at those. Each query's true key mixes to 0 or 1 there, and a coarse
+    # quantizer lets many keys pass symbol 0 with it; at symbol 1 most of
+    # them mismatch where their feedback would overflow (a miss, since a
+    # key compares before it feeds back), and the rest overflow.
+    for case in range(FEEDBACK_CASES):
+        kind = [MapKind.ARNOLD, MapKind.DUFFING][case % 2]
+        (a_lo, b_lo), (a_hi, b_hi) = BOXES[kind.value][0]
+        step = rng.choice([1e-3, 1e-2])
+        a0, b0 = rng.uniform(a_lo, a_hi), rng.uniform(b_lo, b_hi)
+        tile = ([a0 + i * step for i in range(rng.randint(2, 12))],
+                [b0 + j * step for j in range(rng.randint(2, 12))])
+        cfg = replace(default_config(kind), quant_scale=rng.choice([7.0, 30.0]),
+                      reinject_gain=1e308)
+        scan_case(f"feedback {case}", kind, tile, 1.0, cfg, mix=case // 2 % 2)
+
     return {"package": chaoscrypt.__file__, "python": sys.version.split()[0],
             "kernels": kernels, "outputs": outputs}
 
@@ -382,16 +420,26 @@ def compare(base: dict, new: dict) -> list[str]:
             report.append(f"kernel call {call!r} only in the {side}")
             continue
         old_kernels, new_kernels = base["kernels"][call], new["kernels"][call]
-        if len(old_kernels) != len(new_kernels):
-            report.append(f"{call}: compiled {len(old_kernels)} kernels, then {len(new_kernels)}")
-            continue
-        for (old_name, old_source), (new_name, new_source) in zip(old_kernels, new_kernels):
+        kind = call.split()[0]
+
+        def pattern(name: str) -> str:
+            return re.sub(r"\d+", "#", name.replace(kind, "KIND"))
+
+        if len(old_kernels) == len(new_kernels):
+            pairs = list(zip(old_kernels, new_kernels))
+        else:
+            # the kernels both compile, paired by file name; the others
+            # are compiled by one checkout only
+            old_named, new_named = dict(old_kernels), dict(new_kernels)
+            pairs = [((name, old_named[name]), (name, new_named[name]))
+                     for name in sorted(old_named.keys() & new_named.keys())]
+            groups.setdefault(("compiled kernels", tuple(
+                ("+ " if name in new_named else "- ") + pattern(name)
+                for name in sorted(old_named.keys() ^ new_named.keys()))), []).append(call)
+        for (old_name, old_source), (new_name, new_source) in pairs:
             if old_name != new_name:
-                kind = call.split()[0]
-                pattern = tuple(re.sub(r"\d+", "#", name.replace(kind, "KIND"))
-                                for name in (old_name, new_name))
-                groups.setdefault(("file name", ("- " + pattern[0], "+ " + pattern[1])),
-                                  []).append(call)
+                groups.setdefault(("file name", ("- " + pattern(old_name),
+                                                 "+ " + pattern(new_name))), []).append(call)
             (old_loops, old_around), (new_loops, new_around) = map(_key_loops,
                                                                   (old_source, new_source))
             for region, old_part, new_part in [*_paired(old_loops, new_loops),
