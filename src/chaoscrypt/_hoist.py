@@ -174,11 +174,10 @@ def _code(stmts: list[ast.stmt]) -> str:
     return "".join(ast.unparse(stmt) + "\n" for stmt in stmts)
 
 
-def hoist(region: str, free_region: str = "", guard: str = "") -> dict[str, str]:
+def hoist(region: str, guard: str = "") -> dict[str, str]:
     """The snippets that run region, the code a scanner's key runs (its
-    first symbol, then the statement that hands the key on), and
-    free_region, its copy with the key's guard True, with every invariant
-    subtree lifted out of the key loop.
+    first symbol, then the statement that hands the key on), with every
+    invariant subtree lifted out of the key loop.
 
     region is straight-line code that reads the names of _INVARIANT before
     it assigns them. Every key runs it until it leaves the loop, and the
@@ -192,12 +191,13 @@ def hoist(region: str, free_region: str = "", guard: str = "") -> dict[str, str]
       comma-separated: a tuple inside parentheses, and the target that
       unpacks one (a lone b is neither, and then each column's entry is
       its b);
-    - key_code, free_code: region and free_region with their invariant
-      subtrees replaced by the names that hold them, and each name that
-      stands for another by its value (a name is not given its value
-      back at the end, as nothing after the region reads it);
+    - key_code: region with its invariant subtrees replaced by the names
+      that hold them, and each name that stands for another by its value
+      (a name is not given its value back at the end, as nothing after
+      the region reads it);
     - guard_column, guard_row, given a guard "column value <= row value"
-      of the names region binds: the names that hold its two sides.
+      of the names that region's first line binds: the names that hold
+      its two sides.
 
     The pass follows each name's current value through the region, so
     that after `x, y = x0, y0` the name x stands for x0. It takes out
@@ -209,8 +209,7 @@ def hoist(region: str, free_region: str = "", guard: str = "") -> dict[str, str]
     statement, such as the call that hands the key on, keeps its place,
     and so does a tuple in it (neither is pure). A statement met
     again in the same state of the walk (the steps of a run are copies of
-    one step) is rewritten as it was the first time. free_region is walked
-    after region, from the same start, and shares its lifts.
+    one step) is rewritten as it was the first time.
 
     Whole subtrees are moved, with every operation and operand order
     kept, so every float comes out bit for bit as before. Only fmod can
@@ -220,39 +219,35 @@ def hoist(region: str, free_region: str = "", guard: str = "") -> dict[str, str]
     as diverged: the outcome each would have had unlifted.
     """
     lifter, rewritten = _Lifter(_INVARIANT), {}
-
-    def walk(region: str) -> str:
-        # Each line at column 0 starts a statement; an if's body is
-        # indented below it. Only the first copy of a text in a state of
-        # the walk is parsed: parsing the region whole would take longer
-        # than compiling the scanner does. A text that changes the state
-        # is never met again in the state it started from.
-        texts, key_code = [], []
-        for line in region.splitlines(keepends=True):
-            if line.startswith(" "):
-                texts[-1] += line
-            else:
-                texts.append(line)
-        for text in texts:
-            seen = text, lifter.version
-            if seen not in rewritten:
-                rewritten[seen] = _code([s for stmt in ast.parse(text).body
-                                         for s in lifter.statement(stmt)])
-            key_code.append(rewritten[seen])
-        return "".join(key_code)
-
-    snippets = {"key_code": walk(region)}
-    if guard:
-        test, _ = lifter.visit(ast.parse(guard, mode="eval").body)
-        if not (isinstance(test, ast.Compare) and [type(op) for op in test.ops] == [ast.LtE]
-                and lifter.visit(test.left, False)[1] in (_GRID, _COLUMN)
-                and lifter.visit(test.comparators[0], False)[1] in (_GRID, _ROW)):
-            raise ValueError(f"cannot split the guard {guard!r} into a column's value <= a row's")
-        snippets.update(guard_column=ast.unparse(test.left),
-                        guard_row=ast.unparse(test.comparators[0]))
-    lifter.alias.clear()
-    lifter.version += 1
-    snippets["free_code"] = walk(free_region)
+    # Each line at column 0 starts a statement; an if's body is indented
+    # below it. Only the first copy of a text in a state of the walk is
+    # parsed: parsing the region whole would take longer than compiling
+    # the scanner does. A text that changes the state is never met again
+    # in the state it started from.
+    texts, key_code, snippets = [], [], {}
+    for line in region.splitlines(keepends=True):
+        if line.startswith(" "):
+            texts[-1] += line
+        else:
+            texts.append(line)
+    for k, text in enumerate(texts):
+        seen = text, lifter.version
+        if seen not in rewritten:
+            rewritten[seen] = _code([s for stmt in ast.parse(text).body
+                                     for s in lifter.statement(stmt)])
+        key_code.append(rewritten[seen])
+        if guard and k == 0:
+            # the guard is lifted where a key would compute it, after the
+            # region's first line, the setup that binds the names it reads
+            test, _ = lifter.visit(ast.parse(guard, mode="eval").body)
+            if not (isinstance(test, ast.Compare) and [type(op) for op in test.ops] == [ast.LtE]
+                    and lifter.visit(test.left, False)[1] in (_GRID, _COLUMN)
+                    and lifter.visit(test.comparators[0], False)[1] in (_GRID, _ROW)):
+                raise ValueError(
+                    f"cannot split the guard {guard!r} into a column's value <= a row's")
+            snippets.update(guard_column=ast.unparse(test.left),
+                            guard_row=ast.unparse(test.comparators[0]))
+    snippets["key_code"] = "".join(key_code)
     columns = [name for name, level in lifter.levels.items() if level == _COLUMN]
     lifts = {f"{name}_lifts": _code(lifter.lifted[level] or [ast.Pass()])
              for name, level in (("grid", _GRID), ("row", _ROW), ("column", _COLUMN))}

@@ -28,10 +28,10 @@ The grid scan behind _scan_grid serves the scans in analysis in two
 steps. The scanner runs a tile of grid keys per call, each a-value of
 the tile against each b-value, through symbol 0 alone, which decides
 more than 99% of keys, and counts the keys that diverged. It runs symbol
-0 with its grid-, row- and column-invariant parts lifted out of the key
-loop, and a row whose every key passes the map's bound guard in a second
-key loop, which computes and tests no guard. The finish kernel then runs
-the later symbols of each key that passed, from the state it carries,
+0 with its grid-, row- and column-invariant parts lifted out of its one
+key loop, which computes and tests no guard: a row that the map's bound
+guard does not clear for every key hands its keys on from symbol 0. The
+finish kernel then runs each key from the symbol and state it carries,
 stops it at its first mismatching symbol and counts the keys that
 diverged. A scan takes one or two queries (data, reference, n1, n2),
 which share one config's start state, quantizer and gain. Its scanner
@@ -39,11 +39,12 @@ runs the schedule (n1, n2) of the query with more steps, the main one,
 and tests the other, side query's symbol 0 on the way, from the same
 orbit: symbol 0 depends only on the key and the start state, so the main
 schedule's steps hold the side's. The finish kernel of the side query's
-schedule runs the keys that pass the side test from symbol 0, so that
-one grid pass gives each query what its own scan gives. Every scanner,
-with a side query or without, is the one template _SCAN compiled with
-the one fill _SCAN_FILL, and is called the same way: _scan_grid passes
-it each query's symbol-0 target, which it computes once.
+schedule runs the keys that pass the side test, and those handed on,
+from symbol 0, so that one grid pass gives each query what its own scan
+gives. Every scanner, with a side query or without, is the one template
+_SCAN compiled with the one fill _SCAN_FILL, and is called the same way:
+_scan_grid passes it each query's symbol-0 target, which it computes
+once.
 """
 
 from __future__ import annotations
@@ -257,11 +258,12 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 
 # Entry point 2, the grid scanner: runs symbol 0 under each key (a, b) of
 # a tile, a in a_values and b in b_values, and returns the keys, in
-# row-major order, whose output for it is e0, each as (a, b, x, y) with
-# (x, y) its state after symbol 0's feedback; the count of keys that
-# diverged first; and the count of keys scanned. A divergent key is a
-# miss. Every key starts from (x0, y0), so a start state that fails
-# $entry diverges every key. The keys it returns go on to _FINISH.
+# row-major order, that go on to _FINISH, each as (a, b, x, y, k): a key
+# whose output for symbol 0 is e0, with (x, y) its state after the
+# symbol's feedback and k = 1, and a key it hands on (below), with
+# (x0, y0) and k = 0; the count of keys that diverged first; and the
+# count of keys scanned. A divergent key is a miss. Every key starts from
+# (x0, y0), so a start state that fails $entry diverges every key.
 #
 # A key runs $lifted: its setup, start state and symbol 0's body, and the
 # line that adds it to passed. maps._kernel hands that code to
@@ -291,22 +293,22 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # symbol 0 gets a snapshot after step n1' and, after step n1' + n2',
 # which is a tested step, a compare of (q1' + q2') % 256 against target,
 # the side query's t0. The keys that pass it go to side, as
-# (a, b, x0, y0), for _FINISH to run the side query from symbol 0, and
-# reached counts the keys that got there: every other key diverged first.
-# (Of the lifted values only fmod's can raise, and those come from a
-# key's first step, which every side check follows, as n1' + n2' >= 2.)
-# The main query's lines stay as they are. maps._kernel splices
-# $side_snapshot and $side_check only into a scanner with a side
-# schedule, so one without reads no target and returns side and reached
-# as it set them.
+# (a, b, x0, y0, 0), for _FINISH to run the side query from symbol 0, and
+# reached counts the keys that got there or were handed on: every other
+# key diverged first. (Of the lifted values only fmod's can raise, and
+# those come from a key's first step, which every side check follows, as
+# n1' + n2' >= 2.) The main query's lines stay as they are.
+# maps._kernel splices $side_snapshot, $side_check and $side_hand_on
+# only into a scanner with a side schedule, so one without reads no
+# target and returns side and reached as it set them.
 #
-# A row runs its keys in one of two copies of _KEY_LOOP. A key's guard
-# (maps._STEP_SOURCE) is "column value <= row value", so top, the largest
-# column value of the tile (NaN once one is NaN), decides it per row: a
-# row whose value is at least top runs $free_loop, the key loop with the
-# guard as the literal True, which the compiler folds away with the bound
-# tests it skips; any other row, or one whose comparison is NaN, runs
-# $key_loop, which computes and tests each key's guard.
+# A key's guard (maps._STEP_SOURCE) is "column value <= row value", so
+# top, the largest column value of the tile (NaN once one is NaN),
+# decides it per row. The key loop, compiled with the guard as the
+# literal True, which the compiler folds away with the bound tests it
+# skips, runs each row whose value is at least top. Any other row, or
+# one whose comparison is NaN, takes no map step and hands its keys on,
+# to side too, for _FINISH to run from symbol 0 with their guards.
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, feed, c0, t0, target):
     scanned = len(a_values) * len(b_values)
@@ -337,18 +339,17 @@ def scan(a_values, b_values, n, x0, y0, q, feed, c0, t0, target):
             diverged += len(columns)
             continue
         if top <= $guard_row:
-            $free_loop
+            for column in columns:
+                try:
+                    $column_values = column
+                    $key_code
+                except ValueError:
+                    diverged += 1
         else:
-            $key_loop
+            keys = [(a, b, x0, y0, 0) for $column_values in columns]
+            passed += keys
+            $side_hand_on
     return passed, diverged, scanned, side, reached
-"""
-_KEY_LOOP = """\
-for column in columns:
-    try:
-        $column_values = column
-        $key_code
-    except ValueError:
-        diverged += 1
 """
 _MATCH_0 = """\
 if (q1 + q2) % $modulus != t0:
@@ -358,33 +359,32 @@ $split_rest
 """
 _SCAN_FILL = {
     **_BLOCK_FILL,
-    "lifted": "$setup\nx, y = x0, y0\n$body\npassed.append((a, b, x, y))",
+    "lifted": "$setup\nx, y = x0, y0\n$body\npassed.append((a, b, x, y, 1))",
     "diverge": "diverged += 1\ncontinue",
     "last_step": "$split_step",
     "mix": _MATCH_0,
-    "key_loop": _KEY_LOOP,
-    "free_loop": (_KEY_LOOP, (("key_code", "$free_code"),)),
     "side_snapshot": "side_s1x = x",
     "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
-                   "    side.append((a, b, x0, y0))\n"
+                   "    side.append((a, b, x0, y0, 0))\n"
                    "reached = reached + 1"),
+    "side_hand_on": "side += keys\nreached += len(keys)",
 }
 
 # Entry point 3, the finisher: runs the (c, expected) pairs under each
-# key (a, b, x, y) of keys, from its state (x, y), and returns the keys
-# (a, b) that match every pair, in the order given, and the count of keys
-# that diverged before their first mismatching symbol. It serves the keys
-# the scanner passes, from symbol 1, and the side query's, from symbol 0.
-# Each key runs $setup, which computes its guard, and starts from a state
-# that passes $entry: a finished symbol leaves one, and the side query's
-# keys start from (x0, y0), which the scanner tested.
+# key (a, b, x, y, k) of keys, from pair k and the state (x, y), and
+# returns the keys (a, b) that match every pair, in the order given, and
+# the count of keys that diverged before their first mismatching symbol.
+# It serves the keys that pass the scanner's symbol 0, from symbol 1, and
+# those it hands on and the side query's, from symbol 0. Each key runs
+# $setup, which computes its guard, and starts from a state that passes
+# $entry: a finished symbol leaves one, and the scanner tested (x0, y0).
 _FINISH = """\
 def finish(keys, n, q, feed, pairs):
     hits, diverged = [], 0
-    for a, b, x, y in keys:
+    for a, b, x, y, k in keys:
         $setup
         try:
-            for c, expected in pairs:
+            for c, expected in pairs[k:]:
                 $body
             else:
                 hits.append((a, b))
@@ -491,9 +491,8 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     steps in symbol 0 is the main one, the first on a tie, and its
     scanner takes the other as its side schedule. Each query's symbol-0
     target is computed here, once. The finish kernel of each query's
-    (n1, n2) then runs its later symbols: the main query's from symbol 1,
-    from the state each passed key carries, and the side query's from
-    symbol 0, from the start state.
+    (n1, n2) then runs all of that query's keys in one call, each from
+    the symbol and state it carries.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
     targets = [(reference[0] - data[0]) % SYMBOL_MODULUS for data, reference, _, _ in queries]
@@ -504,15 +503,14 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     passed, diverged, scanned, matches, reached = scan(
         *tile, n_modulus, start.x, start.y, q, feed, data[0], targets[main],
         targets[1 - main] if side else None)
-    # each query's keys, the symbol they go on from and the count that
-    # diverged before it
-    runs = [(queries[main], passed, 1, diverged)]
+    # each query's keys and the count that diverged in the scanner
+    runs = [(queries[main], passed, diverged)]
     if side:
-        runs.insert(1 - main, (side, matches, 0, scanned - reached))
+        runs.insert(1 - main, (side, matches, scanned - reached))
     found = []
-    for (data, reference, n1, n2), keys, k, earlier in runs:
+    for (data, reference, n1, n2), keys, earlier in runs:
         finish = _kernel(kind, _FINISH, n1, n2, **_FINISH_FILL)
-        hits, later = finish(keys, n_modulus, q, feed, list(zip(data[k:], reference[k:])))
+        hits, later = finish(keys, n_modulus, q, feed, list(zip(data, reference)))
         found.append((hits, earlier + later))
     return scanned, found
 

@@ -10,11 +10,11 @@ and a step with its bound test once, in _STEP. _kernel is the one
 compiler: it splices the two into a template and compiles it on first
 use. The orbit tools run its orbit generator, cipher its block, scan
 and finish entries. For the scanner it first hands _hoist.hoist the code
-a key runs for symbol 0, and splices in the snippets hoist returns: that
-code with its grid-, row- and column-invariant subtrees lifted out of
-the key loop. A scanner may also serve a second, side schedule of
-iteration counts from the same symbol-0 orbit (see _kernel). Nothing is
-compiled at import.
+a key runs for symbol 0, with its guard as True, and splices in the
+snippets hoist returns: that code with its grid-, row- and
+column-invariant subtrees lifted out of the key loop. A scanner may also
+serve a second, side schedule of iteration counts from the same symbol-0
+orbit (see _kernel). Nothing is compiled at import.
 """
 
 from __future__ import annotations
@@ -263,13 +263,14 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     symbol's n1 and n2 steps: each a between step, but the last, which is
     $last_step, the tested step unless the fill says otherwise) and the
     caller's fill. A fill with a $lifted snippet (the scanner's) also gets
-    the snippets that _hoist.hoist makes of it and of its guard-free copy,
-    $lifted spliced with $guard and $guarded as True. A side schedule
-    (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the steps of
-    $lifted alone: $side_snapshot after its step n1' and $side_check after
-    its step n1' + n2', which is a tested step. A line that splices to
-    nothing but blanks is dropped. fmod, floor and abs are locals of the
-    function, as keyword-only defaults, and DivergenceError its global.
+    the snippets that _hoist.hoist makes of it, spliced with $guard and
+    $guarded as True, and of $guard. A side schedule (n1', n2'), with
+    n1' + n2' <= n1 + n2, adds two lines to the steps of $lifted alone:
+    $side_snapshot after its step n1' and $side_check after its step
+    n1' + n2', which is a tested step; without one, $side_hand_on is
+    blank. A line that splices to nothing but blanks is dropped. fmod,
+    floor and abs are locals of the function, as keyword-only defaults,
+    and DivergenceError its global.
     Its file name names the kind, the function, n1/n2, the side schedule
     and the variant, which tells apart the fills of one template, and
     linecache holds its source, so a traceback through it shows its lines.
@@ -285,16 +286,16 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     if "lifted" in snippets:
         # only scanners need the pass, so the other commands never import it
         from ._hoist import hoist
-        peeled = snippets
         if side:
             run[side[0] - 1] += "$side_snapshot\n"
             if sum(side) < n1 + n2:
                 run[sum(side) - 1] = "$tested_step\n"
             run[sum(side) - 1] += "$side_check\n"
-            peeled = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:])}
-        free = {**peeled, "guard": "True", "guarded": "True"}
-        snippets.update(hoist(_splice("$lifted", peeled), _splice("$lifted", free),
-                              _splice("$guard", peeled)))
+        else:
+            snippets["side_hand_on"] = ""
+        free = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:]),
+                "guard": "True", "guarded": "True"}
+        snippets.update(hoist(_splice("$lifted", free), _splice("$guard", snippets)))
     template = template.replace("):\n", ", *, fmod=fmod, floor=floor, abs=abs):\n", 1)
     source = "".join(line for line in _splice(template, snippets).splitlines(True)
                      if not line.isspace())

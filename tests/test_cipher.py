@@ -1044,89 +1044,92 @@ def key_loops(tree):
             if isinstance(node, ast.For) and ast.unparse(node.target) == "column"]
 
 
+def row_choice(tree):
+    """The if that sends a scanner's row to its key loop or hands the
+    row's keys on (its test `top <= ...`)."""
+    (choice,) = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.If) and ast.unparse(node.test).startswith("top <=")]
+    return choice
+
+
 def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
     # symbol 0's last step sets x alone. Before the keystream compare, its
     # y' = fmod(x + (1 - b) y, n) is computed only in the bound test, after
-    # boxed (or True, in the loop of a row whose keys are all boxed), so a
-    # boxed key that misses never computes it; a key that passes takes the
-    # step in full after the compare. So in every key loop
+    # the guard, which is True in the key loop (every key of a row that
+    # runs it is boxed), so a key that misses never computes it; a key
+    # that passes takes the step in full after the compare. So in the key loop
     for n1, n2, side in [(2, 2, None), (1, 2, None), (3, 3, (2, 2)), (2, 2, (1, 3))]:
         loops = key_loops(scanner_tree(MapKind.ARNOLD, n1, n2, side))
-        assert len(loops) == 2
-        for key_loop in loops:
-            code = key_loop.body[0].body
-            compare = next(k for k, stmt in enumerate(code)
-                           if ast.unparse(stmt).startswith("if (q1 + q2) % 256 != t0:"))
+        assert len(loops) == 1
+        code = loops[0].body[0].body
+        compare = next(k for k, stmt in enumerate(code)
+                       if ast.unparse(stmt).startswith("if (q1 + q2) % 256 != t0:"))
 
-            def sets(stmt, name):
-                return isinstance(stmt, ast.Assign) and name in [
-                    node.id for target in stmt.targets for node in ast.walk(target)
-                    if isinstance(node, ast.Name)]
+        def sets(stmt, name):
+            return isinstance(stmt, ast.Assign) and name in [
+                node.id for target in stmt.targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)]
 
-            last_y = max(k for k in range(compare) if sets(code[k], "y"))
-            last_x = max(k for k in range(compare) if sets(code[k], "x"))
-            assert last_y < last_x, (n1, n2, side)
-            y_steps = []
-            for stmt in code[last_y + 1:compare]:
-                for node in ast.walk(stmt):
-                    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
-                        assert ast.unparse(node.values[0]) in ("boxed", "True")
-                        node.values[1:] = []  # computed by unboxed keys only
-                y_steps += [node for node in ast.walk(stmt)
-                            if re.fullmatch(r"fmod\(x \+ _c\d+ \* y, n\)", ast.unparse(node))]
-            assert y_steps == [], (n1, n2, side)
-            assert any(sets(stmt, "x") and sets(stmt, "y") for stmt in code[compare + 1:])
+        last_y = max(k for k in range(compare) if sets(code[k], "y"))
+        last_x = max(k for k in range(compare) if sets(code[k], "x"))
+        assert last_y < last_x, (n1, n2, side)
+        y_steps = []
+        for stmt in code[last_y + 1:compare]:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+                    assert ast.unparse(node.values[0]) == "True"
+                    node.values[1:] = []  # folded away by the compiler
+            y_steps += [node for node in ast.walk(stmt)
+                        if re.fullmatch(r"fmod\(x \+ _c\d+ \* y, n\)", ast.unparse(node))]
+        assert y_steps == [], (n1, n2, side)
+        assert any(sets(stmt, "x") and sets(stmt, "y") for stmt in code[compare + 1:])
 
 
 def test_scanner_without_a_side_schedule_keeps_no_side_work_per_key():
     # every scanner takes the side query's target and returns side and
     # reached, but only one compiled with a side schedule tests it: the
-    # key loops of one without (the per-key code of a single-query scan)
-    # read and count nothing for a side query
+    # key loop of one without (the per-key code of a single-query scan),
+    # and its rows that hand their keys on, read and count nothing for a
+    # side query
     side_names = {"side", "reached", "target", "side_s1x"}
     for kind in MapKind:
         for n1, n2 in [(1, 1), (2, 2), (3, 3), (2, 4)]:
             for side in (None, (1, 1)):
-                loops = key_loops(scanner_tree(kind, n1, n2, side))
-                assert len(loops) == 2
-                for key_loop in loops:
-                    names = {node.id for node in ast.walk(key_loop) if isinstance(node, ast.Name)}
+                tree = scanner_tree(kind, n1, n2, side)
+                assert len(key_loops(tree)) == 1
+                choice = row_choice(tree)
+                for branch in choice.body, choice.orelse:
+                    names = {node.id for stmt in branch for node in ast.walk(stmt)
+                             if isinstance(node, ast.Name)}
                     assert bool(names & side_names) == bool(side), (kind, n1, n2, side)
 
 
-def test_free_key_loop_is_the_guarded_one_with_the_guard_true():
-    # A row runs its keys in one of two loops, chosen once per row: the
-    # guard-free loop when every key of the row passes the guard, and the
-    # guarded loop otherwise. The free loop is the guarded one with the
-    # guard as the literal True, which the compiler folds away, so its
-    # per-key code reads no guard, Arnold's symbol 0 holds no bound test,
-    # and Duffing's only its exact ones: the test after symbol 0's last
-    # step, and after the step before a side check.
+def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
+    # A row runs its keys in the scanner's one key loop when every key of
+    # the row passes the guard. The loop is compiled with the guard as the
+    # literal True, which the compiler folds away, so its per-key code
+    # reads no guard, Arnold's symbol 0 holds no bound test, and Duffing's
+    # only its exact ones: the test after symbol 0's last step, and after
+    # the step before a side check. Any other row takes no map step: it
+    # hands each key on, from symbol 0, to the finish kernel.
     folded = compile("if not (True or -1e6 <= x <= 1e6):\n    x = 0\n", "<guard>", "exec")
     assert not [op for op in dis.get_instructions(folded)
                 if op.opname in ("COMPARE_OP", "STORE_NAME")]
     for kind, guarded in ((MapKind.ARNOLD, "boxed"), (MapKind.DUFFING, "no_return")):
         for n1, n2, side in [(1, 1, None), (2, 2, None), (3, 2, None), (2, 2, (1, 1)),
                              (2, 2, (1, 3)), (3, 3, (2, 2)), (2, 3, (1, 4)), (4, 4, (1, 2))]:
-            (choice,) = [node for node in ast.walk(scanner_tree(kind, n1, n2, side))
-                         if isinstance(node, ast.If) and ast.unparse(node.test).startswith("top <=")]
-            (free,), (checked,) = choice.body, choice.orelse
-            assert guarded not in {node.id for node in ast.walk(free)
-                                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            # the two loops differ only in the lines of the guard
-            lines = [ast.unparse(loop).splitlines() for loop in (free, checked)]
-            assigns = re.compile(rf"\s*{guarded} = ")
-            assert [line for line in lines[0] if not assigns.match(line)] == [
-                re.sub(rf"\b{guarded}\b", "True", line)
-                for line in lines[1] if not assigns.match(line)], (kind, n1, n2, side)
-            assert sum(guarded in line for line in lines[1]) > 1
-            # and the free loop stores no guard, which nothing would read
-            assert not [line for line in lines[0] if assigns.match(line)], (kind, n1, n2, side)
+            choice = row_choice(scanner_tree(kind, n1, n2, side))
+            (loop,) = choice.body
+            lines = ast.unparse(loop).splitlines()
+            # the key loop neither stores nor reads the guard
+            assert not [line for line in lines if re.search(rf"\b{guarded}\b", line)], (
+                kind, n1, n2, side)
             # the key code runs symbol 0 alone, with no loop over later
-            # symbols, and ends handing the key on with its state
-            *symbol_0, last = free.body[0].body
-            assert ast.unparse(last) == "passed.append((a, b, x, y))"
-            assert not [node for node in ast.walk(free.body[0]) if isinstance(node, ast.For)]
+            # symbols, and ends handing the key on with its state, to go
+            # on from symbol 1
+            *symbol_0, last = loop.body[0].body
+            assert ast.unparse(last) == "passed.append((a, b, x, y, 1))"
+            assert not [node for node in ast.walk(loop.body[0]) if isinstance(node, ast.For)]
             tests = [ast.unparse(stmt.test) for stmt in symbol_0 if isinstance(stmt, ast.If)
                      and "1000000.0" in ast.unparse(stmt.test)
                      and not ast.unparse(stmt.test).startswith("not (True or ")]
@@ -1136,6 +1139,13 @@ def test_free_key_loop_is_the_guarded_one_with_the_guard_true():
                 exact = 1 + bool(side and sum(side) < n1 + n2)
                 assert len(tests) == exact and all(" or " not in test for test in tests), (
                     n1, n2, side, tests)
+            # a row that fails the guard's test makes no map step: it only
+            # hands each of its keys on, with its start state and k = 0
+            hand_on = [ast.unparse(stmt) for stmt in choice.orelse]
+            assert re.fullmatch(r"keys = \[\(a, b, x0, y0, 0\) for b(, _c\d+)* in columns\]",
+                                hand_on[0]), hand_on
+            assert hand_on[1:] == ["passed += keys"] + (
+                ["side += keys", "reached += len(keys)"] if side else []), (kind, n1, n2, side)
 
 
 def test_lift_pass_keeps_an_if_body_that_reads_invariants():

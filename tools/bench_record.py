@@ -13,7 +13,11 @@ each metric gets its median and quartiles per checkout, workload and seed.
 The file also names each checkout's git commit (and whether its working
 tree differs from it), the Python version and the core count. It is
 rewritten after every run; recording into an existing file adds to it,
-replacing the workload and seed cells it records again.
+replacing the workload and seed cells it records again. Every run looks
+for bytecode only under one fresh, empty PYTHONPYCACHEPREFIX directory,
+made for the recording and removed at its end, so no run reads a
+`__pycache__` that a checkout holds, and a used checkout and a fresh
+copy of it compile the same way.
 
 Comparing prints, for every end-to-end metric of BENCHMARK.json, the ratio
 of the two medians (new over base) on each workload and seed, and how many
@@ -34,6 +38,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,12 +54,14 @@ def git(checkout: Path, *args: str) -> str | None:
     return done.stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One bench run in checkout; its last stdout line, or a failed record."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, pycache: str) -> dict:
+    """One bench run in checkout, with pycache as its bytecode cache root;
+    its last stdout line, or a failed record."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPYCACHEPREFIX": pycache})
     try:
         last = json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
@@ -99,18 +106,19 @@ def record(args) -> int:
                       for label, path in checkouts.items()},
     })
     labels = list(checkouts)
-    for workload in args.workloads:
-        for seed in args.seeds:
-            cell = {label: {"runs": []} for label in labels}
-            result["workloads"].setdefault(workload, {})[str(seed)] = cell
-            for k in range(args.runs):
-                for label in (labels if k % 2 == 0 else labels[::-1]):
-                    run = run_once(checkouts[label], workload, seed, args.seconds)
-                    cell[label]["runs"].append(run)
-                    cell[label]["metrics"] = summary(cell[label]["runs"])
-                    print(f"{workload} seed {seed} run {k + 1}/{args.runs} {label}: "
-                          f"correct={run['correct']} failed={run['failed']}", file=sys.stderr)
-                    out.write_text(json.dumps(result, indent=1) + "\n")
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        for workload in args.workloads:
+            for seed in args.seeds:
+                cell = {label: {"runs": []} for label in labels}
+                result["workloads"].setdefault(workload, {})[str(seed)] = cell
+                for k in range(args.runs):
+                    for label in (labels if k % 2 == 0 else labels[::-1]):
+                        run = run_once(checkouts[label], workload, seed, args.seconds, pycache)
+                        cell[label]["runs"].append(run)
+                        cell[label]["metrics"] = summary(cell[label]["runs"])
+                        print(f"{workload} seed {seed} run {k + 1}/{args.runs} {label}: "
+                              f"correct={run['correct']} failed={run['failed']}", file=sys.stderr)
+                        out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
 

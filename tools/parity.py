@@ -24,7 +24,8 @@ that checkout's package and collects:
   some with rows wider than 4096 keys, which cover how the scan driver
   tiles a grid (their results only, not their progress), and single and
   fused `_scan_grid` calls on tiles across each map's bound guard, whose
-  rows take either of the scanner's key loops, and single and fused
+  rows either run the scanner's key loop or hand their keys on to the
+  finish kernel, and single and fused
   `_scan_grid` calls at gain 1e308, whose feedback overflows at every mix
   value but 0 and 1, with each query's true key at mix value 0 or 1 in
   symbol 0, so that the keys that pass symbol 0 with it mismatch or
@@ -262,16 +263,16 @@ def _collect() -> dict:
         outputs[f"{at} identify"] = outcome(identify)
         outputs[f"{at} attack"] = outcome(attack)
 
-    # Tiles across each guard, whose rows take either key loop of a
-    # scanner: Arnold N and a near (1 + |a - 1| + |1 - b|) N = 1e6, with
-    # steps in b of a small share of |1 - b| up to a third of it; Duffing
-    # |a| + |b| across 1e11, from a start at or near the origin, where
-    # orbits stay in the box longest. Every fourth tile of a kind has rows
-    # whose first column passes the guard and whose last is far past it,
-    # where a key's outcome depends on the loop that runs it: in Arnold's
-    # symbol 0, x + (1 - b) y can overflow in the last step only, which a
-    # key that passes the guard does not compute before its compare; from
-    # Duffing's (0, y0), at a about 0 and b about y0^8, y leaves the box
+    # Tiles across each guard, whose rows run the scanner's key loop or hand
+    # their keys on to the finish kernel: Arnold N and a near (1 + |a - 1| +
+    # |1 - b|) N = 1e6, with steps in b of a small share of |1 - b| up to a
+    # third of it; Duffing |a| + |b| across 1e11, from a start at or near the
+    # origin, where orbits stay in the box longest. Every fourth tile of a
+    # kind has rows whose first column passes the guard and whose last is far
+    # past it, where a key's outcome depends on the kernel that runs it: in
+    # Arnold's symbol 0, x + (1 - b) y can overflow in the last step only,
+    # which a key that passes the guard does not compute before its compare;
+    # from Duffing's (0, y0), at a about 0 and b about y0^8, y leaves the box
     # at step 1 and is about 0 at step 2.
     for case in range(GUARD_CASES):
         kind = [MapKind.ARNOLD, MapKind.DUFFING][case % 2]
