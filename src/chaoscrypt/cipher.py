@@ -36,15 +36,15 @@ stops it at its first mismatching symbol and counts the keys that
 diverged. A scan takes one or two queries (data, reference, n1, n2),
 which share one config's start state, quantizer and gain. Its scanner
 runs the schedule (n1, n2) of the query with more steps, the main one,
-and tests the other, side query's symbol 0 on the way, from the same
-orbit: symbol 0 depends only on the key and the start state, so the main
+and decides the other, side query's symbol 0 from the same orbit:
+symbol 0 depends only on the key and the start state, so the main
 schedule's steps hold the side's. The finish kernel of the side query's
-schedule runs the keys that pass the side test, and those handed on,
-from symbol 0, so that one grid pass gives each query what its own scan
-gives. Every scanner, with a side query or without, is the one template
-_SCAN compiled with the one fill _SCAN_FILL, and is called the same way:
-_scan_grid passes it each query's symbol-0 target, which it computes
-once.
+schedule runs the keys that pass the side test, those the main query's
+bound test drops and those handed on, from symbol 0, so that one grid
+pass gives each query what its own scan gives. Every scanner, with a
+side query or without, is the one template _SCAN compiled with the one
+fill _SCAN_FILL, and is called the same way: _scan_grid passes it each
+query's symbol-0 target, which it computes once.
 """
 
 from __future__ import annotations
@@ -261,9 +261,9 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # row-major order, that go on to _FINISH, each as (a, b, x, y, k): a key
 # whose output for symbol 0 is e0, with (x, y) its state after the
 # symbol's feedback and k = 1, and a key it hands on (below), with
-# (x0, y0) and k = 0; the count of keys that diverged first; and the
-# count of keys scanned. A divergent key is a miss. Every key starts from
-# (x0, y0), so a start state that fails $entry diverges every key.
+# (x0, y0) and k = 0; the count of keys it lost, never run; the count of
+# keys that diverged in its key loop; and side (below). Every key starts
+# from (x0, y0), so a start state that fails $entry loses every key.
 #
 # A key runs $lifted: its setup, start state and symbol 0's body, and the
 # line that adds it to passed. maps._kernel hands that code to
@@ -271,10 +271,10 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # loops ($grid_lifts), its row-invariant ones out of the column loop
 # ($row_lifts) and its column-invariant ones into a table with one entry
 # per b ($column_lifts, $column_values), and returns the rest as
-# $key_code (see there). A lifted
-# value that overflows diverges every key that depends on it, a grid's, a
-# row's or a column's, and the scanner counts them where the lift fails:
-# a failed column's keys once, as the table leaves that column out.
+# $key_code (see there). A lifted value that overflows diverges every key
+# that depends on it, a grid's, a row's or a column's, and the scanner
+# counts them as lost where the lift fails: a failed column's keys once,
+# as the table leaves that column out.
 #
 # More than 99% of keys stop at symbol 0, so it does only what decides
 # that. Its mix is _MATCH_0: the output (c0 + q1 + q2) % 256 is e0
@@ -286,21 +286,20 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # does not never computes its y'.
 #
 # The scanner runs one query's schedule (n1, n2), its main one. Compiled
-# with a side schedule (n1', n2') of no more steps, it also tests a
-# second, side query's symbol 0 on the way. The two queries share the
-# start state, quantizer q and feedback table feed, and symbol 0's orbit
-# depends only on the key and the start state, so both run on one orbit:
-# symbol 0 gets a snapshot after step n1' and, after step n1' + n2',
-# which is a tested step, a compare of (q1' + q2') % 256 against target,
-# the side query's t0. The keys that pass it go to side, as
-# (a, b, x0, y0, 0), for _FINISH to run the side query from symbol 0, and
-# reached counts the keys that got there or were handed on: every other
-# key diverged first. (Of the lifted values only fmod's can raise, and
-# those come from a key's first step, which every side check follows, as
-# n1' + n2' >= 2.) The main query's lines stay as they are.
-# maps._kernel splices $side_snapshot, $side_check and $side_hand_on
-# only into a scanner with a side schedule, so one without reads no
-# target and returns side and reached as it set them.
+# with a side schedule (n1', n2') of no more steps, it adds lines, and
+# changes none, that decide a second, side query's symbol 0 on the same
+# orbit, which depends only on the key and the start state the queries
+# share with q and feed: snapshots of x after step n1' (side_s1x) and step
+# n1' + n2' (side_s2x), and, right before the main compare, $side_check,
+# which compares (q1' + q2') % 256 with target, the side query's t0. The
+# keys that pass it, and each key the main query's bound test drops
+# ($side_drop), go to side as (a, b, x0, y0, 0), for _FINISH to run the
+# side query from symbol 0. This is exact as the key loop runs only keys
+# that pass the guard: an Arnold key takes no bound test and cannot raise
+# before the compare, and a Duffing key that passes the main query's one
+# exact test had every earlier y inside the box (no_return). Lost keys are
+# lost to both: only lifted fmods raise, in step 1. A scanner without a
+# side schedule has every $side_ snippet blank and returns side empty.
 #
 # A key's guard (maps._STEP_SOURCE) is "column value <= row value", so
 # top, the largest column value of the tile (NaN once one is NaN),
@@ -311,17 +310,16 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # to side too, for _FINISH to run from symbol 0 with their guards.
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, feed, c0, t0, target):
-    scanned = len(a_values) * len(b_values)
-    side, reached = [], 0
+    side = []
     x, y = x0, y0
     if not ($entry):
-        return [], scanned, scanned, side, reached
+        return [], len(a_values) * len(b_values), 0, side
     try:
         $grid_lifts
     except ValueError:
-        return [], scanned, scanned, side, reached
+        return [], len(a_values) * len(b_values), 0, side
     columns = []
-    diverged = 0
+    lost = diverged = 0
     top = 0.0
     for b in b_values:
         try:
@@ -330,13 +328,13 @@ def scan(a_values, b_values, n, x0, y0, q, feed, c0, t0, target):
             if top == top and not $guard_column <= top:
                 top = $guard_column
         except ValueError:
-            diverged += len(a_values)
+            lost += len(a_values)
     passed = []
     for a in a_values:
         try:
             $row_lifts
         except ValueError:
-            diverged += len(columns)
+            lost += len(columns)
             continue
         if top <= $guard_row:
             for column in columns:
@@ -349,9 +347,10 @@ def scan(a_values, b_values, n, x0, y0, q, feed, c0, t0, target):
             keys = [(a, b, x0, y0, 0) for $column_values in columns]
             passed += keys
             $side_hand_on
-    return passed, diverged, scanned, side, reached
+    return passed, lost, diverged, side
 """
 _MATCH_0 = """\
+$side_check
 if (q1 + q2) % $modulus != t0:
     continue
 z = (c0 + q1) % $modulus
@@ -360,14 +359,15 @@ $split_rest
 _SCAN_FILL = {
     **_BLOCK_FILL,
     "lifted": "$setup\nx, y = x0, y0\n$body\npassed.append((a, b, x, y, 1))",
-    "diverge": "diverged += 1\ncontinue",
+    "diverge": "diverged += 1\n$side_drop\ncontinue",
     "last_step": "$split_step",
     "mix": _MATCH_0,
     "side_snapshot": "side_s1x = x",
-    "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(x) * q)) % $modulus == target:\n"
-                   "    side.append((a, b, x0, y0, 0))\n"
-                   "reached = reached + 1"),
-    "side_hand_on": "side += keys\nreached += len(keys)",
+    "side_snapshot_2": "side_s2x = x",
+    "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(side_s2x) * q)) % $modulus"
+                   " == target:\n    $side_drop"),
+    "side_drop": "side.append((a, b, x0, y0, 0))",
+    "side_hand_on": "side += keys",
 }
 
 # Entry point 3, the finisher: runs the (c, expected) pairs under each
@@ -492,21 +492,23 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     scanner takes the other as its side schedule. Each query's symbol-0
     target is computed here, once. The finish kernel of each query's
     (n1, n2) then runs all of that query's keys in one call, each from
-    the symbol and state it carries.
+    the symbol and state it carries; the keys the scanner lost count as
+    diverged in each.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
     targets = [(reference[0] - data[0]) % SYMBOL_MODULUS for data, reference, _, _ in queries]
     data, _, n1, n2 = queries[main]
     side = queries[1 - main] if len(queries) == 2 else None
     scan = _kernel(kind, _SCAN, n1, n2, tuple(side[2:]) if side else None, **_SCAN_FILL)
+    scanned = len(tile[0]) * len(tile[1])
     start, q, feed = cfg.initial_state, cfg.quant_scale, _feed(cfg.reinject_gain)
-    passed, diverged, scanned, matches, reached = scan(
+    passed, lost, diverged, matches = scan(
         *tile, n_modulus, start.x, start.y, q, feed, data[0], targets[main],
         targets[1 - main] if side else None)
     # each query's keys and the count that diverged in the scanner
-    runs = [(queries[main], passed, diverged)]
+    runs = [(queries[main], passed, lost + diverged)]
     if side:
-        runs.insert(1 - main, (side, matches, scanned - reached))
+        runs.insert(1 - main, (side, matches, lost))
     found = []
     for (data, reference, n1, n2), keys, earlier in runs:
         finish = _kernel(kind, _FINISH, n1, n2, **_FINISH_FILL)

@@ -265,9 +265,9 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     caller's fill. A fill with a $lifted snippet (the scanner's) also gets
     the snippets that _hoist.hoist makes of it, spliced with $guard and
     $guarded as True, and of $guard. A side schedule (n1', n2'), with
-    n1' + n2' <= n1 + n2, adds two lines to the steps of $lifted alone:
-    $side_snapshot after its step n1' and $side_check after its step
-    n1' + n2', which is a tested step; without one, $side_hand_on is
+    n1' + n2' <= n1 + n2, adds two lines to the steps of $lifted alone,
+    $side_snapshot after its step n1' and $side_snapshot_2 after its step
+    n1' + n2', and changes none; without one, every $side_ snippet is
     blank. A line that splices to nothing but blanks is dropped. fmod,
     floor and abs are locals of the function, as keyword-only defaults,
     and DivergenceError its global.
@@ -288,11 +288,9 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
         from ._hoist import hoist
         if side:
             run[side[0] - 1] += "$side_snapshot\n"
-            if sum(side) < n1 + n2:
-                run[sum(side) - 1] = "$tested_step\n"
-            run[sum(side) - 1] += "$side_check\n"
+            run[sum(side) - 1] += "$side_snapshot_2\n"
         else:
-            snippets["side_hand_on"] = ""
+            snippets.update({name: "" for name in fill if name.startswith("side_")})
         free = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:]),
                 "guard": "True", "guarded": "True"}
         snippets.update(hoist(_splice("$lifted", free), _splice("$guard", snippets)))

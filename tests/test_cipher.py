@@ -1,6 +1,7 @@
 """Tests for the message-embedded cipher."""
 
 import ast
+import difflib
 import dis
 import json
 import linecache
@@ -1086,12 +1087,11 @@ def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
 
 
 def test_scanner_without_a_side_schedule_keeps_no_side_work_per_key():
-    # every scanner takes the side query's target and returns side and
-    # reached, but only one compiled with a side schedule tests it: the
-    # key loop of one without (the per-key code of a single-query scan),
-    # and its rows that hand their keys on, read and count nothing for a
-    # side query
-    side_names = {"side", "reached", "target", "side_s1x"}
+    # every scanner takes the side query's target and returns side, but
+    # only one compiled with a side schedule tests it: the key loop of one
+    # without (the per-key code of a single-query scan), and its rows that
+    # hand their keys on, read and keep nothing for a side query
+    side_names = {"side", "target", "side_s1x", "side_s2x"}
     for kind in MapKind:
         for n1, n2 in [(1, 1), (2, 2), (3, 3), (2, 4)]:
             for side in (None, (1, 1)):
@@ -1104,14 +1104,34 @@ def test_scanner_without_a_side_schedule_keeps_no_side_work_per_key():
                     assert bool(names & side_names) == bool(side), (kind, n1, n2, side)
 
 
+def test_fused_scanner_is_its_main_scanner_plus_side_lines():
+    # A side schedule adds lines to its main schedule's scanner and changes
+    # none: the side query's symbol 0 is decided from two snapshots of the
+    # main query's orbit, after the main query's own bound tests, so the
+    # single-query scanner's lines are a subsequence of the fused one's.
+    # (difflib only shows the lines on a failure: its matcher may pair a
+    # repeated step with the wrong copy and report a change.)
+    for kind in MapKind:
+        for n1, n2, side in [(1, 1, (1, 1)), (2, 2, (1, 1)), (2, 2, (1, 3)), (3, 3, (2, 2)),
+                             (3, 3, (3, 3)), (4, 1, (1, 1)), (2, 3, (1, 4)), (1, 4, (2, 1))]:
+            alone, fused = (
+                linecache.getlines(maps._kernel(kind, cipher._SCAN, n1, n2, schedule,
+                                                **cipher._SCAN_FILL).__code__.co_filename)
+                for schedule in (None, side))
+            rest = iter(fused)
+            assert all(line in rest for line in alone), "".join(
+                difflib.unified_diff(alone, fused, f"{n1}/{n2}", f"{n1}/{n2}+{side}"))
+            assert len(fused) > len(alone), (kind, n1, n2, side)
+
+
 def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
     # A row runs its keys in the scanner's one key loop when every key of
     # the row passes the guard. The loop is compiled with the guard as the
     # literal True, which the compiler folds away, so its per-key code
     # reads no guard, Arnold's symbol 0 holds no bound test, and Duffing's
-    # only its exact ones: the test after symbol 0's last step, and after
-    # the step before a side check. Any other row takes no map step: it
-    # hands each key on, from symbol 0, to the finish kernel.
+    # only its exact one, after symbol 0's last step, with a side schedule
+    # or without. Any other row takes no map step: it hands each key on,
+    # from symbol 0, to the finish kernel of each query.
     folded = compile("if not (True or -1e6 <= x <= 1e6):\n    x = 0\n", "<guard>", "exec")
     assert not [op for op in dis.get_instructions(folded)
                 if op.opname in ("COMPARE_OP", "STORE_NAME")]
@@ -1130,22 +1150,24 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
             *symbol_0, last = loop.body[0].body
             assert ast.unparse(last) == "passed.append((a, b, x, y, 1))"
             assert not [node for node in ast.walk(loop.body[0]) if isinstance(node, ast.For)]
-            tests = [ast.unparse(stmt.test) for stmt in symbol_0 if isinstance(stmt, ast.If)
+            tests = [stmt for stmt in symbol_0 if isinstance(stmt, ast.If)
                      and "1000000.0" in ast.unparse(stmt.test)
                      and not ast.unparse(stmt.test).startswith("not (True or ")]
             if kind is MapKind.ARNOLD:
                 assert tests == [], (n1, n2, side)
             else:
-                exact = 1 + bool(side and sum(side) < n1 + n2)
-                assert len(tests) == exact and all(" or " not in test for test in tests), (
-                    n1, n2, side, tests)
+                # a key the test drops goes on to the side query from symbol 0
+                (test,) = tests
+                assert " or " not in ast.unparse(test.test), (n1, n2, side)
+                assert [ast.unparse(stmt) for stmt in test.body] == ["diverged += 1"] + (
+                    ["side.append((a, b, x0, y0, 0))"] if side else []) + ["continue"]
             # a row that fails the guard's test makes no map step: it only
             # hands each of its keys on, with its start state and k = 0
             hand_on = [ast.unparse(stmt) for stmt in choice.orelse]
             assert re.fullmatch(r"keys = \[\(a, b, x0, y0, 0\) for b(, _c\d+)* in columns\]",
                                 hand_on[0]), hand_on
             assert hand_on[1:] == ["passed += keys"] + (
-                ["side += keys", "reached += len(keys)"] if side else []), (kind, n1, n2, side)
+                ["side += keys"] if side else []), (kind, n1, n2, side)
 
 
 def test_lift_pass_keeps_an_if_body_that_reads_invariants():

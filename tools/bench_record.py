@@ -14,17 +14,20 @@ The file also names each checkout's git commit (and whether its working
 tree differs from it), the Python version and the core count. It is
 rewritten after every run; recording into an existing file adds to it,
 replacing the workload and seed cells it records again. Every run looks
-for bytecode only under one fresh, empty PYTHONPYCACHEPREFIX directory,
-made for the recording and removed at its end, so no run reads a
-`__pycache__` that a checkout holds, and a used checkout and a fresh
-copy of it compile the same way.
+for bytecode only under one fresh PYTHONPYCACHEPREFIX directory, made for
+the recording and removed at its end, which holds links to the
+interpreter's own standard-library bytecode and nothing else. So no run
+reads a `__pycache__` that a checkout holds, and a used checkout and a
+fresh copy of it compile the same way, while the standard library loads
+from its bytecode, as in a bare run, not from source.
 
 Comparing prints, for every end-to-end metric of BENCHMARK.json, the ratio
 of the two medians (new over base) on each workload and seed, and how many
 run pairs the new record wins. A metric that got worse by more than its
-BENCHMARK.json bound is marked PAST BOUND. Comparing gates nothing: the
-exit status is 0 whatever it prints. A record is FILE:LABEL; without a
-label it is the file's "change" record, or its only one.
+BENCHMARK.json bound is marked PAST BOUND. A workload, seed or label cell
+that one record lacks, or has no run in yet, is skipped. Comparing gates
+nothing: the exit status is 0 whatever it prints. A record is FILE:LABEL;
+without a label it is the file's "change" record, or its only one.
 
 Standard library only.
 """
@@ -38,6 +41,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import sysconfig
 import tempfile
 from pathlib import Path
 
@@ -70,6 +74,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, pycache: 
     return {"correct": last["correct"], "attempted": last["attempted"],
             "failed": last["failed"],
             "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
+
+
+def link_stdlib_bytecode(pycache: str) -> None:
+    """Link each standard-library module's bytecode for this interpreter
+    where a run with pycache as its PYTHONPYCACHEPREFIX looks for it: the
+    module's directory, as an absolute path, under pycache. A bytecode
+    file is checked against its source on import, as in __pycache__."""
+    suffix = f".{sys.implementation.cache_tag}.pyc"
+    for root, dirs, files in os.walk(sysconfig.get_paths()["stdlib"]):
+        dirs[:] = [d for d in dirs if d not in ("site-packages", "dist-packages")]
+        if Path(root).name != "__pycache__":
+            continue
+        source_dir = Path(root).parent
+        target = Path(pycache, *source_dir.parts[1:])
+        target.mkdir(parents=True, exist_ok=True)
+        for name in files:
+            if name.endswith(suffix):  # not an optimized level's .opt-1.pyc
+                (target / name).symlink_to(Path(root, name))
 
 
 def summary(runs: list[dict]) -> dict:
@@ -107,6 +129,7 @@ def record(args) -> int:
     })
     labels = list(checkouts)
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        link_stdlib_bytecode(pycache)
         for workload in args.workloads:
             for seed in args.seeds:
                 cell = {label: {"runs": []} for label in labels}
@@ -127,7 +150,8 @@ def load(spec: str) -> tuple[str, dict]:
     data = json.loads(Path(path).read_text())
     labels = list(data["checkouts"])
     label = label or ("change" if "change" in labels else labels[-1])
-    return label, {workload: {seed: cell[label] for seed, cell in seeds.items() if label in cell}
+    return label, {workload: {seed: cell[label] for seed, cell in seeds.items()
+                              if "metrics" in cell.get(label, {})}
                    for workload, seeds in data["workloads"].items()}
 
 
