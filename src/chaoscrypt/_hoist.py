@@ -17,15 +17,13 @@ _COLUMN = frozenset({"column"})
 _KEY = _ROW | _COLUMN
 
 # The names the lift region reads before it assigns them, by the level
-# they are invariant at: the call's arguments, symbol 0's input c0 and
-# the keystream byte t0 it must meet, a row's a and a column's b.
-_INVARIANT = {**dict.fromkeys(("x0", "y0", "n", "q", "feed", "c0", "t0"), _GRID),
-              "a": _ROW, "b": _COLUMN}
+# they are invariant at: the call's arguments, among them the keystream
+# byte t0 that symbol 0 must meet, a row's a and a column's b.
+_INVARIANT = {**dict.fromkeys(("x0", "y0", "n", "q", "t0"), _GRID), "a": _ROW, "b": _COLUMN}
 
 # Operations a lifted subtree may contain. Float +, -, * and comparisons
 # never raise, and fmod raises ValueError only on an infinite dividend;
-# everything else (floor, /, %, a subscript such as feed[z]) stays where
-# the template puts it.
+# everything else (floor, /, %) stays where the template puts it.
 _PURE_OPS = (ast.Add, ast.Sub, ast.Mult, ast.USub, ast.UAdd, ast.Not)
 _PURE_CALLS = ("abs", "fmod")
 
@@ -72,10 +70,6 @@ class _Lifter:
             pure, always, sometimes = isinstance(node.op, _PURE_OPS), ["left", "right"], []
         elif isinstance(node, ast.UnaryOp):
             pure, always, sometimes = isinstance(node.op, _PURE_OPS), ["operand"], []
-        elif isinstance(node, ast.Subscript):
-            pure, always, sometimes = False, ["value", "slice"], []
-        elif isinstance(node, ast.Tuple):
-            pure, always, sometimes = False, [("elts", k) for k in range(len(node.elts))], []
         elif isinstance(node, ast.Call) and not node.keywords:
             pure = isinstance(node.func, ast.Name) and node.func.id in _PURE_CALLS
             always, sometimes = [("args", k) for k in range(len(node.args))], []
@@ -113,8 +107,6 @@ class _Lifter:
                    for s in stmt.body for n in ast.walk(s) if isinstance(n, ast.Name)):
                 raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
             return [ast.If(test, stmt.body, [])]
-        if isinstance(stmt, ast.Expr):
-            return [ast.Expr(self.visit(stmt.value)[0])]
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
             raise ValueError(f"cannot lift across {ast.unparse(stmt)!r}")
         target, value = stmt.targets[0], stmt.value
@@ -176,8 +168,8 @@ def _code(stmts: list[ast.stmt]) -> str:
 
 def hoist(region: str, guard: str = "") -> dict[str, str]:
     """The snippets that run region, the code a scanner's key runs (its
-    first symbol, then the statement that hands the key on), with every
-    invariant subtree lifted out of the key loop.
+    first symbol's keystream, then the if that hands the key on), with
+    every invariant subtree lifted out of the key loop.
 
     region is straight-line code that reads the names of _INVARIANT before
     it assigns them. Every key runs it until it leaves the loop, and the
@@ -205,11 +197,13 @@ def hoist(region: str, guard: str = "") -> dict[str, str]:
     comparisons, and/or, names, constants) whose names are all invariant
     at one level and puts it under a fresh name in that level's lifts; a
     name assigned such a value stands for that name from then on. A
-    short-circuited operand moves only with its parent. An expression
-    statement, such as the call that hands the key on, keeps its place,
-    and so does a tuple in it (neither is pure). A statement met
-    again in the same state of the walk (the steps of a run are copies of
-    one step) is rewritten as it was the first time.
+    short-circuited operand moves only with its parent. An if keeps its
+    place and its body, such as the call that hands the key on. The pass
+    refuses any other statement but an assignment, and any expression
+    but a name, a constant, an operator, a call, a comparison and and/or
+    (a subscript or a tuple, say). A statement met again in the same
+    state of the walk (the steps of a run are copies of one step) is
+    rewritten as it was the first time.
 
     Whole subtrees are moved, with every operation and operand order
     kept, so every float comes out bit for bit as before. Only fmod can

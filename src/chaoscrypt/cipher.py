@@ -12,10 +12,11 @@ the one check that a symbol is a byte.
 One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
 map with the bound tests the map needs, quantizes, mixes and feeds back
 z, adding to x entry z of the gain's feedback table (_feed), which holds
-the 256 increments gain * z / 256. It is spliced into three entry points,
-_BLOCK, _SCAN and _FINISH, which maps._kernel compiles on first use for
-each map kind and pair of iteration counts (n1, n2), with every step
-written out inline; each takes the table in place of the gain. The
+the 256 increments gain * z / 256. It is spliced into two entry points,
+_BLOCK and _FINISH, and its keystream part, _KEYSTREAM, into a third,
+_SCAN; maps._kernel compiles each on first use for each map kind and
+pair of iteration counts (n1, n2), with every step written out inline.
+The block and finish entries take the table in place of the gain. The
 block and scan entries test their start state once, not once per
 symbol. The block entry runs one chunk of symbols and carries the state
 to the next; it is compiled once per direction, with the direction and
@@ -26,25 +27,26 @@ block through a temp file that replaces the output only on success.
 
 The grid scan behind _scan_grid serves the scans in analysis in two
 steps. The scanner runs a tile of grid keys per call, each a-value of
-the tile against each b-value, through symbol 0 alone, which decides
-more than 99% of keys, and counts the keys that diverged. It runs symbol
-0 with its grid-, row- and column-invariant parts lifted out of its one
-key loop, which computes and tests no guard: a row that the map's bound
-guard does not clear for every key hands its keys on from symbol 0. The
-finish kernel then runs each key from the symbol and state it carries,
-stops it at its first mismatching symbol and counts the keys that
-diverged. A scan takes one or two queries (data, reference, n1, n2),
-which share one config's start state, quantizer and gain. Its scanner
-runs the schedule (n1, n2) of the query with more steps, the main one,
-and decides the other, side query's symbol 0 from the same orbit:
-symbol 0 depends only on the key and the start state, so the main
-schedule's steps hold the side's. The finish kernel of the side query's
-schedule runs the keys that pass the side test, those the main query's
-bound test drops and those handed on, from symbol 0, so that one grid
-pass gives each query what its own scan gives. Every scanner, with a
-side query or without, is the one template _SCAN compiled with the one
-fill _SCAN_FILL, and is called the same way: _scan_grid passes it each
-query's symbol-0 target, which it computes once.
+the tile against each b-value, through symbol 0's keystream alone, which
+decides more than 99% of keys, and counts the keys that diverged. It
+runs it with its grid-, row- and column-invariant parts lifted out of
+its one key loop, which computes and tests no guard: a row that the
+map's bound guard does not clear for every key hands its keys on
+untried. Every key it hands on is an (a, b) alone. The finish kernel
+then runs each key from the start state, symbol 0 included, stops it at
+its first mismatching symbol and counts the keys that diverged. A scan
+takes one or two queries (data, reference, n1, n2), which share one
+config's start state, quantizer and gain. Its scanner runs the schedule
+(n1, n2) of the query with more steps, the main one, and decides the
+other, side query's symbol 0 from the same orbit: symbol 0 depends only
+on the key and the start state, so the main schedule's steps hold the
+side's. The finish kernel of the side query's schedule runs the keys
+that pass the side test, those the main query's bound test drops and
+those handed on, so that one grid pass gives each query what its own
+scan gives. Every scanner, with a side query or without, is the one
+template _SCAN compiled with the one fill _SCAN_FILL, and is called the
+same way: _scan_grid passes it each query's symbol-0 target, which it
+computes once.
 """
 
 from __future__ import annotations
@@ -185,14 +187,15 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 # symbol's last, which is a maps._TESTED_STEP, so a key whose orbit
 # cannot come back into the box tests it once per symbol (see
 # maps._STEP_SOURCE). Each run of steps is written out in full, so the
-# body is compiled once per (kind, n1, n2).
+# body is compiled once per (kind, n1, n2). Its first part, up to q1 and
+# q2, is _KEYSTREAM, which the scanner runs alone (see _SCAN).
 # A failed bound test runs $diverge; a step or a feedback that overflows
 # (an infinite table entry, or a sum past the largest float) makes fmod
 # raise ValueError, which each entry treats as a divergence.
 #
 # The body does not test the state it starts from: the block and scan
-# entries test their start state once ($entry), the finisher takes
-# states that passed it, and a finished symbol leaves a state that
+# entries test their start state once ($entry), the finisher starts from
+# the one the scanner tested, and a finished symbol leaves a state that
 # passes that test. Duffing's last step tested y, and the feedback only
 # moves x; Arnold's states stay finite, as fmod raises on an overflowed
 # feedback. (A NaN fed back, which no config allows, fails the next
@@ -201,12 +204,14 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 # states inside the box. q1 and q2 are not reduced mod $modulus, the
 # literal 256: the mixes reduce the sums they enter, which gives the same
 # ints.
-_SYMBOL_BODY = """\
+_KEYSTREAM = """\
 $steps1
 $snapshot
 $steps2
 q1 = floor(abs(s1x) * q)
 q2 = floor(abs(x) * q)
+"""
+_SYMBOL_BODY = _KEYSTREAM + """\
 $mix
 $check
 x = fmod(x + feed[z], 1.0)
@@ -256,17 +261,17 @@ _BLOCK_FILL = {
 }
 _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, x, y)"}
 
-# Entry point 2, the grid scanner: runs symbol 0 under each key (a, b) of
-# a tile, a in a_values and b in b_values, and returns the keys, in
-# row-major order, that go on to _FINISH, each as (a, b, x, y, k): a key
-# whose output for symbol 0 is e0, with (x, y) its state after the
-# symbol's feedback and k = 1, and a key it hands on (below), with
-# (x0, y0) and k = 0; the count of keys it lost, never run; the count of
-# keys that diverged in its key loop; and side (below). Every key starts
-# from (x0, y0), so a start state that fails $entry loses every key.
+# Entry point 2, the grid scanner: runs symbol 0's keystream under each
+# key (a, b) of a tile, a in a_values and b in b_values, and returns the
+# keys (a, b), in row-major order, that go on to _FINISH: those whose
+# output for symbol 0 is e0 and those it hands on (below); the count of
+# keys it lost, never run; the count of keys that diverged in its key
+# loop; and side (below). Every key starts from (x0, y0), so a start
+# state that fails $entry loses every key, and _FINISH runs every key it
+# gets from (x0, y0) again.
 #
-# A key runs $lifted: its setup, start state and symbol 0's body, and the
-# line that adds it to passed. maps._kernel hands that code to
+# A key runs $lifted: its setup, start state, symbol 0's keystream
+# (_KEYSTREAM) and the decision _MATCH_0. maps._kernel hands that code to
 # _hoist.hoist, which lifts its grid-invariant subtrees out of the call's
 # loops ($grid_lifts), its row-invariant ones out of the column loop
 # ($row_lifts) and its column-invariant ones into a table with one entry
@@ -276,30 +281,29 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # counts them as lost where the lift fails: a failed column's keys once,
 # as the table leaves that column out.
 #
-# More than 99% of keys stop at symbol 0, so it does only what decides
-# that. Its mix is _MATCH_0: the output (c0 + q1 + q2) % 256 is e0
-# exactly when the keystream byte (q1 + q2) % 256 is t0, the
-# grid-invariant (e0 - c0) % 256 that _scan_grid passes in, so it
-# compares that and computes z only for the keys that pass. Its last step
-# is maps._SPLIT_STEP, which needs only x' to quantize: the keys that pass
-# take the step in full after the compare, and a boxed Arnold key that
-# does not never computes its y'.
+# More than 99% of keys stop at symbol 0, so a key does only what decides
+# that: the output (c0 + q1 + q2) % 256 is e0 exactly when the keystream
+# byte (q1 + q2) % 256 is t0, the grid-invariant (e0 - c0) % 256 that
+# _scan_grid passes in, so _MATCH_0 compares that and hands on the keys
+# that pass. The key computes no mix value and feeds nothing back. Its
+# last step is maps._SPLIT_STEP, which makes only the x' that q2 reads,
+# so a boxed Arnold key never computes its last y'.
 #
 # The scanner runs one query's schedule (n1, n2), its main one. Compiled
 # with a side schedule (n1', n2') of no more steps, it adds lines, and
 # changes none, that decide a second, side query's symbol 0 on the same
 # orbit, which depends only on the key and the start state the queries
-# share with q and feed: snapshots of x after step n1' (side_s1x) and step
+# share with q: snapshots of x after step n1' (side_s1x) and step
 # n1' + n2' (side_s2x), and, right before the main compare, $side_check,
 # which compares (q1' + q2') % 256 with target, the side query's t0. The
 # keys that pass it, and each key the main query's bound test drops
-# ($side_drop), go to side as (a, b, x0, y0, 0), for _FINISH to run the
-# side query from symbol 0. This is exact as the key loop runs only keys
-# that pass the guard: an Arnold key takes no bound test and cannot raise
-# before the compare, and a Duffing key that passes the main query's one
-# exact test had every earlier y inside the box (no_return). Lost keys are
-# lost to both: only lifted fmods raise, in step 1. A scanner without a
-# side schedule has every $side_ snippet blank and returns side empty.
+# ($side_drop), go to side, for _FINISH to run the side query. This is
+# exact as the key loop runs only keys that pass the guard: an Arnold key
+# takes no bound test and cannot raise before the compare, and a Duffing
+# key that passes the main query's one exact test had every earlier y
+# inside the box (no_return). Lost keys are lost to both: only lifted
+# fmods raise, in step 1. A scanner without a side schedule has every
+# $side_ snippet blank and returns side empty.
 #
 # A key's guard (maps._STEP_SOURCE) is "column value <= row value", so
 # top, the largest column value of the tile (NaN once one is NaN),
@@ -307,9 +311,9 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # literal True, which the compiler folds away with the bound tests it
 # skips, runs each row whose value is at least top. Any other row, or
 # one whose comparison is NaN, takes no map step and hands its keys on,
-# to side too, for _FINISH to run from symbol 0 with their guards.
+# to side too, for _FINISH to run with their guards.
 _SCAN = """\
-def scan(a_values, b_values, n, x0, y0, q, feed, c0, t0, target):
+def scan(a_values, b_values, n, x0, y0, q, t0, target):
     side = []
     x, y = x0, y0
     if not ($entry):
@@ -344,47 +348,45 @@ def scan(a_values, b_values, n, x0, y0, q, feed, c0, t0, target):
                 except ValueError:
                     diverged += 1
         else:
-            keys = [(a, b, x0, y0, 0) for $column_values in columns]
+            keys = [(a, b) for $column_values in columns]
             passed += keys
             $side_hand_on
     return passed, lost, diverged, side
 """
 _MATCH_0 = """\
 $side_check
-if (q1 + q2) % $modulus != t0:
-    continue
-z = (c0 + q1) % $modulus
-$split_rest
+if (q1 + q2) % $modulus == t0:
+    passed.append((a, b))
 """
 _SCAN_FILL = {
-    **_BLOCK_FILL,
-    "lifted": "$setup\nx, y = x0, y0\n$body\npassed.append((a, b, x, y, 1))",
+    "lifted": "$setup\nx, y = x0, y0\n" + _KEYSTREAM + _MATCH_0,
+    "snapshot": "s1x = x",
+    "modulus": repr(SYMBOL_MODULUS),
     "diverge": "diverged += 1\n$side_drop\ncontinue",
     "last_step": "$split_step",
-    "mix": _MATCH_0,
     "side_snapshot": "side_s1x = x",
     "side_snapshot_2": "side_s2x = x",
     "side_check": ("if (floor(abs(side_s1x) * q) + floor(abs(side_s2x) * q)) % $modulus"
                    " == target:\n    $side_drop"),
-    "side_drop": "side.append((a, b, x0, y0, 0))",
+    "side_drop": "side.append((a, b))",
     "side_hand_on": "side += keys",
 }
 
 # Entry point 3, the finisher: runs the (c, expected) pairs under each
-# key (a, b, x, y, k) of keys, from pair k and the state (x, y), and
-# returns the keys (a, b) that match every pair, in the order given, and
-# the count of keys that diverged before their first mismatching symbol.
-# It serves the keys that pass the scanner's symbol 0, from symbol 1, and
-# those it hands on and the side query's, from symbol 0. Each key runs
+# key (a, b) of keys, from the start state (x0, y0), and returns the keys
+# that match every pair, in the order given, and the count of keys that
+# diverged before their first mismatching symbol. It serves every key the
+# scanner hands on, for the main query and the side one. Each key runs
 # $setup, which computes its guard, and starts from a state that passes
-# $entry: a finished symbol leaves one, and the scanner tested (x0, y0).
+# $entry: the scanner tested (x0, y0), and a finished symbol leaves one.
 _FINISH = """\
-def finish(keys, n, q, feed, pairs):
+def finish(keys, n, x0, y0, q, feed, pairs):
     hits, diverged = [], 0
-    for a, b, x, y, k in keys:
+    for a, b in keys:
         $setup
+        x, y = x0, y0
         try:
-            for c, expected in pairs[k:]:
+            for c, expected in pairs:
                 $body
             else:
                 hits.append((a, b))
@@ -492,19 +494,18 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     scanner takes the other as its side schedule. Each query's symbol-0
     target is computed here, once. The finish kernel of each query's
     (n1, n2) then runs all of that query's keys in one call, each from
-    the symbol and state it carries; the keys the scanner lost count as
-    diverged in each.
+    cfg's start state; the keys the scanner lost count as diverged in
+    each.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
     targets = [(reference[0] - data[0]) % SYMBOL_MODULUS for data, reference, _, _ in queries]
-    data, _, n1, n2 = queries[main]
+    n1, n2 = queries[main][2:]
     side = queries[1 - main] if len(queries) == 2 else None
     scan = _kernel(kind, _SCAN, n1, n2, tuple(side[2:]) if side else None, **_SCAN_FILL)
     scanned = len(tile[0]) * len(tile[1])
     start, q, feed = cfg.initial_state, cfg.quant_scale, _feed(cfg.reinject_gain)
-    passed, lost, diverged, matches = scan(
-        *tile, n_modulus, start.x, start.y, q, feed, data[0], targets[main],
-        targets[1 - main] if side else None)
+    passed, lost, diverged, matches = scan(*tile, n_modulus, start.x, start.y, q, targets[main],
+                                           targets[1 - main] if side else None)
     # each query's keys and the count that diverged in the scanner
     runs = [(queries[main], passed, lost + diverged)]
     if side:
@@ -512,7 +513,8 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     found = []
     for (data, reference, n1, n2), keys, earlier in runs:
         finish = _kernel(kind, _FINISH, n1, n2, **_FINISH_FILL)
-        hits, later = finish(keys, n_modulus, q, feed, list(zip(data, reference)))
+        hits, later = finish(keys, n_modulus, start.x, start.y, q, feed,
+                             list(zip(data, reference)))
         found.append((hits, earlier + later))
     return scanned, found
 

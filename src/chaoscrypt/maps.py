@@ -174,7 +174,7 @@ def signed_mod(dividend: float, divisor: float) -> float:
 #   leaves the box and the test is skipped; entry turns a NaN coordinate,
 #   which boxed would let through, into a failed test. Otherwise both
 #   coordinates are tested. boxed also bounds |x + (1-b) y|, so for a
-#   boxed key fmod cannot raise on it: _SPLIT_STEP may put y' off.
+#   boxed key fmod cannot raise on it: _SPLIT_STEP may leave y' out.
 # Each guard has the form "column value <= row value", a value of b
 # against a value of a, so that a scanner lifts both out of its key loop
 # and decides it for a whole row at once (see cipher._SCAN).
@@ -214,23 +214,16 @@ if not ($test):
 _TESTED_STEP = (_STEP, (("test", "$inside"),))
 _BETWEEN_STEP = (_STEP, (("test", "$between"),))
 
-# A run's last step for a caller that needs only x' before it decides
-# whether to go on (the scanner's symbol 0): it tests the state the step
-# makes, computing its coordinates inside the test (so a boxed Arnold key,
-# which skips the test, computes neither there), then sets x to x', keeps
-# the x before it in x_prev and leaves y as it was. _SPLIT_REST takes the
-# step in full from there, for a caller that goes on. It needs no test:
-# the test passed on the same values, or the key is boxed, so the state
-# stays in the box and fmod cannot raise.
+# A run's last step for a caller that needs only x' (the scanner's symbol
+# 0, whose keys go no further): it tests the state the step makes,
+# computing its coordinates inside the test (so a boxed Arnold key, which
+# skips the test, computes neither there), then sets x to x' and leaves y
+# as it was.
 _SPLIT_STEP = ("""\
 if not ($inside):
     $diverge
-x_prev, x = x, $x
+x = $x
 """, (("new_x", "$x"), ("new_y", "$y")))
-_SPLIT_REST = """\
-x = x_prev
-x, y = $x, $y
-"""
 
 _FIELD = re.compile(r"\$(\w+)")
 
@@ -258,19 +251,18 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
 
     The snippets spliced in are the kind's _STEP_SOURCE fields, $bound,
     $new_x and $new_y (x and y, the state the tests read unless a step
-    says otherwise), $tested_step, $between_step, $split_step,
-    $split_rest, $steps1 and $steps2 (a
-    symbol's n1 and n2 steps: each a between step, but the last, which is
-    $last_step, the tested step unless the fill says otherwise) and the
-    caller's fill. A fill with a $lifted snippet (the scanner's) also gets
-    the snippets that _hoist.hoist makes of it, spliced with $guard and
-    $guarded as True, and of $guard. A side schedule (n1', n2'), with
-    n1' + n2' <= n1 + n2, adds two lines to the steps of $lifted alone,
-    $side_snapshot after its step n1' and $side_snapshot_2 after its step
-    n1' + n2', and changes none; without one, every $side_ snippet is
-    blank. A line that splices to nothing but blanks is dropped. fmod,
-    floor and abs are locals of the function, as keyword-only defaults,
-    and DivergenceError its global.
+    says otherwise), $tested_step, $between_step, $split_step, $steps1 and
+    $steps2 (a symbol's n1 and n2 steps: each a between step, but the
+    last, which is $last_step, the tested step unless the fill says
+    otherwise) and the caller's fill. A fill with a $lifted snippet (the
+    scanner's) also gets the snippets that _hoist.hoist makes of it,
+    spliced with $guard and $guarded as True, and of $guard. A side
+    schedule (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the
+    steps of $lifted alone, $side_snapshot after its step n1' and
+    $side_snapshot_2 after its step n1' + n2', and changes none; without
+    one, every $side_ snippet is blank. A line that splices to nothing but
+    blanks is dropped. fmod, floor and abs are locals of the function, as
+    keyword-only defaults, and DivergenceError its global.
     Its file name names the kind, the function, n1/n2, the side schedule
     and the variant, which tells apart the fills of one template, and
     linecache holds its source, so a traceback through it shows its lines.
@@ -281,8 +273,7 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     snippets = {**_STEP_SOURCE[kind], "bound": repr(DIVERGENCE_BOUND), "new_x": "x",
                 "new_y": "y", "tested_step": _TESTED_STEP, "between_step": _BETWEEN_STEP,
                 "last_step": "$tested_step", "split_step": _SPLIT_STEP,
-                "split_rest": _SPLIT_REST, "steps1": "".join(run[:n1]),
-                "steps2": "".join(run[n1:]), **fill}
+                "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:]), **fill}
     if "lifted" in snippets:
         # only scanners need the pass, so the other commands never import it
         from ._hoist import hoist

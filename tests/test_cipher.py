@@ -1053,29 +1053,33 @@ def row_choice(tree):
     return choice
 
 
+DECISION = "if (q1 + q2) % 256 == t0:\n    passed.append((a, b))"
+
+
 def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
-    # symbol 0's last step sets x alone. Before the keystream compare, its
-    # y' = fmod(x + (1 - b) y, n) is computed only in the bound test, after
-    # the guard, which is True in the key loop (every key of a row that
-    # runs it is boxed), so a key that misses never computes it; a key
-    # that passes takes the step in full after the compare. So in the key loop
+    # symbol 0's last step sets x alone. Its y' = fmod(x + (1 - b) y, n) is
+    # computed only in the bound test, after the guard, which is True in
+    # the key loop (every key of a row that runs it is boxed), so no key
+    # computes it in the scanner: the key code ends at the compare, and a
+    # key that passes it is handed on as (a, b), for the finish kernel to
+    # run from the start state, its last y of symbol 0 included. So in the
+    # key loop
     for n1, n2, side in [(2, 2, None), (1, 2, None), (3, 3, (2, 2)), (2, 2, (1, 3))]:
         loops = key_loops(scanner_tree(MapKind.ARNOLD, n1, n2, side))
         assert len(loops) == 1
-        code = loops[0].body[0].body
-        compare = next(k for k, stmt in enumerate(code)
-                       if ast.unparse(stmt).startswith("if (q1 + q2) % 256 != t0:"))
+        *steps, decision = loops[0].body[0].body
+        assert ast.unparse(decision) == DECISION, (n1, n2, side)
 
-        def sets(stmt, name):
-            return isinstance(stmt, ast.Assign) and name in [
-                node.id for target in stmt.targets for node in ast.walk(target)
-                if isinstance(node, ast.Name)]
+        def assigned(stmt):
+            return [node.id for target in getattr(stmt, "targets", [])
+                    for node in ast.walk(target) if isinstance(node, ast.Name)]
 
-        last_y = max(k for k in range(compare) if sets(code[k], "y"))
-        last_x = max(k for k in range(compare) if sets(code[k], "x"))
+        last_y = max(k for k, stmt in enumerate(steps) if "y" in assigned(stmt))
+        last_x = max(k for k, stmt in enumerate(steps) if "x" in assigned(stmt))
         assert last_y < last_x, (n1, n2, side)
+        assert assigned(steps[last_x]) == ["x"], (n1, n2, side)
         y_steps = []
-        for stmt in code[last_y + 1:compare]:
+        for stmt in steps[last_y + 1:]:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
                     assert ast.unparse(node.values[0]) == "True"
@@ -1083,7 +1087,6 @@ def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
             y_steps += [node for node in ast.walk(stmt)
                         if re.fullmatch(r"fmod\(x \+ _c\d+ \* y, n\)", ast.unparse(node))]
         assert y_steps == [], (n1, n2, side)
-        assert any(sets(stmt, "x") and sets(stmt, "y") for stmt in code[compare + 1:])
 
 
 def test_scanner_without_a_side_schedule_keeps_no_side_work_per_key():
@@ -1144,11 +1147,11 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
             # the key loop neither stores nor reads the guard
             assert not [line for line in lines if re.search(rf"\b{guarded}\b", line)], (
                 kind, n1, n2, side)
-            # the key code runs symbol 0 alone, with no loop over later
-            # symbols, and ends handing the key on with its state, to go
-            # on from symbol 1
-            *symbol_0, last = loop.body[0].body
-            assert ast.unparse(last) == "passed.append((a, b, x, y, 1))"
+            # the key code runs symbol 0's keystream alone, with no loop
+            # over later symbols, and ends in the compare, which hands a
+            # key that passes on as (a, b), to run from the start state
+            *symbol_0, decision = loop.body[0].body
+            assert ast.unparse(decision) == DECISION, (kind, n1, n2, side)
             assert not [node for node in ast.walk(loop.body[0]) if isinstance(node, ast.For)]
             tests = [stmt for stmt in symbol_0 if isinstance(stmt, ast.If)
                      and "1000000.0" in ast.unparse(stmt.test)
@@ -1160,14 +1163,23 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
                 (test,) = tests
                 assert " or " not in ast.unparse(test.test), (n1, n2, side)
                 assert [ast.unparse(stmt) for stmt in test.body] == ["diverged += 1"] + (
-                    ["side.append((a, b, x0, y0, 0))"] if side else []) + ["continue"]
+                    ["side.append((a, b))"] if side else []) + ["continue"]
             # a row that fails the guard's test makes no map step: it only
-            # hands each of its keys on, with its start state and k = 0
+            # hands each of its keys on, as (a, b)
             hand_on = [ast.unparse(stmt) for stmt in choice.orelse]
-            assert re.fullmatch(r"keys = \[\(a, b, x0, y0, 0\) for b(, _c\d+)* in columns\]",
+            assert re.fullmatch(r"keys = \[\(a, b\) for b(, _c\d+)* in columns\]",
                                 hand_on[0]), hand_on
             assert hand_on[1:] == ["passed += keys"] + (
                 ["side += keys"] if side else []), (kind, n1, n2, side)
+            # every key goes on as (a, b) alone: no scanner reads symbol
+            # 0's input or the feedback table, nor mixes or feeds back
+            tree = scanner_tree(kind, n1, n2, side)
+            assert not [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                        and node.id in ("feed", "c0", "z", "x_prev")], (kind, n1, n2, side)
+            handed = [ast.unparse(node.args[0]) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) in ("passed.append", "side.append")]
+            assert set(handed) == {"(a, b)"}, (kind, n1, n2, side)
 
 
 def test_lift_pass_keeps_an_if_body_that_reads_invariants():
@@ -1178,19 +1190,18 @@ def test_lift_pass_keeps_an_if_body_that_reads_invariants():
 
     head = "x, y = x0, y0\nz = x * a\n"
     snippets = hoist(head + "if z > b:\n    found.append((a, b))\n")
-    assert snippets["row_lifts"] == "_r9 = x0 * a\n"
-    assert "if _r9 > b:\n    found.append((a, b))\n" in snippets["key_code"]
+    assert snippets["row_lifts"] == "_r7 = x0 * a\n"
+    assert "if _r7 > b:\n    found.append((a, b))\n" in snippets["key_code"]
     for body in ("found.append(z)", "found.append(x)", "a = 1.0", "b = 2.0", "q = 0.5"):
         with pytest.raises(ValueError, match="cannot lift across"):
             hoist(head + f"if z > b:\n    {body}\n")
-    # an expression statement keeps its place, and reads each name that
-    # stands for another value as that value
-    assert hoist(head + "found.append((a, z))\n")["key_code"] == "found.append((a, _r9))\n"
-    # a subscript stays where it is, like floor and %, also of the grid
-    # invariant feed: by a key value, it stays in the key code
-    snippets = hoist(head + "z = floor(z * b)\nx = fmod(x + feed[z], 1.0)\n")
-    assert "feed" not in snippets["grid_lifts"] + snippets["row_lifts"] + snippets["column_lifts"]
-    assert "z = floor(_r9 * b)\nx = fmod(x0 + feed[z], 1.0)\n" in snippets["key_code"]
+    # the hand-off sits in an if body, so no region holds an expression
+    # statement or a subscript, and the pass refuses both, also of an
+    # invariant such as a, or of a name that stands for one
+    for tail in ("found.append((a, z))", "found.append(a)", "x = fmod(x + feed[z], 1.0)",
+                 "w = table[a]", "w = (a, b)"):
+        with pytest.raises(ValueError, match="cannot lift across"):
+            hoist(head + tail + "\n")
 
 
 def loops_around(tree: ast.AST, expression: str) -> list[tuple[str, ...]]:

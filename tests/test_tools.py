@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -53,3 +54,71 @@ def test_recorded_runs_read_the_standard_librarys_bytecode_and_no_other(tmp_path
     assert not Path(importlib.util.cache_from_source(cipher.__file__)).exists()
     files = [path for path in tmp_path.rglob("*") if not path.is_dir()]
     assert files and all(path.is_symlink() and path.suffix == ".pyc" for path in files)
+
+
+def test_adding_to_a_record_refuses_another_setting_or_commit(tmp_path, monkeypatch):
+    # a record's python, cores, seconds and each label's commit describe
+    # every cell in it, so a call that would change one for the cells
+    # already there is refused before any run, and the file is left as it was
+    tool = load_tool("bench_record")
+
+    def run_once(*args):
+        raise AssertionError("a refused call runs nothing")
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    root = str(TOOLS.parent)
+    sha = tool.git(TOOLS.parent, "rev-parse", "HEAD")
+    setting = {"python": tool.platform.python_version(), "cores": tool.os.cpu_count(),
+               "seconds": 30.0}
+    cell = {"0": {"parent": {"runs": []}}}
+    path = tmp_path / "record.json"
+    for clash, argv in (
+            ({}, ["--seconds", "1"]),
+            ({"python": "2.7.18"}, []),
+            ({"checkouts": {"parent": {"sha": "0" * 40, "dirty": False}}}, []),
+    ):
+        record = {**setting, "checkouts": {"parent": {"sha": sha, "dirty": False}},
+                  "workloads": {"report_tables": cell}, **clash}
+        text = json.dumps(record)
+        path.write_text(text)
+        assert tool.main(["--out", str(path), "--checkout", f"parent={root}",
+                          "--workloads", "report_tables", "--runs", "1", *argv]) == 2
+        assert path.read_text() == text
+
+
+def test_interleave_of_a_checkout_with_itself_agrees(monkeypatch, capsys):
+    # both copies of the package run in this process, each with its own
+    # modules, and the caller's modules and path are put back at the end
+    tool = load_tool("bench_record")
+    monkeypatch.chdir(TOOLS.parent)
+    path, modules = sys.path[:], {name: module for name, module in sys.modules.items()
+                                  if name.startswith("chaoscrypt")}
+    assert tool.main(["--interleave", ".", ".", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    rows = [line.split()[0] for line in out.splitlines()[2:-1]]
+    assert rows == list(tool.INTERLEAVE_OPS)
+    assert out.splitlines()[-1] == "outputs agree"
+    assert sys.path == path
+    assert {name: module for name, module in sys.modules.items()
+            if name.startswith("chaoscrypt")} == modules
+
+
+def test_interleave_tells_apart_a_package_with_other_outputs(tmp_path, capsys):
+    # a copy of the package whose default start state differs encrypts
+    # differently; a directory with no package cannot be loaded
+    tool = load_tool("bench_record")
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "other" / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "other" / "src" / "chaoscrypt" / "cipher.py"
+    text = source.read_text()
+    assert "MapKind.ARNOLD: State(0.5, 0.06)" in text
+    source.write_text(text.replace("MapKind.ARNOLD: State(0.5, 0.06)",
+                                   "MapKind.ARNOLD: State(0.5, 0.07)"))
+    assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "other"),
+                      "--pairs", "1"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("outputs differ: ")
+    differ = last.removeprefix("outputs differ: ").split(", ")
+    assert "encrypt" in differ and "decrypt" not in differ  # a copy decrypts its own output
+    assert not list((tmp_path / "other").rglob("__pycache__"))
+    assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "none")]) == 2

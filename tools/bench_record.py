@@ -4,22 +4,27 @@
         --checkout parent=../parent-checkout --checkout change=.
     python3 tools/bench_record.py --compare BENCH_7.json:parent BENCH_7.json:change
     python3 tools/bench_record.py --compare BENCH_6.json BENCH_7.json
+    python3 tools/bench_record.py --interleave ../parent-checkout . --pairs 40
 
-Recording runs `bench/run.py` inside each labelled checkout, `--runs` times
-per workload and seed, alternating which checkout goes first from one run
-to the next, so the runs of two checkouts pair up. Each run's last stdout
-line is kept (its `correct`, `attempted`, `failed` and metric values), and
-each metric gets its median and quartiles per checkout, workload and seed.
-The file also names each checkout's git commit (and whether its working
-tree differs from it), the Python version and the core count. It is
-rewritten after every run; recording into an existing file adds to it,
-replacing the workload and seed cells it records again. Every run looks
-for bytecode only under one fresh PYTHONPYCACHEPREFIX directory, made for
-the recording and removed at its end, which holds links to the
-interpreter's own standard-library bytecode and nothing else. So no run
-reads a `__pycache__` that a checkout holds, and a used checkout and a
-fresh copy of it compile the same way, while the standard library loads
-from its bytecode, as in a bare run, not from source.
+Recording runs `bench/run.py` inside each labelled checkout, `--runs`
+times per workload and seed, alternating which checkout goes first from
+one run to the next, so the runs of two checkouts pair up. Each run's last
+stdout line is kept (its `correct`, `attempted`, `failed` and metric
+values), and each metric gets its median and quartiles per checkout,
+workload and seed. The file also names each checkout's git commit (and
+whether its working tree differs from it), the Python version and the core
+count. It is rewritten after every run; recording into an existing file
+adds to it, replacing the workload and seed cells it records again. A
+record made under another Python version, core count or --seconds, or one
+that names another commit for a label of this call, is refused (exit 2)
+before any run, so that no cell is labelled with what another call
+measured. Every run looks for bytecode only under one fresh
+PYTHONPYCACHEPREFIX directory, made for the recording and removed at its
+end, which holds links to the interpreter's own standard-library bytecode
+and nothing else. So no run reads a `__pycache__` that a checkout holds,
+and a used checkout and a fresh copy of it compile the same way, while the
+standard library loads from its bytecode, as in a bare run, not from
+source.
 
 Comparing prints, for every end-to-end metric of BENCHMARK.json, the ratio
 of the two medians (new over base) on each workload and seed, and how many
@@ -29,20 +34,46 @@ that one record lacks, or has no run in yet, is skipped. Comparing gates
 nothing: the exit status is 0 whatever it prints. A record is FILE:LABEL;
 without a label it is the file's "change" record, or its only one.
 
+Interleaving times two checkouts' packages in this one process, with no
+subprocess, thread or file written: it loads each checkout's `src/`
+package under its own module objects, and swaps that checkout's
+`chaoscrypt` modules into `sys.modules` before each of its ops, so that
+an import made during an op (such as the scanner's lift pass) loads that
+checkout's module. Each op goes through the public API only: `report`
+is analysis_report over both packaged tables; `census` an
+identifiability_scan (iteration value 3) and a known_plaintext_attack
+over one box of about 5.5e4 keys at increment 1e-4 per kind; `encrypt`
+and `decrypt` 64 KiB per kind. Each checkout runs each op once to warm
+it, and the two checkouts' outputs of that run are compared as plain
+values. Then come --pairs pairs of timed runs per op, the two checkouts
+taking turns to go first. For each op it prints both median times, the
+median of the per-pair ratios (new over base) with a seeded bootstrap
+95% interval, and the pairs the new checkout wins. It exits 0 when the
+outputs agree, 1 when any differs (the timings are printed all the
+same), 2 when a checkout cannot be loaded, and 3 when the tool fails.
+
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
+import gc
+import importlib
 import json
 import os
+import pkgutil
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import sysconfig
 import tempfile
+import time
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,14 +150,23 @@ def record(args) -> int:
         checkouts[label] = checkout
     out = Path(args.out)
     result = json.loads(out.read_text()) if out.is_file() else {"workloads": {}}
-    result.update({
-        "python": platform.python_version(),
-        "cores": os.cpu_count(),
-        "seconds": args.seconds,
-        "checkouts": {label: {"sha": git(path, "rev-parse", "HEAD"),
-                              "dirty": bool(git(path, "status", "--porcelain"))}
-                      for label, path in checkouts.items()},
-    })
+    setting = {"python": platform.python_version(), "cores": os.cpu_count(),
+               "seconds": args.seconds}
+    labelled = {label: {"sha": git(path, "rev-parse", "HEAD"),
+                        "dirty": bool(git(path, "status", "--porcelain"))}
+                for label, path in checkouts.items()}
+    clashes = [f"{name} {result[name]!r}, not {value!r}" for name, value in setting.items()
+               if name in result and result[name] != value]
+    clashes += [f"label {label!r} at commit {result['checkouts'][label]['sha']}, "
+                f"not {commit['sha']}" for label, commit in labelled.items()
+                if label in result.get("checkouts", {})
+                and result["checkouts"][label].get("sha") != commit["sha"]]
+    if clashes:
+        print(f"error: {out} was recorded with " + "; ".join(clashes)
+              + ": record into another file", file=sys.stderr)
+        return 2
+    result.update(setting)
+    result["checkouts"] = {**result.get("checkouts", {}), **labelled}
     labels = list(checkouts)
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
         link_stdlib_bytecode(pycache)
@@ -188,6 +228,165 @@ def compare(base_spec: str, new_spec: str) -> int:
     return 0
 
 
+PACKAGE = "chaoscrypt"
+INTERLEAVE_OPS = ("report", "census", "encrypt", "decrypt")
+TABLES = ("table1_arnold", "table2_duffing")
+ROUNDTRIP_ROWS = {"table1_arnold": 12, "table2_duffing": 2}  # rows bounded on random bytes
+CENSUS_SIDE = 236  # keys per axis of a census box: 236^2 = 55 696
+BOOTSTRAP = 2000
+
+
+def _ours(name: str) -> bool:
+    return name == PACKAGE or name.startswith(PACKAGE + ".")
+
+
+def _activate(modules: dict) -> None:
+    """Make modules the package's entries of sys.modules, and no others."""
+    for name in [name for name in sys.modules if _ours(name)]:
+        del sys.modules[name]
+    sys.modules.update(modules)
+
+
+def load_tree(checkout: Path) -> dict:
+    """The package under checkout/src, every module of it imported, as a
+    dict of its sys.modules entries. sys.modules is left without them."""
+    src = (checkout / "src").resolve()
+    if not (src / PACKAGE / "__init__.py").is_file():
+        raise ImportError(f"no {PACKAGE} package under {src}")
+    _activate({})
+    sys.path.insert(0, str(src))
+    importlib.invalidate_caches()
+    try:
+        package = importlib.import_module(PACKAGE)
+        for module in pkgutil.iter_modules(package.__path__):
+            if module.name != "__main__":  # which would run the command line
+                importlib.import_module(f"{PACKAGE}.{module.name}")
+        modules = {name: module for name, module in sys.modules.items() if _ours(name)}
+    finally:
+        sys.path.remove(str(src))
+        _activate({})
+    return modules
+
+
+def make_ops(pkg) -> dict:
+    """Each interleaved op, as a function of no arguments that returns its
+    output, built from pkg's public API alone."""
+    specs = {table: pkg.load_report_spec(pkg.builtin_spec_path(table)) for table in TABLES}
+    message = random.Random("interleave").randbytes(1 << 16)
+    keys = [specs[table][row - 1][1] for table, row in ROUNDTRIP_ROWS.items()]
+    ciphertexts = [pkg.encrypt_bytes(message, key) for key in keys]
+    boxes = []
+    for table in TABLES:
+        text, key, domain = specs[table][0]
+        inc = domain.increment
+        lower = (key.params.a - CENSUS_SIDE // 2 * inc, key.params.b - CENSUS_SIDE // 2 * inc)
+        upper = (lower[0] + (CENSUS_SIDE - 1) * inc, lower[1] + (CENSUS_SIDE - 1) * inc)
+        box = pkg.KeyDomain(key.kind, lower, upper, inc, key.params.n_modulus)
+        boxes.append((text, key, box, pkg.encrypt_bytes(text.encode(), key)))
+
+    def census():
+        return [(pkg.identifiability_scan(text, key, box, iteration_value=3),
+                 pkg.known_plaintext_attack(ciphertext, text[:2], box))
+                for text, key, box, ciphertext in boxes]
+
+    return {
+        "report": lambda: [pkg.analysis_report(specs[table]) for table in TABLES],
+        "census": census,
+        "encrypt": lambda: [pkg.encrypt_bytes(message, key) for key in keys],
+        "decrypt": lambda: [pkg.decrypt(c, key) for c, key in zip(ciphertexts, keys)],
+    }
+
+
+def plain(value):
+    """value as plain data, equal for equal values from two copies of a
+    module: a dataclass as its type's name and fields, an enum member as
+    its type's name and value, a float as its hex form (so that NaN equals
+    NaN), bytes as hex and a tuple as a list."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [type(value).__name__, {field.name: plain(getattr(value, field.name))
+                                       for field in dataclasses.fields(value)}]
+    if isinstance(value, enum.Enum):
+        return [type(value).__name__, plain(value.value)]
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+def run_op(modules: dict, op) -> tuple[float, object]:
+    """op's time in seconds under modules, and its output as plain data
+    (an exception's type and text, when it raises)."""
+    _activate(modules)
+    gc.collect()
+    start = time.perf_counter()
+    try:
+        output = op()
+    except Exception as exc:
+        output = ["raised", type(exc).__name__, str(exc)]
+    elapsed = time.perf_counter() - start
+    return elapsed, plain(output)
+
+
+def ratio_interval(ratios: list[float], seed: int = 0) -> tuple[float, float]:
+    """A seeded bootstrap 95% interval of the median of ratios."""
+    rng = random.Random(seed)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP))
+    return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
+
+
+def interleave(base: str, new: str, pairs: int) -> int:
+    saved_modules = {name: module for name, module in sys.modules.items() if _ours(name)}
+    saved_path, writes = sys.path[:], sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # nothing is written into either checkout
+    try:
+        trees = []
+        for checkout in (base, new):
+            try:
+                modules = load_tree(Path(checkout))
+                _activate(modules)
+                trees.append((modules, make_ops(modules[PACKAGE])))
+            except Exception as exc:
+                print(f"error: cannot load the package of {checkout}: {exc!r}", file=sys.stderr)
+                return 2
+        return _interleave(trees, (base, new), pairs)
+    finally:
+        _activate(saved_modules)
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = writes
+
+
+def _interleave(trees: list, names: tuple, pairs: int) -> int:
+    differ = []
+    for op in INTERLEAVE_OPS:
+        outputs = [run_op(modules, ops[op])[1] for modules, ops in trees]
+        if outputs[0] != outputs[1]:
+            differ.append(op)
+    times = {op: ([], []) for op in INTERLEAVE_OPS}
+    for k in range(pairs):
+        order = (0, 1) if k % 2 == 0 else (1, 0)
+        for op in INTERLEAVE_OPS:
+            for t in order:
+                modules, ops = trees[t]
+                times[op][t].append(run_op(modules, ops[op])[0])
+    print(f"base {names[0]}, new {names[1]}: {pairs} interleaved pairs per op "
+          f"(Python {platform.python_version()}, {os.cpu_count()} cores)")
+    print(f"{'op':8} {'base ms':>9} {'new ms':>9} {'new/base':>8} {'95% interval':>15} "
+          f"{'new wins':>8}")
+    for op, (base, new) in times.items():
+        ratios = [n / b for b, n in zip(base, new)]
+        low, high = ratio_interval(ratios)
+        wins = sum(n < b for b, n in zip(base, new))
+        print(f"{op:8} {statistics.median(base) * 1e3:9.2f} {statistics.median(new) * 1e3:9.2f} "
+              f"{statistics.median(ratios):8.3f} {f'[{low:.3f}, {high:.3f}]':>15} "
+              f"{f'{wins}/{pairs}':>8}")
+    print(f"outputs differ: {', '.join(differ)}" if differ else "outputs agree")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--checkout", dest="checkouts", action="append", default=[],
@@ -199,7 +398,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0, help="bench/run.py --seconds")
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"),
                         help="compare two records, each FILE or FILE:LABEL")
+    parser.add_argument("--interleave", nargs=2, metavar=("BASE", "NEW"),
+                        help="time two checkouts' packages in interleaved pairs, in-process")
+    parser.add_argument("--pairs", type=int, default=40, help="--interleave pairs per op")
     args = parser.parse_args(argv)
+    if args.interleave:
+        if args.pairs < 1:
+            parser.error("--pairs must be at least 1")
+        try:
+            return interleave(*args.interleave, args.pairs)
+        except Exception:
+            traceback.print_exc()
+            return 3
     if args.compare:
         try:
             return compare(*args.compare)
