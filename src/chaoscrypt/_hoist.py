@@ -172,10 +172,8 @@ def hoist(region: str, guard: str = "") -> dict[str, str]:
     every invariant subtree lifted out of the key loop.
 
     region is straight-line code that reads the names of _INVARIANT before
-    it assigns them. Every key runs it until it leaves the loop, and the
-    only ways out before its last lifted subtree that can raise (one with
-    fmod) count the key as diverged. Nothing after it reads a name it
-    assigns. The snippets, each source lines that the splicer indents:
+    it assigns them. Every key runs it until it leaves the loop. Nothing
+    after it reads a name it assigns. The snippets, each source lines that the splicer indents:
     - grid_lifts, row_lifts, column_lifts: the lifted statements of each
       level, for the scanner to run once per call, per row and per
       column (`pass` when there are none);
@@ -207,10 +205,10 @@ def hoist(region: str, guard: str = "") -> dict[str, str]:
 
     Whole subtrees are moved, with every operation and operand order
     kept, so every float comes out bit for bit as before. Only fmod can
-    raise (ValueError, on an overflowed dividend). A key that runs the
-    region either reaches the lifted subtree or diverges first, so when
-    it raises, the scanner counts every key of that grid, row or column
-    as diverged: the outcome each would have had unlifted.
+    raise (ValueError, on an overflowed dividend). When a lifted value
+    raises, the scanner hands its whole tile on to the finish kernel,
+    which runs each key from the start state with nothing lifted, so each
+    key gets the outcome it would have had unlifted.
     """
     lifter, rewritten = _Lifter(_INVARIANT), {}
     # Each line at column 0 starts a statement; an if's body is indented

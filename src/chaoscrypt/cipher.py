@@ -16,14 +16,14 @@ the 256 increments gain * z / 256. It is spliced into two entry points,
 _BLOCK and _FINISH, and its keystream part, _KEYSTREAM, into a third,
 _SCAN; maps._kernel compiles each on first use for each map kind and
 pair of iteration counts (n1, n2), with every step written out inline.
-The block and finish entries take the table in place of the gain. The
-block and scan entries test their start state once, not once per
-symbol. The block entry runs one chunk of symbols and carries the state
-to the next; it is compiled once per direction, with the direction and
-the tracing chosen once per call: one block serves encrypt_bytes and
-encrypt_file, one encrypt with its traces, and one decrypt and
-decrypt_file. The file commands feed it 64 KiB reads and write each
-block through a temp file that replaces the output only on success.
+The block and finish entries take the table in place of the gain. Each
+entry tests its start state once per call, not once per symbol. The
+block entry runs one chunk of symbols and carries the state to the next;
+it is compiled once per direction, with the direction and the tracing
+chosen once per call: one block serves encrypt_bytes and encrypt_file,
+one encrypt with its traces, and one decrypt and decrypt_file. The file
+commands feed it 64 KiB reads and write each block through a temp file
+that replaces the output only on success.
 
 The grid scan behind _scan_grid serves the scans in analysis in two
 steps. The scanner runs a tile of grid keys per call, each a-value of
@@ -32,21 +32,22 @@ decides more than 99% of keys, and counts the keys that diverged. It
 runs it with its grid-, row- and column-invariant parts lifted out of
 its one key loop, which computes and tests no guard: a row that the
 map's bound guard does not clear for every key hands its keys on
-untried. Every key it hands on is an (a, b) alone. The finish kernel
-then runs each key from the start state, symbol 0 included, stops it at
-its first mismatching symbol and counts the keys that diverged. A scan
-takes one or two queries (data, reference, n1, n2), which share one
-config's start state, quantizer and gain. Its scanner runs the schedule
-(n1, n2) of the query with more steps, the main one, and decides the
-other, side query's symbol 0 from the same orbit: symbol 0 depends only
-on the key and the start state, so the main schedule's steps hold the
-side's. The finish kernel of the side query's schedule runs the keys
-that pass the side test, those the main query's bound test drops and
-those handed on, so that one grid pass gives each query what its own
-scan gives. Every scanner, with a side query or without, is the one
-template _SCAN compiled with the one fill _SCAN_FILL, and is called the
-same way: _scan_grid passes it each query's symbol-0 target, which it
-computes once.
+untried, as it does the whole tile when its start state or a lifted
+value fails. It loses no key, and hands each on as an (a, b) alone. The
+finish kernel then runs each key from the start state, symbol 0
+included, stops it at its first mismatching symbol and counts the keys
+that diverged. A scan takes one or two queries (data, reference, n1,
+n2), which share one config's start state, quantizer and gain. Its
+scanner runs the schedule (n1, n2) of the query with more steps, the
+main one, and decides the other, side query's symbol 0 from the same
+orbit: symbol 0 depends only on the key and the start state, so the main
+schedule's steps hold the side's. The finish kernel of the side query's
+schedule runs the keys that pass the side test, those the main query's
+bound test drops and those handed on, so that one grid pass gives each
+query what its own scan gives. Every scanner, with a side query or
+without, is the one template _SCAN compiled with the one fill
+_SCAN_FILL, and is called the same way: _scan_grid passes it each
+query's symbol-0 target, which it computes once.
 """
 
 from __future__ import annotations
@@ -193,10 +194,9 @@ def quantize(s: State, cfg: CipherConfig) -> int:
 # (an infinite table entry, or a sum past the largest float) makes fmod
 # raise ValueError, which each entry treats as a divergence.
 #
-# The body does not test the state it starts from: the block and scan
-# entries test their start state once ($entry), the finisher starts from
-# the one the scanner tested, and a finished symbol leaves a state that
-# passes that test. Duffing's last step tested y, and the feedback only
+# The body does not test the state it starts from: each entry tests its
+# start state once per call ($entry), and a finished symbol leaves a state
+# that passes that test. Duffing's last step tested y, and the feedback only
 # moves x; Arnold's states stay finite, as fmod raises on an overflowed
 # feedback. (A NaN fed back, which no config allows, fails the next
 # symbol anyway: at a bound test, or at floor(nan), which raises
@@ -265,10 +265,8 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # key (a, b) of a tile, a in a_values and b in b_values, and returns the
 # keys (a, b), in row-major order, that go on to _FINISH: those whose
 # output for symbol 0 is e0 and those it hands on (below); the count of
-# keys it lost, never run; the count of keys that diverged in its key
-# loop; and side (below). Every key starts from (x0, y0), so a start
-# state that fails $entry loses every key, and _FINISH runs every key it
-# gets from (x0, y0) again.
+# keys that diverged in its key loop; and side (below). It loses no key,
+# and _FINISH runs every key it gets from (x0, y0) again.
 #
 # A key runs $lifted: its setup, start state, symbol 0's keystream
 # (_KEYSTREAM) and the decision _MATCH_0. maps._kernel hands that code to
@@ -276,10 +274,12 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # loops ($grid_lifts), its row-invariant ones out of the column loop
 # ($row_lifts) and its column-invariant ones into a table with one entry
 # per b ($column_lifts, $column_values), and returns the rest as
-# $key_code (see there). A lifted value that overflows diverges every key
-# that depends on it, a grid's, a row's or a column's, and the scanner
-# counts them as lost where the lift fails: a failed column's keys once,
-# as the table leaves that column out.
+# $key_code (see there). A start state that fails $entry, or a grid or
+# column lift that raises (only fmod can, on an overflowed dividend),
+# hands the whole tile on, to side too, for _FINISH to decide each key
+# exactly. No row lift holds an fmod (after step 1 Arnold's x depends on
+# the row alone and its y on the column alone; Duffing has none), and a
+# key-loop key runs bounded arithmetic, so neither needs a handler.
 #
 # More than 99% of keys stop at symbol 0, so a key does only what decides
 # that: the output (c0 + q1 + q2) % 256 is e0 exactly when the keystream
@@ -301,8 +301,7 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # exact as the key loop runs only keys that pass the guard: an Arnold key
 # takes no bound test and cannot raise before the compare, and a Duffing
 # key that passes the main query's one exact test had every earlier y
-# inside the box (no_return). Lost keys are lost to both: only lifted
-# fmods raise, in step 1. A scanner without a side schedule has every
+# inside the box (no_return). A scanner without a side schedule has every
 # $side_ snippet blank and returns side empty.
 #
 # A key's guard (maps._STEP_SOURCE) is "column value <= row value", so
@@ -316,42 +315,34 @@ _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, t0, target):
     side = []
     x, y = x0, y0
-    if not ($entry):
-        return [], len(a_values) * len(b_values), 0, side
-    try:
-        $grid_lifts
-    except ValueError:
-        return [], len(a_values) * len(b_values), 0, side
     columns = []
-    lost = diverged = 0
     top = 0.0
-    for b in b_values:
-        try:
+    try:
+        if not ($entry):
+            raise ValueError
+        $grid_lifts
+        for b in b_values:
             $column_lifts
             columns.append(($column_values))
             if top == top and not $guard_column <= top:
                 top = $guard_column
-        except ValueError:
-            lost += len(a_values)
+    except ValueError:
+        keys = [(a, b) for a in a_values for b in b_values]
+        $side_hand_on
+        return keys, 0, side
     passed = []
+    diverged = 0
     for a in a_values:
-        try:
-            $row_lifts
-        except ValueError:
-            lost += len(columns)
-            continue
+        $row_lifts
         if top <= $guard_row:
             for column in columns:
-                try:
-                    $column_values = column
-                    $key_code
-                except ValueError:
-                    diverged += 1
+                $column_values = column
+                $key_code
         else:
             keys = [(a, b) for $column_values in columns]
             passed += keys
             $side_hand_on
-    return passed, lost, diverged, side
+    return passed, diverged, side
 """
 _MATCH_0 = """\
 $side_check
@@ -376,11 +367,13 @@ _SCAN_FILL = {
 # key (a, b) of keys, from the start state (x0, y0), and returns the keys
 # that match every pair, in the order given, and the count of keys that
 # diverged before their first mismatching symbol. It serves every key the
-# scanner hands on, for the main query and the side one. Each key runs
-# $setup, which computes its guard, and starts from a state that passes
-# $entry: the scanner tested (x0, y0), and a finished symbol leaves one.
+# scanner hands on, for the main query and the side one. A start state
+# failing $entry diverges every key; $setup computes a key's guard.
 _FINISH = """\
 def finish(keys, n, x0, y0, q, feed, pairs):
+    x, y = x0, y0
+    if not ($entry):
+        return [], len(keys)
     hits, diverged = [], 0
     for a, b in keys:
         $setup
@@ -494,8 +487,7 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     scanner takes the other as its side schedule. Each query's symbol-0
     target is computed here, once. The finish kernel of each query's
     (n1, n2) then runs all of that query's keys in one call, each from
-    cfg's start state; the keys the scanner lost count as diverged in
-    each.
+    cfg's start state; the main query's count adds the scanner's.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
     targets = [(reference[0] - data[0]) % SYMBOL_MODULUS for data, reference, _, _ in queries]
@@ -504,12 +496,12 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     scan = _kernel(kind, _SCAN, n1, n2, tuple(side[2:]) if side else None, **_SCAN_FILL)
     scanned = len(tile[0]) * len(tile[1])
     start, q, feed = cfg.initial_state, cfg.quant_scale, _feed(cfg.reinject_gain)
-    passed, lost, diverged, matches = scan(*tile, n_modulus, start.x, start.y, q, targets[main],
-                                           targets[1 - main] if side else None)
+    passed, diverged, matches = scan(*tile, n_modulus, start.x, start.y, q, targets[main],
+                                     targets[1 - main] if side else None)
     # each query's keys and the count that diverged in the scanner
-    runs = [(queries[main], passed, lost + diverged)]
+    runs = [(queries[main], passed, diverged)]
     if side:
-        runs.insert(1 - main, (side, matches, lost))
+        runs.insert(1 - main, (side, matches, 0))
     found = []
     for (data, reference, n1, n2), keys, earlier in runs:
         finish = _kernel(kind, _FINISH, n1, n2, **_FINISH_FILL)

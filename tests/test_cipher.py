@@ -796,6 +796,11 @@ def scan_cases(draw):
 # feedback would overflow, so it is a miss, not a divergence
 @example((MapKind.ARNOLD, (-4.22, 0.28), 0.01, 1.0, (range(3), range(7)),
           CipherConfig(State(0.5, 0.06), 1, 1, 7.0, 1e308), b"\xfe\xe0", [(2, 2)]))
+# a start y outside the box diverges every key at symbol 0, also the key
+# a = 4e12 = (2e6)^2, which brings y back to 0 at step 1 and, untested,
+# would give the reference byte
+@example((MapKind.DUFFING, (4e12, 0.01), 1e-3, 1.0, (range(7), range(1)),
+          CipherConfig(State(0.0, 2e6), 1, 1), b"\0", [(0, 0)]))
 def test_scan_grid_matches_per_key_oracle(case):
     kind, (a0, b0), inc, n, (rows, columns), cfg, data, refs = case
     s = cfg.initial_state
@@ -970,6 +975,10 @@ def duffing_guard_cases(draw):
 # row 1 is past it at every column
 @example((([0.0, 2e11], [0.0, 1e3, 2.56e18]), CipherConfig(State(0.0, 200.0), 1, 1),
           b"ab", [(b"ab", b"cd", 1, 1), (b"x", b"y", 2, 2)]))
+# a start y outside the box, from which the key a = 4e12 = (2e6)^2 would
+# come back into it at step 1 and give the 1/1 query's reference byte
+@example((([4e12 + k * 1e-3 for k in range(7)], [0.01]), CipherConfig(State(0.0, 2e6), 1, 1),
+          b"\0", [(b"\0", b"\0", 1, 1), (b"\0", b"\0", 1, 2)]))
 def test_duffing_guard_matches_checked_oracle(case):
     tile, cfg, data, queries = case
     for a in tile[0]:
@@ -1067,7 +1076,7 @@ def test_scanner_puts_a_boxed_keys_last_y_after_the_compare():
     for n1, n2, side in [(2, 2, None), (1, 2, None), (3, 3, (2, 2)), (2, 2, (1, 3))]:
         loops = key_loops(scanner_tree(MapKind.ARNOLD, n1, n2, side))
         assert len(loops) == 1
-        *steps, decision = loops[0].body[0].body
+        *steps, decision = loops[0].body
         assert ast.unparse(decision) == DECISION, (n1, n2, side)
 
         def assigned(stmt):
@@ -1150,9 +1159,10 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
             # the key code runs symbol 0's keystream alone, with no loop
             # over later symbols, and ends in the compare, which hands a
             # key that passes on as (a, b), to run from the start state
-            *symbol_0, decision = loop.body[0].body
+            *symbol_0, decision = loop.body
             assert ast.unparse(decision) == DECISION, (kind, n1, n2, side)
-            assert not [node for node in ast.walk(loop.body[0]) if isinstance(node, ast.For)]
+            assert not [node for stmt in loop.body for node in ast.walk(stmt)
+                        if isinstance(node, ast.For)]
             tests = [stmt for stmt in symbol_0 if isinstance(stmt, ast.If)
                      and "1000000.0" in ast.unparse(stmt.test)
                      and not ast.unparse(stmt.test).startswith("not (True or ")]
@@ -1180,6 +1190,51 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func) in ("passed.append", "side.append")]
             assert set(handed) == {"(a, b)"}, (kind, n1, n2, side)
+
+
+def test_scanner_decides_or_hands_on_every_key_and_loses_none():
+    # A scanner's one handler encloses its entry test, grid lifts and
+    # column lifts: a start state that fails the test, or a lift that
+    # raises, hands the whole tile on, for the finish kernel to decide
+    # each key from the start state. The row lifts and the key code run
+    # under no handler. That is exact as no row lift holds an fmod, the
+    # one lifted call that can raise: after step 1, Arnold's x depends on
+    # the row alone and its y on the column alone, and Duffing's steps
+    # hold no fmod. A key of a row that passes the guard runs bounded
+    # arithmetic alone.
+    schedules = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)] + [(1000, 1000)]
+    for kind in MapKind:
+        for n1, n2 in schedules:
+            for side in (None, (1, 1), (n2, n1)):
+                scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
+                source = "".join(linecache.getlines(scan.__code__.co_filename))
+                assert not re.search(r"\blost\b", source), (kind, n1, n2, side)
+                # the one try and the row loop are statements of the function
+                # itself, so the handler encloses no row lift and no key code
+                assert len(re.findall(r"^ *try:$", source, re.MULTILINE)) == 1
+                function = ast.parse(source).body[0].body
+                (handler,) = [stmt for stmt in function if isinstance(stmt, ast.Try)]
+                (rows,) = [stmt for stmt in function if isinstance(stmt, ast.For)
+                           and ast.unparse(stmt.target) == "a"]
+                assert [ast.unparse(stmt) for stmt in handler.handlers[0].body] == (
+                    ["keys = [(a, b) for a in a_values for b in b_values]"]
+                    + (["side += keys"] if side else []) + ["return (keys, 0, side)"])
+                assert ast.unparse(function[-1]) == "return (passed, diverged, side)"
+                row_lifts = rows.body[:-1]
+                assert ast.unparse(rows.body[-1].test).startswith("top <=")
+                assert row_lifts, (kind, n1, n2, side)
+                assert not [ast.unparse(stmt) for stmt in row_lifts
+                            if "fmod" in ast.unparse(stmt)], (kind, n1, n2, side)
+
+
+def test_finish_kernel_tests_its_own_start_state():
+    # The finish kernel tests the start state it is given, as the block
+    # and scan entries test theirs: from (0, 2e6), outside the box, every
+    # key diverges at symbol 0. Untested, the key a = 4e12 = (2e6)^2 would
+    # bring y back to 0 at step 1 and give the expected byte 0.
+    finish = maps._kernel(MapKind.DUFFING, cipher._FINISH, 1, 1, **cipher._FINISH_FILL)
+    keys = [(4e12 + k * 1e-3, 0.01) for k in range(7)]
+    assert finish(keys, 1.0, 0.0, 2e6, 1e6, cipher._feed(1.0), [(0, 0)]) == ([], 7)
 
 
 def test_lift_pass_keeps_an_if_body_that_reads_invariants():
