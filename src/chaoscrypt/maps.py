@@ -266,6 +266,8 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     Its file name names the kind, the function, n1/n2, the side schedule
     and the variant, which tells apart the fills of one template, and
     linecache holds its source, so a traceback through it shows its lines.
+    So each file name names one source; tools/parity.py reports any name
+    compiled with two.
     """
     run = ["$between_step\n"] * (n1 + n2)
     if run:

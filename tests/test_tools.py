@@ -122,3 +122,73 @@ def test_interleave_tells_apart_a_package_with_other_outputs(tmp_path, capsys):
     assert "encrypt" in differ and "decrypt" not in differ  # a copy decrypts its own output
     assert not list((tmp_path / "other").rglob("__pycache__"))
     assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "none")]) == 2
+
+
+# Hand-built parity collections: each kernel's file name maps to the
+# sources compiled under it, as parity._collect gathers them.
+FINISH = "def finish(keys, x0, y0):\n    x, y = x0, y0\n    return keys\n"
+SCANNER = ("def scan(a_values, columns):\n    passed = []\n    for a in a_values:\n"
+           "        for column in columns:\n            b = column\n"
+           "            passed.append((a, b))\n    return passed\n")
+
+
+def parity_collection(**changes):
+    kernels = {"<chaoscrypt arnold finish 1/1>": [FINISH],
+               "<chaoscrypt arnold finish 2/2>": [FINISH],
+               "<chaoscrypt arnold scan 1/1>": [SCANNER],
+               "<chaoscrypt duffing scan 2/2+1/1>": [SCANNER]}
+    return {"kernels": {**kernels, **changes}, "outputs": {"cipher 0 encrypt": "00ff"}}
+
+
+def test_parity_of_a_collection_with_itself_is_empty():
+    assert load_tool("parity").compare(parity_collection(), parity_collection()) == []
+
+
+def test_parity_groups_identical_kernel_changes_by_family():
+    # one line changed in both Arnold finish kernels, and one in the key
+    # loop of one scanner: a group each, naming its kernels' family
+    finish, scanner = FINISH.replace("x0, y0\n", "y0, x0\n"), SCANNER.replace("(a, b)", "(b, a)")
+    new = parity_collection(**{"<chaoscrypt arnold finish 1/1>": [finish],
+                               "<chaoscrypt arnold finish 2/2>": [finish],
+                               "<chaoscrypt arnold scan 1/1>": [scanner]})
+    assert load_tool("parity").compare(parity_collection(), new) == [
+        "outside the key loop differs in 2 kernels (2 <chaoscrypt KIND finish #/#>):",
+        "    -    x, y = x0, y0",
+        "    +    x, y = y0, x0",
+        "key loop differs in 1 kernels (1 <chaoscrypt KIND scan #/#>):",
+        "    -    passed.append((a, b))",
+        "    +    passed.append((b, a))",
+    ]
+
+
+def test_parity_counts_the_kernels_one_checkout_compiles_by_family():
+    tool = load_tool("parity")
+    new = parity_collection(**{"<chaoscrypt duffing finish 3/4>": [FINISH],
+                               "<chaoscrypt arnold finish 1000/1000>": [FINISH]})
+    assert tool.compare(parity_collection(), new) == [
+        "kernels only in the change: 2 <chaoscrypt KIND finish #/#>"]
+    assert tool.compare(new, parity_collection()) == [
+        "kernels only in the parent: 2 <chaoscrypt KIND finish #/#>"]
+
+
+def test_parity_reports_a_file_name_with_two_sources_against_itself():
+    # linecache holds one source per file name, so a traceback through
+    # either kernel would show the lines of the one compiled last
+    clash = parity_collection(**{"<chaoscrypt arnold block 1/1>": [FINISH, SCANNER]})
+    assert load_tool("parity").compare(clash, clash) == [
+        "kernel <chaoscrypt arnold block 1/1> has 2 sources in the parent",
+        "kernel <chaoscrypt arnold block 1/1> has 2 sources in the change"]
+
+
+def test_parity_folds_a_run_of_repeated_steps_into_one_item():
+    old = "def orbit(x, y):\n" + "    x, y = y, x + y\n" * 1000 + "    return x, y\n"
+    new = old.replace("x + y\n", "x - y\n")
+    name = "<chaoscrypt arnold orbit 0/0>"
+    assert load_tool("parity").compare(parity_collection(**{name: [old]}),
+                                       parity_collection(**{name: [new]})) == [
+        "outside the key loop differs in 1 kernels (1 <chaoscrypt KIND orbit #/#>):",
+        "    -    x, y = y, x + y",
+        "    -  (1000 times in a row)",
+        "    +    x, y = y, x - y",
+        "    +  (1000 times in a row)",
+    ]

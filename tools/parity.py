@@ -6,16 +6,16 @@ PARENT and CHANGE are checkout directories (each with the package under
 `src/`). For each one the tool starts one Python subprocess that imports
 that checkout's package and collects:
 
-- the source of every kernel the package generates, each keyed by the
-  call that compiled it: the orbit generator of each map kind; for each
-  kind and (n1, n2) in {1..4}^2 and (1000, 1000), the blocks that
-  `encrypt_bytes`, `encrypt` and `decrypt` compile, the single-query
-  scanner and the fused scanner of every side schedule with no more
-  steps (1/1, 2/2 and 3/3 at 1000/1000), with the finish kernel of each
-  query's schedule, compiled through `cipher._scan_grid`. Before each
-  call the kernel cache and the kernel sources in `linecache` are
-  cleared, so each call yields what it compiles, even where two variants
-  share one file name;
+- the source of every kernel the package generates, keyed by its
+  `<chaoscrypt ...>` file name: the orbit generator of each map kind;
+  for each kind and (n1, n2) in {1..4}^2 and (1000, 1000), the blocks
+  that `encrypt_bytes`, `encrypt` and `decrypt` compile, the
+  single-query scanner and the fused scanner of every side schedule with
+  no more steps (1/1, 2/2 and 3/3 at 1000/1000), with the finish kernel
+  of each query's schedule, compiled through `cipher._scan_grid`. Each
+  compile call's kernels are read from `linecache`, which is cleared of
+  kernel sources before the call, so a file name under which the package
+  compiles two different sources is seen to have both;
 - the outputs of a seeded case set: ciphertexts, traces (floats as
   `float.hex`), decryptions, `DivergenceError` texts and symbols,
   orbits, single and fused `_scan_grid` calls, the fused ones with the
@@ -31,15 +31,18 @@ that checkout's package and collects:
   symbol 0, so that the keys that pass symbol 0 with it mismatch or
   overflow at symbol 1.
 
-It prints every difference: the kernel sources that differ, split into
-the scanner's key loops (the per-key code), each compared with the
-parent's (or, where the two differ in their count of loops, with the
-closest one), and the lines outside them, and grouped by identical
-difference, with each run of a repeated block of lines written once;
-the kernels that one checkout compiles and the other does not (where a
-call compiles a different count, the kernels are paired by file name);
-file names that differ; and each output that differs. It exits 0 when
-there is none, 1 when there is any, and 2 when a checkout cannot be read.
+It prints every difference: each file name under which a checkout
+compiles more than one source (a traceback through a kernel shows the
+lines that linecache holds for its file name, so a name must name one
+source); the kernels that one checkout compiles and the other does not,
+counted by family (the file name with its digits as `#` and its map kind
+as `KIND`); the kernel sources that differ, each file name in both
+checkouts compared with itself, split into the scanner's key loop (the
+per-key code) and the lines outside it, and grouped by identical
+difference, each group naming its families and their counts, with each
+run of a repeated block of lines written once; and each output that
+differs. It exits 0 when there is none, 1 when there is any, and 2 when
+a checkout cannot be read.
 
 Standard library only. Running it on one checkout against itself
 (`python3 tools/parity.py . .`) must print no difference.
@@ -54,6 +57,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 SCHEDULES = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)]
@@ -87,39 +91,38 @@ def _collect() -> dict:
     from chaoscrypt.cipher import Key, decrypt, default_config, encrypt, encrypt_bytes
     from chaoscrypt.maps import DivergenceError, MapKind, MapParams, State
 
-    def sources() -> list:
-        return sorted([name, "".join(entry[2])] for name, entry in linecache.cache.items()
-                      if name.startswith("<chaoscrypt"))
+    kernels = {}
 
-    def compiled(call) -> list:
-        maps._kernel.cache_clear()
+    def compiled(call):
+        """Runs call and adds each kernel source it compiles to kernels,
+        under its file name."""
         for name in [name for name in linecache.cache if name.startswith("<chaoscrypt")]:
             del linecache.cache[name]
         call()
-        return sources()
+        for name, entry in linecache.cache.items():
+            if name.startswith("<chaoscrypt"):
+                source, sources = "".join(entry[2]), kernels.setdefault(name, [])
+                if source not in sources:
+                    sources.append(source)
 
     def scan(kind, cfg, queries, tile=([], []), n_modulus=1.0):
         return cipher._scan_grid(kind, n_modulus, cfg, queries, tile)
 
-    kernels = {}
     for kind in MapKind:
         params = MapParams(*BOXES[kind.value][0][0])
-        kernels[f"{kind.value} orbit"] = compiled(
-            lambda: maps.iterate(kind, State(0.1, 0.1), params, 1))
+        compiled(lambda: maps.iterate(kind, State(0.1, 0.1), params, 1))
         key = Key(kind, params)
         for n1, n2 in SCHEDULES + [LARGE]:
             cfg = replace(default_config(kind), n1=n1, n2=n2)
-            at = f"{kind.value} {n1}/{n2}"
-            for name, run in (("encrypt_bytes", encrypt_bytes), ("encrypt", encrypt),
-                              ("decrypt", decrypt)):
-                kernels[f"{at} {name}"] = compiled(lambda: run(b"", key, cfg))
+            for run in (encrypt_bytes, encrypt, decrypt):
+                compiled(lambda: run(b"", key, cfg))
             query = (b"\0", b"\0", n1, n2)
-            kernels[f"{at} scan"] = compiled(lambda: scan(kind, cfg, [query]))
+            compiled(lambda: scan(kind, cfg, [query]))
             sides = LARGE_SIDES if (n1, n2) == LARGE else [
                 side for side in SCHEDULES if sum(side) <= n1 + n2]
             for m1, m2 in sides:
                 queries = [query, (b"\0", b"\0", m1, m2)]
-                kernels[f"{at}+{m1}/{m2} scan"] = compiled(lambda: scan(kind, cfg, queries))
+                compiled(lambda: scan(kind, cfg, queries))
 
     rng = random.Random(SEED)
 
@@ -343,39 +346,31 @@ def collect(checkout: Path) -> dict:
     return found
 
 
-def _key_loops(source: str) -> tuple[list[str], str]:
-    """A scanner's key loops (each `for column in columns:` block, dedented)
-    and the source around them, each loop left as one marker line; a
-    source without one is all around."""
-    lines, loops, around, k = source.splitlines(True), [], [], 0
+def _key_loop(source: str) -> tuple[str, str]:
+    """A scanner's key loop (the `for column in columns:` block, dedented)
+    and the source around it, the loop left as one marker line; a source
+    without one is all around."""
+    lines, loop, around, k = source.splitlines(True), [], [], 0
     while k < len(lines):
         indent = len(lines[k]) - len(lines[k].lstrip())
         end = k + 1
         if lines[k].strip() == "for column in columns:":
             while end < len(lines) and len(lines[end]) - len(lines[end].lstrip()) > indent:
                 end += 1
-            loops.append(textwrap.dedent("".join(lines[k:end])))
+            loop.append(textwrap.dedent("".join(lines[k:end])))
             around.append(" " * indent + "<key loop>\n")
         else:
             around.append(lines[k])
         k = end
-    return loops, "".join(around)
+    return "".join(loop), "".join(around)
 
 
-def _paired(old: list[str], new: list[str]) -> list[tuple[str, str, str]]:
-    """The key loops of two versions of one kernel, paired for comparing:
-    by position when both have as many, or else each loop of the version
-    with more paired with the closest loop of the other (an empty one when
-    it has none), and named by its place in that version."""
-    if len(old) == len(new):
-        pairs = list(zip(old, new))
-    elif len(new) > len(old):
-        pairs = [(min(old, default="", key=lambda o: len(_changed(o, loop))), loop)
-                 for loop in new]
-    else:
-        pairs = [(loop, min(new, default="", key=lambda n: len(_changed(loop, n))))
-                 for loop in old]
-    return [(f"key loop {k + 1}/{len(pairs)}", *pair) for k, pair in enumerate(pairs)]
+def _counted(names) -> str:
+    """The families of kernel file names (a name with its map kind as KIND
+    and each number as #), each with its count."""
+    families = Counter(re.sub(r"\d+", "#", re.sub(r"^<chaoscrypt \S+", "<chaoscrypt KIND", name))
+                       for name in names)
+    return ", ".join(f"{count} {family}" for family, count in families.items())
 
 
 def _folded(text: str) -> list[str]:
@@ -413,44 +408,25 @@ def _changed(old: str, new: str) -> tuple[str, ...]:
 def compare(base: dict, new: dict) -> list[str]:
     """The report of every difference between two collections; empty
     when they agree."""
-    report = []
-    groups: dict[tuple, list[str]] = {}
-    for call in sorted(base["kernels"].keys() | new["kernels"].keys()):
-        if call not in base["kernels"] or call not in new["kernels"]:
-            side = "change" if call in new["kernels"] else "parent"
-            report.append(f"kernel call {call!r} only in the {side}")
+    report, only, groups = [], {"parent": [], "change": []}, {}
+    for name in sorted(base["kernels"].keys() | new["kernels"].keys()):
+        old, changed = base["kernels"].get(name), new["kernels"].get(name)
+        for side, sources in (("parent", old), ("change", changed)):
+            if sources and len(sources) > 1:
+                report.append(f"kernel {name} has {len(sources)} sources in the {side}")
+        if not (old and changed):
+            only["change" if changed else "parent"].append(name)
             continue
-        old_kernels, new_kernels = base["kernels"][call], new["kernels"][call]
-        kind = call.split()[0]
-
-        def pattern(name: str) -> str:
-            return re.sub(r"\d+", "#", name.replace(kind, "KIND"))
-
-        if len(old_kernels) == len(new_kernels):
-            pairs = list(zip(old_kernels, new_kernels))
-        else:
-            # the kernels both compile, paired by file name; the others
-            # are compiled by one checkout only
-            old_named, new_named = dict(old_kernels), dict(new_kernels)
-            pairs = [((name, old_named[name]), (name, new_named[name]))
-                     for name in sorted(old_named.keys() & new_named.keys())]
-            groups.setdefault(("compiled kernels", tuple(
-                ("+ " if name in new_named else "- ") + pattern(name)
-                for name in sorted(old_named.keys() ^ new_named.keys()))), []).append(call)
-        for (old_name, old_source), (new_name, new_source) in pairs:
-            if old_name != new_name:
-                groups.setdefault(("file name", ("- " + pattern(old_name),
-                                                 "+ " + pattern(new_name))), []).append(call)
-            (old_loops, old_around), (new_loops, new_around) = map(_key_loops,
-                                                                  (old_source, new_source))
-            for region, old_part, new_part in [*_paired(old_loops, new_loops),
-                                               ("outside the key loops", old_around, new_around)]:
-                lines = _changed(old_part, new_part)
-                if lines:
-                    groups.setdefault((region, lines), []).append(call)
-    for (region, lines), calls in groups.items():
-        shown = ", ".join(calls[:4]) + (", ..." if len(calls) > 4 else "")
-        report.append(f"{region} differs in {len(calls)} kernels ({shown}):")
+        for region, old_part, new_part in zip(("key loop", "outside the key loop"),
+                                              _key_loop(old[0]), _key_loop(changed[0])):
+            lines = _changed(old_part, new_part)
+            if lines:
+                groups.setdefault((region, lines), []).append(name)
+    for side, names in only.items():
+        if names:
+            report.append(f"kernels only in the {side}: {_counted(names)}")
+    for (region, lines), names in groups.items():
+        report.append(f"{region} differs in {len(names)} kernels ({_counted(names)}):")
         report += [f"    {line}" for line in lines]
     for case in sorted(base["outputs"].keys() | new["outputs"].keys()):
         old, changed = base["outputs"].get(case), new["outputs"].get(case)
@@ -469,10 +445,9 @@ def main(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = compare(base, new)
-    print(f"parent {argv[0]}: {len(base['kernels'])} compile calls, {len(base['outputs'])} "
-          f"outputs (Python {base['python']})")
-    print(f"change {argv[1]}: {len(new['kernels'])} compile calls, {len(new['outputs'])} "
-          f"outputs (Python {new['python']})")
+    for label, checkout, found in (("parent", argv[0], base), ("change", argv[1], new)):
+        print(f"{label} {checkout}: {len(found['kernels'])} kernels, {len(found['outputs'])} "
+              f"outputs (Python {found['python']})")
     print("\n".join(report) if report else "no difference")
     return 1 if report else 0
 
