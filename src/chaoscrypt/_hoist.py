@@ -166,7 +166,7 @@ def _code(stmts: list[ast.stmt]) -> str:
     return "".join(ast.unparse(stmt) + "\n" for stmt in stmts)
 
 
-def hoist(region: str, guard: str = "") -> dict[str, str]:
+def hoist(region: str) -> dict[str, str]:
     """The snippets that run region, the code a scanner's key runs (its
     first symbol's keystream, then the if that hands the key on), with
     every invariant subtree lifted out of the key loop.
@@ -184,10 +184,7 @@ def hoist(region: str, guard: str = "") -> dict[str, str]:
     - key_code: region with its invariant subtrees replaced by the names
       that hold them, and each name that stands for another by its value
       (a name is not given its value back at the end, as nothing after
-      the region reads it);
-    - guard_column, guard_row, given a guard "column value <= row value"
-      of the names that region's first line binds: the names that hold
-      its two sides.
+      the region reads it).
 
     The pass follows each name's current value through the region, so
     that after `x, y = x0, y0` the name x stands for x0. It takes out
@@ -216,31 +213,19 @@ def hoist(region: str, guard: str = "") -> dict[str, str]:
     # parsed: parsing the region whole would take longer than compiling
     # the scanner does. A text that changes the state is never met again
     # in the state it started from.
-    texts, key_code, snippets = [], [], {}
+    texts, key_code = [], []
     for line in region.splitlines(keepends=True):
         if line.startswith(" "):
             texts[-1] += line
         else:
             texts.append(line)
-    for k, text in enumerate(texts):
+    for text in texts:
         seen = text, lifter.version
         if seen not in rewritten:
             rewritten[seen] = _code([s for stmt in ast.parse(text).body
                                      for s in lifter.statement(stmt)])
         key_code.append(rewritten[seen])
-        if guard and k == 0:
-            # the guard is lifted where a key would compute it, after the
-            # region's first line, the setup that binds the names it reads
-            test, _ = lifter.visit(ast.parse(guard, mode="eval").body)
-            if not (isinstance(test, ast.Compare) and [type(op) for op in test.ops] == [ast.LtE]
-                    and lifter.visit(test.left, False)[1] in (_GRID, _COLUMN)
-                    and lifter.visit(test.comparators[0], False)[1] in (_GRID, _ROW)):
-                raise ValueError(
-                    f"cannot split the guard {guard!r} into a column's value <= a row's")
-            snippets.update(guard_column=ast.unparse(test.left),
-                            guard_row=ast.unparse(test.comparators[0]))
-    snippets["key_code"] = "".join(key_code)
     columns = [name for name, level in lifter.levels.items() if level == _COLUMN]
     lifts = {f"{name}_lifts": _code(lifter.lifted[level] or [ast.Pass()])
              for name, level in (("grid", _GRID), ("row", _ROW), ("column", _COLUMN))}
-    return {**lifts, "column_values": ", ".join(columns), **snippets}
+    return {**lifts, "column_values": ", ".join(columns), "key_code": "".join(key_code)}

@@ -304,13 +304,14 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # inside the box (no_return). A scanner without a side schedule has every
 # $side_ snippet blank and returns side empty.
 #
-# A key's guard (maps._STEP_SOURCE) is "column value <= row value", so
-# top, the largest column value of the tile (NaN once one is NaN),
-# decides it per row. The key loop, compiled with the guard as the
-# literal True, which the compiler folds away with the bound tests it
-# skips, runs each row whose value is at least top. Any other row, or
-# one whose comparison is NaN, takes no map step and hands its keys on,
-# to side too, for _FINISH to run with their guards.
+# A key's guard (maps._STEP_SOURCE) is "$guard_column <= $guard_row",
+# so the column loop computes each column's $guard_column once and keeps
+# the largest in top (NaN once one is NaN), and each row decides the
+# guard for all its keys at once: it tests top <= $guard_row. The key
+# loop, compiled with the guard as the literal True, which the compiler
+# folds away with the bound tests it skips, runs each row that passes.
+# Any other row, or one whose comparison is NaN, takes no map step and
+# hands its keys on, to side too, for _FINISH to run with their guards.
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, t0, target):
     side = []
@@ -324,8 +325,9 @@ def scan(a_values, b_values, n, x0, y0, q, t0, target):
         for b in b_values:
             $column_lifts
             columns.append(($column_values))
-            if top == top and not $guard_column <= top:
-                top = $guard_column
+            value = $guard_column
+            if top == top and not value <= top:
+                top = value
     except ValueError:
         keys = [(a, b) for a in a_values for b in b_values]
         $side_hand_on

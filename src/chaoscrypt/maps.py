@@ -143,7 +143,8 @@ def signed_mod(dividend: float, divisor: float) -> float:
 # The two step equations, each spelled once, with their bound tests:
 # - setup: a statement binding names from the parameters (a, b, n),
 #   among them the name guarded holds, set to the key's guard (below);
-# - guard: that guard, an expression, which the tests read as $guarded;
+# - guard: that guard, an expression of its two sides guard_column and
+#   guard_row (below), which the tests read as $guarded;
 # - x, y: the next state's coordinates, as expressions of the state (x, y);
 # - entry: a test of the state a run of steps starts from;
 # - inside: a test that the state ($new_x, $new_y) a step made is in the
@@ -175,13 +176,16 @@ def signed_mod(dividend: float, divisor: float) -> float:
 #   which boxed would let through, into a failed test. Otherwise both
 #   coordinates are tested. boxed also bounds |x + (1-b) y|, so for a
 #   boxed key fmod cannot raise on it: _SPLIT_STEP may leave y' out.
-# Each guard has the form "column value <= row value", a value of b
-# against a value of a, so that a scanner lifts both out of its key loop
-# and decides it for a whole row at once (see cipher._SCAN).
+# Each guard is "$guard_column <= $guard_row", two fields: guard_column
+# an expression of b and n, guard_row one of a and n. A scanner computes
+# the first once per column and the second once per row, and so decides
+# the guard for a whole row at once (see cipher._SCAN).
 _STEP_SOURCE = {
     MapKind.ARNOLD: {
         "setup": "a1, b1 = a - 1.0, 1.0 - b; boxed = $guard",
-        "guard": "abs(b1) * n <= $bound - (1.0 + abs(a1)) * n",
+        "guard_column": "abs(1.0 - b) * n",
+        "guard_row": "$bound - (1.0 + abs(a - 1.0)) * n",
+        "guard": "$guard_column <= $guard_row",
         "guarded": "boxed",
         "x": "a1 * fmod(2.0 * x + y, n)",
         "y": "fmod(x + b1 * y, n)",
@@ -191,7 +195,9 @@ _STEP_SOURCE = {
     },
     MapKind.DUFFING: {
         "setup": "nb = -b; no_return = $guard",
-        "guard": "abs(b) <= 1e11 - abs(a)",
+        "guard_column": "abs(b)",
+        "guard_row": "1e11 - abs(a)",
+        "guard": "$guard_column <= $guard_row",
         "guarded": "no_return",
         "x": "y",
         "y": "nb * x + a * y - y * y * y",
@@ -256,12 +262,12 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     last, which is $last_step, the tested step unless the fill says
     otherwise) and the caller's fill. A fill with a $lifted snippet (the
     scanner's) also gets the snippets that _hoist.hoist makes of it,
-    spliced with $guard and $guarded as True, and of $guard. A side
-    schedule (n1', n2'), with n1' + n2' <= n1 + n2, adds two lines to the
-    steps of $lifted alone, $side_snapshot after its step n1' and
-    $side_snapshot_2 after its step n1' + n2', and changes none; without
-    one, every $side_ snippet is blank. A line that splices to nothing but
-    blanks is dropped. fmod, floor and abs are locals of the function, as
+    spliced with $guard and $guarded as True. A side schedule (n1', n2'),
+    with n1' + n2' <= n1 + n2, adds two lines to the steps of $lifted
+    alone, $side_snapshot after its step n1' and $side_snapshot_2 after
+    its step n1' + n2', and changes none; without one, every $side_
+    snippet is blank. A line that splices to nothing but blanks is
+    dropped. fmod, floor and abs are locals of the function, as
     keyword-only defaults, and DivergenceError its global.
     Its file name names the kind, the function, n1/n2, the side schedule
     and the variant, which tells apart the fills of one template, and
@@ -286,7 +292,7 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
             snippets.update({name: "" for name in fill if name.startswith("side_")})
         free = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:]),
                 "guard": "True", "guarded": "True"}
-        snippets.update(hoist(_splice("$lifted", free), _splice("$guard", snippets)))
+        snippets.update(hoist(_splice("$lifted", free)))
     template = template.replace("):\n", ", *, fmod=fmod, floor=floor, abs=abs):\n", 1)
     source = "".join(line for line in _splice(template, snippets).splitlines(True)
                      if not line.isspace())

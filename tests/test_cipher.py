@@ -1277,10 +1277,12 @@ def loops_around(tree: ast.AST, expression: str) -> list[tuple[str, ...]]:
 
 
 def test_scanner_lifts_invariant_values_out_of_its_loops():
-    # Each value is computed once, in the loop of the level it is invariant
-    # at: the call's (no loop), a row's (for a) or a column's (for b), not
-    # in the key loop (for column). A template name that the lift pass does
-    # not know would leave them there.
+    # Each value is computed only in the loop of the level it is invariant
+    # at: the call's (no loop), a row's (for a) or a column's (for b), and
+    # never in the key loop (for column). A template name that the lift
+    # pass does not know would leave them there. A guard's side may compute
+    # a lifted value again at its own level: the row choice computes
+    # a - 1.0, and the column loop 1.0 - b.
     lifted = {
         MapKind.ARNOLD: {"fmod(2.0 * x0 + y0, n)": (), "a - 1.0": ("a",), "1.0 - b": ("b",)},
         MapKind.DUFFING: {"y0 * y0 * y0": (), "-b": ("b",)},
@@ -1294,4 +1296,38 @@ def test_scanner_lifts_invariant_values_out_of_its_loops():
                              r"|end_of_lifts", source)
         tree = ast.parse(source)
         for expression, loops in places.items():
-            assert loops_around(tree, expression) == [loops], expression
+            found = loops_around(tree, expression)
+            assert found and set(found) == {loops}, (expression, found)
+
+
+def test_scanner_computes_each_side_of_the_guard_at_its_own_level():
+    # the column loop computes the guard's column side, as _STEP_SOURCE
+    # spells it, and keeps the largest in top; the row choice compares top
+    # with the row side. top takes a value of its own, not one the column
+    # table holds, so the key loop unpacks no guard value it never reads.
+    schedules = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)] + [(1000, 1000)]
+    for kind in MapKind:
+        fields = {**maps._STEP_SOURCE[kind], "bound": repr(maps.DIVERGENCE_BOUND)}
+        column, row = (maps._splice(f"${name}", fields) for name in ("guard_column", "guard_row"))
+        for n1, n2 in schedules:
+            for side in (None, (1, 1), (n2, n1)):
+                at = kind, n1, n2, side
+                scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
+                source = "".join(linecache.getlines(scan.__code__.co_filename))
+                assert source.count(column) == source.count(row) == 1, at
+                function = ast.parse(source).body[0].body
+                (handler,) = [stmt for stmt in function if isinstance(stmt, ast.Try)]
+                (columns,) = [stmt for stmt in handler.body if isinstance(stmt, ast.For)]
+                (rows,) = [stmt for stmt in function if isinstance(stmt, ast.For)
+                           and ast.unparse(stmt.target) == "a"]
+                assert ast.unparse(columns.target) == "b", at
+                assert ast.unparse(columns.iter) == "b_values", at
+                assert column in ast.get_source_segment(source, columns), at
+                assert ast.get_source_segment(source, rows.body[-1].test) == f"top <= {row}", at
+                (table,) = [node.args[0] for node in ast.walk(columns)
+                            if isinstance(node, ast.Call)
+                            and ast.unparse(node.func) == "columns.append"]
+                (top,) = [node.value for node in ast.walk(columns)
+                          if isinstance(node, ast.Assign)
+                          and [ast.unparse(target) for target in node.targets] == ["top"]]
+                assert ast.unparse(top) not in [ast.unparse(name) for name in table.elts], at

@@ -192,3 +192,40 @@ def test_parity_folds_a_run_of_repeated_steps_into_one_item():
         "    +    x, y = y, x - y",
         "    +  (1000 times in a row)",
     ]
+
+
+def test_parity_shows_a_re_indented_key_loop_by_the_lines_it_loses():
+    # a key loop that loses its try/except and moves up one level shows
+    # those lines and one constant marker for the rest, so two scanners
+    # with different bodies fall into one group
+    tool = load_tool("parity")
+    guarded = ("def scan(a_values, columns):\n    passed = []\n    for a in a_values:\n"
+               "        for column in columns:\n            try:\n                b = column\n"
+               "                $body\n            except ValueError:\n"
+               "                passed.append(None)\n    return passed\n")
+    bare = ("def scan(a_values, columns):\n    passed = []\n    for a in a_values:\n"
+            "        for column in columns:\n            b = column\n            $body\n"
+            "    return passed\n")
+    old, new = {}, {}
+    for name, body in (("<chaoscrypt arnold scan 1/1>", "passed.append((a, b))"),
+                       ("<chaoscrypt duffing scan 2/2+1/1>", "passed.append((b, a))")):
+        old[name], new[name] = ([source.replace("$body", body)] for source in (guarded, bare))
+    assert tool.compare(parity_collection(**old), parity_collection(**new)) == [
+        "key loop differs in 2 kernels (1 <chaoscrypt KIND scan #/#>, "
+        "1 <chaoscrypt KIND scan #/#+#/#>):",
+        "    -    try:",
+        "    -    except ValueError:",
+        "    -        passed.append(None)",
+        "    ~ re-indented lines not shown",
+    ]
+
+
+def test_parity_reports_a_change_of_indentation_alone():
+    # lines are matched without their indentation, but a change of it is
+    # still a difference
+    finish = FINISH.replace("    x, y", "        x, y")
+    new = parity_collection(**{"<chaoscrypt arnold finish 1/1>": [finish]})
+    assert load_tool("parity").compare(parity_collection(), new) == [
+        "outside the key loop differs in 1 kernels (1 <chaoscrypt KIND finish #/#>):",
+        "    ~ re-indented lines not shown",
+    ]

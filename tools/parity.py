@@ -40,8 +40,9 @@ as `KIND`); the kernel sources that differ, each file name in both
 checkouts compared with itself, split into the scanner's key loop (the
 per-key code) and the lines outside it, and grouped by identical
 difference, each group naming its families and their counts, with each
-run of a repeated block of lines written once; and each output that
-differs. It exits 0 when there is none, 1 when there is any, and 2 when
+run of a repeated block of lines written once and lines matched without
+their indentation (a block that only moves to another level shows as one
+line, `~ re-indented lines not shown`); and each output that differs. It exits 0 when there is none, 1 when there is any, and 2 when
 a checkout cannot be read.
 
 Standard library only. Running it on one checkout against itself
@@ -396,13 +397,20 @@ def _folded(text: str) -> list[str]:
 
 def _changed(old: str, new: str) -> tuple[str, ...]:
     """The lines that old loses and new gains, in order, with each run of
-    a repeated block folded (see _folded)."""
+    a repeated block folded (see _folded). Items are matched by their text
+    with each line's leading whitespace removed, so a re-indented block
+    shows only the lines it loses or gains, and then a constant last line
+    `~ re-indented lines not shown`, which groups like any other."""
     a, b = _folded(old), _folded(new)
-    return tuple(sign + line
-                 for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(
-                     None, a, b, autojunk=False).get_opcodes() if tag != "equal"
-                 for sign, items in (("-", a[i1:i2]), ("+", b[j1:j2]))
-                 for item in items for line in item.split("\n"))
+    lines, reindented = [], False
+    bare = [[re.sub(r"(?m)^[ \t]+", "", item) for item in items] for items in (a, b)]
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, *bare, autojunk=False).get_opcodes():
+        if tag == "equal":
+            reindented = reindented or a[i1:i2] != b[j1:j2]
+        else:
+            lines += [sign + line for sign, items in (("-", a[i1:i2]), ("+", b[j1:j2]))
+                      for item in items for line in item.split("\n")]
+    return tuple(lines + ["~ re-indented lines not shown"] * reindented)
 
 
 def compare(base: dict, new: dict) -> list[str]:
