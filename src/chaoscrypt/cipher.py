@@ -28,23 +28,23 @@ that replaces the output only on success.
 The grid scan behind _scan_grid serves the scans in analysis in two
 steps. The scanner runs a tile of grid keys per call, each a-value of
 the tile against each b-value, through symbol 0's keystream alone, which
-decides more than 99% of keys, and counts the keys that diverged. It
-runs it with its grid-, row- and column-invariant parts lifted out of
-its one key loop, which computes and tests no guard: a row that the
-map's bound guard does not clear for every key hands its keys on
-untried, as it does the whole tile when its start state or a lifted
-value fails. It loses no key, and hands each on as an (a, b) alone. The
-finish kernel then runs each key from the start state, symbol 0
-included, stops it at its first mismatching symbol and counts the keys
-that diverged. A scan takes one or two queries (data, reference, n1,
-n2), which share one config's start state, quantizer and gain. Its
-scanner runs the schedule (n1, n2) of the query with more steps, the
-main one, and decides the other, side query's symbol 0 from the same
-orbit: symbol 0 depends only on the key and the start state, so the main
+rejects more than 99% of keys; it hands every key it cannot reject on,
+as an (a, b) alone, one whose orbit leaves the box included. It runs
+that with its grid-, row- and column-invariant parts lifted out of its
+one key loop, which computes and tests no guard: a row that the map's
+bound guard does not clear for every key hands its keys on untried, as
+every row does when the start state or a lifted value fails. The finish
+kernel then runs each key from the start state, symbol 0 included, stops
+it at its first mismatching symbol and alone counts the keys that
+diverged. A scan takes one or two queries (data, reference, n1, n2),
+which share one config's start state, quantizer and gain. Its scanner
+runs the schedule (n1, n2) of the query with more steps, the main one,
+and decides the other, side query's symbol 0 from the same orbit:
+symbol 0 depends only on the key and the start state, so the main
 schedule's steps hold the side's. The finish kernel of the side query's
-schedule runs the keys that pass the side test, those the main query's
-bound test drops and those handed on, so that one grid pass gives each
-query what its own scan gives. Every scanner, with a side query or
+schedule runs the keys that pass the side test, those that fail the
+main query's bound test and those handed on, so that one grid pass gives
+each query what its own scan gives. Every scanner, with a side query or
 without, is the one template _SCAN compiled with the one fill
 _SCAN_FILL, and is called the same way: _scan_grid passes it each
 query's symbol-0 target, which it computes once.
@@ -261,12 +261,12 @@ _BLOCK_FILL = {
 }
 _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, x, y)"}
 
-# Entry point 2, the grid scanner: runs symbol 0's keystream under each
-# key (a, b) of a tile, a in a_values and b in b_values, and returns the
-# keys (a, b), in row-major order, that go on to _FINISH: those whose
-# output for symbol 0 is e0 and those it hands on (below); the count of
-# keys that diverged in its key loop; and side (below). It loses no key,
-# and _FINISH runs every key it gets from (x0, y0) again.
+# Entry point 2, the grid scanner, a filter: runs symbol 0's keystream
+# under each key (a, b) of a tile, a in a_values and b in b_values, and
+# returns (passed, side): the keys, in row-major order, whose symbol 0 it
+# cannot prove wrong, and side (below). It counts nothing: a key whose
+# orbit leaves the box goes on too ($diverge), and _FINISH, which runs
+# each key again from (x0, y0), fails it at the same test, before output.
 #
 # A key runs $lifted: its setup, start state, symbol 0's keystream
 # (_KEYSTREAM) and the decision _MATCH_0. maps._kernel hands that code to
@@ -276,10 +276,11 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # per b ($column_lifts, $column_values), and returns the rest as
 # $key_code (see there). A start state that fails $entry, or a grid or
 # column lift that raises (only fmod can, on an overflowed dividend),
-# hands the whole tile on, to side too, for _FINISH to decide each key
-# exactly. No row lift holds an fmod (after step 1 Arnold's x depends on
-# the row alone and its y on the column alone; Duffing has none), and a
-# key-loop key runs bounded arithmetic, so neither needs a handler.
+# sets top to NaN, so that every row hands its keys on (below). Only the
+# key loop reads the row lifts, so they run under the row choice. No row
+# lift holds an fmod (after step 1 Arnold's x depends on the row alone
+# and its y on the column alone; Duffing has none), and a key-loop key
+# runs bounded arithmetic, so neither needs a handler.
 #
 # More than 99% of keys stop at symbol 0, so a key does only what decides
 # that: the output (c0 + q1 + q2) % 256 is e0 exactly when the keystream
@@ -296,8 +297,8 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # share with q: snapshots of x after step n1' (side_s1x) and step
 # n1' + n2' (side_s2x), and, right before the main compare, $side_check,
 # which compares (q1' + q2') % 256 with target, the side query's t0. The
-# keys that pass it, and each key the main query's bound test drops
-# ($side_drop), go to side, for _FINISH to run the side query. This is
+# keys that pass it, and each key that fails the main query's bound test
+# ($diverge), go to side, for _FINISH to run the side query. This is
 # exact as the key loop runs only keys that pass the guard: an Arnold key
 # takes no bound test and cannot raise before the compare, and a Duffing
 # key that passes the main query's one exact test had every earlier y
@@ -314,7 +315,7 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # hands its keys on, to side too, for _FINISH to run with their guards.
 _SCAN = """\
 def scan(a_values, b_values, n, x0, y0, q, t0, target):
-    side = []
+    passed, side = [], []
     x, y = x0, y0
     columns = []
     top = 0.0
@@ -329,22 +330,18 @@ def scan(a_values, b_values, n, x0, y0, q, t0, target):
             if top == top and not value <= top:
                 top = value
     except ValueError:
-        keys = [(a, b) for a in a_values for b in b_values]
-        $side_hand_on
-        return keys, 0, side
-    passed = []
-    diverged = 0
+        top = float("nan")
     for a in a_values:
-        $row_lifts
         if top <= $guard_row:
+            $row_lifts
             for column in columns:
                 $column_values = column
                 $key_code
         else:
-            keys = [(a, b) for $column_values in columns]
+            keys = [(a, b) for b in b_values]
             passed += keys
             $side_hand_on
-    return passed, diverged, side
+    return passed, side
 """
 _MATCH_0 = """\
 $side_check
@@ -355,7 +352,7 @@ _SCAN_FILL = {
     "lifted": "$setup\nx, y = x0, y0\n" + _KEYSTREAM + _MATCH_0,
     "snapshot": "s1x = x",
     "modulus": repr(SYMBOL_MODULUS),
-    "diverge": "diverged += 1\n$side_drop\ncontinue",
+    "diverge": "passed.append((a, b))\n$side_drop\ncontinue",
     "last_step": "$split_step",
     "side_snapshot": "side_s1x = x",
     "side_snapshot_2": "side_s2x = x",
@@ -368,9 +365,10 @@ _SCAN_FILL = {
 # Entry point 3, the finisher: runs the (c, expected) pairs under each
 # key (a, b) of keys, from the start state (x0, y0), and returns the keys
 # that match every pair, in the order given, and the count of keys that
-# diverged before their first mismatching symbol. It serves every key the
-# scanner hands on, for the main query and the side one. A start state
-# failing $entry diverges every key; $setup computes a key's guard.
+# diverged before their first mismatching symbol, the only count of them:
+# it runs every key the scanner cannot decide, for the main query and the
+# side one. A start state failing $entry diverges every key; $setup
+# computes a key's guard.
 _FINISH = """\
 def finish(keys, n, x0, y0, q, feed, pairs):
     x, y = x0, y0
@@ -489,7 +487,7 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     scanner takes the other as its side schedule. Each query's symbol-0
     target is computed here, once. The finish kernel of each query's
     (n1, n2) then runs all of that query's keys in one call, each from
-    cfg's start state; the main query's count adds the scanner's.
+    cfg's start state, and gives the only count of diverged keys.
     """
     main = max(range(len(queries)), key=lambda k: sum(queries[k][2:]))
     targets = [(reference[0] - data[0]) % SYMBOL_MODULUS for data, reference, _, _ in queries]
@@ -498,18 +496,16 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     scan = _kernel(kind, _SCAN, n1, n2, tuple(side[2:]) if side else None, **_SCAN_FILL)
     scanned = len(tile[0]) * len(tile[1])
     start, q, feed = cfg.initial_state, cfg.quant_scale, _feed(cfg.reinject_gain)
-    passed, diverged, matches = scan(*tile, n_modulus, start.x, start.y, q, targets[main],
-                                     targets[1 - main] if side else None)
-    # each query's keys and the count that diverged in the scanner
-    runs = [(queries[main], passed, diverged)]
+    passed, matches = scan(*tile, n_modulus, start.x, start.y, q, targets[main],
+                           targets[1 - main] if side else None)
+    runs = [(queries[main], passed)]
     if side:
-        runs.insert(1 - main, (side, matches, 0))
+        runs.insert(1 - main, (side, matches))
     found = []
-    for (data, reference, n1, n2), keys, earlier in runs:
+    for (data, reference, n1, n2), keys in runs:
         finish = _kernel(kind, _FINISH, n1, n2, **_FINISH_FILL)
-        hits, later = finish(keys, n_modulus, start.x, start.y, q, feed,
-                             list(zip(data, reference)))
-        found.append((hits, earlier + later))
+        found.append(finish(keys, n_modulus, start.x, start.y, q, feed,
+                            list(zip(data, reference))))
     return scanned, found
 
 

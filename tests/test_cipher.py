@@ -1151,7 +1151,10 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
         for n1, n2, side in [(1, 1, None), (2, 2, None), (3, 2, None), (2, 2, (1, 1)),
                              (2, 2, (1, 3)), (3, 3, (2, 2)), (2, 3, (1, 4)), (4, 4, (1, 2))]:
             choice = row_choice(scanner_tree(kind, n1, n2, side))
-            (loop,) = choice.body
+            # the row lifts, which only the key loop reads, then the loop
+            *row_lifts, loop = choice.body
+            assert [stmt for stmt in row_lifts if not isinstance(stmt, ast.Assign)] == []
+            assert isinstance(loop, ast.For) and ast.unparse(loop.target) == "column"
             lines = ast.unparse(loop).splitlines()
             # the key loop neither stores nor reads the guard
             assert not [line for line in lines if re.search(rf"\b{guarded}\b", line)], (
@@ -1169,17 +1172,17 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
             if kind is MapKind.ARNOLD:
                 assert tests == [], (n1, n2, side)
             else:
-                # a key the test drops goes on to the side query from symbol 0
+                # a key the test drops goes on, from symbol 0, to the
+                # finish kernel of the main query and of the side one,
+                # which count it as diverged
                 (test,) = tests
                 assert " or " not in ast.unparse(test.test), (n1, n2, side)
-                assert [ast.unparse(stmt) for stmt in test.body] == ["diverged += 1"] + (
+                assert [ast.unparse(stmt) for stmt in test.body] == ["passed.append((a, b))"] + (
                     ["side.append((a, b))"] if side else []) + ["continue"]
             # a row that fails the guard's test makes no map step: it only
             # hands each of its keys on, as (a, b)
-            hand_on = [ast.unparse(stmt) for stmt in choice.orelse]
-            assert re.fullmatch(r"keys = \[\(a, b\) for b(, _c\d+)* in columns\]",
-                                hand_on[0]), hand_on
-            assert hand_on[1:] == ["passed += keys"] + (
+            assert [ast.unparse(stmt) for stmt in choice.orelse] == [
+                "keys = [(a, b) for b in b_values]", "passed += keys"] + (
                 ["side += keys"] if side else []), (kind, n1, n2, side)
             # every key goes on as (a, b) alone: no scanner reads symbol
             # 0's input or the feedback table, nor mixes or feeds back
@@ -1193,38 +1196,88 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
 
 
 def test_scanner_decides_or_hands_on_every_key_and_loses_none():
-    # A scanner's one handler encloses its entry test, grid lifts and
-    # column lifts: a start state that fails the test, or a lift that
-    # raises, hands the whole tile on, for the finish kernel to decide
-    # each key from the start state. The row lifts and the key code run
-    # under no handler. That is exact as no row lift holds an fmod, the
-    # one lifted call that can raise: after step 1, Arnold's x depends on
-    # the row alone and its y on the column alone, and Duffing's steps
-    # hold no fmod. A key of a row that passes the guard runs bounded
-    # arithmetic alone.
+    # A scanner only rejects keys: it drops a key when it proves its
+    # symbol 0 wrong, and hands every other key on, for the finish kernel
+    # to decide from the start state, and to count if it diverges. Its one
+    # handler encloses its entry test, grid lifts and column lifts: a start
+    # state that fails the test, or a lift that raises, sets top to NaN, so
+    # that every row fails the row choice and hands its keys on through
+    # the one row hand-on. The row lifts and the key code run under no
+    # handler. That is exact as no row lift holds an fmod, the one lifted
+    # call that can raise: after step 1, Arnold's x depends on the row
+    # alone and its y on the column alone, and Duffing's steps hold no
+    # fmod. A key of a row that passes the guard runs bounded arithmetic
+    # alone.
     schedules = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)] + [(1000, 1000)]
     for kind in MapKind:
         for n1, n2 in schedules:
             for side in (None, (1, 1), (n2, n1)):
                 scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
                 source = "".join(linecache.getlines(scan.__code__.co_filename))
-                assert not re.search(r"\blost\b", source), (kind, n1, n2, side)
+                assert not re.search(r"\b(lost|diverged)\b", source), (kind, n1, n2, side)
                 # the one try and the row loop are statements of the function
                 # itself, so the handler encloses no row lift and no key code
                 assert len(re.findall(r"^ *try:$", source, re.MULTILINE)) == 1
+                assert source.count("keys = [(a, b) for b in b_values]") == 1
                 function = ast.parse(source).body[0].body
                 (handler,) = [stmt for stmt in function if isinstance(stmt, ast.Try)]
                 (rows,) = [stmt for stmt in function if isinstance(stmt, ast.For)
                            and ast.unparse(stmt.target) == "a"]
-                assert [ast.unparse(stmt) for stmt in handler.handlers[0].body] == (
-                    ["keys = [(a, b) for a in a_values for b in b_values]"]
-                    + (["side += keys"] if side else []) + ["return (keys, 0, side)"])
-                assert ast.unparse(function[-1]) == "return (passed, diverged, side)"
-                row_lifts = rows.body[:-1]
-                assert ast.unparse(rows.body[-1].test).startswith("top <=")
+                assert [ast.unparse(stmt) for stmt in handler.handlers[0].body] == [
+                    "top = float('nan')"]
+                assert not [node for node in ast.walk(handler) if isinstance(node, ast.Return)]
+                assert ast.unparse(function[-1]) == "return (passed, side)"
+                (choice,) = rows.body
+                assert ast.unparse(choice.test).startswith("top <=")
+                row_lifts = choice.body[:-1]
                 assert row_lifts, (kind, n1, n2, side)
                 assert not [ast.unparse(stmt) for stmt in row_lifts
                             if "fmod" in ast.unparse(stmt)], (kind, n1, n2, side)
+
+
+# Duffing keys from a = 100 pass the row guard (|a| + |b| <= 1e11), and
+# from the default start (-0.04, 0.2) their orbits leave the box at step
+# 3, inside symbol 0 at 2/2 and at 3/3: y is about 20 at step 1, -6e3 at
+# step 2 and 2e11 at step 3.
+DIVERGING_TILE = ([100.0 + 0.25 * i for i in range(4)], [0.25 * j for j in range(5)])
+
+
+@pytest.mark.parametrize("start", [(-0.04, 0.2), (0.0, 2e6)], ids=["key_loop", "entry"])
+def test_scanner_hands_on_each_key_it_cannot_decide_and_finish_counts_it(start):
+    # From the default start every key of the tile fails the key loop's
+    # exact test; from (0, 2e6) the start state fails the entry test, and
+    # every row hands its keys on. Either way the scanner hands each key
+    # on, in row-major order, to passed, and to side when fused, and the
+    # finish kernel of each query counts it as diverged, once: single and
+    # fused scans, in either order, give what per-key encryption gives.
+    kind = MapKind.DUFFING
+    cfg = replace(default_config(kind), initial_state=State(*start))
+    keys = [(a, b) for a in DIVERGING_TILE[0] for b in DIVERGING_TILE[1]]
+    for n1, n2 in ((3, 3), (2, 2)):
+        for side in (None, (1, 1), (2, 2)):
+            scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
+            target = 0 if side else None
+            assert scan(*DIVERGING_TILE, 1.0, *start, cfg.quant_scale, 0, target) == (
+                keys, keys if side else []), (n1, n2, side)
+    queries = [(b"ab", b"cd", 3, 3), (b"xyz", b"xyz", 2, 2)]
+    expected = []
+    for data, reference, n1, n2 in queries:
+        hits, diverged = [], 0
+        for a, b in keys:
+            try:
+                out = encrypt_bytes(data, Key(kind, MapParams(a, b)), replace(cfg, n1=n1, n2=n2))
+            except DivergenceError:
+                diverged += 1
+                continue
+            if out == reference:
+                hits.append((a, b))
+        assert (hits, diverged) == ([], len(keys))
+        expected.append((hits, diverged))
+    for query, found in zip(queries, expected):
+        assert cipher._scan_grid(kind, 1.0, cfg, [query], DIVERGING_TILE) == (len(keys), [found])
+    assert cipher._scan_grid(kind, 1.0, cfg, queries, DIVERGING_TILE) == (len(keys), expected)
+    assert cipher._scan_grid(kind, 1.0, cfg, queries[::-1], DIVERGING_TILE) == (
+        len(keys), expected[::-1])
 
 
 def test_finish_kernel_tests_its_own_start_state():

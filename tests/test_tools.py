@@ -152,10 +152,10 @@ def test_parity_groups_identical_kernel_changes_by_family():
                                "<chaoscrypt arnold finish 2/2>": [finish],
                                "<chaoscrypt arnold scan 1/1>": [scanner]})
     assert load_tool("parity").compare(parity_collection(), new) == [
-        "outside the key loop differs in 2 kernels (2 <chaoscrypt KIND finish #/#>):",
+        "outside the key loop differs in 2 kernels (2 <chaoscrypt arnold finish #/#>):",
         "    -    x, y = x0, y0",
         "    +    x, y = y0, x0",
-        "key loop differs in 1 kernels (1 <chaoscrypt KIND scan #/#>):",
+        "key loop differs in 1 kernels (1 <chaoscrypt arnold scan #/#>):",
         "    -    passed.append((a, b))",
         "    +    passed.append((b, a))",
     ]
@@ -166,9 +166,11 @@ def test_parity_counts_the_kernels_one_checkout_compiles_by_family():
     new = parity_collection(**{"<chaoscrypt duffing finish 3/4>": [FINISH],
                                "<chaoscrypt arnold finish 1000/1000>": [FINISH]})
     assert tool.compare(parity_collection(), new) == [
-        "kernels only in the change: 2 <chaoscrypt KIND finish #/#>"]
+        "kernels only in the change: 1 <chaoscrypt arnold finish #/#>, "
+        "1 <chaoscrypt duffing finish #/#>"]
     assert tool.compare(new, parity_collection()) == [
-        "kernels only in the parent: 2 <chaoscrypt KIND finish #/#>"]
+        "kernels only in the parent: 1 <chaoscrypt arnold finish #/#>, "
+        "1 <chaoscrypt duffing finish #/#>"]
 
 
 def test_parity_reports_a_file_name_with_two_sources_against_itself():
@@ -186,7 +188,7 @@ def test_parity_folds_a_run_of_repeated_steps_into_one_item():
     name = "<chaoscrypt arnold orbit 0/0>"
     assert load_tool("parity").compare(parity_collection(**{name: [old]}),
                                        parity_collection(**{name: [new]})) == [
-        "outside the key loop differs in 1 kernels (1 <chaoscrypt KIND orbit #/#>):",
+        "outside the key loop differs in 1 kernels (1 <chaoscrypt arnold orbit #/#>):",
         "    -    x, y = y, x + y",
         "    -  (1000 times in a row)",
         "    +    x, y = y, x - y",
@@ -211,8 +213,8 @@ def test_parity_shows_a_re_indented_key_loop_by_the_lines_it_loses():
                        ("<chaoscrypt duffing scan 2/2+1/1>", "passed.append((b, a))")):
         old[name], new[name] = ([source.replace("$body", body)] for source in (guarded, bare))
     assert tool.compare(parity_collection(**old), parity_collection(**new)) == [
-        "key loop differs in 2 kernels (1 <chaoscrypt KIND scan #/#>, "
-        "1 <chaoscrypt KIND scan #/#+#/#>):",
+        "key loop differs in 2 kernels (1 <chaoscrypt arnold scan #/#>, "
+        "1 <chaoscrypt duffing scan #/#+#/#>):",
         "    -    try:",
         "    -    except ValueError:",
         "    -        passed.append(None)",
@@ -226,6 +228,21 @@ def test_parity_reports_a_change_of_indentation_alone():
     finish = FINISH.replace("    x, y", "        x, y")
     new = parity_collection(**{"<chaoscrypt arnold finish 1/1>": [finish]})
     assert load_tool("parity").compare(parity_collection(), new) == [
-        "outside the key loop differs in 1 kernels (1 <chaoscrypt KIND finish #/#>):",
+        "outside the key loop differs in 1 kernels (1 <chaoscrypt arnold finish #/#>):",
         "    ~ re-indented lines not shown",
+    ]
+
+
+def test_parity_names_the_map_kinds_a_group_holds():
+    # an Arnold and a Duffing finish kernel with the same change fall into
+    # one group, which names each kind's family
+    finish = FINISH.replace("x0, y0\n", "y0, x0\n")
+    old = parity_collection(**{"<chaoscrypt duffing finish 1/1>": [FINISH]})
+    new = parity_collection(**{"<chaoscrypt arnold finish 1/1>": [finish],
+                               "<chaoscrypt duffing finish 1/1>": [finish]})
+    assert load_tool("parity").compare(old, new) == [
+        "outside the key loop differs in 2 kernels (1 <chaoscrypt arnold finish #/#>, "
+        "1 <chaoscrypt duffing finish #/#>):",
+        "    -    x, y = x0, y0",
+        "    +    x, y = y0, x0",
     ]

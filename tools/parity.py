@@ -35,8 +35,8 @@ It prints every difference: each file name under which a checkout
 compiles more than one source (a traceback through a kernel shows the
 lines that linecache holds for its file name, so a name must name one
 source); the kernels that one checkout compiles and the other does not,
-counted by family (the file name with its digits as `#` and its map kind
-as `KIND`); the kernel sources that differ, each file name in both
+counted by family (the file name with its digits as `#`, so a family
+names its map kind); the kernel sources that differ, each file name in both
 checkouts compared with itself, split into the scanner's key loop (the
 per-key code) and the lines outside it, and grouped by identical
 difference, each group naming its families and their counts, with each
@@ -367,10 +367,9 @@ def _key_loop(source: str) -> tuple[str, str]:
 
 
 def _counted(names) -> str:
-    """The families of kernel file names (a name with its map kind as KIND
-    and each number as #), each with its count."""
-    families = Counter(re.sub(r"\d+", "#", re.sub(r"^<chaoscrypt \S+", "<chaoscrypt KIND", name))
-                       for name in names)
+    """The families of kernel file names (a name with each number as #,
+    its map kind kept), each with its count."""
+    families = Counter(re.sub(r"\d+", "#", name) for name in names)
     return ", ".join(f"{count} {family}" for family, count in families.items())
 
 
