@@ -3,6 +3,7 @@
 import ast
 import difflib
 import dis
+import gc
 import json
 import linecache
 import pickle
@@ -1195,7 +1196,41 @@ def test_key_loop_runs_without_the_guard_and_other_rows_hand_their_keys_on():
             assert set(handed) == {"(a, b)"}, (kind, n1, n2, side)
 
 
-def test_scanner_decides_or_hands_on_every_key_and_loses_none():
+@pytest.fixture(scope="module")
+def scanners():
+    """Every scanner of both kinds, each (n1, n2) in {1..4}^2 and
+    (1000, 1000), alone and fused with a 1/1 and an n2/n1 side schedule,
+    each as ((kind, n1, n2, side), source, parsed tree, source lines).
+    Parsed once for the module: parsing is most of what reading them costs,
+    and with the collector on, each full collection it sets off walks every
+    tree parsed so far."""
+    schedules = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)] + [(1000, 1000)]
+    found = []
+    gc.disable()
+    try:
+        for kind in MapKind:
+            for n1, n2 in schedules:
+                for side in (None, (1, 1), (n2, n1)):
+                    scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
+                    source = "".join(linecache.getlines(scan.__code__.co_filename))
+                    found.append(((kind, n1, n2, side), source, ast.parse(source),
+                                  source.splitlines(True)))
+    finally:
+        gc.enable()
+    return found
+
+
+def source_segment(lines, node):
+    """node's source, as ast.get_source_segment gives it, from its source's
+    lines (which get_source_segment splits again on every call)."""
+    first, last = node.lineno - 1, node.end_lineno - 1
+    if first == last:
+        return lines[first].encode()[node.col_offset:node.end_col_offset].decode()
+    return (lines[first].encode()[node.col_offset:].decode() + "".join(lines[first + 1:last])
+            + lines[last].encode()[:node.end_col_offset].decode())
+
+
+def test_scanner_decides_or_hands_on_every_key_and_loses_none(scanners):
     # A scanner only rejects keys: it drops a key when it proves its
     # symbol 0 wrong, and hands every other key on, for the finish kernel
     # to decide from the start state, and to count if it diverges. Its one
@@ -1208,31 +1243,25 @@ def test_scanner_decides_or_hands_on_every_key_and_loses_none():
     # alone and its y on the column alone, and Duffing's steps hold no
     # fmod. A key of a row that passes the guard runs bounded arithmetic
     # alone.
-    schedules = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)] + [(1000, 1000)]
-    for kind in MapKind:
-        for n1, n2 in schedules:
-            for side in (None, (1, 1), (n2, n1)):
-                scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
-                source = "".join(linecache.getlines(scan.__code__.co_filename))
-                assert not re.search(r"\b(lost|diverged)\b", source), (kind, n1, n2, side)
-                # the one try and the row loop are statements of the function
-                # itself, so the handler encloses no row lift and no key code
-                assert len(re.findall(r"^ *try:$", source, re.MULTILINE)) == 1
-                assert source.count("keys = [(a, b) for b in b_values]") == 1
-                function = ast.parse(source).body[0].body
-                (handler,) = [stmt for stmt in function if isinstance(stmt, ast.Try)]
-                (rows,) = [stmt for stmt in function if isinstance(stmt, ast.For)
-                           and ast.unparse(stmt.target) == "a"]
-                assert [ast.unparse(stmt) for stmt in handler.handlers[0].body] == [
-                    "top = float('nan')"]
-                assert not [node for node in ast.walk(handler) if isinstance(node, ast.Return)]
-                assert ast.unparse(function[-1]) == "return (passed, side)"
-                (choice,) = rows.body
-                assert ast.unparse(choice.test).startswith("top <=")
-                row_lifts = choice.body[:-1]
-                assert row_lifts, (kind, n1, n2, side)
-                assert not [ast.unparse(stmt) for stmt in row_lifts
-                            if "fmod" in ast.unparse(stmt)], (kind, n1, n2, side)
+    for at, source, tree, _ in scanners:
+        assert not re.search(r"\b(lost|diverged)\b", source), at
+        # the one try and the row loop are statements of the function
+        # itself, so the handler encloses no row lift and no key code
+        assert len(re.findall(r"^ *try:$", source, re.MULTILINE)) == 1
+        assert source.count("keys = [(a, b) for b in b_values]") == 1
+        function = tree.body[0].body
+        (handler,) = [stmt for stmt in function if isinstance(stmt, ast.Try)]
+        (rows,) = [stmt for stmt in function if isinstance(stmt, ast.For)
+                   and ast.unparse(stmt.target) == "a"]
+        assert [ast.unparse(stmt) for stmt in handler.handlers[0].body] == [
+            "top = float('nan')"]
+        assert not [node for node in ast.walk(handler) if isinstance(node, ast.Return)]
+        assert ast.unparse(function[-1]) == "return (passed, side)"
+        (choice,) = rows.body
+        assert ast.unparse(choice.test).startswith("top <=")
+        row_lifts = choice.body[:-1]
+        assert row_lifts, at
+        assert not [ast.unparse(stmt) for stmt in row_lifts if "fmod" in ast.unparse(stmt)], at
 
 
 # Duffing keys from a = 100 pass the row guard (|a| + |b| <= 1e11), and
@@ -1353,34 +1382,30 @@ def test_scanner_lifts_invariant_values_out_of_its_loops():
             assert found and set(found) == {loops}, (expression, found)
 
 
-def test_scanner_computes_each_side_of_the_guard_at_its_own_level():
+def test_scanner_computes_each_side_of_the_guard_at_its_own_level(scanners):
     # the column loop computes the guard's column side, as _STEP_SOURCE
     # spells it, and keeps the largest in top; the row choice compares top
     # with the row side. top takes a value of its own, not one the column
     # table holds, so the key loop unpacks no guard value it never reads.
-    schedules = [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)] + [(1000, 1000)]
+    guards = {}
     for kind in MapKind:
         fields = {**maps._STEP_SOURCE[kind], "bound": repr(maps.DIVERGENCE_BOUND)}
-        column, row = (maps._splice(f"${name}", fields) for name in ("guard_column", "guard_row"))
-        for n1, n2 in schedules:
-            for side in (None, (1, 1), (n2, n1)):
-                at = kind, n1, n2, side
-                scan = maps._kernel(kind, cipher._SCAN, n1, n2, side, **cipher._SCAN_FILL)
-                source = "".join(linecache.getlines(scan.__code__.co_filename))
-                assert source.count(column) == source.count(row) == 1, at
-                function = ast.parse(source).body[0].body
-                (handler,) = [stmt for stmt in function if isinstance(stmt, ast.Try)]
-                (columns,) = [stmt for stmt in handler.body if isinstance(stmt, ast.For)]
-                (rows,) = [stmt for stmt in function if isinstance(stmt, ast.For)
-                           and ast.unparse(stmt.target) == "a"]
-                assert ast.unparse(columns.target) == "b", at
-                assert ast.unparse(columns.iter) == "b_values", at
-                assert column in ast.get_source_segment(source, columns), at
-                assert ast.get_source_segment(source, rows.body[-1].test) == f"top <= {row}", at
-                (table,) = [node.args[0] for node in ast.walk(columns)
-                            if isinstance(node, ast.Call)
-                            and ast.unparse(node.func) == "columns.append"]
-                (top,) = [node.value for node in ast.walk(columns)
-                          if isinstance(node, ast.Assign)
-                          and [ast.unparse(target) for target in node.targets] == ["top"]]
-                assert ast.unparse(top) not in [ast.unparse(name) for name in table.elts], at
+        guards[kind] = [maps._splice(f"${name}", fields) for name in ("guard_column", "guard_row")]
+    for at, source, tree, lines in scanners:
+        column, row = guards[at[0]]
+        assert source.count(column) == source.count(row) == 1, at
+        function = tree.body[0].body
+        (handler,) = [stmt for stmt in function if isinstance(stmt, ast.Try)]
+        (columns,) = [stmt for stmt in handler.body if isinstance(stmt, ast.For)]
+        (rows,) = [stmt for stmt in function if isinstance(stmt, ast.For)
+                   and ast.unparse(stmt.target) == "a"]
+        assert ast.unparse(columns.target) == "b", at
+        assert ast.unparse(columns.iter) == "b_values", at
+        assert column in source_segment(lines, columns), at
+        assert source_segment(lines, rows.body[-1].test) == f"top <= {row}", at
+        (table,) = [node.args[0] for node in ast.walk(columns)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "columns.append"]
+        (top,) = [node.value for node in ast.walk(columns)
+                  if isinstance(node, ast.Assign)
+                  and [ast.unparse(target) for target in node.targets] == ["top"]]
+        assert ast.unparse(top) not in [ast.unparse(name) for name in table.elts], at

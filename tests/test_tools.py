@@ -1,5 +1,6 @@
 """The repository's tools, each loaded from tools/ as the script it is."""
 
+import importlib
 import importlib.util
 import json
 import shutil
@@ -87,25 +88,35 @@ def test_adding_to_a_record_refuses_another_setting_or_commit(tmp_path, monkeypa
 
 
 def test_interleave_of_a_checkout_with_itself_agrees(monkeypatch, capsys):
-    # both copies of the package run in this process, each with its own
-    # modules, and the caller's modules and path are put back at the end
+    # both copies of the package run the bench's own op groups in this
+    # process, each with its own modules, and print a row per timed
+    # end-to-end metric, in the bench's order; the caller's modules, path
+    # and bytecode switch are put back at the end
     tool = load_tool("bench_record")
     monkeypatch.chdir(TOOLS.parent)
-    path, modules = sys.path[:], {name: module for name, module in sys.modules.items()
-                                  if name.startswith("chaoscrypt")}
-    assert tool.main(["--interleave", ".", ".", "--pairs", "2"]) == 0
-    out = capsys.readouterr().out
-    rows = [line.split()[0] for line in out.splitlines()[2:-1]]
-    assert rows == list(tool.INTERLEAVE_OPS)
-    assert out.splitlines()[-1] == "outputs agree"
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+
+    def tracked():
+        return {name: module for name, module in sys.modules.items()
+                if name.startswith("chaoscrypt") or name in ("oracles", "spans", "bench_run")}
+
+    importlib.import_module("oracles")  # as the other test modules do, before this one
+    path, modules = sys.path[:], tracked()
+    assert tool.main(["--interleave", ".", ".", "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[2:-1]] == [
+        "encrypt_mib_s", "decrypt_mib_s", "report_s", "identify_keys_per_s", "attack_keys_per_s"]
+    assert lines[-1] == "checks pass"
     assert sys.path == path
-    assert {name: module for name, module in sys.modules.items()
-            if name.startswith("chaoscrypt")} == modules
+    assert sys.dont_write_bytecode is False
+    assert tracked() == modules
 
 
 def test_interleave_tells_apart_a_package_with_other_outputs(tmp_path, capsys):
-    # a copy of the package whose default start state differs encrypts
-    # differently; a directory with no package cannot be loaded
+    # a copy of the package whose default Arnold start state differs fails
+    # the bench's ciphertext and report checks, and is told apart before
+    # any pair is timed; it decrypts its own output. A directory with no
+    # package cannot be loaded.
     tool = load_tool("bench_record")
     shutil.copytree(TOOLS.parent / "src", tmp_path / "other" / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -116,10 +127,11 @@ def test_interleave_tells_apart_a_package_with_other_outputs(tmp_path, capsys):
                                    "MapKind.ARNOLD: State(0.5, 0.07)"))
     assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "other"),
                       "--pairs", "1"]) == 1
-    last = capsys.readouterr().out.splitlines()[-1]
-    assert last.startswith("outputs differ: ")
-    differ = last.removeprefix("outputs differ: ").split(", ")
-    assert "encrypt" in differ and "decrypt" not in differ  # a copy decrypts its own output
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("check failed: ") for line in lines)
+    failed = "\n".join(lines)
+    assert "check failed: new encrypt " in failed and "check failed: new report " in failed
+    assert "decrypt" not in failed
     assert not list((tmp_path / "other").rglob("__pycache__"))
     assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "none")]) == 2
 
@@ -153,11 +165,11 @@ def test_parity_groups_identical_kernel_changes_by_family():
                                "<chaoscrypt arnold scan 1/1>": [scanner]})
     assert load_tool("parity").compare(parity_collection(), new) == [
         "outside the key loop differs in 2 kernels (2 <chaoscrypt arnold finish #/#>):",
-        "    -    x, y = x0, y0",
-        "    +    x, y = y0, x0",
+        "    -x, y = x0, y0",
+        "    +x, y = y0, x0",
         "key loop differs in 1 kernels (1 <chaoscrypt arnold scan #/#>):",
-        "    -    passed.append((a, b))",
-        "    +    passed.append((b, a))",
+        "    -passed.append((a, b))",
+        "    +passed.append((b, a))",
     ]
 
 
@@ -183,16 +195,49 @@ def test_parity_reports_a_file_name_with_two_sources_against_itself():
 
 
 def test_parity_folds_a_run_of_repeated_steps_into_one_item():
+    # each line a kernel loses or gains is shown once, however many
+    # copies of it change
     old = "def orbit(x, y):\n" + "    x, y = y, x + y\n" * 1000 + "    return x, y\n"
     new = old.replace("x + y\n", "x - y\n")
     name = "<chaoscrypt arnold orbit 0/0>"
     assert load_tool("parity").compare(parity_collection(**{name: [old]}),
                                        parity_collection(**{name: [new]})) == [
         "outside the key loop differs in 1 kernels (1 <chaoscrypt arnold orbit #/#>):",
-        "    -    x, y = y, x + y",
-        "    -  (1000 times in a row)",
-        "    +    x, y = y, x - y",
-        "    +  (1000 times in a row)",
+        "    -x, y = y, x + y",
+        "    +x, y = y, x - y",
+    ]
+
+
+def test_parity_shows_one_more_copy_of_a_repeated_step():
+    # a kernel that gains one copy of a step it repeats shows that line;
+    # nothing else moved, so no marker follows
+    old = "def orbit(x, y):\n" + "    x, y = y, x + y\n" * 3 + "    return x, y\n"
+    new = old.replace("    return", "    x, y = y, x + y\n    return")
+    name = "<chaoscrypt arnold orbit 0/0>"
+    assert load_tool("parity").compare(parity_collection(**{name: [old]}),
+                                       parity_collection(**{name: [new]})) == [
+        "outside the key loop differs in 1 kernels (1 <chaoscrypt arnold orbit #/#>):",
+        "    +x, y = y, x + y",
+    ]
+
+
+def test_parity_groups_one_snippet_change_across_step_counts():
+    # one snippet spliced into every step of two schedules with different
+    # step counts, and changed, is one group of two lines
+    def scanner(steps, snippet):
+        step = f"            x = fmod(x + b, 1.0)\n            if x > 1e6:\n                {snippet}\n"
+        return SCANNER.replace("            b = column\n", "            b = column\n" + step * steps)
+
+    names = {"<chaoscrypt arnold scan 3/3>": 6, "<chaoscrypt duffing scan 1000/1000>": 2000}
+    old = parity_collection(**{name: [scanner(steps, "diverged += 1")]
+                               for name, steps in names.items()})
+    new = parity_collection(**{name: [scanner(steps, "passed.append((a, b))")]
+                               for name, steps in names.items()})
+    assert load_tool("parity").compare(old, new) == [
+        "key loop differs in 2 kernels (1 <chaoscrypt arnold scan #/#>, "
+        "1 <chaoscrypt duffing scan #/#>):",
+        "    -diverged += 1",
+        "    +passed.append((a, b))",
     ]
 
 
@@ -215,10 +260,10 @@ def test_parity_shows_a_re_indented_key_loop_by_the_lines_it_loses():
     assert tool.compare(parity_collection(**old), parity_collection(**new)) == [
         "key loop differs in 2 kernels (1 <chaoscrypt arnold scan #/#>, "
         "1 <chaoscrypt duffing scan #/#+#/#>):",
-        "    -    try:",
-        "    -    except ValueError:",
-        "    -        passed.append(None)",
-        "    ~ re-indented lines not shown",
+        "    -try:",
+        "    -except ValueError:",
+        "    -passed.append(None)",
+        "    ~ moved, repeated or re-indented lines not shown",
     ]
 
 
@@ -229,7 +274,7 @@ def test_parity_reports_a_change_of_indentation_alone():
     new = parity_collection(**{"<chaoscrypt arnold finish 1/1>": [finish]})
     assert load_tool("parity").compare(parity_collection(), new) == [
         "outside the key loop differs in 1 kernels (1 <chaoscrypt arnold finish #/#>):",
-        "    ~ re-indented lines not shown",
+        "    ~ moved, repeated or re-indented lines not shown",
     ]
 
 
@@ -243,6 +288,6 @@ def test_parity_names_the_map_kinds_a_group_holds():
     assert load_tool("parity").compare(old, new) == [
         "outside the key loop differs in 2 kernels (1 <chaoscrypt arnold finish #/#>, "
         "1 <chaoscrypt duffing finish #/#>):",
-        "    -    x, y = x0, y0",
-        "    +    x, y = y0, x0",
+        "    -x, y = x0, y0",
+        "    +x, y = y0, x0",
     ]

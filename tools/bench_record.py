@@ -39,25 +39,30 @@ A/B, or --interleave at 40 or more pairs: an A/A record of 10 alternating
 30 s pairs read 0.975x.
 
 Interleaving times two checkouts' packages in this one process, with no
-subprocess, thread or file written: it loads each checkout's `src/`
-package under its own module objects, and swaps that checkout's
-`chaoscrypt` modules into `sys.modules` before each of its ops, so that
-an import made during an op (such as the scanner's lift pass) loads that
-checkout's module. Each op goes through the public API only: `report`
-is analysis_report over both packaged tables; `census` an
-identifiability_scan (iteration value 3) and a known_plaintext_attack
-over one box of about 5.5e4 keys at increment 1e-4 per kind; `encrypt`
-and `decrypt` 64 KiB per kind. Each checkout runs each op once to warm
-it, and the two checkouts' outputs of that run are compared as plain
-values. Then come --pairs pairs of timed runs per op, the two checkouts
-taking turns to go first. For each op it prints both median times, the
-median of the per-pair ratios (new over base) with a seeded bootstrap
-95% interval, and the pairs the new checkout wins. It exits 0 when the
-outputs agree, 1 when any differs (the timings are printed all the
-same), 2 when a checkout cannot be loaded, and 3 when the tool fails.
-A per-op claim from it needs 40 or more pairs (the default), or an A/A
+subprocess or thread. It loads each checkout's `src/` package under its
+own module objects, and swaps them into `sys.modules` before each of
+that checkout's op groups, so that an import made during an op (such as
+the scanner's lift pass) loads that checkout's module. It times the
+bench itself: with this checkout's `bench/run.py` and
+`tests/oracles.py`, each checkout gets the bench's seed-0 inputs at full
+size (in one temporary directory), a bench Runner, and the bench's three
+op groups through its own `cli.main`. No bytecode is written. Each group
+runs once per checkout to warm it; a failed bench check (against
+`bench/expected/` or the oracles), or first-pass ciphertexts or census
+counts that differ between the two, print one `check failed: ...` line
+each and exit 1 before any timing. Then come --pairs pairs of passes per
+group, the two checkouts taking turns to go first. For each timed
+end-to-end metric of BENCHMARK.json it prints both medians in the
+bench's units (`bench.summarize` of each pass), the median per-pair
+ratio (new over base) with a seeded bootstrap 95% interval, and the
+pairs the new checkout wins by the metric's `better`; then `checks
+pass`, or each check that failed while timed. It exits 0 when every
+check passes, 1 when one fails, 2 when a checkout cannot be loaded or
+set up, and 3 when the tool fails. A pair takes about 3 s on a 2-core
+host. A claim from it needs 40 or more pairs (the default), or an A/A
 run (`--interleave . .`) beside the A/B: on a 2-core shared host, 20
-pairs of identical code gave intervals that exclude 1.
+pairs of identical code gave intervals that exclude 1. Full output
+agreement is `tools/parity.py`'s check.
 
 Standard library only.
 """
@@ -65,10 +70,9 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import enum
 import gc
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -79,9 +83,9 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
-import time
 import traceback
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("file_roundtrip", "report_tables", "key_census")
@@ -236,19 +240,17 @@ def compare(base_spec: str, new_spec: str) -> int:
 
 
 PACKAGE = "chaoscrypt"
-INTERLEAVE_OPS = ("report", "census", "encrypt", "decrypt")
-TABLES = ("table1_arnold", "table2_duffing")
-ROUNDTRIP_ROWS = {"table1_arnold": 12, "table2_duffing": 2}  # rows bounded on random bytes
-CENSUS_SIDE = 236  # keys per axis of a census box: 236^2 = 55 696
+LOADED = ("bench_run", "spans", "oracles")  # bench/run.py, its import, tests/oracles.py
 BOOTSTRAP = 2000
 
 
 def _ours(name: str) -> bool:
-    return name == PACKAGE or name.startswith(PACKAGE + ".")
+    """Whether name is a sys.modules entry that interleaving swaps."""
+    return name == PACKAGE or name.startswith(PACKAGE + ".") or name in LOADED
 
 
 def _activate(modules: dict) -> None:
-    """Make modules the package's entries of sys.modules, and no others."""
+    """Make modules the entries of sys.modules that _ours names, and no others."""
     for name in [name for name in sys.modules if _ours(name)]:
         del sys.modules[name]
     sys.modules.update(modules)
@@ -275,66 +277,54 @@ def load_tree(checkout: Path) -> dict:
     return modules
 
 
-def make_ops(pkg) -> dict:
-    """Each interleaved op, as a function of no arguments that returns its
-    output, built from pkg's public API alone."""
-    specs = {table: pkg.load_report_spec(pkg.builtin_spec_path(table)) for table in TABLES}
-    message = random.Random("interleave").randbytes(1 << 16)
-    keys = [specs[table][row - 1][1] for table, row in ROUNDTRIP_ROWS.items()]
-    ciphertexts = [pkg.encrypt_bytes(message, key) for key in keys]
-    boxes = []
-    for table in TABLES:
-        text, key, domain = specs[table][0]
-        inc = domain.increment
-        lower = (key.params.a - CENSUS_SIDE // 2 * inc, key.params.b - CENSUS_SIDE // 2 * inc)
-        upper = (lower[0] + (CENSUS_SIDE - 1) * inc, lower[1] + (CENSUS_SIDE - 1) * inc)
-        box = pkg.KeyDomain(key.kind, lower, upper, inc, key.params.n_modulus)
-        boxes.append((text, key, box, pkg.encrypt_bytes(text.encode(), key)))
-
-    def census():
-        return [(pkg.identifiability_scan(text, key, box, iteration_value=3),
-                 pkg.known_plaintext_attack(ciphertext, text[:2], box))
-                for text, key, box, ciphertext in boxes]
-
-    return {
-        "report": lambda: [pkg.analysis_report(specs[table]) for table in TABLES],
-        "census": census,
-        "encrypt": lambda: [pkg.encrypt_bytes(message, key) for key in keys],
-        "decrypt": lambda: [pkg.decrypt(c, key) for c, key in zip(ciphertexts, keys)],
-    }
+def load_file(name: str, path: Path):
+    """The module at path, in sys.modules under name before it runs (a
+    dataclass looks its module up there)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def plain(value):
-    """value as plain data, equal for equal values from two copies of a
-    module: a dataclass as its type's name and fields, an enum member as
-    its type's name and value, a float as its hex form (so that NaN equals
-    NaN), bytes as hex and a tuple as a list."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return [type(value).__name__, {field.name: plain(getattr(value, field.name))
-                                       for field in dataclasses.fields(value)}]
-    if isinstance(value, enum.Enum):
-        return [type(value).__name__, plain(value.value)]
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, (list, tuple)):
-        return [plain(item) for item in value]
-    return value
-
-
-def run_op(modules: dict, op) -> tuple[float, object]:
-    """op's time in seconds under modules, and its output as plain data
-    (an exception's type and text, when it raises)."""
+def set_up(bench, modules: dict, work: Path) -> SimpleNamespace:
+    """One checkout's bench Runner and its three op groups on the bench's
+    seed-0 inputs at full size, written under work."""
     _activate(modules)
+    pkg = SimpleNamespace(**{name: modules[f"{PACKAGE}.{name}"]
+                             for name in ("maps", "cipher", "analysis", "cli")},
+                          oracles=load_file("oracles", ROOT / "tests" / "oracles.py"))
+    work.mkdir()
+    roundtrip = bench.make_roundtrip(pkg, bench.DEFAULT_SEED, work, bench.FULL_MESSAGE)
+    report = bench.make_report(pkg, work, full=True)
+    census = bench.make_census(pkg, bench.DEFAULT_SEED, work)["full"]
+    runner = bench.Runner(pkg)
+    groups = [lambda: bench.roundtrip_pass(runner, roundtrip),
+              lambda: bench.report_pass(runner, report),
+              lambda: bench.census_pass(runner, census)]
+    return SimpleNamespace(modules=modules, runner=runner, groups=groups,
+                           roundtrip=roundtrip, census=census)
+
+
+def run_group(bench, checkout: SimpleNamespace, group: int) -> dict[str, float]:
+    """One pass of an op group of checkout, as the bench's metric values."""
+    _activate(checkout.modules)
     gc.collect()
-    start = time.perf_counter()
-    try:
-        output = op()
-    except Exception as exc:
-        output = ["raised", type(exc).__name__, str(exc)]
-    elapsed = time.perf_counter() - start
-    return elapsed, plain(output)
+    return bench.summarize(checkout.groups[group]())
+
+
+def failures(base: SimpleNamespace, new: SimpleNamespace) -> list[str]:
+    """Each failed bench check, and each first-pass record (a roundtrip
+    ciphertext, census counts) in which the two checkouts differ."""
+    lines = [f"{label} {problem}" for label, checkout in (("base", base), ("new", new))
+             for problem in checkout.runner.problems]
+    lines += [f"base and new differ in the {case.kind} roundtrip ciphertext"
+              for case, other in zip(base.roundtrip.cases, new.roundtrip.cases)
+              if case.ciphertext_hex != other.ciphertext_hex]
+    lines += [f"base and new differ in the {case.kind} census counts: {case.counts} "
+              f"against {other.counts}" for case, other in zip(base.census, new.census)
+              if case.counts != other.counts]
+    return [f"check failed: {line}" for line in lines]
 
 
 def ratio_interval(ratios: list[float], seed: int = 0) -> tuple[float, float]:
@@ -346,52 +336,61 @@ def ratio_interval(ratios: list[float], seed: int = 0) -> tuple[float, float]:
 
 
 def interleave(base: str, new: str, pairs: int) -> int:
-    saved_modules = {name: module for name, module in sys.modules.items() if _ours(name)}
+    saved = {name: module for name, module in sys.modules.items() if _ours(name)}
     saved_path, writes = sys.path[:], sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # nothing is written into either checkout
+    sys.dont_write_bytecode = True  # no bytecode is written into either checkout
     try:
-        trees = []
-        for checkout in (base, new):
-            try:
-                modules = load_tree(Path(checkout))
-                _activate(modules)
-                trees.append((modules, make_ops(modules[PACKAGE])))
-            except Exception as exc:
-                print(f"error: cannot load the package of {checkout}: {exc!r}", file=sys.stderr)
-                return 2
-        return _interleave(trees, (base, new), pairs)
+        sys.path.insert(0, str(ROOT / "bench"))  # for bench/run.py's spans import
+        bench = load_file("bench_run", ROOT / "bench" / "run.py")
+        with tempfile.TemporaryDirectory(prefix="interleave-") as work:
+            checkouts = []
+            for k, checkout in enumerate((base, new)):
+                try:
+                    checkouts.append(set_up(bench, load_tree(Path(checkout)), Path(work, str(k))))
+                except Exception as exc:
+                    print(f"error: cannot load the package of {checkout}: {exc!r}",
+                          file=sys.stderr)
+                    return 2
+            return _interleave(bench, checkouts, (base, new), pairs)
     finally:
-        _activate(saved_modules)
+        _activate(saved)
         sys.path[:] = saved_path
         sys.dont_write_bytecode = writes
 
 
-def _interleave(trees: list, names: tuple, pairs: int) -> int:
-    differ = []
-    for op in INTERLEAVE_OPS:
-        outputs = [run_op(modules, ops[op])[1] for modules, ops in trees]
-        if outputs[0] != outputs[1]:
-            differ.append(op)
-    times = {op: ([], []) for op in INTERLEAVE_OPS}
+def _interleave(bench, checkouts: list, names: tuple, pairs: int) -> int:
+    groups = range(len(checkouts[0].groups))
+    for checkout in checkouts:  # the warm pass, checked
+        for group in groups:
+            run_group(bench, checkout, group)
+    failed = failures(*checkouts)
+    if failed:
+        print("\n".join(failed))
+        return 1
+    values = ({}, {})
     for k in range(pairs):
-        order = (0, 1) if k % 2 == 0 else (1, 0)
-        for op in INTERLEAVE_OPS:
-            for t in order:
-                modules, ops = trees[t]
-                times[op][t].append(run_op(modules, ops[op])[0])
-    print(f"base {names[0]}, new {names[1]}: {pairs} interleaved pairs per op "
+        for group in groups:
+            for t in ((0, 1) if k % 2 == 0 else (1, 0)):
+                for name, value in run_group(bench, checkouts[t], group).items():
+                    values[t].setdefault(name, []).append(value)
+    print(f"base {names[0]}, new {names[1]}: {pairs} interleaved pairs per op group "
           f"(Python {platform.python_version()}, {os.cpu_count()} cores)")
-    print(f"{'op':8} {'base ms':>9} {'new ms':>9} {'new/base':>8} {'95% interval':>15} "
-          f"{'new wins':>8}")
-    for op, (base, new) in times.items():
+    print(f"{'metric':20} {'unit':>5} {'base':>10} {'new':>10} {'new/base':>8} "
+          f"{'95% interval':>15} {'new wins':>8}")
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        if name not in values[0]:
+            continue
+        base, new = values[0][name], values[1][name]
         ratios = [n / b for b, n in zip(base, new)]
         low, high = ratio_interval(ratios)
-        wins = sum(n < b for b, n in zip(base, new))
-        print(f"{op:8} {statistics.median(base) * 1e3:9.2f} {statistics.median(new) * 1e3:9.2f} "
-              f"{statistics.median(ratios):8.3f} {f'[{low:.3f}, {high:.3f}]':>15} "
-              f"{f'{wins}/{pairs}':>8}")
-    print(f"outputs differ: {', '.join(differ)}" if differ else "outputs agree")
-    return 1 if differ else 0
+        wins = sum((n > b) if higher else (n < b) for b, n in zip(base, new))
+        print(f"{name:20} {metric['unit']:>5} {statistics.median(base):10.4g} "
+              f"{statistics.median(new):10.4g} {statistics.median(ratios):8.3f} "
+              f"{f'[{low:.3f}, {high:.3f}]':>15} {f'{wins}/{pairs}':>8}")
+    failed = failures(*checkouts)
+    print("\n".join(failed) if failed else "checks pass")
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -406,8 +405,8 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"),
                         help="compare two records, each FILE or FILE:LABEL")
     parser.add_argument("--interleave", nargs=2, metavar=("BASE", "NEW"),
-                        help="time two checkouts' packages in interleaved pairs, in-process")
-    parser.add_argument("--pairs", type=int, default=40, help="--interleave pairs per op")
+                        help="time two checkouts' packages on the bench's op groups, in-process")
+    parser.add_argument("--pairs", type=int, default=40, help="--interleave pairs per op group")
     args = parser.parse_args(argv)
     if args.interleave:
         if args.pairs < 1:

@@ -36,14 +36,17 @@ compiles more than one source (a traceback through a kernel shows the
 lines that linecache holds for its file name, so a name must name one
 source); the kernels that one checkout compiles and the other does not,
 counted by family (the file name with its digits as `#`, so a family
-names its map kind); the kernel sources that differ, each file name in both
-checkouts compared with itself, split into the scanner's key loop (the
-per-key code) and the lines outside it, and grouped by identical
-difference, each group naming its families and their counts, with each
-run of a repeated block of lines written once and lines matched without
-their indentation (a block that only moves to another level shows as one
-line, `~ re-indented lines not shown`); and each output that differs. It exits 0 when there is none, 1 when there is any, and 2 when
-a checkout cannot be read.
+names its map kind); the kernel sources that differ, each file name in
+both checkouts compared with itself, split into the scanner's key loop
+(the per-key code) and the lines outside it, and grouped by identical
+difference, each group naming its families and their counts; and each
+output that differs. A kernel's difference is the lines it loses and
+gains, matched without their indentation and counted, each shown once,
+so that one snippet change reads the same in every schedule however many
+steps repeat it; when the rest still differs (a line moved, or
+re-indented) one more line says so, `~ moved, repeated or re-indented
+lines not shown`. It exits 0 when there is no difference, 1 when there
+is any, and 2 when a checkout cannot be read.
 
 Standard library only. Running it on one checkout against itself
 (`python3 tools/parity.py . .`) must print no difference.
@@ -51,7 +54,6 @@ Standard library only. Running it on one checkout against itself
 
 from __future__ import annotations
 
-import difflib
 import json
 import os
 import re
@@ -373,43 +375,22 @@ def _counted(names) -> str:
     return ", ".join(f"{count} {family}" for family, count in families.items())
 
 
-def _folded(text: str) -> list[str]:
-    """text's lines, each run of one block of up to 8 lines repeated in a
-    row (the steps of a run) written as one item: the block's lines, then
-    the count."""
-    lines, items, k = text.splitlines(), [], 0
-    while k < len(lines):
-        times = 1
-        for period in range(1, 9):
-            block = lines[k:k + period]
-            while lines[k + times * period:k + (times + 1) * period] == block:
-                times += 1
-            if times > 1:
-                items.append("\n".join(block + [f"  ({times} times in a row)"]))
-                k += times * period
-                break
-        else:
-            items.append(lines[k])
-            k += 1
-    return items
-
-
 def _changed(old: str, new: str) -> tuple[str, ...]:
-    """The lines that old loses and new gains, in order, with each run of
-    a repeated block folded (see _folded). Items are matched by their text
-    with each line's leading whitespace removed, so a re-indented block
-    shows only the lines it loses or gains, and then a constant last line
-    `~ re-indented lines not shown`, which groups like any other."""
-    a, b = _folded(old), _folded(new)
-    lines, reindented = [], False
-    bare = [[re.sub(r"(?m)^[ \t]+", "", item) for item in items] for items in (a, b)]
-    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, *bare, autojunk=False).get_opcodes():
-        if tag == "equal":
-            reindented = reindented or a[i1:i2] != b[j1:j2]
-        else:
-            lines += [sign + line for sign, items in (("-", a[i1:i2]), ("+", b[j1:j2]))
-                      for item in items for line in item.split("\n")]
-    return tuple(lines + ["~ re-indented lines not shown"] * reindented)
+    """The lines old loses and new gains, matched without their leading
+    whitespace and counted: each line of which old holds more copies, and
+    then each of which new holds more, once, in order of first appearance.
+    So a snippet change shows as the same lines in every schedule, however
+    many steps repeat it. A constant last line, `~ moved, repeated or
+    re-indented lines not shown`, which groups like any other, follows when
+    the two still differ, indentation included, without those lines."""
+    (a, bare_a), (b, bare_b) = ((lines, [line.lstrip() for line in lines])
+                                for lines in (old.splitlines(), new.splitlines()))
+    lost, gained = Counter(bare_a) - Counter(bare_b), Counter(bare_b) - Counter(bare_a)
+    lines = [f"-{line}" for line in lost] + [f"+{line}" for line in gained]
+    rest = [[line for line, bare in zip(*both) if bare not in lost and bare not in gained]
+            for both in ((a, bare_a), (b, bare_b))]
+    moved = rest[0] != rest[1]
+    return tuple(lines + ["~ moved, repeated or re-indented lines not shown"] * moved)
 
 
 def compare(base: dict, new: dict) -> list[str]:
