@@ -189,7 +189,7 @@ def hamming_bits(c1: bytes, c2: bytes) -> int:
     """Number of differing bits between two equal-length byte strings."""
     if len(c1) != len(c2):
         raise DomainError("hamming_bits requires equal-length inputs")
-    return sum(bin(a ^ b).count("1") for a, b in zip(c1, c2))
+    return (int.from_bytes(c1, "little") ^ int.from_bytes(c2, "little")).bit_count()
 
 
 def _as_bytes(plaintext: bytes | bytearray | str) -> bytes:

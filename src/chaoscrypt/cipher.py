@@ -305,7 +305,7 @@ _TRACED_FILL = {"snapshot": "s1x, s1y = x, y", "emit": "trace(z, out, s1x, s1y, 
 # inside the box (no_return). A scanner without a side schedule has every
 # $side_ snippet blank and returns side empty.
 #
-# A key's guard (maps._STEP_SOURCE) is "$guard_column <= $guard_row",
+# A key's guard, maps._kernel's $guard, is "$guard_column <= $guard_row",
 # so the column loop computes each column's $guard_column once and keeps
 # the largest in top (NaN once one is NaN), and each row decides the
 # guard for all its keys at once: it tests top <= $guard_row. The key
@@ -494,19 +494,15 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     n1, n2 = queries[main][2:]
     side = queries[1 - main] if len(queries) == 2 else None
     scan = _kernel(kind, _SCAN, n1, n2, tuple(side[2:]) if side else None, **_SCAN_FILL)
-    scanned = len(tile[0]) * len(tile[1])
     start, q, feed = cfg.initial_state, cfg.quant_scale, _feed(cfg.reinject_gain)
     passed, matches = scan(*tile, n_modulus, start.x, start.y, q, targets[main],
                            targets[1 - main] if side else None)
-    runs = [(queries[main], passed)]
-    if side:
-        runs.insert(1 - main, (side, matches))
     found = []
-    for (data, reference, n1, n2), keys in runs:
+    for (data, reference, n1, n2), keys in zip(queries, (passed, matches) if main == 0
+                                               else (matches, passed)):
         finish = _kernel(kind, _FINISH, n1, n2, **_FINISH_FILL)
-        found.append(finish(keys, n_modulus, start.x, start.y, q, feed,
-                            list(zip(data, reference))))
-    return scanned, found
+        found.append(finish(keys, n_modulus, start.x, start.y, q, feed, list(zip(data, reference))))
+    return len(tile[0]) * len(tile[1]), found
 
 
 def encrypt(plaintext: bytes | Iterable[int], key: Key,

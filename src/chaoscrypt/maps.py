@@ -142,9 +142,9 @@ def signed_mod(dividend: float, divisor: float) -> float:
 
 # The two step equations, each spelled once, with their bound tests:
 # - setup: a statement binding names from the parameters (a, b, n),
-#   among them the name guarded holds, set to the key's guard (below);
-# - guard: that guard, an expression of its two sides guard_column and
-#   guard_row (below), which the tests read as $guarded;
+#   among them the name guarded holds, set to the key's guard, $guard;
+# - guarded: that name, which the tests read the guard as;
+# - guard_column, guard_row: the guard's two sides (below);
 # - x, y: the next state's coordinates, as expressions of the state (x, y);
 # - entry: a test of the state a run of steps starts from;
 # - inside: a test that the state ($new_x, $new_y) a step made is in the
@@ -176,16 +176,15 @@ def signed_mod(dividend: float, divisor: float) -> float:
 #   which boxed would let through, into a failed test. Otherwise both
 #   coordinates are tested. boxed also bounds |x + (1-b) y|, so for a
 #   boxed key fmod cannot raise on it: _SPLIT_STEP may leave y' out.
-# Each guard is "$guard_column <= $guard_row", two fields: guard_column
-# an expression of b and n, guard_row one of a and n. A scanner computes
-# the first once per column and the second once per row, and so decides
-# the guard for a whole row at once (see cipher._SCAN).
+# _kernel spells every guard once, as "$guard_column <= $guard_row":
+# guard_column an expression of b and n, guard_row one of a and n. A
+# scanner computes the first once per column and the second once per
+# row, and so decides the guard for a whole row at once (see cipher._SCAN).
 _STEP_SOURCE = {
     MapKind.ARNOLD: {
         "setup": "a1, b1 = a - 1.0, 1.0 - b; boxed = $guard",
         "guard_column": "abs(1.0 - b) * n",
         "guard_row": "$bound - (1.0 + abs(a - 1.0)) * n",
-        "guard": "$guard_column <= $guard_row",
         "guarded": "boxed",
         "x": "a1 * fmod(2.0 * x + y, n)",
         "y": "fmod(x + b1 * y, n)",
@@ -197,7 +196,6 @@ _STEP_SOURCE = {
         "setup": "nb = -b; no_return = $guard",
         "guard_column": "abs(b)",
         "guard_row": "1e11 - abs(a)",
-        "guard": "$guard_column <= $guard_row",
         "guarded": "no_return",
         "x": "y",
         "y": "nb * x + a * y - y * y * y",
@@ -255,44 +253,44 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
             side: tuple[int, int] | None = None, variant: str = "", **fill: str) -> Callable:
     """The function that template defines, compiled for kind on first use.
 
-    The snippets spliced in are the kind's _STEP_SOURCE fields, $bound,
-    $new_x and $new_y (x and y, the state the tests read unless a step
-    says otherwise), $tested_step, $between_step, $split_step, $steps1 and
-    $steps2 (a symbol's n1 and n2 steps: each a between step, but the
-    last, which is $last_step, the tested step unless the fill says
-    otherwise) and the caller's fill. A fill with a $lifted snippet (the
-    scanner's) also gets the snippets that _hoist.hoist makes of it,
-    spliced with $guard and $guarded as True. A side schedule (n1', n2'),
-    with n1' + n2' <= n1 + n2, adds two lines to the steps of $lifted
-    alone, $side_snapshot after its step n1' and $side_snapshot_2 after
-    its step n1' + n2', and changes none; without one, every $side_
-    snippet is blank. A line that splices to nothing but blanks is
-    dropped. fmod, floor and abs are locals of the function, as
-    keyword-only defaults, and DivergenceError its global.
-    Its file name names the kind, the function, n1/n2, the side schedule
-    and the variant, which tells apart the fills of one template, and
-    linecache holds its source, so a traceback through it shows its lines.
-    So each file name names one source; tools/parity.py reports any name
-    compiled with two.
+    The snippets spliced in are $guard ("$guard_column <= $guard_row"),
+    the kind's _STEP_SOURCE fields, $bound, $new_x and $new_y (x and y,
+    the state the tests read unless a step says otherwise), $tested_step,
+    $between_step, $split_step, $steps1 and $steps2 (a symbol's n1 and n2
+    steps: each a between step, but the last, which is $last_step, the
+    tested step unless the fill says otherwise) and the caller's fill. A
+    side schedule (n1', n2') of no more steps adds $side_snapshot after
+    step n1' and $side_snapshot_2 after step n1' + n2' to the steps, and
+    changes no line; without one, every $side_ snippet is blank. A fill
+    with a $lifted snippet (the scanner's) also gets the snippets that
+    _hoist.hoist makes of it, spliced with $guard as True: its setup binds
+    $guarded to True, which the pass puts in its place, so each bound test
+    reads a literal True that the compiler folds away. A line that splices
+    to nothing but blanks is dropped. fmod, floor and abs are locals of
+    the function, as keyword-only defaults, and DivergenceError its
+    global. Its file name names the kind, the function, n1/n2, the side
+    schedule and the variant, which tells apart the fills of one template,
+    and linecache holds its source, so a traceback through it shows its
+    lines. So each file name names one source; tools/parity.py reports any
+    name compiled with two.
     """
     run = ["$between_step\n"] * (n1 + n2)
     if run:
         run[-1] = "$last_step\n"
-    snippets = {**_STEP_SOURCE[kind], "bound": repr(DIVERGENCE_BOUND), "new_x": "x",
-                "new_y": "y", "tested_step": _TESTED_STEP, "between_step": _BETWEEN_STEP,
+    if side:
+        run[side[0] - 1] += "$side_snapshot\n"
+        run[sum(side) - 1] += "$side_snapshot_2\n"
+    else:
+        fill = {name: "" if name.startswith("side_") else text for name, text in fill.items()}
+    snippets = {"guard": "$guard_column <= $guard_row", **_STEP_SOURCE[kind],
+                "bound": repr(DIVERGENCE_BOUND), "new_x": "x", "new_y": "y",
+                "tested_step": _TESTED_STEP, "between_step": _BETWEEN_STEP,
                 "last_step": "$tested_step", "split_step": _SPLIT_STEP,
                 "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:]), **fill}
     if "lifted" in snippets:
         # only scanners need the pass, so the other commands never import it
         from ._hoist import hoist
-        if side:
-            run[side[0] - 1] += "$side_snapshot\n"
-            run[sum(side) - 1] += "$side_snapshot_2\n"
-        else:
-            snippets.update({name: "" for name in fill if name.startswith("side_")})
-        free = {**snippets, "steps1": "".join(run[:n1]), "steps2": "".join(run[n1:]),
-                "guard": "True", "guarded": "True"}
-        snippets.update(hoist(_splice("$lifted", free)))
+        snippets.update(hoist(_splice("$lifted", {**snippets, "guard": "True"})))
     template = template.replace("):\n", ", *, fmod=fmod, floor=floor, abs=abs):\n", 1)
     source = "".join(line for line in _splice(template, snippets).splitlines(True)
                      if not line.isspace())

@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import io
+import multiprocessing
 import os
 import random
 import time
@@ -160,6 +161,7 @@ def test_plaintext_sensitivity_range_and_self_zero():
     assert 0.0 <= pct <= 100.0
     c1 = encrypt_bytes(b"hello", ARNOLD_KEY)
     assert hamming_bits(c1, c1) == 0
+    assert hamming_bits(b"\x00\xff", b"\x0f\xf0") == 8
     with pytest.raises(DomainError, match="equal-length"):
         hamming_bits(b"a", b"ab")
 
@@ -465,14 +467,25 @@ def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
-def test_scan_result_is_worker_invariant(monkeypatch):
-    # 441 keys: short pool chunks, so that workers=3 runs the pool
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_scan_result_is_worker_invariant(monkeypatch, method):
+    # 441 keys: short pool chunks, so that workers=3 runs the pool, under
+    # each start method the platform offers (Python 3.14 makes forkserver
+    # the Linux default, where earlier versions fork)
+    started, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def pool_of(max_workers):
+        started.append(max_workers)
+        return pool(max_workers=max_workers, mp_context=multiprocessing.get_context(method))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool_of)
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
     monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 3)
     dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
     serial = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=1)
     parallel = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=3)
+    assert started == [3]
     assert serial == parallel
 
 

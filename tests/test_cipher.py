@@ -1334,9 +1334,11 @@ def test_lift_pass_keeps_an_if_body_that_reads_invariants():
             hoist(head + f"if z > b:\n    {body}\n")
     # the hand-off sits in an if body, so no region holds an expression
     # statement or a subscript, and the pass refuses both, also of an
-    # invariant such as a, or of a name that stands for one
+    # invariant such as a, or of a name that stands for one; it refuses a
+    # tuple target whose value is not a tuple of its length, and a new
+    # value for an invariant
     for tail in ("found.append((a, z))", "found.append(a)", "x = fmod(x + feed[z], 1.0)",
-                 "w = table[a]", "w = (a, b)"):
+                 "w = table[a]", "w = (a, b)", "x, y = z", "a = z"):
         with pytest.raises(ValueError, match="cannot lift across"):
             hoist(head + tail + "\n")
 

@@ -291,3 +291,36 @@ def test_parity_names_the_map_kinds_a_group_holds():
         "    -x, y = x0, y0",
         "    +x, y = y0, x0",
     ]
+
+
+def lifted_scanner(grid, row, column_1, column_2, read):
+    """A scanner whose lift pass named its grid value grid, its row value
+    row and its two column values column_1 and column_2, and whose key
+    line reads the column value read."""
+    return (f"def scan(a_values, b_values, x0):\n    passed, columns = [], []\n"
+            f"    {grid} = x0 * x0\n    for b in b_values:\n        {column_1} = 1.0 - b\n"
+            f"        {column_2} = b * b\n        columns.append((b, {column_1}, {column_2}))\n"
+            f"    for a in a_values:\n        {row} = a - 1.0\n        for column in columns:\n"
+            f"            b, {column_1}, {column_2} = column\n"
+            f"            passed.append(({row} * {grid}, {read}))\n    return passed\n")
+
+
+def test_parity_reads_no_difference_in_how_lifted_names_are_numbered():
+    # the lift pass numbers its names by how many it has made, so one
+    # change elsewhere renumbers them all; each level is numbered afresh in
+    # order of first appearance before the kernels are compared
+    name = "<chaoscrypt arnold scan 1/1>"
+    old = parity_collection(**{name: [lifted_scanner("_g3", "_r9", "_c5", "_c6", "_c5")]})
+    new = parity_collection(**{name: [lifted_scanner("_g2", "_r12", "_c7", "_c11", "_c7")]})
+    assert load_tool("parity").compare(old, new) == []
+
+
+def test_parity_shows_a_key_line_that_reads_another_lifted_value():
+    name = "<chaoscrypt duffing scan 2/2+1/1>"
+    old = parity_collection(**{name: [lifted_scanner("_g3", "_r9", "_c5", "_c6", "_c5")]})
+    new = parity_collection(**{name: [lifted_scanner("_g3", "_r9", "_c5", "_c6", "_c6")]})
+    assert load_tool("parity").compare(old, new) == [
+        "key loop differs in 1 kernels (1 <chaoscrypt duffing scan #/#+#/#>):",
+        "    -passed.append((_r1 * _g1, _c1))",
+        "    +passed.append((_r1 * _g1, _c2))",
+    ]

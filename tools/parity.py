@@ -40,7 +40,11 @@ names its map kind); the kernel sources that differ, each file name in
 both checkouts compared with itself, split into the scanner's key loop
 (the per-key code) and the lines outside it, and grouped by identical
 difference, each group naming its families and their counts; and each
-output that differs. A kernel's difference is the lines it loses and
+output that differs. Before a kernel is split, the names the lift pass
+gives its grid, row and column values (`_g12`, `_r3`, `_c8`) are
+numbered afresh on each side, per level in order of first appearance,
+so a change that only renumbers them is no difference and does not
+split a group. A kernel's difference is the lines it loses and
 gains, matched without their indentation and counted, each shown once,
 so that one snippet change reads the same in every schedule however many
 steps repeat it; when the rest still differs (a line moved, or
@@ -349,6 +353,26 @@ def collect(checkout: Path) -> dict:
     return found
 
 
+_LIFTED = re.compile(r"\b_([grc])\d+\b")
+
+
+def _renumbered(source: str) -> str:
+    """source with the names the lift pass gives its grid, row and column
+    values (_g12, _r3, _c8, ...) numbered afresh per level in order of
+    first appearance (_g1, _g2, _r1, _c1, _c2, ...). Each name's defining
+    line stays, so a change in what a name holds, or in which name a line
+    reads, still shows; a change in how the pass numbers them does not."""
+    names, counts = {}, Counter()
+
+    def rename(m: re.Match) -> str:
+        if m[0] not in names:
+            counts[m[1]] += 1
+            names[m[0]] = f"_{m[1]}{counts[m[1]]}"
+        return names[m[0]]
+
+    return _LIFTED.sub(rename, source)
+
+
 def _key_loop(source: str) -> tuple[str, str]:
     """A scanner's key loop (the `for column in columns:` block, dedented)
     and the source around it, the loop left as one marker line; a source
@@ -406,7 +430,8 @@ def compare(base: dict, new: dict) -> list[str]:
             only["change" if changed else "parent"].append(name)
             continue
         for region, old_part, new_part in zip(("key loop", "outside the key loop"),
-                                              _key_loop(old[0]), _key_loop(changed[0])):
+                                              _key_loop(_renumbered(old[0])),
+                                              _key_loop(_renumbered(changed[0]))):
             lines = _changed(old_part, new_part)
             if lines:
                 groups.setdefault((region, lines), []).append(name)
