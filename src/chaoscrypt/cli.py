@@ -274,6 +274,8 @@ def cmd_compare(args) -> int:
 
 
 _WORKERS_HELP = "parallel scan processes (capped by the usable CPUs and CHAOSCRYPT_THREADS)"
+_INCREMENT_HELP = "grid step of a and b over the domain"
+_N_MODULUS_HELP = "the keys' torus modulus N, which is public; the Duffing map ignores it"
 
 
 @cache
@@ -308,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--domain", type=_domain_arg, required=True,
                    help="a_lo,b_lo,a_hi,b_hi")
-    p.add_argument("--increment", type=float, default=1e-4)
-    p.add_argument("--n-modulus", type=float, default=1.0)
+    p.add_argument("--increment", type=float, default=1e-4, help=_INCREMENT_HELP)
+    p.add_argument("--n-modulus", type=float, default=1.0, help=_N_MODULUS_HELP)
     p.add_argument("--seed", type=int, default=None,
                    help="seed for a reproducible draw")
     p.add_argument("--out", help="write the key JSON here instead of stdout")
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="true key JSON file")
     p.add_argument("--domain", type=_domain_arg, required=True,
                    help="a_lo,b_lo,a_hi,b_hi")
-    p.add_argument("--increment", type=float, default=1e-4)
+    p.add_argument("--increment", type=float, default=1e-4, help=_INCREMENT_HELP)
     p.add_argument("--iters", type=int, default=3,
                    help="iteration count used for both cipher stages")
     p.add_argument("--compare-len", type=int, default=None,
@@ -358,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--domain", type=_domain_arg, required=True,
                    help="a_lo,b_lo,a_hi,b_hi")
-    p.add_argument("--increment", type=float, default=1e-4)
-    p.add_argument("--n-modulus", type=float, default=1.0)
+    p.add_argument("--increment", type=float, default=1e-4, help=_INCREMENT_HELP)
+    p.add_argument("--n-modulus", type=float, default=1.0, help=_N_MODULUS_HELP)
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--config", help="cipher config JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")

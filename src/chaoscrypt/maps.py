@@ -142,8 +142,8 @@ def signed_mod(dividend: float, divisor: float) -> float:
 
 # The two step equations, each spelled once, with their bound tests:
 # - setup: a statement binding names from the parameters (a, b, n),
-#   among them the name guarded holds, set to the key's guard, $guard;
-# - guarded: that name, which the tests read the guard as;
+#   among them the key's guard, $guard (Arnold's boxed, Duffing's
+#   no_return), which the tests read by that name;
 # - guard_column, guard_row: the guard's two sides (below);
 # - x, y: the next state's coordinates, as expressions of the state (x, y);
 # - entry: a test of the state a run of steps starts from;
@@ -185,23 +185,21 @@ _STEP_SOURCE = {
         "setup": "a1, b1 = a - 1.0, 1.0 - b; boxed = $guard",
         "guard_column": "abs(1.0 - b) * n",
         "guard_row": "$bound - (1.0 + abs(a - 1.0)) * n",
-        "guarded": "boxed",
         "x": "a1 * fmod(2.0 * x + y, n)",
         "y": "fmod(x + b1 * y, n)",
         "entry": "x == x and y == y",
-        "inside": "$guarded or -$bound <= $new_x <= $bound and -$bound <= $new_y <= $bound",
+        "inside": "boxed or -$bound <= $new_x <= $bound and -$bound <= $new_y <= $bound",
         "between": "$inside",
     },
     MapKind.DUFFING: {
         "setup": "nb = -b; no_return = $guard",
         "guard_column": "abs(b)",
         "guard_row": "1e11 - abs(a)",
-        "guarded": "no_return",
         "x": "y",
         "y": "nb * x + a * y - y * y * y",
         "entry": "-$bound <= y <= $bound",
         "inside": "-$bound <= $new_y <= $bound",
-        "between": "$guarded or $inside",
+        "between": "no_return or $inside",
     },
 }
 
@@ -264,15 +262,15 @@ def _kernel(kind: MapKind, template: str, n1: int = 0, n2: int = 0,
     changes no line; without one, every $side_ snippet is blank. A fill
     with a $lifted snippet (the scanner's) also gets the snippets that
     _hoist.hoist makes of it, spliced with $guard as True: its setup binds
-    $guarded to True, which the pass puts in its place, so each bound test
-    reads a literal True that the compiler folds away. A line that splices
-    to nothing but blanks is dropped. fmod, floor and abs are locals of
-    the function, as keyword-only defaults, and DivergenceError its
-    global. Its file name names the kind, the function, n1/n2, the side
-    schedule and the variant, which tells apart the fills of one template,
-    and linecache holds its source, so a traceback through it shows its
-    lines. So each file name names one source; tools/parity.py reports any
-    name compiled with two.
+    the guard's name (boxed, no_return) to True, which the pass puts in
+    its place, so each bound test reads a literal True that the compiler
+    folds away. A line that splices to nothing but blanks is dropped.
+    fmod, floor and abs are locals of the function, as keyword-only
+    defaults, and DivergenceError its global. Its file name names the
+    kind, the function, n1/n2, the side schedule and the variant, which
+    tells apart the fills of one template, and linecache holds its
+    source, so a traceback through it shows its lines. So each file name
+    names one source; tools/parity.py reports any name compiled with two.
     """
     run = ["$between_step\n"] * (n1 + n2)
     if run:

@@ -762,6 +762,17 @@ def test_every_command_has_help(capsys):
             main([cmd, "--help"])
         assert exit_info.value.code == 0
         assert "--" in capsys.readouterr().out
+    # the help formatter prints a default only for an option with help text
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    bare = [f"{name} {action.option_strings[0]}" for name, parser in commands.items()
+            for action in parser._actions
+            if action.option_strings and not action.required and not action.help]
+    assert bare == []
+    with pytest.raises(SystemExit):
+        main(["keygen", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: 0.0001)" in text and "(default: 1.0)" in text
 
 
 def test_unknown_flags_exit_2(capsys):

@@ -7,8 +7,6 @@ import shutil
 import sys
 from pathlib import Path
 
-from chaoscrypt import cipher
-
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -37,24 +35,46 @@ def test_compare_skips_a_cell_with_no_run_yet(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.err == ""
         rows = [line.split() for line in out.out.splitlines()[1:]]
-        assert rows == [["report_tables", "0", "report_s", "0.08", "0.08", "1.000", "0/1"]]
+        assert rows == [["report_tables", "0", "report_s", "s", "0.08", "0.08", "1.000",
+                         "[1.000,", "1.000]", "0/1"]]
 
 
-def test_recorded_runs_read_the_standard_librarys_bytecode_and_no_other(tmp_path,
-                                                                         monkeypatch):
-    # the recorder's bytecode prefix links each standard-library module's
-    # own bytecode where a run looks for it, and holds nothing else, so a
-    # run reads no checkout's __pycache__ and compiles the package from source
+def test_recorded_runs_use_a_copy_without_bytecode(tmp_path, monkeypatch):
+    # each label runs in its own copy of its checkout, made without
+    # __pycache__ or .git, so a run compiles the package from source and
+    # writes nothing inside the checkout
     tool = load_tool("bench_record")
-    tool.link_stdlib_bytecode(str(tmp_path))
-    own = Path(importlib.util.cache_from_source(json.__file__))
-    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
-    linked = Path(importlib.util.cache_from_source(json.__file__))
-    assert linked.is_relative_to(tmp_path)
-    assert linked.is_symlink() and linked.resolve() == own.resolve()
-    assert not Path(importlib.util.cache_from_source(cipher.__file__)).exists()
-    files = [path for path in tmp_path.rglob("*") if not path.is_dir()]
-    assert files and all(path.is_symlink() and path.suffix == ".pyc" for path in files)
+    checkout = tmp_path / "checkout"
+    shutil.copytree(TOOLS.parent / "src", checkout / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (checkout / "bench").mkdir()
+    (checkout / "bench" / "run.py").write_text("")
+    for stale in ("src/chaoscrypt/__pycache__/cipher.cpython-311.pyc", ".git/HEAD"):
+        (checkout / stale).parent.mkdir(parents=True)
+        (checkout / stale).write_bytes(b"stale")
+
+    def tree(root):
+        return {str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    before = tree(checkout)
+    source = {name: data for name, data in before.items()
+              if "__pycache__" not in name and not name.startswith(".git")}
+    ran = []
+
+    def run_once(copy, workload, seed, seconds):
+        assert copy != checkout and tree(copy) == source
+        ran.append(copy)
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"setup_s": 0.04}}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    out = tmp_path / "record.json"
+    assert tool.main(["--out", str(out), "--checkout", f"a={checkout}", "--checkout",
+                      f"b={checkout}", "--workloads", "file_roundtrip", "--runs", "2"]) == 0
+    assert len(ran) == 4 and len(set(ran)) == 2 and not any(copy.exists() for copy in ran)
+    cell = json.loads(out.read_text())["workloads"]["file_roundtrip"]["0"]
+    assert [len(cell[label]["runs"]) for label in "ab"] == [2, 2]
+    assert tree(checkout) == before
 
 
 def test_adding_to_a_record_refuses_another_setting_or_commit(tmp_path, monkeypatch):
@@ -93,6 +113,7 @@ def test_interleave_of_a_checkout_with_itself_agrees(monkeypatch, capsys):
     # end-to-end metric, in the bench's order; the caller's modules, path
     # and bytecode switch are put back at the end
     tool = load_tool("bench_record")
+    importlib.import_module("oracles")  # as the other test modules do, before this one
     monkeypatch.chdir(TOOLS.parent)
     monkeypatch.setattr(sys, "dont_write_bytecode", False)
 
@@ -100,12 +121,16 @@ def test_interleave_of_a_checkout_with_itself_agrees(monkeypatch, capsys):
         return {name: module for name, module in sys.modules.items()
                 if name.startswith("chaoscrypt") or name in ("oracles", "spans", "bench_run")}
 
-    importlib.import_module("oracles")  # as the other test modules do, before this one
     path, modules = sys.path[:], tracked()
     assert tool.main(["--interleave", ".", ".", "--pairs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines[2:-1]] == [
-        "encrypt_mib_s", "decrypt_mib_s", "report_s", "identify_keys_per_s", "attack_keys_per_s"]
+    assert [line.split()[:4] for line in lines[2:-1]] == [
+        ["file_roundtrip", "0", "encrypt_mib_s", "MiB/s"],
+        ["file_roundtrip", "0", "decrypt_mib_s", "MiB/s"],
+        ["report_tables", "0", "report_s", "s"],
+        ["key_census", "0", "identify_keys_per_s", "1/s"],
+        ["key_census", "0", "attack_keys_per_s", "1/s"]]
+    assert all("[" in line and line.split()[-1] in ("0/1", "1/1") for line in lines[2:-1])
     assert lines[-1] == "checks pass"
     assert sys.path == path
     assert sys.dont_write_bytecode is False

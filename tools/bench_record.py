@@ -6,37 +6,39 @@
     python3 tools/bench_record.py --compare BENCH_6.json BENCH_7.json
     python3 tools/bench_record.py --interleave ../parent-checkout . --pairs 40
 
-Recording runs `bench/run.py` inside each labelled checkout, `--runs`
+Recording copies each labelled checkout, without `.git` and
+`__pycache__`, into one temporary directory made for the recording and
+removed at its end, and runs the copy's `bench/run.py` there, `--runs`
 times per workload and seed, alternating which checkout goes first from
-one run to the next, so the runs of two checkouts pair up. Each run's last
-stdout line is kept (its `correct`, `attempted`, `failed` and metric
-values), and each metric gets its median and quartiles per checkout,
-workload and seed. The file also names each checkout's git commit (and
-whether its working tree differs from it), the Python version and the core
-count. It is rewritten after every run; recording into an existing file
-adds to it, replacing the workload and seed cells it records again. A
-record made under another Python version, core count or --seconds, or one
-that names another commit for a label of this call, is refused (exit 2)
-before any run, so that no cell is labelled with what another call
-measured. Every run looks for bytecode only under one fresh
-PYTHONPYCACHEPREFIX directory, made for the recording and removed at its
-end, which holds links to the interpreter's own standard-library bytecode
-and nothing else. So no run reads a `__pycache__` that a checkout holds,
-and a used checkout and a fresh copy of it compile the same way, while the
-standard library loads from its bytecode, as in a bare run, not from
-source.
+one run to the next, so the runs of two checkouts pair up. bench/run.py
+writes no bytecode, so every run compiles the package from source, reads
+no `__pycache__` that a checkout holds, and loads the standard library
+from its own bytecode, as a bare run does; nothing is written inside a
+checkout. Each run's last stdout line is kept (its `correct`,
+`attempted`, `failed` and metric values), and each metric gets its
+median and quartiles per checkout, workload and seed. The file also
+names each checkout's git commit (and whether its working tree differs
+from it), the Python version and the core count. It is rewritten after
+every run; recording into an existing file adds to it, replacing the
+workload and seed cells it records again. A record made under another
+Python version, core count or --seconds, or one that names another
+commit for a label of this call, is refused (exit 2) before any run, so
+that no cell is labelled with what another call measured.
 
-Comparing prints, for every end-to-end metric of BENCHMARK.json, the ratio
-of the two medians (new over base) on each workload and seed, and how many
-run pairs the new record wins. A metric that got worse by more than its
-BENCHMARK.json bound is marked PAST BOUND. A workload, seed or label cell
-that one record lacks, or has no run in yet, is skipped. Comparing gates
-nothing: the exit status is 0 whatever it prints. A record is FILE:LABEL;
-without a label it is the file's "change" record, or its only one. A
-claim of a few percent on file_roundtrip's encrypt_mib_s or
-decrypt_mib_s needs an A/A record (two copies of one commit) beside the
-A/B, or --interleave at 40 or more pairs: an A/A record of 10 alternating
-30 s pairs read 0.975x.
+Comparing and interleaving print one table: a row for each workload,
+seed and end-to-end metric of BENCHMARK.json that both sides hold, with
+both medians in the metric's unit, the median per-pair ratio (new over
+base) with a seeded bootstrap 95% interval, and the pairs that new wins
+by the metric's `better`. A ratio past the metric's bound is marked PAST
+BOUND. Each failed run is printed after the rows.
+
+Comparing reads two records, each FILE:LABEL; without a label it is the
+file's "change" record, or its only one. A workload, seed or label cell
+that one record lacks, or has no run in yet, is skipped. It gates
+nothing: the exit status is 0 whatever it prints, and 2 when a record
+cannot be read. An interval that holds 1 resolves nothing, however the
+wins fall: an A/A record of 10 alternating 30 s file_roundtrip pairs
+read encrypt_mib_s 0.975x.
 
 Interleaving times two checkouts' packages in this one process, with no
 subprocess or thread. It loads each checkout's `src/` package under its
@@ -51,18 +53,16 @@ runs once per checkout to warm it; a failed bench check (against
 `bench/expected/` or the oracles), or first-pass ciphertexts or census
 counts that differ between the two, print one `check failed: ...` line
 each and exit 1 before any timing. Then come --pairs pairs of passes per
-group, the two checkouts taking turns to go first. For each timed
-end-to-end metric of BENCHMARK.json it prints both medians in the
-bench's units (`bench.summarize` of each pass), the median per-pair
-ratio (new over base) with a seeded bootstrap 95% interval, and the
-pairs the new checkout wins by the metric's `better`; then `checks
-pass`, or each check that failed while timed. It exits 0 when every
-check passes, 1 when one fails, 2 when a checkout cannot be loaded or
-set up, and 3 when the tool fails. A pair takes about 3 s on a 2-core
-host. A claim from it needs 40 or more pairs (the default), or an A/A
-run (`--interleave . .`) beside the A/B: on a 2-core shared host, 20
-pairs of identical code gave intervals that exclude 1. Full output
-agreement is `tools/parity.py`'s check.
+group, the two checkouts taking turns to go first. Each pass is a run
+(`bench.summarize` of it, in the bench's units) of the group's workload
+at seed 0, and the table reads the two sets of cells as it reads two
+records; then `checks pass`, or each check that failed while timed. It
+exits 0 when every check passes, 1 when one fails, 2 when a checkout
+cannot be loaded or set up, and 3 when the tool fails. A pair takes
+about 3 s on a 2-core host. A claim from it needs 40 or more pairs (the
+default), or an A/A run (`--interleave . .`) beside the A/B: on a 2-core
+shared host, 20 pairs of identical code gave intervals that exclude 1.
+Full output agreement is `tools/parity.py`'s check.
 
 Standard library only.
 """
@@ -74,14 +74,15 @@ import gc
 import importlib
 import importlib.util
 import json
+import math
 import os
 import pkgutil
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
-import sysconfig
 import tempfile
 import traceback
 from pathlib import Path
@@ -89,6 +90,7 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("file_roundtrip", "report_tables", "key_census")
+BOOTSTRAP = 2000
 
 
 def git(checkout: Path, *args: str) -> str | None:
@@ -100,14 +102,12 @@ def git(checkout: Path, *args: str) -> str | None:
     return done.stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, pycache: str) -> dict:
-    """One bench run in checkout, with pycache as its bytecode cache root;
-    its last stdout line, or a failed record."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One bench run in checkout; its last stdout line, or a failed record."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPYCACHEPREFIX": pycache})
+        cwd=checkout, capture_output=True, text=True)
     try:
         last = json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
@@ -116,24 +116,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, pycache: 
     return {"correct": last["correct"], "attempted": last["attempted"],
             "failed": last["failed"],
             "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
-
-
-def link_stdlib_bytecode(pycache: str) -> None:
-    """Link each standard-library module's bytecode for this interpreter
-    where a run with pycache as its PYTHONPYCACHEPREFIX looks for it: the
-    module's directory, as an absolute path, under pycache. A bytecode
-    file is checked against its source on import, as in __pycache__."""
-    suffix = f".{sys.implementation.cache_tag}.pyc"
-    for root, dirs, files in os.walk(sysconfig.get_paths()["stdlib"]):
-        dirs[:] = [d for d in dirs if d not in ("site-packages", "dist-packages")]
-        if Path(root).name != "__pycache__":
-            continue
-        source_dir = Path(root).parent
-        target = Path(pycache, *source_dir.parts[1:])
-        target.mkdir(parents=True, exist_ok=True)
-        for name in files:
-            if name.endswith(suffix):  # not an optimized level's .opt-1.pyc
-                (target / name).symlink_to(Path(root, name))
 
 
 def summary(runs: list[dict]) -> dict:
@@ -179,15 +161,17 @@ def record(args) -> int:
     result.update(setting)
     result["checkouts"] = {**result.get("checkouts", {}), **labelled}
     labels = list(checkouts)
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
-        link_stdlib_bytecode(pycache)
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as work:
+        clean = shutil.ignore_patterns(".git", "__pycache__")
+        copies = {label: shutil.copytree(path, Path(work, str(k)), ignore=clean)
+                  for k, (label, path) in enumerate(checkouts.items())}
         for workload in args.workloads:
             for seed in args.seeds:
                 cell = {label: {"runs": []} for label in labels}
                 result["workloads"].setdefault(workload, {})[str(seed)] = cell
                 for k in range(args.runs):
                     for label in (labels if k % 2 == 0 else labels[::-1]):
-                        run = run_once(checkouts[label], workload, seed, args.seconds, pycache)
+                        run = run_once(copies[label], workload, seed, args.seconds)
                         cell[label]["runs"].append(run)
                         cell[label]["metrics"] = summary(cell[label]["runs"])
                         print(f"{workload} seed {seed} run {k + 1}/{args.runs} {label}: "
@@ -196,52 +180,63 @@ def record(args) -> int:
     return 0
 
 
-def load(spec: str) -> tuple[str, dict]:
+def load(spec: str) -> dict:
+    """The cells of record spec, FILE or FILE:LABEL, that hold a run."""
     path, _, label = spec.partition(":")
     data = json.loads(Path(path).read_text())
     labels = list(data["checkouts"])
     label = label or ("change" if "change" in labels else labels[-1])
-    return label, {workload: {seed: cell[label] for seed, cell in seeds.items()
-                              if "metrics" in cell.get(label, {})}
-                   for workload, seeds in data["workloads"].items()}
+    return {workload: {seed: cell[label] for seed, cell in seeds.items()
+                       if "metrics" in cell.get(label, {})}
+            for workload, seeds in data["workloads"].items()}
 
 
-def compare(base_spec: str, new_spec: str) -> int:
-    bounds = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    _, base = load(base_spec)
-    _, new = load(new_spec)
-    print(f"{'workload':15} {'seed':>4} {'metric':22} {'base':>12} {'new':>12} "
-          f"{'new/base':>8} {'wins':>6}")
+def ratio_interval(ratios: list[float], seed: int = 0) -> tuple[float, float]:
+    """A seeded bootstrap 95% interval of the median of ratios."""
+    rng = random.Random(seed)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP))
+    return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
+
+
+def table(base: dict, new: dict) -> None:
+    """Print a row for each workload, seed and end-to-end metric of
+    BENCHMARK.json that both hold (each workload -> seed -> a record's
+    cell), then each failed run."""
+    print(f"{'workload':15} {'seed':>4} {'metric':20} {'unit':>5} {'base':>10} {'new':>10} "
+          f"{'new/base':>8} {'95% interval':>16} {'new wins':>8}")
+    metrics, failed = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"], []
     for workload, seeds in new.items():
         for seed, cell in seeds.items():
             other = base.get(workload, {}).get(seed)
             if other is None:
                 continue
-            for metric in bounds:
-                name = metric["name"]
+            for metric in metrics:
+                name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
                 if name not in cell["metrics"] or name not in other["metrics"]:
                     continue
-                b, n = other["metrics"][name]["median"], cell["metrics"][name]["median"]
-                higher = metric["better"] == "higher"
-                pairs = [(r["metrics"].get(name), s["metrics"].get(name))
-                         for r, s in zip(other["runs"], cell["runs"])]
-                wins = sum(1 for x, y in pairs if x is not None and y is not None
-                           and (y > x if higher else y < x))
-                worse = n < b * (1 - metric["bound"]) if higher else n > b * (1 + metric["bound"])
-                ratio = n / b if b else float("nan")
-                print(f"{workload:15} {seed:>4} {name:22} {b:12.5g} {n:12.5g} {ratio:8.3f} "
-                      f"{wins:>2}/{len(pairs):<3}" + ("  PAST BOUND" if worse else ""))
-            fails = [(label, r["correct"], r["failed"]) for label, c in (("base", other),
-                                                                         ("new", cell))
-                     for r in c["runs"] if not r["correct"] or r["failed"]]
-            for label, correct, failed in fails:
-                print(f"{workload:15} {seed:>4} {label} run: correct={correct} failed={failed}")
-    return 0
+                pairs = [(r["metrics"][name], s["metrics"][name])
+                         for r, s in zip(other["runs"], cell["runs"])
+                         if name in r["metrics"] and name in s["metrics"]]
+                ratios = [n / b for b, n in pairs if b]
+                ratio = statistics.median(ratios) if ratios else math.nan
+                low, high = ratio_interval(ratios) if ratios else (math.nan, math.nan)
+                wins = sum((n > b) if higher else (n < b) for b, n in pairs)
+                worse = ratio < 1 - bound if higher else ratio > 1 + bound
+                print(f"{workload:15} {seed:>4} {name:20} {metric['unit']:>5} "
+                      f"{other['metrics'][name]['median']:10.4g} "
+                      f"{cell['metrics'][name]['median']:10.4g} {ratio:8.3f} "
+                      f"{f'[{low:.3f}, {high:.3f}]':>16} {f'{wins}/{len(pairs)}':>8}"
+                      + ("  PAST BOUND" if worse else ""))
+            failed += [f"{workload:15} {seed:>4} {label} run: correct={r['correct']} "
+                       f"failed={r['failed']}" for label, c in (("base", other), ("new", cell))
+                       for r in c["runs"] if not r["correct"] or r["failed"]]
+    for line in failed:
+        print(line)
 
 
 PACKAGE = "chaoscrypt"
 LOADED = ("bench_run", "spans", "oracles")  # bench/run.py, its import, tests/oracles.py
-BOOTSTRAP = 2000
 
 
 def _ours(name: str) -> bool:
@@ -306,11 +301,15 @@ def set_up(bench, modules: dict, work: Path) -> SimpleNamespace:
                            roundtrip=roundtrip, census=census)
 
 
-def run_group(bench, checkout: SimpleNamespace, group: int) -> dict[str, float]:
-    """One pass of an op group of checkout, as the bench's metric values."""
+def run_group(bench, checkout: SimpleNamespace, group: int) -> dict:
+    """One pass of an op group of checkout, as a record's run: whether
+    no op failed, how many did, and the bench's metric values."""
     _activate(checkout.modules)
     gc.collect()
-    return bench.summarize(checkout.groups[group]())
+    before = checkout.runner.failed
+    metrics = bench.summarize(checkout.groups[group]())
+    failed = checkout.runner.failed - before
+    return {"correct": not failed, "failed": failed, "metrics": metrics}
 
 
 def failures(base: SimpleNamespace, new: SimpleNamespace) -> list[str]:
@@ -325,14 +324,6 @@ def failures(base: SimpleNamespace, new: SimpleNamespace) -> list[str]:
               f"against {other.counts}" for case, other in zip(base.census, new.census)
               if case.counts != other.counts]
     return [f"check failed: {line}" for line in lines]
-
-
-def ratio_interval(ratios: list[float], seed: int = 0) -> tuple[float, float]:
-    """A seeded bootstrap 95% interval of the median of ratios."""
-    rng = random.Random(seed)
-    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
-                     for _ in range(BOOTSTRAP))
-    return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
 
 
 def interleave(base: str, new: str, pairs: int) -> int:
@@ -367,27 +358,16 @@ def _interleave(bench, checkouts: list, names: tuple, pairs: int) -> int:
     if failed:
         print("\n".join(failed))
         return 1
-    values = ({}, {})
+    cells = ({}, {})
     for k in range(pairs):
         for group in groups:
             for t in ((0, 1) if k % 2 == 0 else (1, 0)):
-                for name, value in run_group(bench, checkouts[t], group).items():
-                    values[t].setdefault(name, []).append(value)
+                cell = cells[t].setdefault(WORKLOADS[group], {}).setdefault("0", {"runs": []})
+                cell["runs"].append(run_group(bench, checkouts[t], group))
+                cell["metrics"] = summary(cell["runs"])
     print(f"base {names[0]}, new {names[1]}: {pairs} interleaved pairs per op group "
           f"(Python {platform.python_version()}, {os.cpu_count()} cores)")
-    print(f"{'metric':20} {'unit':>5} {'base':>10} {'new':>10} {'new/base':>8} "
-          f"{'95% interval':>15} {'new wins':>8}")
-    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]:
-        name, higher = metric["name"], metric["better"] == "higher"
-        if name not in values[0]:
-            continue
-        base, new = values[0][name], values[1][name]
-        ratios = [n / b for b, n in zip(base, new)]
-        low, high = ratio_interval(ratios)
-        wins = sum((n > b) if higher else (n < b) for b, n in zip(base, new))
-        print(f"{name:20} {metric['unit']:>5} {statistics.median(base):10.4g} "
-              f"{statistics.median(new):10.4g} {statistics.median(ratios):8.3f} "
-              f"{f'[{low:.3f}, {high:.3f}]':>15} {f'{wins}/{pairs}':>8}")
+    table(*cells)
     failed = failures(*checkouts)
     print("\n".join(failed) if failed else "checks pass")
     return 1 if failed else 0
@@ -418,10 +398,11 @@ def main(argv=None) -> int:
             return 3
     if args.compare:
         try:
-            return compare(*args.compare)
+            table(*map(load, args.compare))
         except (OSError, ValueError, KeyError) as exc:
             print(f"error: cannot compare {args.compare}: {exc!r}", file=sys.stderr)
             return 2
+        return 0
     if not (args.out and args.checkouts):
         parser.error("recording needs --out and at least one --checkout")
     return record(args)
