@@ -38,6 +38,7 @@ from .cipher import (
 from .maps import DivergenceError, DomainError, MapKind, MapParams, _finite
 
 __all__ = [
+    "GRID_STEP",
     "KEY_SPACE_RESOLUTION",
     "BRUTE_FORCE_FLOOR",
     "FULL_KEY_DOMAIN",
@@ -64,6 +65,10 @@ __all__ = [
     "compare_ciphers",
     "write_comparison_csv",
 ]
+
+# The paper's grid step of a and b: the default increment of a key grid,
+# and the default key perturbation of key sensitivity.
+GRID_STEP = 1e-4
 
 # Resolution used when counting the admissible keys of a full cipher
 # domain, and the classical floor a key space should exceed to be
@@ -114,7 +119,7 @@ class KeyDomain:
     kind: MapKind
     lower: tuple[float, float]
     upper: tuple[float, float]
-    increment: float = 1e-4
+    increment: float = GRID_STEP
     n_modulus: float = 1.0
 
     def __post_init__(self):
@@ -223,7 +228,7 @@ def _flip_float_bit(value: float, bit: int) -> float:
 
 def key_sensitivity(plaintext: bytes | str, key: Key,
                     cfg: CipherConfig | None = None, mode: str = "increment",
-                    delta: float = 1e-4, component: str = "a", bit: int = 0) -> float:
+                    delta: float = GRID_STEP, component: str = "a", bit: int = 0) -> float:
     """Percentage of ciphertext bits changed by a minimal key perturbation.
 
     In "increment" mode the a component is increased by delta (the grid
@@ -621,7 +626,7 @@ def load_report_spec(path: str | os.PathLike) -> list[tuple[str, Key, KeyDomain]
         dobj = _field(item, "domain", where)
         lower, upper = (_pair(dobj, name, f"{where} domain") for name in ("lower", "upper"))
         domain = KeyDomain(key.kind, lower, upper,
-                           _number(dobj, "increment", f"{where} domain", 1e-4),
+                           _number(dobj, "increment", f"{where} domain", GRID_STEP),
                            n_modulus=key.params.n_modulus)
         plaintext = _field(item, "plaintext", where)
         if not isinstance(plaintext, str):

@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--domain", type=_domain_arg, required=True,
                    help="a_lo,b_lo,a_hi,b_hi")
-    p.add_argument("--increment", type=float, default=1e-4, help=_INCREMENT_HELP)
+    p.add_argument("--increment", type=float, default=analysis.GRID_STEP, help=_INCREMENT_HELP)
     p.add_argument("--n-modulus", type=float, default=1.0, help=_N_MODULUS_HELP)
     p.add_argument("--seed", type=int, default=None,
                    help="seed for a reproducible draw")
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--plaintext-file", help="plaintext file (raw bytes)")
     p.add_argument("--key", required=True, help="key JSON file")
     p.add_argument("--mode", required=True, choices=["pt", "key"])
-    p.add_argument("--delta", type=float, default=1e-4,
+    p.add_argument("--delta", type=float, default=analysis.GRID_STEP,
                    help="key increment (key mode)")
     p.add_argument("--flip-bit", type=int, default=0,
                    help="plaintext bit to flip (pt mode)")
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="true key JSON file")
     p.add_argument("--domain", type=_domain_arg, required=True,
                    help="a_lo,b_lo,a_hi,b_hi")
-    p.add_argument("--increment", type=float, default=1e-4, help=_INCREMENT_HELP)
+    p.add_argument("--increment", type=float, default=analysis.GRID_STEP, help=_INCREMENT_HELP)
     p.add_argument("--iters", type=int, default=3,
                    help="iteration count used for both cipher stages")
     p.add_argument("--compare-len", type=int, default=None,
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--domain", type=_domain_arg, required=True,
                    help="a_lo,b_lo,a_hi,b_hi")
-    p.add_argument("--increment", type=float, default=1e-4, help=_INCREMENT_HELP)
+    p.add_argument("--increment", type=float, default=analysis.GRID_STEP, help=_INCREMENT_HELP)
     p.add_argument("--n-modulus", type=float, default=1.0, help=_N_MODULUS_HELP)
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument("--config", help="cipher config JSON file")

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -107,13 +108,16 @@ def test_adding_to_a_record_refuses_another_setting_or_commit(tmp_path, monkeypa
         assert path.read_text() == text
 
 
-def test_interleave_of_a_checkout_with_itself_agrees(monkeypatch, capsys):
-    # both copies of the package run the bench's own op groups in this
-    # process, each with its own modules, and print a row per timed
-    # end-to-end metric, in the bench's order; the caller's modules, path
-    # and bytecode switch are put back at the end
+def test_interleave_of_a_checkout_with_itself_agrees(tmp_path, monkeypatch, capsys):
+    # each copy of the package runs the bench's own op groups in a worker
+    # process of its own, and a row is printed per timed end-to-end metric,
+    # in the bench's order; this process imports no package module and
+    # leaves its modules, path and bytecode switch as they were. The
+    # record --out writes is read back by --compare into the same table.
     tool = load_tool("bench_record")
     importlib.import_module("oracles")  # as the other test modules do, before this one
+    for name in [name for name in sys.modules if name.startswith("chaoscrypt")]:
+        monkeypatch.delitem(sys.modules, name)
     monkeypatch.chdir(TOOLS.parent)
     monkeypatch.setattr(sys, "dont_write_bytecode", False)
 
@@ -122,7 +126,8 @@ def test_interleave_of_a_checkout_with_itself_agrees(monkeypatch, capsys):
                 if name.startswith("chaoscrypt") or name in ("oracles", "spans", "bench_run")}
 
     path, modules = sys.path[:], tracked()
-    assert tool.main(["--interleave", ".", ".", "--pairs", "1"]) == 0
+    out = tmp_path / "interleaved.json"
+    assert tool.main(["--interleave", ".", ".", "--pairs", "1", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:4] for line in lines[2:-1]] == [
         ["file_roundtrip", "0", "encrypt_mib_s", "MiB/s"],
@@ -135,6 +140,12 @@ def test_interleave_of_a_checkout_with_itself_agrees(monkeypatch, capsys):
     assert sys.path == path
     assert sys.dont_write_bytecode is False
     assert tracked() == modules
+    assert not [name for name in sys.modules if name.startswith("chaoscrypt")]
+    record = json.loads(out.read_text())
+    assert (record["pairs"], list(record["checkouts"])) == (1, ["base", "new"])
+    assert record["checkouts"]["base"] == tool.commit(TOOLS.parent)
+    assert tool.main(["--compare", f"{out}:base", f"{out}:new"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines[1:-1]
 
 
 def test_interleave_tells_apart_a_package_with_other_outputs(tmp_path, capsys):
@@ -159,6 +170,32 @@ def test_interleave_tells_apart_a_package_with_other_outputs(tmp_path, capsys):
     assert "decrypt" not in failed
     assert not list((tmp_path / "other").rglob("__pycache__"))
     assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "none")]) == 2
+
+
+def test_interleave_leaves_no_worker_running(tmp_path, monkeypatch, capsys):
+    # every worker the tool starts has exited and been waited for when it
+    # returns: after a checkout that cannot be set up (exit 2), and after
+    # an exception raised in this process between the two runs of a pair
+    tool = load_tool("bench_record")
+    started = []
+
+    class Popen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Popen)
+    assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "none")]) == 2
+    assert "no chaoscrypt package under" in capsys.readouterr().err
+    assert len(started) == 2 and all(worker.returncode is not None for worker in started)
+
+    def summary(runs):
+        raise RuntimeError("injected between the two runs of a pair")
+
+    monkeypatch.setattr(tool, "summary", summary)
+    assert tool.main(["--interleave", str(TOOLS.parent), str(TOOLS.parent), "--pairs", "1"]) == 3
+    assert "injected between the two runs of a pair" in capsys.readouterr().err
+    assert len(started) == 4 and all(worker.returncode is not None for worker in started)
 
 
 # Hand-built parity collections: each kernel's file name maps to the

@@ -40,29 +40,30 @@ cannot be read. An interval that holds 1 resolves nothing, however the
 wins fall: an A/A record of 10 alternating 30 s file_roundtrip pairs
 read encrypt_mib_s 0.975x.
 
-Interleaving times two checkouts' packages in this one process, with no
-subprocess or thread. It loads each checkout's `src/` package under its
-own module objects, and swaps them into `sys.modules` before each of
-that checkout's op groups, so that an import made during an op (such as
-the scanner's lift pass) loads that checkout's module. It times the
-bench itself: with this checkout's `bench/run.py` and
-`tests/oracles.py`, each checkout gets the bench's seed-0 inputs at full
-size (in one temporary directory), a bench Runner, and the bench's three
-op groups through its own `cli.main`. No bytecode is written. Each group
-runs once per checkout to warm it; a failed bench check (against
-`bench/expected/` or the oracles), or first-pass ciphertexts or census
-counts that differ between the two, print one `check failed: ...` line
-each and exit 1 before any timing. Then come --pairs pairs of passes per
-group, the two checkouts taking turns to go first. Each pass is a run
-(`bench.summarize` of it, in the bench's units) of the group's workload
-at seed 0, and the table reads the two sets of cells as it reads two
-records; then `checks pass`, or each check that failed while timed. It
-exits 0 when every check passes, 1 when one fails, 2 when a checkout
-cannot be loaded or set up, and 3 when the tool fails. A pair takes
-about 3 s on a 2-core host. A claim from it needs 40 or more pairs (the
-default), or an A/A run (`--interleave . .`) beside the A/B: on a 2-core
-shared host, 20 pairs of identical code gave intervals that exclude 1.
-Full output agreement is `tools/parity.py`'s check.
+Interleaving times two checkouts' packages on the bench's own op groups,
+each in one worker process: a fresh `python -B` (writing no bytecode) in
+a temporary directory, whose sys.path starts with that checkout's `src/`,
+then this checkout's `bench/` and `tests/`; this process imports neither
+package. A worker builds its inputs with `bench/run.py`'s `set_up` (seed
+0, every group at full size) and answers one JSON line per request: a
+checked pass of an op group, or its checks. Each group runs once per
+checkout to warm it; a failed bench check (against `bench/expected/` or
+the oracles), or first-pass ciphertexts or census counts that differ
+between the two, print one `check failed: ...` line each and exit 1
+before any timing. Then come --pairs pairs of passes per group, the two
+taking turns to go first, each kept as a run of the group's workload at
+seed 0 under the label `base` or `new`. The table reads them as it reads
+two records, then come `checks pass` or the checks that failed while
+timed; --out writes a record of them (with each label's commit, the
+Python version, the core count and --pairs) for `--compare FILE:base
+FILE:new`. It exits 0 when every check passes, 1 when one fails, 2 when
+a checkout cannot be loaded or set up (printing its worker's stderr), 3
+when the tool fails, and kills and waits for every worker first. A pair
+takes about 2.5 s on a 2-core host. Two workers can run up to 3% apart
+for a whole run: one of two 40-pair A/A runs (`--interleave . .`) read
+encrypt_mib_s 1.027 [1.010, 1.035]. So a claim needs 40 or more pairs
+(the default), an A/A run beside the A/B, and a margin past 3% or repeated
+runs. Full output agreement is `tools/parity.py`'s check.
 
 Standard library only.
 """
@@ -70,13 +71,11 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
-import importlib
-import importlib.util
 import json
 import math
 import os
-import pkgutil
 import platform
 import random
 import shutil
@@ -86,10 +85,10 @@ import sys
 import tempfile
 import traceback
 from pathlib import Path
-from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("file_roundtrip", "report_tables", "key_census")
+LABELS = ("base", "new")  # --interleave's two checkouts
 BOOTSTRAP = 2000
 
 
@@ -100,6 +99,12 @@ def git(checkout: Path, *args: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
+
+
+def commit(checkout: Path) -> dict:
+    """checkout's git commit, and whether its tree differs (read writing nothing)."""
+    return {"sha": git(checkout, "rev-parse", "HEAD"),
+            "dirty": bool(git(checkout, "--no-optional-locks", "status", "--porcelain"))}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -145,15 +150,13 @@ def record(args) -> int:
     result = json.loads(out.read_text()) if out.is_file() else {"workloads": {}}
     setting = {"python": platform.python_version(), "cores": os.cpu_count(),
                "seconds": args.seconds}
-    labelled = {label: {"sha": git(path, "rev-parse", "HEAD"),
-                        "dirty": bool(git(path, "status", "--porcelain"))}
-                for label, path in checkouts.items()}
+    labelled = {label: commit(path) for label, path in checkouts.items()}
     clashes = [f"{name} {result[name]!r}, not {value!r}" for name, value in setting.items()
                if name in result and result[name] != value]
     clashes += [f"label {label!r} at commit {result['checkouts'][label]['sha']}, "
-                f"not {commit['sha']}" for label, commit in labelled.items()
+                f"not {ours['sha']}" for label, ours in labelled.items()
                 if label in result.get("checkouts", {})
-                and result["checkouts"][label].get("sha") != commit["sha"]]
+                and result["checkouts"][label].get("sha") != ours["sha"]]
     if clashes:
         print(f"error: {out} was recorded with " + "; ".join(clashes)
               + ": record into another file", file=sys.stderr)
@@ -184,8 +187,12 @@ def load(spec: str) -> dict:
     """The cells of record spec, FILE or FILE:LABEL, that hold a run."""
     path, _, label = spec.partition(":")
     data = json.loads(Path(path).read_text())
-    labels = list(data["checkouts"])
-    label = label or ("change" if "change" in labels else labels[-1])
+    return cells(data, label or ("change" if "change" in data["checkouts"]
+                                 else list(data["checkouts"])[-1]))
+
+
+def cells(data: dict, label: str) -> dict:
+    """The cells of a record's label that hold a run."""
     return {workload: {seed: cell[label] for seed, cell in seeds.items()
                        if "metrics" in cell.get(label, {})}
             for workload, seeds in data["workloads"].items()}
@@ -235,141 +242,112 @@ def table(base: dict, new: dict) -> None:
         print(line)
 
 
-PACKAGE = "chaoscrypt"
-LOADED = ("bench_run", "spans", "oracles")  # bench/run.py, its import, tests/oracles.py
+def serve(src: str) -> None:
+    """A worker: the bench's set-up, then a JSON line per stdin line: a group
+    index gets a checked pass as a record's run, `checks` the checks."""
+    import run as bench  # bench/run.py, on the worker's sys.path
 
-
-def _ours(name: str) -> bool:
-    """Whether name is a sys.modules entry that interleaving swaps."""
-    return name == PACKAGE or name.startswith(PACKAGE + ".") or name in LOADED
-
-
-def _activate(modules: dict) -> None:
-    """Make modules the entries of sys.modules that _ours names, and no others."""
-    for name in [name for name in sys.modules if _ours(name)]:
-        del sys.modules[name]
-    sys.modules.update(modules)
-
-
-def load_tree(checkout: Path) -> dict:
-    """The package under checkout/src, every module of it imported, as a
-    dict of its sys.modules entries. sys.modules is left without them."""
-    src = (checkout / "src").resolve()
-    if not (src / PACKAGE / "__init__.py").is_file():
-        raise ImportError(f"no {PACKAGE} package under {src}")
-    _activate({})
-    sys.path.insert(0, str(src))
-    importlib.invalidate_caches()
-    try:
-        package = importlib.import_module(PACKAGE)
-        for module in pkgutil.iter_modules(package.__path__):
-            if module.name != "__main__":  # which would run the command line
-                importlib.import_module(f"{PACKAGE}.{module.name}")
-        modules = {name: module for name, module in sys.modules.items() if _ours(name)}
-    finally:
-        sys.path.remove(str(src))
-        _activate({})
-    return modules
-
-
-def load_file(name: str, path: Path):
-    """The module at path, in sys.modules under name before it runs (a
-    dataclass looks its module up there)."""
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def set_up(bench, modules: dict, work: Path) -> SimpleNamespace:
-    """One checkout's bench Runner and its three op groups on the bench's
-    seed-0 inputs at full size, written under work."""
-    _activate(modules)
-    pkg = SimpleNamespace(**{name: modules[f"{PACKAGE}.{name}"]
-                             for name in ("maps", "cipher", "analysis", "cli")},
-                          oracles=load_file("oracles", ROOT / "tests" / "oracles.py"))
-    work.mkdir()
-    roundtrip = bench.make_roundtrip(pkg, bench.DEFAULT_SEED, work, bench.FULL_MESSAGE)
-    report = bench.make_report(pkg, work, full=True)
-    census = bench.make_census(pkg, bench.DEFAULT_SEED, work)["full"]
-    runner = bench.Runner(pkg)
-    groups = [lambda: bench.roundtrip_pass(runner, roundtrip),
-              lambda: bench.report_pass(runner, report),
+    answer, sys.stdout = sys.stdout, sys.stderr  # a stray print goes to the log
+    if not Path(src, "chaoscrypt", "__init__.py").is_file():
+        raise ImportError(f"no chaoscrypt package under {src}")
+    pkg, inputs = bench.set_up(bench.DEFAULT_SEED, Path.cwd(), None)
+    runner, census = bench.Runner(pkg), inputs.census["full"]
+    groups = [lambda: bench.roundtrip_pass(runner, inputs.roundtrip),
+              lambda: bench.report_pass(runner, inputs.report),
               lambda: bench.census_pass(runner, census)]
-    return SimpleNamespace(modules=modules, runner=runner, groups=groups,
-                           roundtrip=roundtrip, census=census)
+    for request in sys.stdin:
+        if request.strip() == "checks":
+            reply = {"problems": runner.problems,
+                     "ciphertexts": {c.kind: c.ciphertext_hex for c in inputs.roundtrip.cases},
+                     "counts": {c.kind: c.counts for c in census}}
+        else:
+            gc.collect()
+            before = runner.failed
+            metrics = bench.summarize(groups[int(request)]())
+            failed = runner.failed - before
+            reply = {"correct": not failed, "failed": failed, "metrics": metrics}
+        print(json.dumps(reply), file=answer, flush=True)
 
 
-def run_group(bench, checkout: SimpleNamespace, group: int) -> dict:
-    """One pass of an op group of checkout, as a record's run: whether
-    no op failed, how many did, and the bench's metric values."""
-    _activate(checkout.modules)
-    gc.collect()
-    before = checkout.runner.failed
-    metrics = bench.summarize(checkout.groups[group]())
-    failed = checkout.runner.failed - before
-    return {"correct": not failed, "failed": failed, "metrics": metrics}
+def start(checkout: Path, work: Path) -> subprocess.Popen:
+    """A worker for checkout: a fresh interpreter that writes no bytecode,
+    serving checkout's src/ package in work, with its stderr in a file there."""
+    src = str((checkout / "src").resolve())
+    path = [src, *(str(ROOT / name) for name in ("bench", "tests", "tools"))]
+    code = f"import sys; sys.path[:0] = {path!r}; import bench_record; bench_record.serve({src!r})"
+    work.mkdir()
+    with open(work / "stderr.txt", "w") as log:
+        return subprocess.Popen([sys.executable, "-B", "-c", code], cwd=work, text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=log)
 
 
-def failures(base: SimpleNamespace, new: SimpleNamespace) -> list[str]:
-    """Each failed bench check, and each first-pass record (a roundtrip
-    ciphertext, census counts) in which the two checkouts differ."""
-    lines = [f"{label} {problem}" for label, checkout in (("base", base), ("new", new))
-             for problem in checkout.runner.problems]
-    lines += [f"base and new differ in the {case.kind} roundtrip ciphertext"
-              for case, other in zip(base.roundtrip.cases, new.roundtrip.cases)
-              if case.ciphertext_hex != other.ciphertext_hex]
-    lines += [f"base and new differ in the {case.kind} census counts: {case.counts} "
-              f"against {other.counts}" for case, other in zip(base.census, new.census)
-              if case.counts != other.counts]
+def ask(worker: subprocess.Popen, request: str) -> dict:
+    """worker's answer to request; EOFError if the worker has stopped."""
+    with contextlib.suppress(OSError):  # unbuffered: closing stdin flushes nothing
+        os.write(worker.stdin.fileno(), f"{request}\n".encode())
+        if line := worker.stdout.readline():
+            return json.loads(line)
+    raise EOFError(worker)
+
+
+def failures(base: dict, new: dict) -> list[str]:
+    """Each failed check in two workers' `checks`, and each first-pass record they differ in."""
+    lines = [f"{label} {problem}" for label, checks in zip(LABELS, (base, new))
+             for problem in checks["problems"]]
+    lines += [f"base and new differ in the {kind} roundtrip ciphertext"
+              for kind, text in base["ciphertexts"].items() if text != new["ciphertexts"][kind]]
+    lines += [f"base and new differ in the {kind} census counts: {counts} "
+              f"against {new['counts'][kind]}" for kind, counts in base["counts"].items()
+              if counts != new["counts"][kind]]
     return [f"check failed: {line}" for line in lines]
 
 
-def interleave(base: str, new: str, pairs: int) -> int:
-    saved = {name: module for name, module in sys.modules.items() if _ours(name)}
-    saved_path, writes = sys.path[:], sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # no bytecode is written into either checkout
-    try:
-        sys.path.insert(0, str(ROOT / "bench"))  # for bench/run.py's spans import
-        bench = load_file("bench_run", ROOT / "bench" / "run.py")
-        with tempfile.TemporaryDirectory(prefix="interleave-") as work:
-            checkouts = []
-            for k, checkout in enumerate((base, new)):
-                try:
-                    checkouts.append(set_up(bench, load_tree(Path(checkout)), Path(work, str(k))))
-                except Exception as exc:
-                    print(f"error: cannot load the package of {checkout}: {exc!r}",
-                          file=sys.stderr)
-                    return 2
-            return _interleave(bench, checkouts, (base, new), pairs)
-    finally:
-        _activate(saved)
-        sys.path[:] = saved_path
-        sys.dont_write_bytecode = writes
+def interleave(names: list[str], pairs: int, out: str | None) -> int:
+    with tempfile.TemporaryDirectory(prefix="interleave-") as work:
+        workers = []
+        try:
+            for k, name in enumerate(names):
+                workers.append(start(Path(name), Path(work, str(k))))
+            for worker in workers:  # every set-up is done before any pass
+                ask(worker, "checks")
+            return _interleave(workers, names, pairs, out)
+        except EOFError as exc:
+            k = workers.index(exc.args[0])
+            log = Path(work, str(k), "stderr.txt").read_text().strip()[-2000:]
+            print(f"error: cannot load or set up the package of {names[k]} (its worker "
+                  f"stopped):\n{log}", file=sys.stderr)
+            return 2
+        finally:
+            for worker in workers:
+                worker.kill()
+                worker.communicate()  # waits for it, and closes its pipes
 
 
-def _interleave(bench, checkouts: list, names: tuple, pairs: int) -> int:
-    groups = range(len(checkouts[0].groups))
-    for checkout in checkouts:  # the warm pass, checked
-        for group in groups:
-            run_group(bench, checkout, group)
-    failed = failures(*checkouts)
+def _interleave(workers: list, names: list[str], pairs: int, out: str | None) -> int:
+    for worker in workers:  # the warm pass, checked
+        for group in range(len(WORKLOADS)):
+            ask(worker, str(group))
+    failed = failures(*(ask(worker, "checks") for worker in workers))
     if failed:
         print("\n".join(failed))
         return 1
-    cells = ({}, {})
+    result = {"python": platform.python_version(), "cores": os.cpu_count(), "pairs": pairs,
+              "workloads": {workload: {"0": {label: {"runs": []} for label in LABELS}}
+                            for workload in WORKLOADS}}
     for k in range(pairs):
-        for group in groups:
+        for group, workload in enumerate(WORKLOADS):
             for t in ((0, 1) if k % 2 == 0 else (1, 0)):
-                cell = cells[t].setdefault(WORKLOADS[group], {}).setdefault("0", {"runs": []})
-                cell["runs"].append(run_group(bench, checkouts[t], group))
+                cell = result["workloads"][workload]["0"][LABELS[t]]
+                cell["runs"].append(ask(workers[t], str(group)))
                 cell["metrics"] = summary(cell["runs"])
     print(f"base {names[0]}, new {names[1]}: {pairs} interleaved pairs per op group "
-          f"(Python {platform.python_version()}, {os.cpu_count()} cores)")
-    table(*cells)
-    failed = failures(*checkouts)
+          f"(Python {result['python']}, {result['cores']} cores)")
+    table(*(cells(result, label) for label in LABELS))
+    failed = failures(*(ask(worker, "checks") for worker in workers))
     print("\n".join(failed) if failed else "checks pass")
+    if out:
+        result["checkouts"] = {label: commit(Path(name)) for label, name in zip(LABELS, names)}
+        Path(out).write_text(json.dumps(result, indent=1) + "\n")
     return 1 if failed else 0
 
 
@@ -385,14 +363,14 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"),
                         help="compare two records, each FILE or FILE:LABEL")
     parser.add_argument("--interleave", nargs=2, metavar=("BASE", "NEW"),
-                        help="time two checkouts' packages on the bench's op groups, in-process")
+                        help="time two checkouts' packages on the bench's op groups")
     parser.add_argument("--pairs", type=int, default=40, help="--interleave pairs per op group")
     args = parser.parse_args(argv)
     if args.interleave:
         if args.pairs < 1:
             parser.error("--pairs must be at least 1")
         try:
-            return interleave(*args.interleave, args.pairs)
+            return interleave(args.interleave, args.pairs, args.out)
         except Exception:
             traceback.print_exc()
             return 3
