@@ -1,11 +1,8 @@
 """The repository's tools, each loaded from tools/ as the script it is."""
 
-import importlib
 import importlib.util
 import json
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -108,94 +105,59 @@ def test_adding_to_a_record_refuses_another_setting_or_commit(tmp_path, monkeypa
         assert path.read_text() == text
 
 
-def test_interleave_of_a_checkout_with_itself_agrees(tmp_path, monkeypatch, capsys):
-    # each copy of the package runs the bench's own op groups in a worker
-    # process of its own, and a row is printed per timed end-to-end metric,
-    # in the bench's order; this process imports no package module and
-    # leaves its modules, path and bytecode switch as they were. The
-    # record --out writes is read back by --compare into the same table.
+def test_record_refuses_a_repeated_label_and_runs_below_one(tmp_path, monkeypatch, capsys):
+    # a second checkout under one label would drop the first one's runs,
+    # and no run at all records nothing: both are refused before any run,
+    # and no file is written
     tool = load_tool("bench_record")
-    importlib.import_module("oracles")  # as the other test modules do, before this one
-    for name in [name for name in sys.modules if name.startswith("chaoscrypt")]:
-        monkeypatch.delitem(sys.modules, name)
-    monkeypatch.chdir(TOOLS.parent)
-    monkeypatch.setattr(sys, "dont_write_bytecode", False)
 
-    def tracked():
-        return {name: module for name, module in sys.modules.items()
-                if name.startswith("chaoscrypt") or name in ("oracles", "spans", "bench_run")}
+    def run_once(*args):
+        raise AssertionError("a refused call runs nothing")
 
-    path, modules = sys.path[:], tracked()
-    out = tmp_path / "interleaved.json"
-    assert tool.main(["--interleave", ".", ".", "--pairs", "1", "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:4] for line in lines[2:-1]] == [
-        ["file_roundtrip", "0", "encrypt_mib_s", "MiB/s"],
-        ["file_roundtrip", "0", "decrypt_mib_s", "MiB/s"],
-        ["report_tables", "0", "report_s", "s"],
-        ["key_census", "0", "identify_keys_per_s", "1/s"],
-        ["key_census", "0", "attack_keys_per_s", "1/s"]]
-    assert all("[" in line and line.split()[-1] in ("0/1", "1/1") for line in lines[2:-1])
-    assert lines[-1] == "checks pass"
-    assert sys.path == path
-    assert sys.dont_write_bytecode is False
-    assert tracked() == modules
-    assert not [name for name in sys.modules if name.startswith("chaoscrypt")]
-    record = json.loads(out.read_text())
-    assert (record["pairs"], list(record["checkouts"])) == (1, ["base", "new"])
-    assert record["checkouts"]["base"] == tool.commit(TOOLS.parent)
-    assert tool.main(["--compare", f"{out}:base", f"{out}:new"]) == 0
-    assert capsys.readouterr().out.splitlines() == lines[1:-1]
+    monkeypatch.setattr(tool, "run_once", run_once)
+    out, root = tmp_path / "record.json", str(TOOLS.parent)
+    for argv, error in ((["--checkout", f"a={root}", "--checkout", f"a={root}"], "given twice"),
+                        (["--checkout", f"a={root}", "--runs", "0"], "below 1")):
+        assert tool.main(["--out", str(out), "--workloads", "report_tables", *argv]) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
-def test_interleave_tells_apart_a_package_with_other_outputs(tmp_path, capsys):
-    # a copy of the package whose default Arnold start state differs fails
-    # the bench's ciphertext and report checks, and is told apart before
-    # any pair is timed; it decrypts its own output. A directory with no
-    # package cannot be loaded.
+def test_record_alternates_which_label_goes_first(tmp_path, monkeypatch):
+    # the runs of two labels pair up because they take turns to go first
     tool = load_tool("bench_record")
-    shutil.copytree(TOOLS.parent / "src", tmp_path / "other" / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    source = tmp_path / "other" / "src" / "chaoscrypt" / "cipher.py"
-    text = source.read_text()
-    assert "MapKind.ARNOLD: State(0.5, 0.06)" in text
-    source.write_text(text.replace("MapKind.ARNOLD: State(0.5, 0.06)",
-                                   "MapKind.ARNOLD: State(0.5, 0.07)"))
-    assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "other"),
-                      "--pairs", "1"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines and all(line.startswith("check failed: ") for line in lines)
-    failed = "\n".join(lines)
-    assert "check failed: new encrypt " in failed and "check failed: new report " in failed
-    assert "decrypt" not in failed
-    assert not list((tmp_path / "other").rglob("__pycache__"))
-    assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "none")]) == 2
+    order = []
+
+    def run_once(copy, workload, seed, seconds):
+        order.append("ab"[int(copy.name)])
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"report_s": 0.08}}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    root = str(TOOLS.parent)
+    assert tool.main(["--out", str(tmp_path / "record.json"), "--checkout", f"a={root}",
+                      "--checkout", f"b={root}", "--workloads", "report_tables",
+                      "--runs", "3"]) == 0
+    assert order == ["a", "b", "b", "a", "a", "b"]
 
 
-def test_interleave_leaves_no_worker_running(tmp_path, monkeypatch, capsys):
-    # every worker the tool starts has exited and been waited for when it
-    # returns: after a checkout that cannot be set up (exit 2), and after
-    # an exception raised in this process between the two runs of a pair
+def test_record_of_a_failed_run_exits_1_and_shows_its_error(tmp_path, monkeypatch, capsys):
+    # a run that is not correct is still written to the record, the call
+    # exits 1, and comparing shows the last line of that run's stderr
     tool = load_tool("bench_record")
-    started = []
-
-    class Popen(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Popen)
-    assert tool.main(["--interleave", str(TOOLS.parent), str(tmp_path / "none")]) == 2
-    assert "no chaoscrypt package under" in capsys.readouterr().err
-    assert len(started) == 2 and all(worker.returncode is not None for worker in started)
-
-    def summary(runs):
-        raise RuntimeError("injected between the two runs of a pair")
-
-    monkeypatch.setattr(tool, "summary", summary)
-    assert tool.main(["--interleave", str(TOOLS.parent), str(TOOLS.parent), "--pairs", "1"]) == 3
-    assert "injected between the two runs of a pair" in capsys.readouterr().err
-    assert len(started) == 4 and all(worker.returncode is not None for worker in started)
+    runs = iter([{"correct": True, "attempted": 1, "failed": 0, "metrics": {"report_s": 0.08}},
+                 {"correct": False, "attempted": 0, "failed": None, "metrics": {},
+                  "error": "Traceback (most recent call last):\nValueError: no tables"}])
+    monkeypatch.setattr(tool, "run_once", lambda *args: next(runs))
+    out, root = tmp_path / "record.json", str(TOOLS.parent)
+    assert tool.main(["--out", str(out), "--checkout", f"a={root}", "--checkout", f"b={root}",
+                      "--workloads", "report_tables", "--runs", "1"]) == 1
+    assert "b: correct=False failed=None error: ValueError: no tables" in capsys.readouterr().err
+    cell = json.loads(out.read_text())["workloads"]["report_tables"]["0"]
+    assert [len(cell[label]["runs"]) for label in "ab"] == [1, 1]
+    assert tool.main(["--compare", f"{out}:a", f"{out}:b"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == [
+        "report_tables", "0", "new", "run:", "correct=False", "failed=None", "error:",
+        "ValueError:", "no", "tables"]
 
 
 # Hand-built parity collections: each kernel's file name maps to the
