@@ -45,11 +45,14 @@ An interval that holds 1 resolves nothing, however the wins fall. A
 claim is read beside an A/A: record the parent twice, as `base` and
 `again`, with the change as `new` (as above), and compare base with
 again and base with new; the A/B counts where the A/A holds 1 and the
-A/B's interval excludes it. Each run is its own process, so the offset
-one process can hold for its whole life shows in every pair's ratio,
-not in all of them at once. A run takes 4-7 s whatever --seconds is
-(set-up and at least 3 passes), so 20 runs of three labels on one
-workload take about 6 min.
+A/B's interval excludes it. Each run is its own process, so an offset
+that one process holds for its whole life changes from run to run and
+widens the interval, instead of shifting every pair alike. A run at
+--seconds 1 takes 4-7 s (set-up and at least 3 passes), so 20 runs of
+three labels on one workload take about 6 min. BENCH_35.json, an A/A of
+20 runs per workload at --seconds 1 on a 2-core host, has 95% intervals
+3.5-11% wide on the rates and report_s, 5-13% on setup_s and 0.2-0.4%
+on peak_rss_mib: a claim needs a margin past its own A/A's width.
 
 Standard library only.
 """
@@ -176,9 +179,9 @@ def record(args) -> int:
 
 def outcome(run: dict) -> str:
     """run's correct and failed fields, and the last line of its error if it has one."""
-    error = run.get("error", "").splitlines()[-1:]
-    return f"correct={run['correct']} failed={run['failed']}" + "".join(
-        f" error: {line}" for line in error)
+    fields = f"correct={run['correct']} failed={run['failed']}"
+    error = run.get("error", "").splitlines()
+    return f"{fields} error: {error[-1]}" if error else fields
 
 
 def load(spec: str) -> dict:
