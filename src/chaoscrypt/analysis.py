@@ -6,8 +6,7 @@ known-plaintext key search, and generation of the per-key report tables.
 
 Grid scans are embarrassingly parallel; results are identical regardless
 of evaluation order or worker count. The worker count is capped by the
-CPUs the process may run on, and by the CHAOSCRYPT_THREADS environment
-variable.
+CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "AttackResult",
     "AnalysisRow",
     "CipherSummary",
-    "effective_workers",
     "key_space_size",
     "hamming_bits",
     "plaintext_sensitivity",
@@ -79,20 +77,6 @@ BRUTE_FORCE_FLOOR = 2 ** 100
 # Stabilizes floor() against binary representation error in decimal
 # increments such as 0.0001 (0.003 / 0.0001 evaluates below 30 otherwise).
 _GRID_EPS = 1e-9
-
-
-def effective_workers(requested: int | None = None) -> int:
-    """Requested worker count clamped by the CPUs this process may run on
-    and by the CHAOSCRYPT_THREADS cap."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = 1 if requested is None else max(1, min(int(requested), cpus or 1))
-    cap = os.environ.get("CHAOSCRYPT_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise DomainError(f"CHAOSCRYPT_THREADS must be an integer, got {cap!r}")
-    return workers
 
 
 def _check_axis(lo: float, hi: float) -> None:
@@ -329,7 +313,8 @@ def _matching_keys(domain: KeyDomain, cfg: CipherConfig, jobs: Sequence[tuple[tu
     if total > _MAX_SCAN_KEYS:
         raise DomainError(f"grid of {_size_text(total)} keys exceeds the scan cap of "
                           f"{_MAX_SCAN_KEYS}; use a larger increment or a smaller domain")
-    workers = min(effective_workers(workers), -(-total // _MAX_POOL_CHUNK))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(int(workers), cpus or 1, -(-total // _MAX_POOL_CHUNK)))
     # serially the whole grid, pooled a quarter of a worker's share; a pool
     # starts only above the cap, so a pooled tile holds over an eighth of it
     chunk = min(_MAX_POOL_CHUNK, total if workers == 1 else -(-total // (workers * 4)))

@@ -60,7 +60,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
-from math import floor
 from typing import IO, Callable, Iterable, Iterator
 
 from .maps import (
@@ -80,7 +79,6 @@ __all__ = [
     "CipherConfig",
     "SymbolTrace",
     "default_config",
-    "quantize",
     "encrypt",
     "encrypt_bytes",
     "decrypt",
@@ -169,14 +167,6 @@ class SymbolTrace:
 def default_config(kind: MapKind) -> CipherConfig:
     """Default configuration for a map kind (differs only in start state)."""
     return CipherConfig(initial_state=DEFAULT_INITIAL_STATE[kind])
-
-
-def quantize(s: State, cfg: CipherConfig) -> int:
-    """floor(|x| * quant_scale) mod 256, for the state's x."""
-    scaled = abs(s.x) * cfg.quant_scale
-    if not math.isfinite(scaled):
-        raise DomainError(f"cannot quantize x = {s.x!r} at quant_scale {cfg.quant_scale!r}")
-    return int(floor(scaled)) % SYMBOL_MODULUS
 
 
 # The cipher's per-symbol body. For symbol k with input c it advances the

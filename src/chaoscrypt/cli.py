@@ -273,7 +273,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_WORKERS_HELP = "parallel scan processes (capped by the usable CPUs and CHAOSCRYPT_THREADS)"
+_WORKERS_HELP = "parallel scan processes (capped by the usable CPUs)"
 _INCREMENT_HELP = "grid step of a and b over the domain"
 _N_MODULUS_HELP = "the keys' torus modulus N, which is public; the Duffing map ignores it"
 

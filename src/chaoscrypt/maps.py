@@ -42,7 +42,6 @@ __all__ = [
     "trajectory",
     "divergence_measure",
     "write_trajectory_csv",
-    "read_trajectory_csv",
 ]
 
 # Any orbit coordinate leaving [-1e6, 1e6] is treated as divergent and
@@ -393,37 +392,3 @@ def write_trajectory_csv(points: Iterable[State], out: TextIO) -> None:
     for k, s in enumerate(points):
         out.write(f"{k},{s.x:.17g},{s.y:.17g}\n")
 
-
-def read_trajectory_csv(inp: TextIO) -> list[State]:
-    """Parse a k,x,y CSV back into points (bit-exact at 17 digits).
-
-    A malformed data line raises ValueError naming its line number and
-    the fault: a field count other than 3, a k that is not an integer or
-    not the next step index, or a coordinate that is not a finite number.
-    """
-    header = inp.readline().strip()
-    if header != "k,x,y":
-        raise ValueError(f"unexpected trajectory header: {header!r}")
-    points = []
-    for number, line in enumerate(inp, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"trajectory line {number}: expected 3 fields k,x,y, "
-                             f"got {len(fields)}")
-        k, x, y = fields
-        try:
-            k = int(k)
-        except ValueError:
-            raise ValueError(f"trajectory line {number}: step index {k!r} is not an "
-                             f"integer") from None
-        if k != len(points):
-            raise ValueError(f"trajectory line {number}: non-contiguous step index {k}")
-        try:
-            points.append(State(float(x), float(y)))
-        except ValueError:
-            raise ValueError(f"trajectory line {number}: coordinates {x!r}, {y!r} are not "
-                             f"finite numbers") from None
-    return points

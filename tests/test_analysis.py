@@ -461,8 +461,8 @@ def test_longer_comparison_never_enlarges_matching_set():
 
 
 def usable_cpus(monkeypatch, count):
-    """Make effective_workers see count CPUs, so that a test that must
-    start a pool starts one on any runner."""
+    """Make scans see count usable CPUs, so that a test that must start a
+    pool starts one on any runner."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
 
@@ -480,7 +480,6 @@ def test_scan_result_is_worker_invariant(monkeypatch, method):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool_of)
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
-    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 3)
     dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
     serial = identifiability_scan(b"parallel check", ARNOLD_KEY, dom, workers=1)
@@ -489,11 +488,11 @@ def test_scan_result_is_worker_invariant(monkeypatch, method):
     assert serial == parallel
 
 
-def test_threads_cap_keeps_a_pooling_scan_serial(monkeypatch):
+def test_pool_size_is_capped_by_cpus_and_tiles(monkeypatch):
     # 441 keys in 64-key pool chunks on 4 CPUs: workers=3 asks for a pool
-    # unless CHAOSCRYPT_THREADS caps it at one process, and no request asks
-    # for more processes than there are CPUs. The spy records each pool's
-    # size and starts no process.
+    # of 3, and no request asks for more processes than there are CPUs, or
+    # than the two pool chunks of a 100-key grid. The spy records each
+    # pool's size and starts no process.
     asked = []
 
     def spy_pool(max_workers):
@@ -504,14 +503,13 @@ def test_threads_cap_keeps_a_pooling_scan_serial(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy_pool)
     usable_cpus(monkeypatch, 4)
     dom = KeyDomain(MapKind.ARNOLD, (-4.001, 0.499), (-3.999, 0.501), 1e-4)
-    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
-    serial = identifiability_scan(b"capped", ARNOLD_KEY, dom, workers=1)
-    for domain, workers in ((dom, 3), (dom, 10 ** 5), (FULL_KEY_DOMAIN[MapKind.ARNOLD], 10 ** 5)):
+    small = KeyDomain(MapKind.ARNOLD, (-4.0, 0.5), (-3.9991, 0.5009), 1e-4)
+    assert small.size() == 100
+    for domain, workers in ((dom, 3), (dom, 10 ** 5), (FULL_KEY_DOMAIN[MapKind.ARNOLD], 10 ** 5),
+                            (small, 3)):
         with pytest.raises(RuntimeError, match="a pool was asked for"):
             identifiability_scan(b"capped", ARNOLD_KEY, domain, workers=workers)
-    assert asked == [3, 4, 4]
-    monkeypatch.setenv("CHAOSCRYPT_THREADS", "1")
-    assert identifiability_scan(b"capped", ARNOLD_KEY, dom, workers=3) == serial
+    assert asked == [3, 4, 4, 2]
 
 
 def test_small_grid_scans_without_a_pool(monkeypatch):
@@ -521,7 +519,6 @@ def test_small_grid_scans_without_a_pool(monkeypatch):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 2)
     side = 256
     span = (side - 1) * 1e-4
@@ -661,7 +658,6 @@ def test_scans_match_oracles_when_chunks_start_mid_row(monkeypatch, workers):
     # cut into column ranges, serially at columns 2048 and 4096. Short pool
     # chunks, so that workers=2 runs the pool, in tiles of 1875 columns.
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 2048)
-    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 2)
     lo, hi, inc = (-4.0002, 0.5), (-4.0, 0.9999), 1e-4
     dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc)
@@ -688,7 +684,6 @@ def test_scans_match_oracles_when_chunks_start_mid_row(monkeypatch, workers):
 def test_pooled_scans_in_short_chunks_match_oracles(monkeypatch, workers):
     # 97-key pool chunks cut the 70 rows of 61 keys into one-row tiles
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 97)
-    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 3)
     lo, hi, inc = (-4.0069, 0.5), (-4.0, 0.506), 1e-4
     dom = KeyDomain(MapKind.ARNOLD, lo, hi, inc)
@@ -708,7 +703,6 @@ def test_pooled_scans_in_short_chunks_match_oracles(monkeypatch, workers):
 def test_interrupted_pooled_scan_stops_early(monkeypatch):
     # 4.2e6 keys in 64 pool chunks of 65536: after the first chunk comes
     # back, only the chunks already running may finish
-    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 2)
     side = 2048
     span = (side - 1) * 1e-4
@@ -727,7 +721,9 @@ def test_interrupted_pooled_scan_stops_early(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         identifiability_scan(b"abcdefgh", ARNOLD_KEY, dom, workers=2, on_progress=interrupt)
     # two workers need at least 32 chunk times for the whole grid
-    assert time.perf_counter() - start < 16 * chunk_s
+    elapsed = time.perf_counter() - start
+    assert elapsed < 16 * chunk_s, (f"took {elapsed:.3f} s; the bound is 16 chunk times of "
+                                    f"{chunk_s:.3f} s, {16 * chunk_s:.3f} s")
 
 
 # Rows whose report pass scans identifiability at the first iteration
@@ -775,7 +771,6 @@ def test_report_row_pass_matches_separate_scans(monkeypatch, case, workers):
     text = "Meet me after 5p.m."
     # short pool chunks, so that workers=2 runs the pool
     monkeypatch.setattr(analysis, "_MAX_POOL_CHUNK", 64)
-    monkeypatch.delenv("CHAOSCRYPT_THREADS", raising=False)
     usable_cpus(monkeypatch, 2)
     passes, scanners = [], []
     matching_keys, kernel = analysis._matching_keys, cipher._kernel

@@ -11,7 +11,6 @@ import random
 import re
 import tracemalloc
 from dataclasses import replace
-from math import floor
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -38,7 +37,6 @@ from chaoscrypt.cipher import (
     key_to_json,
     load_config,
     load_key,
-    quantize,
     save_key,
 )
 from chaoscrypt.maps import DivergenceError, DomainError, MapKind, MapParams, State, iterate
@@ -62,23 +60,22 @@ def sample_grid_key(rng, kind):
     return Key(kind, domain.params_at(rng.randrange(na), rng.randrange(nb)))
 
 
-def test_quantize_examples():
-    cfg = default_config(MapKind.ARNOLD)
-    assert quantize(State(0.0, 0.7), cfg) == 0
-    assert quantize(State(0.5, 0.0), cfg) == 500000 % 256
-    assert quantize(State(0.5, 0.0), cfg) == 32
-    # sign is dropped before scaling: floor(0.27e6) = 270000 -> mod 256
-    assert quantize(State(-0.27, 0.0), cfg) == int(floor(0.27 * 1e6)) % 256
-    assert quantize(State(-0.27, 0.0), cfg) == 176
-
-
-def test_quantize_refuses_an_overflowing_scale():
-    # a boxed coordinate times the largest accepted scale is finite; an
-    # unboxed one may overflow, which is a domain error, not OverflowError
-    cfg = replace(default_config(MapKind.ARNOLD), quant_scale=1.7e302)
-    assert 0 <= quantize(State(-1e6, 0.0), cfg) < 256
-    with pytest.raises(DomainError, match="quantize"):
-        quantize(State(1e7, 0.0), cfg)
+def test_largest_accepted_scale_quantizes_a_coordinate_at_the_bound():
+    # x' = y and y' = x + 1e12 y - y^3 take (0, +-1e6) to (+-1e6, 0) and
+    # back with no rounding, so at gain 0 and n1 = n2 = 1 each symbol's
+    # first snapshot has |x| = 1e6, which the largest accepted scale takes
+    # to 1.7e308 < inf
+    key = Key(MapKind.DUFFING, MapParams(1e12, -1.0))
+    data = b"at the bound"
+    for y in (1e6, -1e6):
+        cfg = CipherConfig(State(0.0, y), 1, 1, 1.7e302, 0.0)
+        out, traces, diverged = oracle_run(data, duffing_oracle_step(1e12, -1.0), 0.0, y,
+                                           1, 1, 1.7e302, 0.0)
+        assert diverged is None and {s1 for _, _, s1, _ in traces} == {(y, 0.0)}
+        assert encrypt_bytes(data, key, cfg) == out
+        assert decrypt(out, key, cfg) == data
+    with pytest.raises(DomainError, match="quant_scale"):
+        replace(cfg, quant_scale=1.8e302)
 
 
 def test_single_byte_matches_straight_line_oracle():

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -473,16 +474,6 @@ def test_identify_reads_a_plaintext_file_as_raw_bytes(tmp_path, arnold_key_file,
         expected.verdict, len(expected.matching_keys), expected.grid_size, expected.diverged)
 
 
-def test_bad_threads_cap_is_one_error_line(arnold_key_file, capsys, monkeypatch):
-    monkeypatch.setenv("CHAOSCRYPT_THREADS", "x")
-    rc = main(["identify", "--text", "hello", "--key", arnold_key_file,
-               "--domain=-4,0.5,-4,0.5"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: CHAOSCRYPT_THREADS must be an integer, got 'x'\n"
-
-
 def test_scan_json_counts_diverged_keys(tmp_path, capsys):
     # from the default start, Duffing keys with a above about 3.55 leave
     # the box in symbol 0, so this box straddles where keys diverge
@@ -657,6 +648,39 @@ def test_python_dash_m_runs_the_cli():
     errors = [line for line in missing.stderr.splitlines() if "error:" in line]
     assert errors == ["chaoscrypt keygen: error: the following arguments are required: --domain"]
     assert "Traceback" not in missing.stderr
+
+
+def readme_block(heading, language):
+    """The body of the first ```language block after the README line heading."""
+    text = (SRC.parent / "README.md").read_text()
+    after, opening = text[text.index(f"\n{heading}\n"):], f"```{language}\n"
+    start = after.index(opening) + len(opening)
+    return after[start:after.index("```", start)]
+
+
+def test_readme_examples_run_as_written(tmp_path, capsys, monkeypatch):
+    # each chaoscrypt line of the command-line block, in one directory, so
+    # that later lines read what earlier ones wrote; the identify and
+    # attack boxes hold the key that keygen draws
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "letter.txt").write_text("Meet me after 5p.m. at the old mill.\n")
+    lines = readme_block("## Command line", "sh").replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("chaoscrypt ")]
+    assert [argv[1] for argv in commands] == [
+        "keygen", "encrypt", "decrypt", "encrypt", "trajectory", "sensitivity", "sensitivity",
+        "identify", "attack", "report", "report", "compare"]
+    outputs = {}
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        captured = capsys.readouterr()
+        assert "outside the scan domain" not in captured.err, argv
+        outputs[argv[1]] = captured.out
+    assert (tmp_path / "letter.out").read_bytes() == (tmp_path / "letter.txt").read_bytes()
+    key = cipher.load_key(tmp_path / "key.json")
+    assert json.loads(outputs["identify"])["verdict"] == "I"
+    recovered = json.loads(outputs["attack"])["recovered"]
+    assert cipher.key_from_json(json.dumps(recovered)) == key
+    exec(readme_block("## Library", "python"), {})
 
 
 @pytest.mark.parametrize("n_modulus", ["0", "nan", "-1"])

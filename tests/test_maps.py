@@ -1,6 +1,5 @@
 """Tests for the chaotic map primitives."""
 
-import io
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,6 @@ from chaoscrypt.maps import (
     divergence_measure,
     duffing_step,
     iterate,
-    read_trajectory_csv,
     signed_mod,
     trajectory,
     write_trajectory_csv,
@@ -239,25 +237,6 @@ def test_trajectory_csv_round_trips_full_precision(tmp_path):
         assert int(ks) == k
         assert float(xs) == pts[k].x
         assert float(ys) == pts[k].y
-    with open(path) as f:
-        assert read_trajectory_csv(f) == pts
-
-
-@pytest.mark.parametrize("text, message", [
-    ("x,y\n0,0.5,0.25\n", "unexpected trajectory header: 'x,y'"),
-    ("k,x,y\n0,0.5,0.25\n2,0.5,0.25\n", "trajectory line 3: non-contiguous step index 2"),
-    ("k,x,y\n0,0.5\n", "trajectory line 2: expected 3 fields k,x,y, got 2"),
-    ("k,x,y\n0,0.5,0.25\n\n1,0.5,0.25,7\n",
-     "trajectory line 4: expected 3 fields k,x,y, got 4"),
-    ("k,x,y\nz,0.5,0.25\n", "trajectory line 2: step index 'z' is not an integer"),
-    ("k,x,y\n0,0.5,0.25\n1,inf,0.25\n",
-     "trajectory line 3: coordinates 'inf', '0.25' are not finite numbers"),
-], ids=["header", "gap", "two fields", "four fields", "k not an integer", "non-finite"])
-def test_trajectory_csv_refuses_malformed_input(text, message):
-    # each message names the data line (the header is line 1) and the fault
-    with pytest.raises(ValueError) as err:
-        read_trajectory_csv(io.StringIO(text))
-    assert str(err.value) == message
 
 
 # --- the orbit tools against a flat, both-coordinates oracle ---------------
