@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
@@ -30,6 +29,7 @@ from .cipher import (
     _number,
     _parse_json,
     _scan_grid,
+    _symbols,
     decrypt,
     default_config,
     encrypt_bytes,
@@ -87,7 +87,7 @@ def _check_axis(lo: float, hi: float) -> None:
 def _axis_count(lo: float, hi: float, step: float) -> int:
     _check_axis(lo, hi)
     if not (_finite(step) and step > 0.0):
-        raise DomainError("axis step must be finite and > 0")
+        raise DomainError(f"axis step must be finite and > 0, got {step!r}")
     # ints subtract exactly, and may span more than a float holds
     steps = (hi - lo) / step + _GRID_EPS if _finite(hi - lo) else math.inf
     if not math.isfinite(steps):
@@ -119,7 +119,7 @@ class KeyDomain:
         na, nb = self.axis_counts()
         return na * nb
 
-    def tile_values(self, rows: Iterable[int], columns: Iterable[int]) -> tuple[list, list]:
+    def tile_values(self, rows: Sequence[int], columns: Sequence[int]) -> tuple[list, list]:
         """The a-values of the given rows and the b-values of the given
         columns: grid key (i, j) is lower + (i, j) * increment."""
         (a0, b0), inc = self.lower, self.increment
@@ -182,9 +182,11 @@ def hamming_bits(c1: bytes, c2: bytes) -> int:
 
 
 def _as_bytes(plaintext: bytes | bytearray | str) -> bytes:
+    """plaintext as bytes: a str as its UTF-8, anything but the cipher's
+    symbol form refused (cipher._symbols)."""
     if isinstance(plaintext, str):
         return plaintext.encode("utf-8")
-    return bytes(plaintext)
+    return bytes(_symbols(plaintext))
 
 
 def plaintext_sensitivity(plaintext: bytes | str, key: Key,
@@ -202,48 +204,22 @@ def plaintext_sensitivity(plaintext: bytes | str, key: Key,
     return 100.0 * hamming_bits(c1, c2) / (8 * len(p))
 
 
-def _flip_float_bit(value: float, bit: int) -> float:
-    if not 0 <= bit < 64:
-        raise DomainError(f"float bit index {bit} outside [0, 64)")
-    packed = bytearray(struct.pack("<d", value))
-    packed[bit >> 3] ^= 1 << (bit & 7)
-    return struct.unpack("<d", bytes(packed))[0]
-
-
 def key_sensitivity(plaintext: bytes | str, key: Key,
-                    cfg: CipherConfig | None = None, mode: str = "increment",
-                    delta: float = GRID_STEP, component: str = "a", bit: int = 0) -> float:
-    """Percentage of ciphertext bits changed by a minimal key perturbation.
-
-    In "increment" mode the a component is increased by delta (the grid
-    increment by default); in "bitflip" mode one bit of the chosen
-    component's 64-bit float representation is flipped. A perturbation
-    that leaves the key equal to itself (a nonzero delta below the
-    resolution of a, or the sign bit of a zero) raises DomainError; a
-    delta of 0 is no perturbation and scores 0.
+                    cfg: CipherConfig | None = None, delta: float = GRID_STEP) -> float:
+    """Percentage of ciphertext bits changed by increasing the key's a by
+    delta, the paper's grid step by default. A nonzero delta below the
+    resolution of a, which leaves the key equal to itself, raises
+    DomainError; a delta of 0 is no perturbation and scores 0.
     """
     p = _as_bytes(plaintext)
     if not p:
         raise DomainError("key sensitivity needs a non-empty plaintext")
+    if not _finite(delta):
+        raise DomainError("delta must be finite")
     params = key.params
-    if mode == "increment":
-        if not _finite(delta):
-            raise DomainError("delta must be finite")
-        perturbed = replace(params, a=params.a + delta)
-        if delta and perturbed == params:
-            raise DomainError(f"delta {delta!r} leaves a = {params.a!r} unchanged")
-    elif mode == "bitflip":
-        if component not in ("a", "b"):
-            raise DomainError(f"unknown key component {component!r}")
-        value = _flip_float_bit(getattr(params, component), bit)
-        if not math.isfinite(value):
-            raise DomainError("bit flip produced a non-finite key component")
-        perturbed = replace(params, **{component: value})
-        if perturbed == params:
-            raise DomainError(f"flipping bit {bit} of {component} = "
-                              f"{getattr(params, component)!r} gives the equal value {value!r}")
-    else:
-        raise DomainError(f"unknown key sensitivity mode {mode!r}")
+    perturbed = replace(params, a=params.a + delta)
+    if delta and perturbed == params:
+        raise DomainError(f"delta {delta!r} leaves a = {params.a!r} unchanged")
     c1 = encrypt_bytes(p, key, cfg)
     c2 = encrypt_bytes(p, Key(key.kind, perturbed), cfg)
     return 100.0 * hamming_bits(c1, c2) / (8 * len(p))
@@ -396,7 +372,7 @@ def _attack(ciphertext: bytes, known_prefix: bytes | str, domain: KeyDomain,
     prefix = _as_bytes(known_prefix)
     if not prefix:
         raise DomainError("known-plaintext attack needs a non-empty prefix")
-    ciphertext = bytes(ciphertext)
+    ciphertext = bytes(_symbols(ciphertext))
     if len(ciphertext) < len(prefix):
         raise DomainError("ciphertext shorter than the known prefix")
 
@@ -574,24 +550,28 @@ def read_report_csv(inp: TextIO, kind: MapKind) -> list[AnalysisRow]:
     if header != REPORT_HEADER:
         raise ValueError(f"unexpected report header: {header}")
     rows = []
-    for rec in records:
+    for n, rec in enumerate(records, start=1):
+        where = f"report row {n}"
         if len(rec) != len(REPORT_HEADER):
-            raise ValueError(f"report row has {len(rec)} columns, expected {len(REPORT_HEADER)}")
+            raise ValueError(f"{where} has {len(rec)} columns, expected {len(REPORT_HEADER)}")
         (index, plaintext, key_a, key_b, ciphertext_hex, pt_pct, key_pct,
          lo_a, lo_b, hi_a, hi_b, increment, identifiable, robust, brute) = rec
         if identifiable not in ("I", "NI", "") or robust not in ("R", "NR", "") \
                 or brute not in ("YES", "NO", ""):
-            raise ValueError(f"unexpected verdicts in report row {index}")
-        domain = KeyDomain(kind, (float(lo_a), float(lo_b)),
-                           (float(hi_a), float(hi_b)), float(increment))
-        rows.append(AnalysisRow(
-            index=int(index), plaintext=plaintext,
-            key=Key(kind, MapParams(float(key_a), float(key_b), domain.n_modulus)),
-            domain=domain, ciphertext_hex=ciphertext_hex,
-            plaintext_sensitivity_pct=float(pt_pct),
-            key_sensitivity_pct=float(key_pct),
-            identifiable=identifiable, robust_kpa=robust, brute_force_secret=brute,
-        ))
+            raise ValueError(f"unexpected verdicts in {where}")
+        try:
+            domain = KeyDomain(kind, (float(lo_a), float(lo_b)),
+                               (float(hi_a), float(hi_b)), float(increment))
+            rows.append(AnalysisRow(
+                index=int(index), plaintext=plaintext,
+                key=Key(kind, MapParams(float(key_a), float(key_b), domain.n_modulus)),
+                domain=domain, ciphertext_hex=ciphertext_hex,
+                plaintext_sensitivity_pct=float(pt_pct),
+                key_sensitivity_pct=float(key_pct),
+                identifiable=identifiable, robust_kpa=robust, brute_force_secret=brute,
+            ))
+        except ValueError as exc:  # int, float, KeyDomain and MapParams name the value
+            raise ValueError(f"{where}: {exc}") from None
     return rows
 
 

@@ -6,8 +6,8 @@ mod 256. The first-stage mixed value is then folded back into the state,
 so the dynamics depend on everything already encrypted. Decryption
 regenerates the same state sequence from the key and inverts the mixing
 exactly. Symbols are bytes: the alphabet is fixed at SYMBOL_MODULUS =
-256, and _chunks, where a list or other iterable of ints enters, holds
-the one check that a symbol is a byte.
+256, and the cipher takes them as bytes or a bytearray alone, whose items
+are bytes by construction; _symbols, the one check, refuses any other type.
 
 One per-symbol body, _SYMBOL_BODY, is the whole cipher: it steps the
 map with the bound tests the map needs, quantizes, mixes and feeds back
@@ -59,7 +59,6 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
 from typing import IO, Callable, Iterable, Iterator
 
 from .maps import (
@@ -433,32 +432,12 @@ def _cipher_blocks(key: Key, cfg: CipherConfig | None, chunks: Iterable[bytes],
         yield out
 
 
-_CHUNK = 1 << 16
-
-
-def _chunks(symbols: bytes | Iterable[int]) -> Iterator[bytes]:
-    """symbols as the chunks _cipher_blocks takes: bytes whole, any other
-    iterable as bytes of up to _CHUNK symbols. This is the cipher's one
-    symbol check: a chunk with a symbol that is not an int in [0, 256)
-    yields the symbols before it, so that a divergence among them still
-    wins, then raises DomainError naming the symbol."""
-    if isinstance(symbols, (bytes, bytearray)):
-        yield symbols
-        return
-    it, k = iter(symbols), 0
-    while chunk := list(islice(it, _CHUNK)):
-        try:
-            block = bytes(chunk)
-        except (TypeError, ValueError):
-            valid = bytearray()
-            with suppress(TypeError, ValueError):
-                for c in chunk:
-                    valid.append(c)
-            yield valid
-            raise DomainError(f"symbol {c!r} at index {k + len(valid)} is not a byte, "
-                              f"an int in [0, {SYMBOL_MODULUS})") from None
-        yield block
-        k += len(chunk)
+def _symbols(data: bytes | bytearray) -> bytes | bytearray:
+    """data, which must be bytes or a bytearray, the cipher's one symbol
+    form; any other type raises DomainError naming it."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise DomainError(f"symbols must be bytes or a bytearray, not {type(data).__name__}")
+    return data
 
 
 def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
@@ -495,9 +474,9 @@ def _scan_grid(kind: MapKind, n_modulus: float, cfg: CipherConfig,
     return len(tile[0]) * len(tile[1]), found
 
 
-def encrypt(plaintext: bytes | Iterable[int], key: Key,
+def encrypt(plaintext: bytes | bytearray, key: Key,
             cfg: CipherConfig | None = None) -> tuple[bytes, list[SymbolTrace]]:
-    """Encrypt a byte sequence; returns (ciphertext, per-symbol traces).
+    """Encrypt bytes or a bytearray; returns (ciphertext, per-symbol traces).
 
     The trace list exposes the intermediate mixed values and state
     snapshots for the analysis procedures.
@@ -507,22 +486,26 @@ def encrypt(plaintext: bytes | Iterable[int], key: Key,
     def trace(z, y, s1x, s1y, s2x, s2y):
         traces.append(SymbolTrace(z, y, State(s1x, s1y), State(s2x, s2y)))
 
-    ciphertext = b"".join(_cipher_blocks(key, cfg, _chunks(plaintext), trace=trace))
+    ciphertext = b"".join(_cipher_blocks(key, cfg, [_symbols(plaintext)], trace=trace))
     return ciphertext, traces
 
 
-def encrypt_bytes(plaintext: bytes | Iterable[int], key: Key,
+def encrypt_bytes(plaintext: bytes | bytearray, key: Key,
                   cfg: CipherConfig | None = None) -> bytes:
-    """Encrypt without collecting traces (fast path for scans and files)."""
-    return b"".join(_cipher_blocks(key, cfg, _chunks(plaintext)))
+    """Encrypt bytes or a bytearray without collecting traces (fast path
+    for scans and files)."""
+    return b"".join(_cipher_blocks(key, cfg, [_symbols(plaintext)]))
 
 
-def decrypt(ciphertext: bytes | Iterable[int], key: Key,
+def decrypt(ciphertext: bytes | bytearray, key: Key,
             cfg: CipherConfig | None = None) -> bytes:
-    """Exact inverse of encrypt under the same key and configuration."""
-    return b"".join(_cipher_blocks(key, cfg, _chunks(ciphertext), decrypting=True))
+    """Exact inverse of encrypt under the same key and configuration, on
+    bytes or a bytearray."""
+    return b"".join(_cipher_blocks(key, cfg, [_symbols(ciphertext)], decrypting=True))
 
 
+# bytes per read of the file commands
+_CHUNK = 1 << 16
 _WHITESPACE_TABLE = str.maketrans("", "", " \t\r\n")
 
 

@@ -193,16 +193,12 @@ def test_key_sensitivity_zero_delta_is_zero():
 
 
 def test_key_sensitivity_refuses_a_perturbation_that_leaves_the_key_unchanged():
-    # -4.0 + 1e-320 rounds back to -4.0, and the sign bit of 0.0 gives
-    # -0.0 == 0.0: scoring either would read 0% as if the cipher ignored the key
+    # -4.0 + 1e-320 rounds back to -4.0: scoring it would read 0% as if
+    # the cipher ignored the key
     with pytest.raises(DomainError, match=r"delta 1e-320 leaves a = -4.0 unchanged"):
         key_sensitivity(b"any text", ARNOLD_KEY, delta=1e-320)
-    zero = Key(MapKind.ARNOLD, MapParams(0.0, 0.5))
-    with pytest.raises(DomainError, match=r"flipping bit 63 of a = 0.0 gives the equal value -0.0"):
-        key_sensitivity(b"any text", zero, mode="bitflip", component="a", bit=63)
     # a delta that moves a is scored
     assert 0.0 <= key_sensitivity(b"any text", ARNOLD_KEY, delta=1e-15) <= 100.0
-    assert key_sensitivity(b"any text", zero, mode="bitflip", component="a", bit=0) >= 0.0
 
 
 def test_key_sensitivity_increment_matches_two_encryption_oracle():
@@ -215,22 +211,46 @@ def test_key_sensitivity_increment_matches_two_encryption_oracle():
     assert got == pytest.approx(55.921052631578945, rel=1e-12)
 
 
-def test_key_sensitivity_bitflip_mode():
-    msg = b"bit flip probe"
-    pct = key_sensitivity(msg, DUFFING_KEY, mode="bitflip", component="b", bit=0)
-    assert 0.0 <= pct <= 100.0
-    with pytest.raises(DomainError):
-        key_sensitivity(msg, DUFFING_KEY, mode="bitflip", component="c")
-    with pytest.raises(DomainError, match=r"float bit index 64 outside \[0, 64\)"):
-        key_sensitivity(msg, DUFFING_KEY, mode="bitflip", bit=64)
-    with pytest.raises(DomainError):
-        key_sensitivity(msg, DUFFING_KEY, mode="unknown")
-    with pytest.raises(DomainError):
+def test_key_sensitivity_needs_a_non_empty_plaintext():
+    with pytest.raises(DomainError, match="key sensitivity needs a non-empty plaintext"):
         key_sensitivity(b"", DUFFING_KEY)
-    # a component at the top binade turns infinite under an exponent flip
-    huge = Key(MapKind.DUFFING, MapParams(2.0 ** 1023, 0.1))
-    with pytest.raises(DomainError):
-        key_sensitivity(msg, huge, mode="bitflip", component="a", bit=52)
+
+
+def test_every_symbol_entry_refuses_another_type_before_encrypting(monkeypatch):
+    # bytes and a bytearray are the one symbol form, and the analyses also
+    # take a str as its UTF-8; anything else is one DomainError naming its
+    # type, raised before any kernel is built or run
+    box = KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX, 0.05)
+    ciphertext = encrypt_bytes(b"hello", ARNOLD_KEY)
+    refusing_str = [
+        lambda s: cipher.encrypt(s, ARNOLD_KEY),
+        lambda s: cipher.encrypt_bytes(s, ARNOLD_KEY),
+        lambda s: cipher.decrypt(s, ARNOLD_KEY),
+        lambda s: known_plaintext_attack(s, b"he", box),
+    ]
+    taking_str = [
+        lambda s: plaintext_sensitivity(s, ARNOLD_KEY),
+        lambda s: key_sensitivity(s, ARNOLD_KEY),
+        lambda s: identifiability_scan(s, ARNOLD_KEY, box),
+        lambda s: known_plaintext_attack(ciphertext, s, box),
+    ]
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel was asked for")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cipher, "_kernel", no_kernel)
+        for entry, refused in [(entry, (5, [65, 66], "hello")) for entry in refusing_str] + [
+                (entry, (5, [65, 66])) for entry in taking_str]:
+            for symbols in refused:
+                with pytest.raises(DomainError, match=f"^symbols must be bytes or a bytearray, "
+                                                      f"not {type(symbols).__name__}$"):
+                    entry(symbols)
+    for entry in refusing_str + taking_str:
+        want = entry(b"hello")
+        assert entry(bytearray(b"hello")) == want
+        if entry in taking_str:
+            assert entry("hello") == want
 
 
 # --- identifiability --------------------------------------------------------

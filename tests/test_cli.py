@@ -770,6 +770,29 @@ def test_compare_reads_every_plaintext_report_writes(tmp_path, capsys, plaintext
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("index", "x", "invalid literal for int() with base 10: 'x'"),
+    ("key_a", "abc", "could not convert string to float: 'abc'"),
+    ("increment", "0", "axis step must be finite and > 0, got 0.0"),
+], ids=["index", "key_a", "increment"])
+def test_compare_names_the_report_row_of_a_bad_cell(tmp_path, capsys, column, value, message):
+    dom = analysis.KeyDomain(MapKind.ARNOLD, *FAR_BOX)
+    rows = [analysis.AnalysisRow(n, "hi", ARNOLD_KEY, dom, "abcd", 1.25, 48.5, "I", "R", "YES")
+            for n in (1, 2, 3)]
+    report = tmp_path / "report.csv"
+    with report.open("w", newline="") as f:
+        analysis.write_report_csv(rows, f)
+    lines = list(csv.reader(report.read_text().splitlines()))
+    lines[2][analysis.REPORT_HEADER.index(column)] = value
+    with report.open("w", newline="") as f:
+        csv.writer(f).writerows(lines)
+    rc = main(["compare", "--arnold", str(report), "--duffing", str(report)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: report row 2: {message}\n"
+
+
 def test_builtin_spec_names_resolve(tmp_path, capsys):
     # resolution only; the full 20-row runs live in the acceptance suite
     from chaoscrypt.cli import _resolve_spec
