@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Sequence, TextIO
 from .cipher import (
     CipherConfig,
     Key,
+    _check_count,
     _field,
     _key_from_dict,
     _number,
@@ -174,9 +175,10 @@ def key_space_size(domain: KeyDomain, resolution: float) -> int:
     return replace(domain, increment=resolution).size()
 
 
-def hamming_bits(c1: bytes, c2: bytes) -> int:
-    """Number of differing bits between two equal-length byte strings."""
-    if len(c1) != len(c2):
+def hamming_bits(c1: bytes | bytearray, c2: bytes | bytearray) -> int:
+    """Number of differing bits between two equal-length byte strings;
+    anything but the cipher's symbol form is refused (cipher._symbols)."""
+    if len(_symbols(c1)) != len(_symbols(c2)):
         raise DomainError("hamming_bits requires equal-length inputs")
     return (int.from_bytes(c1, "little") ^ int.from_bytes(c2, "little")).bit_count()
 
@@ -195,8 +197,7 @@ def plaintext_sensitivity(plaintext: bytes | str, key: Key,
     p = _as_bytes(plaintext)
     if not p:
         raise DomainError("plaintext sensitivity needs a non-empty plaintext")
-    if not 0 <= flip_bit < 8 * len(p):
-        raise DomainError(f"flip_bit {flip_bit} outside [0, {8 * len(p)})")
+    _check_count(flip_bit, "flip_bit", 0, 8 * len(p) - 1)
     flipped = bytearray(p)
     flipped[flip_bit >> 3] ^= 1 << (flip_bit & 7)
     c1 = encrypt_bytes(p, key, cfg)
@@ -333,8 +334,7 @@ def _identification(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
         raise DomainError("true key and domain use different map kinds")
     if compare_len is None:
         compare_len = min(len(p), 8)
-    if not 1 <= compare_len <= len(p):
-        raise DomainError(f"compare_len {compare_len} outside [1, {len(p)}]")
+    _check_count(compare_len, "compare_len", 1, len(p))
     scan_cfg = replace(cfg, n1=iteration_value, n2=iteration_value)
     snapped = Key(domain.kind, domain.snap(true_key.params))
     data = p[:compare_len]
@@ -445,8 +445,12 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
     recorded in the row's error field and the run continues. A phase that
     fails, a later iteration value's scan included, leaves its verdict
     empty; so does an empty iteration_values for identifiability. The
-    brute-force verdict mirrors identifiability, empty included.
+    brute-force verdict mirrors identifiability, empty included. A count
+    argument that is not an int >= 0 is refused before the first row.
     """
+    for name, count in (("compare_len", compare_len), ("kpa_prefix_len", kpa_prefix_len),
+                        ("flip_bit", flip_bit)):
+        _check_count(count, name, 0)
     rows_spec = list(rows_spec)
     rows = []
     for idx, (plaintext, key, domain) in enumerate(rows_spec, start=1):

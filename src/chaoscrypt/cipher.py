@@ -130,8 +130,8 @@ class CipherConfig:
 
     def __post_init__(self):
         for name in ("n1", "n2"):
-            _check_iterations(getattr(self, name),
-                              f"config field {name!r} (iteration counts n1 and n2)")
+            _check_count(getattr(self, name),
+                         f"config field {name!r} (iteration counts n1 and n2)", 1, _MAX_ITERATIONS)
         # every quantized coordinate lies in the box [-bound, bound], so
         # scaling it never overflows
         if not (self.quant_scale > 0.0 and _finite(self.quant_scale)
@@ -143,13 +143,13 @@ class CipherConfig:
                               f"got {self.reinject_gain!r}")
 
 
-def _check_iterations(value, name: str) -> None:
-    """An iteration count is an int from 1 to _MAX_ITERATIONS; name names
-    it in the error."""
+def _check_count(value, name: str, lo: int, hi: int | None = None) -> None:
+    """A count, such as an iteration count, is an int (not a bool) from lo
+    to hi, or from lo up when hi is None; name names it in the error."""
     if not (isinstance(value, int) and not isinstance(value, bool)
-            and 1 <= value <= _MAX_ITERATIONS):
-        raise DomainError(f"{name} must be at most {_MAX_ITERATIONS} and an integer >= 1, "
-                          f"got {value!r}")
+            and lo <= value and (hi is None or value <= hi)):
+        at_most = "" if hi is None else f"at most {hi} and "
+        raise DomainError(f"{name} must be {at_most}an integer >= {lo}, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

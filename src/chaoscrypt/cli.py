@@ -173,7 +173,7 @@ def _print_scan(args, elapsed: float, fields: dict, summary: str) -> int:
 
 
 def cmd_identify(args) -> int:
-    cipher._check_iterations(args.iters, "--iters")
+    cipher._check_count(args.iters, "--iters", 1, cipher._MAX_ITERATIONS)
     key = cipher.load_key(args.key)
     domain = _domain(args, key.kind, key.params.n_modulus)
     if not domain.contains(key.params):

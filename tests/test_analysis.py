@@ -46,13 +46,7 @@ from chaoscrypt.maps import (
     signed_mod,
 )
 
-from oracles import (
-    arnold_oracle_step,
-    oracle_axis,
-    oracle_encrypt,
-    oracle_matching_set,
-    oracle_symbols,
-)
+from oracles import START, oracle_matches, oracle_matching_set, oracle_symbols
 
 ARNOLD_KEY = Key(MapKind.ARNOLD, MapParams(-4.0, 0.5, 1.0))
 DUFFING_KEY = Key(MapKind.DUFFING, MapParams(2.75, 0.1))
@@ -166,6 +160,23 @@ def test_plaintext_sensitivity_range_and_self_zero():
         hamming_bits(b"a", b"ab")
 
 
+@pytest.mark.parametrize("count", [2.5, True])
+@pytest.mark.parametrize("call, name", [
+    (lambda n: plaintext_sensitivity(b"ab", ARNOLD_KEY, None, n), "flip_bit"),
+    (lambda n: identifiability_scan(b"ab", ARNOLD_KEY, KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX),
+                                    compare_len=n), "compare_len"),
+    (lambda n: analysis_report([], flip_bit=n), "flip_bit"),
+    (lambda n: analysis_report([], compare_len=n), "compare_len"),
+    (lambda n: analysis_report([], kpa_prefix_len=n), "kpa_prefix_len"),
+], ids=["plaintext_sensitivity", "identifiability_scan", "report_flip_bit",
+        "report_compare_len", "report_kpa_prefix_len"])
+def test_count_arguments_are_ints(call, name, count):
+    # a bool is no count, and a float no index: each is one DomainError,
+    # the report's before its first row
+    with pytest.raises(DomainError, match=f"^{name} must be .*an integer >= ., got {count!r}$"):
+        call(count)
+
+
 def test_plaintext_sensitivity_single_byte_matches_manual_count():
     cfg = default_config(MapKind.DUFFING)
     base = encrypt_bytes(b"A", DUFFING_KEY, cfg)
@@ -227,6 +238,7 @@ def test_every_symbol_entry_refuses_another_type_before_encrypting(monkeypatch):
         lambda s: cipher.encrypt_bytes(s, ARNOLD_KEY),
         lambda s: cipher.decrypt(s, ARNOLD_KEY),
         lambda s: known_plaintext_attack(s, b"he", box),
+        lambda s: hamming_bits(s, s),
     ]
     taking_str = [
         lambda s: plaintext_sensitivity(s, ARNOLD_KEY),
@@ -417,43 +429,6 @@ def test_constant_quantizer_defeats_identifiability():
     assert len(res.matching_keys) == dom.size() == 9
 
 
-def test_scan_matches_bruteforce_oracle_on_random_grids():
-    from chaoscrypt.maps import DivergenceError
-
-    rng = random.Random(1234)
-    text = b"What is your name?"
-    completed = 0
-    while completed < 5:
-        kind = MapKind.ARNOLD if completed % 2 == 0 else MapKind.DUFFING
-        if kind is MapKind.ARNOLD:
-            a0 = rng.uniform(-4.9, -1.0)
-            b0 = rng.uniform(0.41, 1.4)
-        else:
-            a0 = rng.uniform(1.81, 2.8)
-            b0 = rng.uniform(-0.5, 0.15)
-        inc = 1e-4
-        lo = (a0, b0)
-        hi = (a0 + 0.002 + 0.0001 * completed, b0 + 0.0015)
-        dom = KeyDomain(kind, lo, hi, inc)
-        assert dom.size() <= 10_000
-        true_ab = (a0 + 0.0012, b0 + 0.0007)
-        key = Key(kind, MapParams(true_ab[0], true_ab[1], 1.0))
-        iters = 2 + completed % 2
-        try:
-            res = identifiability_scan(text, key, dom, iteration_value=iters)
-        except DivergenceError:
-            # true key cannot drive the cipher; the oracle must agree
-            with pytest.raises(OverflowError):
-                oracle_matching_set(kind, lo, hi, inc, 1.0, true_ab, text[:8], iters)
-            continue
-        snapped, hits = oracle_matching_set(kind, lo, hi, inc, 1.0, true_ab,
-                                            text[:8], iters)
-        assert (res.true_key.params.a, res.true_key.params.b) == snapped
-        assert [(k.params.a, k.params.b) for k in res.matching_keys] == hits
-        assert res.identifiable == (hits == [snapped])
-        completed += 1
-
-
 def test_snapped_key_always_in_matching_set():
     rng = random.Random(77)
     for _ in range(10):
@@ -593,21 +568,6 @@ def test_scan_validates_inputs():
         identifiability_scan(b"ok", ARNOLD_KEY, dom, compare_len=3)
 
 
-def oracle_kpa_candidates(kind, lo, hi, inc, n_mod, prefix, observed, iters, quant):
-    """(a, b) of every grid key, in grid order, whose flat oracle
-    encryption of prefix is observed; divergent keys never match."""
-    hits = []
-    for i in range(oracle_axis(lo[0], hi[0], inc)):
-        for j in range(oracle_axis(lo[1], hi[1], inc)):
-            a, b = lo[0] + i * inc, lo[1] + j * inc
-            try:
-                if bytes(oracle_symbols(prefix, kind, a, b, n_mod, iters, quant)) == observed:
-                    hits.append((a, b))
-            except OverflowError:
-                pass
-    return hits
-
-
 def random_box(rng, kind):
     """A small random box inside the kind's full key domain, with a coarse
     increment at times, so that many Duffing boxes are mostly divergent."""
@@ -648,6 +608,7 @@ def test_scans_match_flat_oracles_on_random_grids(kind, iters):
             res = identifiability_scan(text, key, dom, iteration_value=iters)
             assert (res.true_key.params.a, res.true_key.params.b) == snapped
             assert [(k.params.a, k.params.b) for k in res.matching_keys] == hits
+            assert res.identifiable == (hits == [snapped])
 
         # a coarse quantizer makes many keys collide on the known prefix, and
         # one that is 0 on the whole box makes every key match until its
@@ -664,8 +625,8 @@ def test_scans_match_flat_oracles_on_random_grids(kind, iters):
                 break
             except OverflowError:
                 diverged += 1
-        expected = oracle_kpa_candidates(kind, lo, hi, inc, 1.0, prefix,
-                                         ciphertext[:len(prefix)], iters, quant)
+        expected = oracle_matches(kind, lo, hi, inc, 1.0, prefix, ciphertext[:len(prefix)],
+                                  *START[kind], iters, iters, quant)
         res = known_plaintext_attack(ciphertext, prefix, dom, cfg)
         assert [(k.params.a, k.params.b) for k in res.candidates] == expected
     if kind is MapKind.DUFFING:
@@ -691,8 +652,8 @@ def test_scans_match_oracles_when_chunks_start_mid_row(monkeypatch, workers):
     assert [(k.params.a, k.params.b) for k in res.matching_keys] == hits
     # one known symbol: about one key in 256 matches, on both sides of each cut
     ciphertext = encrypt_bytes(text, key)
-    expected = oracle_kpa_candidates(MapKind.ARNOLD, lo, hi, inc, 1.0, text[:1],
-                                     ciphertext[:1], 3, 1e6)
+    expected = oracle_matches(MapKind.ARNOLD, lo, hi, inc, 1.0, text[:1], ciphertext[:1],
+                              *START[MapKind.ARNOLD])
     res = known_plaintext_attack(ciphertext, text[:1], dom, workers=workers)
     candidates = [(k.params.a, k.params.b) for k in res.candidates]
     assert candidates == expected
@@ -710,8 +671,8 @@ def test_pooled_scans_in_short_chunks_match_oracles(monkeypatch, workers):
     text = b"Meet me after 5p.m."
     key = Key(MapKind.ARNOLD, MapParams(-4.0012, 0.5031))
     ciphertext = encrypt_bytes(text, key)
-    expected = oracle_kpa_candidates(MapKind.ARNOLD, lo, hi, inc, 1.0, text[:1],
-                                     ciphertext[:1], 3, 1e6)
+    expected = oracle_matches(MapKind.ARNOLD, lo, hi, inc, 1.0, text[:1], ciphertext[:1],
+                              *START[MapKind.ARNOLD])
     done = []
     res = known_plaintext_attack(ciphertext, text[:1], dom, workers=workers,
                                  on_progress=lambda n, total: done.append(n))
@@ -843,19 +804,13 @@ def test_scan_honours_every_config_field():
                   n1=2, n2=4, quant_scale=5e4, reinject_gain=0.75)
     text = b"config fields"
     key = Key(MapKind.ARNOLD, dom.params_at(1, 2))
-
-    def oracle(data, a, b):
-        return oracle_encrypt(data, arnold_oracle_step(a, b, n_mod), 0.31, -0.2,
-                              n1=2, n2=4, q=5e4, g=0.75)
-
     ciphertext = encrypt_bytes(text, key, cfg)
-    assert ciphertext == oracle(text, key.params.a, key.params.b)
-    grid = [(lo[0] + i * inc, lo[1] + j * inc) for i in range(oracle_axis(lo[0], hi[0], inc))
-            for j in range(oracle_axis(lo[1], hi[1], inc))]
     for n in (1, 2, len(text)):
-        expected = [(a, b) for a, b in grid if oracle(text[:n], a, b) == ciphertext[:n]]
+        expected = oracle_matches(MapKind.ARNOLD, lo, hi, inc, n_mod, text[:n], ciphertext[:n],
+                                  0.31, -0.2, 2, 4, 5e4, 0.75)
         res = known_plaintext_attack(ciphertext, text[:n], dom, cfg)
         assert [(k.params.a, k.params.b) for k in res.candidates] == expected
+    # the key's ciphertext is the oracle's: the key matches it in full
     assert (key.params.a, key.params.b) in expected
 
 

@@ -24,7 +24,7 @@ from chaoscrypt.maps import (
     write_trajectory_csv,
 )
 
-from oracles import arnold_edge_params, arnold_oracle_step, duffing_oracle_step, oracle_orbit
+from oracles import arnold_edge_params, oracle_orbit, oracle_step
 
 # Parameter sets and start points from the reference scatter plots.
 FIG_ARNOLD = MapParams(-3.5, 0.9, 1.0)
@@ -284,12 +284,6 @@ def orbit_cases(draw):
     return kind, params, start, draw(st.integers(0, 50)), delta
 
 
-def oracle_step(kind, p):
-    if kind is MapKind.ARNOLD:
-        return arnold_oracle_step(p.a, p.b, p.n_modulus)
-    return duffing_oracle_step(p.a, p.b)
-
-
 def exact(points):
     return [(x.hex(), y.hex()) for x, y in points]
 
@@ -333,7 +327,7 @@ def raises_as(call, failure):
 @example((MapKind.DUFFING, MapParams(2.8959, -0.4528), State(0.923, 0.078), 30, 1e-3))
 def test_orbit_tools_match_checked_oracle(case):
     kind, p, s0, n, delta = case
-    step = oracle_step(kind, p)
+    step = oracle_step(kind, p.a, p.b, p.n_modulus)
 
     points, failure = oracle_orbit(step, s0.x, s0.y, n)
     if failure is None:

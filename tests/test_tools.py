@@ -1,9 +1,12 @@
 """The repository's tools, each loaded from tools/ as the script it is."""
 
+import ast
 import importlib.util
 import json
 import shutil
 from pathlib import Path
+
+import oracles
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -348,3 +351,14 @@ def test_parity_shows_a_key_line_that_reads_another_lifted_value():
         "    -passed.append((_r1 * _g1, _c1))",
         "    +passed.append((_r1 * _g1, _c2))",
     ]
+
+
+def test_bench_calls_only_oracles_that_exist():
+    # bench/run.py checks the package against tests/oracles.py, calling
+    # its functions as pkg.oracles.<name>: a renamed oracle breaks every
+    # bench run
+    tree = ast.parse((TOOLS.parent / "bench" / "run.py").read_text())
+    called = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and ast.unparse(node.value) == "pkg.oracles"}
+    missing = sorted(name for name in called if not callable(getattr(oracles, name, None)))
+    assert called and not missing, f"tests/oracles.py has no {missing}"
