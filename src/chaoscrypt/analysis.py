@@ -22,9 +22,9 @@ from time import perf_counter
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .cipher import (
+    _MAX_ITERATIONS,
     CipherConfig,
     Key,
-    _check_count,
     _field,
     _key_from_dict,
     _number,
@@ -35,7 +35,8 @@ from .cipher import (
     default_config,
     encrypt_bytes,
 )
-from .maps import DivergenceError, DomainError, MapKind, MapParams, _finite
+from .maps import (DivergenceError, DomainError, MapKind, MapParams, _check_count,
+                   _check_number, _finite)
 
 __all__ = [
     "GRID_STEP",
@@ -87,8 +88,7 @@ def _check_axis(lo: float, hi: float) -> None:
 
 def _axis_count(lo: float, hi: float, step: float) -> int:
     _check_axis(lo, hi)
-    if not (_finite(step) and step > 0.0):
-        raise DomainError(f"axis step must be finite and > 0, got {step!r}")
+    _check_number(step, "axis step", positive=True)
     # ints subtract exactly, and may span more than a float holds
     steps = (hi - lo) / step + _GRID_EPS if _finite(hi - lo) else math.inf
     if not math.isfinite(steps):
@@ -215,8 +215,7 @@ def key_sensitivity(plaintext: bytes | str, key: Key,
     p = _as_bytes(plaintext)
     if not p:
         raise DomainError("key sensitivity needs a non-empty plaintext")
-    if not _finite(delta):
-        raise DomainError("delta must be finite")
+    _check_number(delta, "delta")
     params = key.params
     perturbed = replace(params, a=params.a + delta)
     if delta and perturbed == params:
@@ -286,12 +285,13 @@ def _matching_keys(domain: KeyDomain, cfg: CipherConfig, jobs: Sequence[tuple[tu
     mismatching symbol. The queries share one pass over the grid. Each
     key is dropped at its first mismatching symbol; divergent keys do not
     match."""
+    _check_count(workers, "workers", 1)
     total = domain.size()
     if total > _MAX_SCAN_KEYS:
         raise DomainError(f"grid of {_size_text(total)} keys exceeds the scan cap of "
                           f"{_MAX_SCAN_KEYS}; use a larger increment or a smaller domain")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(int(workers), cpus or 1, -(-total // _MAX_POOL_CHUNK)))
+    workers = min(workers, cpus or 1, -(-total // _MAX_POOL_CHUNK))
     # serially the whole grid, pooled a quarter of a worker's share; a pool
     # starts only above the cap, so a pooled tile holds over an eighth of it
     chunk = min(_MAX_POOL_CHUNK, total if workers == 1 else -(-total // (workers * 4)))
@@ -335,6 +335,7 @@ def _identification(plaintext: bytes | str, true_key: Key, domain: KeyDomain,
     if compare_len is None:
         compare_len = min(len(p), 8)
     _check_count(compare_len, "compare_len", 1, len(p))
+    _check_count(iteration_value, "iteration_value", 1, _MAX_ITERATIONS)
     scan_cfg = replace(cfg, n1=iteration_value, n2=iteration_value)
     snapped = Key(domain.kind, domain.snap(true_key.params))
     data = p[:compare_len]
@@ -446,11 +447,16 @@ def analysis_report(rows_spec: Sequence[tuple[str | bytes, Key, KeyDomain]],
     fails, a later iteration value's scan included, leaves its verdict
     empty; so does an empty iteration_values for identifiability. The
     brute-force verdict mirrors identifiability, empty included. A count
-    argument that is not an int >= 0 is refused before the first row.
+    or a key_delta out of its domain is refused before the first row.
     """
-    for name, count in (("compare_len", compare_len), ("kpa_prefix_len", kpa_prefix_len),
-                        ("flip_bit", flip_bit)):
-        _check_count(count, name, 0)
+    for name, count, lo in (("compare_len", compare_len, 0), ("kpa_prefix_len", kpa_prefix_len, 0),
+                            ("flip_bit", flip_bit, 0), ("workers", workers, 1)):
+        _check_count(count, name, lo)
+    iteration_values = tuple(iteration_values)  # each row reads them again
+    for iteration_value in iteration_values:
+        _check_count(iteration_value, "iteration_value", 1, _MAX_ITERATIONS)
+    if key_delta is not None:
+        _check_number(key_delta, "key_delta")
     rows_spec = list(rows_spec)
     rows = []
     for idx, (plaintext, key, domain) in enumerate(rows_spec, start=1):

@@ -55,7 +55,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -67,6 +66,8 @@ from .maps import (
     MapKind,
     MapParams,
     State,
+    _check_count,
+    _check_number,
     _finite,
     _kernel,
 )
@@ -134,22 +135,11 @@ class CipherConfig:
                          f"config field {name!r} (iteration counts n1 and n2)", 1, _MAX_ITERATIONS)
         # every quantized coordinate lies in the box [-bound, bound], so
         # scaling it never overflows
-        if not (self.quant_scale > 0.0 and _finite(self.quant_scale)
-                and _finite(self.quant_scale * DIVERGENCE_BOUND)):
-            raise DomainError(f"config field 'quant_scale' must be > 0, with quant_scale * "
-                              f"{DIVERGENCE_BOUND:g} finite, got {self.quant_scale!r}")
-        if not _finite(self.reinject_gain):
-            raise DomainError(f"config field 'reinject_gain' must be finite, "
-                              f"got {self.reinject_gain!r}")
-
-
-def _check_count(value, name: str, lo: int, hi: int | None = None) -> None:
-    """A count, such as an iteration count, is an int (not a bool) from lo
-    to hi, or from lo up when hi is None; name names it in the error."""
-    if not (isinstance(value, int) and not isinstance(value, bool)
-            and lo <= value and (hi is None or value <= hi)):
-        at_most = "" if hi is None else f"at most {hi} and "
-        raise DomainError(f"{name} must be {at_most}an integer >= {lo}, got {value!r}")
+        _check_number(self.quant_scale, "config field 'quant_scale'", positive=True)
+        if not _finite(self.quant_scale * DIVERGENCE_BOUND):
+            raise DomainError(f"config field 'quant_scale' times {DIVERGENCE_BOUND:g} "
+                              f"must be finite, got {self.quant_scale!r}")
+        _check_number(self.reinject_gain, "config field 'reinject_gain'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -602,9 +592,7 @@ def _number(obj, name: str, where: str, default=None, count: bool = False):
     """_field as a finite float, or as an int when count is set. Bools,
     strings and non-integral counts raise ValueError naming the field."""
     value = _field(obj, name, where, default)
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max
-            and (not count or value == int(value))):
+    if not (_finite(value) and (not count or value == int(value))):
         raise ValueError(f"{where} field {name!r} must be "
                          f"{'an integer' if count else 'a finite number'}, got {value!r}")
     return int(value) if count else float(value)

@@ -140,8 +140,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_trajectory(args) -> int:
     kind = MapKind.parse(args.kind)
-    if args.n > _MAX_TRAJECTORY_STEPS:
-        raise ValueError(f"--n must be at most {_MAX_TRAJECTORY_STEPS}, got {args.n}")
+    maps._check_count(args.n, "--n", 1, _MAX_TRAJECTORY_STEPS)
     start = args.init if args.init is not None else cipher.DEFAULT_INITIAL_STATE[kind]
     points = maps.trajectory(kind, start, args.params, args.n)
     with cipher._atomic_write(args.out, "x", encoding="ascii") as f:
@@ -173,7 +172,7 @@ def _print_scan(args, elapsed: float, fields: dict, summary: str) -> int:
 
 
 def cmd_identify(args) -> int:
-    cipher._check_count(args.iters, "--iters", 1, cipher._MAX_ITERATIONS)
+    maps._check_count(args.iters, "--iters", 1, cipher._MAX_ITERATIONS)
     key = cipher.load_key(args.key)
     domain = _domain(args, key.kind, key.params.n_modulus)
     if not domain.contains(key.params):

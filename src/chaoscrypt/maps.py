@@ -54,11 +54,25 @@ class DomainError(ValueError):
 
 
 def _finite(value) -> bool:
-    """math.isfinite, but false for an int too large for a float."""
+    """Whether value is an int or a float (not a bool) that a float holds finitely."""
     try:
-        return math.isfinite(value)
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _check_number(value, name: str, positive: bool = False) -> None:
+    """value must be a finite int or float (not a bool), and > 0 if positive."""
+    if not (_finite(value) and (not positive or value > 0)):
+        raise DomainError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
+
+
+def _check_count(value, name: str, lo: int, hi: int | None = None) -> None:
+    """A count, such as an iteration count, is an int (not a bool) from lo
+    to hi, or from lo up when hi is None; name names it in the error."""
+    if not (type(value) is int and lo <= value and (hi is None or value <= hi)):
+        at_most = "" if hi is None else f"at most {hi} and "
+        raise DomainError(f"{name} must be {at_most}an integer >= {lo}, got {value!r}")
 
 
 class DivergenceError(ArithmeticError):
@@ -108,10 +122,9 @@ class MapParams:
     n_modulus: float = 1.0
 
     def __post_init__(self):
-        if not (_finite(self.a) and _finite(self.b)):
-            raise DomainError("map parameters must be finite")
-        if not (_finite(self.n_modulus) and self.n_modulus > 0.0):
-            raise DomainError("n_modulus must be finite and > 0")
+        _check_number(self.a, "a")
+        _check_number(self.b, "b")
+        _check_number(self.n_modulus, "n_modulus", positive=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,8 +135,8 @@ class State:
     y: float
 
     def __post_init__(self):
-        if not (_finite(self.x) and _finite(self.y)):
-            raise DomainError("state coordinates must be finite")
+        _check_number(self.x, "x")
+        _check_number(self.y, "y")
 
 
 def signed_mod(dividend: float, divisor: float) -> float:
@@ -132,10 +145,8 @@ def signed_mod(dividend: float, divisor: float) -> float:
     Real-valued: r = dividend - divisor * trunc(dividend / divisor), so
     |r| < divisor, signed_mod(5, 3) == 2 and signed_mod(-5, 3) == -2.
     """
-    if not (_finite(dividend) and _finite(divisor)):
-        raise DomainError("signed_mod requires finite arguments")
-    if divisor <= 0.0:
-        raise DomainError("signed_mod divisor must be > 0")
+    _check_number(dividend, "dividend")
+    _check_number(divisor, "divisor", positive=True)
     return fmod(dividend, divisor)
 
 
@@ -333,9 +344,8 @@ def duffing_step(s: State, p: MapParams) -> State:
 
 
 def iterate(kind: MapKind, s: State, p: MapParams, n: int) -> State:
-    """n-fold composition of the selected step; n = 0 returns s unchanged."""
-    if n < 0:
-        raise DomainError("iteration count must be >= 0")
+    """n-fold composition of the selected step, n an int >= 0; 0 returns s."""
+    _check_count(n, "n", 0)
     x, y = s.x, s.y
     for x, y in _orbit(kind, x, y, p, n):
         pass
@@ -350,12 +360,11 @@ def _orbit(kind: MapKind, x: float, y: float, p: MapParams,
 
 
 def trajectory(kind: MapKind, s0: State, p: MapParams, n: int) -> list[State]:
-    """Orbit [s0, step(s0), ..., step^n(s0)] of length n + 1.
+    """Orbit [s0, step(s0), ..., step^n(s0)] of length n + 1, n an int >= 1.
 
     On divergence the error carries the prefix computed so far.
     """
-    if n < 1:
-        raise DomainError("trajectory length must be >= 1")
+    _check_count(n, "n", 1)
     points = [s0]
     try:
         for x, y in _orbit(kind, s0.x, s0.y, p, n):
@@ -367,16 +376,14 @@ def trajectory(kind: MapKind, s0: State, p: MapParams, n: int) -> list[State]:
 
 
 def divergence_measure(kind: MapKind, s0: State, delta: float, p: MapParams, n: int) -> float:
-    """Largest separation, over steps 1..n, between the orbits of s0 and
-    of s0 shifted by delta along x.
+    """Largest separation, over steps 1..n (n an int >= 1), between the
+    orbits of s0 and of s0 shifted by a finite delta > 0 along x.
 
     A strongly positive value on a tiny delta is the operational signature
     of sensitive dependence on initial conditions.
     """
-    if not (_finite(delta) and delta > 0.0):
-        raise DomainError("delta must be finite and > 0")
-    if n < 1:
-        raise DomainError("step count must be >= 1")
+    _check_number(delta, "delta", positive=True)
+    _check_count(n, "n", 1)
     worst = 0.0
     for (xa, ya), (xb, yb) in zip(_orbit(kind, s0.x, s0.y, p, n),
                                   _orbit(kind, s0.x + delta, s0.y, p, n)):

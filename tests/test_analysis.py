@@ -6,6 +6,7 @@ import io
 import multiprocessing
 import os
 import random
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -43,7 +44,9 @@ from chaoscrypt.maps import (
     MapParams,
     State,
     divergence_measure,
+    iterate,
     signed_mod,
+    trajectory,
 )
 
 from oracles import START, oracle_matches, oracle_matching_set, oracle_symbols
@@ -113,39 +116,55 @@ def test_domain_snap_clamps_keys_whose_index_overflows(a, b):
                                                            0 if b < 0 else nb - 1)
 
 
-# An int beyond the float range, where math.isfinite raises OverflowError:
-# each check refuses it as it refuses inf, with a DomainError.
+# Values that no number argument takes: an int beyond the float range,
+# where math.isfinite raises OverflowError, a string and None, where it
+# raises TypeError, and a bool, which it reads as 0 or 1.
 HUGE = 10 ** 400
+NOT_NUMBERS = (HUGE, -HUGE, "x", None, True)
 ARNOLD_BOX = ((-4.0, 0.5), (-3.9, 0.6))
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: MapParams(HUGE, 0.5), "map parameters must be finite"),
-    (lambda: MapParams(-4.0, -HUGE), "map parameters must be finite"),
-    (lambda: MapParams(-4.0, 0.5, HUGE), "n_modulus must be finite"),
-    (lambda: State(HUGE, 0.0), "state coordinates must be finite"),
-    (lambda: State(0.0, -HUGE), "state coordinates must be finite"),
-    (lambda: replace(default_config(MapKind.ARNOLD), quant_scale=HUGE), "'quant_scale'"),
-    (lambda: replace(default_config(MapKind.ARNOLD), reinject_gain=-HUGE), "'reinject_gain'"),
-    (lambda: KeyDomain(MapKind.ARNOLD, (-HUGE, 0.5), ARNOLD_BOX[1]), "degenerate axis"),
-    (lambda: KeyDomain(MapKind.ARNOLD, ARNOLD_BOX[0], (-3.9, HUGE)), "degenerate axis"),
-    (lambda: KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX, HUGE), "axis step must be finite"),
-    (lambda: key_space_size(KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX), HUGE),
-     "axis step must be finite"),
-    (lambda: key_sensitivity("hello", ARNOLD_KEY, delta=HUGE), "delta must be finite"),
-    (lambda: signed_mod(HUGE, 3.0), "signed_mod requires finite arguments"),
-    (lambda: signed_mod(5.0, HUGE), "signed_mod requires finite arguments"),
-    (lambda: divergence_measure(MapKind.ARNOLD, State(0.5, 0.06), HUGE, ARNOLD_KEY.params, 5),
-     "delta must be finite"),
+@pytest.mark.parametrize("build, message, values", [
+    (lambda v: MapParams(v, 0.5), "a must be finite, got {!r}", NOT_NUMBERS),
+    (lambda v: MapParams(-4.0, v), "b must be finite, got {!r}", NOT_NUMBERS),
+    (lambda v: MapParams(-4.0, 0.5, v), "n_modulus must be finite and > 0, got {!r}",
+     NOT_NUMBERS),
+    (lambda v: State(v, 0.0), "x must be finite, got {!r}", NOT_NUMBERS),
+    (lambda v: State(0.0, v), "y must be finite, got {!r}", NOT_NUMBERS),
+    (lambda v: replace(default_config(MapKind.ARNOLD), quant_scale=v),
+     "config field 'quant_scale' must be finite and > 0, got {!r}", NOT_NUMBERS),
+    (lambda v: replace(default_config(MapKind.ARNOLD), reinject_gain=v),
+     "config field 'reinject_gain' must be finite, got {!r}", NOT_NUMBERS),
+    (lambda v: KeyDomain(MapKind.ARNOLD, (v, 0.5), ARNOLD_BOX[1]),
+     "degenerate axis [{}, -3.9]", NOT_NUMBERS),
+    (lambda v: KeyDomain(MapKind.ARNOLD, ARNOLD_BOX[0], (-3.9, v)),
+     "degenerate axis [0.5, {}]", NOT_NUMBERS),
+    (lambda v: KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX, v),
+     "axis step must be finite and > 0, got {!r}", NOT_NUMBERS),
+    (lambda v: key_space_size(KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX), v),
+     "axis step must be finite and > 0, got {!r}", NOT_NUMBERS),
+    (lambda v: key_sensitivity("hello", ARNOLD_KEY, delta=v), "delta must be finite, got {!r}",
+     NOT_NUMBERS),
+    (lambda v: signed_mod(v, 3.0), "dividend must be finite, got {!r}", NOT_NUMBERS),
+    (lambda v: signed_mod(5.0, v), "divisor must be finite and > 0, got {!r}", NOT_NUMBERS),
+    (lambda v: divergence_measure(MapKind.ARNOLD, State(0.5, 0.06), v, ARNOLD_KEY.params, 5),
+     "delta must be finite and > 0, got {!r}", NOT_NUMBERS),
     # two bounds a float holds, whose difference it does not
-    (lambda: KeyDomain(MapKind.ARNOLD, (-10 ** 308, 0.0), (10 ** 308, 1.0)),
-     "has too many steps of 0.0001"),
+    (lambda _: KeyDomain(MapKind.ARNOLD, (-10 ** 308, 0.0), (10 ** 308, 1.0)),
+     "has too many steps of 0.0001", (None,)),
+    # refused before the first row; None is the report's default, each
+    # row's increment
+    (lambda v: analysis_report([("hello", ARNOLD_KEY, KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX))],
+                               key_delta=v),
+     "key_delta must be finite, got {!r}", (HUGE, -HUGE, "x", True)),
 ], ids=["a", "b", "n_modulus", "x", "y", "quant_scale", "reinject_gain", "domain lower",
         "domain upper", "increment", "resolution", "key delta", "dividend", "divisor",
-        "divergence delta", "int span"])
-def test_ints_beyond_the_float_range_are_domain_errors(build, message):
-    with pytest.raises(DomainError, match=message):
-        build()
+        "divergence delta", "int span", "report key delta"])
+def test_ints_beyond_the_float_range_are_domain_errors(build, message, values):
+    # each is one DomainError naming the argument and the value, as inf is
+    for value in values:
+        with pytest.raises(DomainError, match=re.escape(message.format(value))):
+            build(value)
 
 
 # --- sensitivities ---------------------------------------------------------
@@ -160,19 +179,33 @@ def test_plaintext_sensitivity_range_and_self_zero():
         hamming_bits(b"a", b"ab")
 
 
-@pytest.mark.parametrize("count", [2.5, True])
+def _scan(**kwargs):
+    return identifiability_scan(b"ab", ARNOLD_KEY, KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX),
+                                **kwargs)
+
+
+@pytest.mark.parametrize("count", [2.5, True, "x"])
 @pytest.mark.parametrize("call, name", [
     (lambda n: plaintext_sensitivity(b"ab", ARNOLD_KEY, None, n), "flip_bit"),
-    (lambda n: identifiability_scan(b"ab", ARNOLD_KEY, KeyDomain(MapKind.ARNOLD, *ARNOLD_BOX),
-                                    compare_len=n), "compare_len"),
+    (lambda n: _scan(compare_len=n), "compare_len"),
     (lambda n: analysis_report([], flip_bit=n), "flip_bit"),
     (lambda n: analysis_report([], compare_len=n), "compare_len"),
     (lambda n: analysis_report([], kpa_prefix_len=n), "kpa_prefix_len"),
+    (lambda n: iterate(MapKind.ARNOLD, State(0.5, 0.06), ARNOLD_KEY.params, n), "n"),
+    (lambda n: trajectory(MapKind.ARNOLD, State(0.5, 0.06), ARNOLD_KEY.params, n), "n"),
+    (lambda n: divergence_measure(MapKind.ARNOLD, State(0.5, 0.06), 1e-9, ARNOLD_KEY.params, n),
+     "n"),
+    (lambda n: _scan(workers=n), "workers"),
+    (lambda n: _scan(iteration_value=n), "iteration_value"),
+    (lambda n: analysis_report([], workers=n), "workers"),
+    (lambda n: analysis_report([], iteration_values=(2, n)), "iteration_value"),
 ], ids=["plaintext_sensitivity", "identifiability_scan", "report_flip_bit",
-        "report_compare_len", "report_kpa_prefix_len"])
+        "report_compare_len", "report_kpa_prefix_len", "iterate", "trajectory",
+        "divergence_measure", "identifiability_scan_workers",
+        "identifiability_scan_iteration_value", "report_workers", "report_iteration_values"])
 def test_count_arguments_are_ints(call, name, count):
-    # a bool is no count, and a float no index: each is one DomainError,
-    # the report's before its first row
+    # a bool is no count, and a float or a string no index: each is one
+    # DomainError, the report's before its first row
     with pytest.raises(DomainError, match=f"^{name} must be .*an integer >= ., got {count!r}$"):
         call(count)
 
@@ -566,6 +599,16 @@ def test_scan_validates_inputs():
         identifiability_scan(b"ok", ARNOLD_KEY, dom, iteration_value=0)
     with pytest.raises(DomainError):
         identifiability_scan(b"ok", ARNOLD_KEY, dom, compare_len=3)
+    # counts out of range, each named: a scan's, and the report's before
+    # its first row
+    for name, value in (("workers", 0), ("iteration_value", 1001)):
+        with pytest.raises(DomainError, match=f"^{name} must be .*, got {value}$"):
+            identifiability_scan(b"ok", ARNOLD_KEY, dom, **{name: value})
+    for name, kwargs in (("workers", {"workers": 0}), ("workers", {"workers": -1}),
+                         ("iteration_value", {"iteration_values": (0,)}),
+                         ("iteration_value", {"iteration_values": (2, 1001)})):
+        with pytest.raises(DomainError, match=f"^{name} must be "):
+            analysis_report([("ok", ARNOLD_KEY, dom)], **kwargs)
 
 
 def random_box(rng, kind):

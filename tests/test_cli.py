@@ -692,7 +692,7 @@ def test_attack_rejects_bad_n_modulus_before_scanning(tmp_path, capsys, n_modulu
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: n_modulus must be finite and > 0\n"
+    assert captured.err == f"error: n_modulus must be finite and > 0, got {float(n_modulus)!r}\n"
 
 
 def test_report_and_compare_small_specs(tmp_path, capsys):
@@ -831,11 +831,11 @@ def test_unknown_flags_exit_2(capsys):
              "unrecognized arguments: --nonsense"),
             (["keygen", "--kind", "arnold", "--domain", "1,2"],
              "argument --domain: --domain expects 4 comma-separated numbers, got '1,2'"),
-            (orbit + ["--params=1,nan"], "argument --params: map parameters must be finite"),
+            (orbit + ["--params=1,nan"], "argument --params: b must be finite, got nan"),
             (orbit + ["--params=1,x"],
              "argument --params: could not convert string to float: 'x'"),
             (orbit + ["--params=1,2", "--init", "0,inf"],
-             "argument --init: state coordinates must be finite")):
+             "argument --init: y must be finite, got inf")):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -975,6 +975,7 @@ def cli_calls(draw):
     config = ["--config", "@c.json"] if draw(st.booleans()) else []
     n_modulus = [f"--n-modulus={draw(FLOATS)}"] if draw(st.booleans()) else []
     text = draw(TEXTS)
+    workers = ["--workers", draw(mostly(["1", "2"], ["0", "-1"]))]
     if command in ("encrypt", "decrypt"):
         files["in"] = (text.encode() if command == "encrypt"
                        else draw(mostly(["00ff10", "00 11\n", ""], ["0g", "abc"])))
@@ -999,15 +1000,15 @@ def cli_calls(draw):
         if draw(st.booleans()):
             argv.append(f"--flip-bit={draw(FLIP_BITS)}")
     elif command == "identify":
-        argv = ["--text", text, "--key", "@k.json", *domain, *config,
+        argv = ["--text", text, "--key", "@k.json", *domain, *config, *workers,
                 "--iters", draw(mostly(["1", "3"], ["0", "1001"]))]
     elif command == "attack":
         files["ct.hex"] = draw(mostly(["a1b2c3d4e5f60718293a4b5c6d7e8f90"], ["", "zz"]))
         argv = ["--cipher", "@ct.hex", "--known-prefix", text, *kind, *domain,
-                *n_modulus, *config, "--json"]
+                *n_modulus, *config, *workers, "--json"]
     elif command == "report":
         files["spec.json"] = draw(report_specs())
-        argv = ["--spec", "@spec.json", "--out", "@out"]
+        argv = ["--spec", "@spec.json", "--out", "@out", *workers]
     else:
         (files["a.csv"], counts_a), (files["d.csv"], counts_d) = draw(report_csvs()), \
             draw(report_csvs())
@@ -1089,6 +1090,8 @@ def test_cli_contract_holds_for_hostile_input(call):
     assert rc in (0, 1, 2, 3)
     assert len(errors) == (rc != 0)
     assert "Traceback" not in err.getvalue()
+    if "--workers" in argv and int(argv[argv.index("--workers") + 1]) < 1:
+        assert rc != 0  # refused, not clamped to one worker
     if rc == 0:
         assert not re.search(r"\b(NaN|-?Infinity)\b", out.getvalue())
     if argv[0] == "report" and rc == 0:

@@ -2,7 +2,9 @@
 
 import ast
 import importlib.util
+import inspect
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -355,10 +357,40 @@ def test_parity_shows_a_key_line_that_reads_another_lifted_value():
 
 def test_bench_calls_only_oracles_that_exist():
     # bench/run.py checks the package against tests/oracles.py, calling
-    # its functions as pkg.oracles.<name>: a renamed oracle breaks every
-    # bench run
+    # its functions as pkg.oracles.<name>, and reads the package as
+    # pkg.<module>.<name> or through a name bound to pkg.<module> (A, C,
+    # M): a renamed oracle or package name breaks every bench run. Its
+    # report replay reads analysis_report's defaults by parameter name.
     tree = ast.parse((TOOLS.parent / "bench" / "run.py").read_text())
-    called = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-              and ast.unparse(node.value) == "pkg.oracles"}
-    missing = sorted(name for name in called if not callable(getattr(oracles, name, None)))
-    assert called and not missing, f"tests/oracles.py has no {missing}"
+    bound = set()  # (alias, module)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(value, ast.Tuple) else [(target, value)])
+            for name, module in pairs:
+                match = re.fullmatch(r"pkg\.(\w+)", ast.unparse(module))
+                if isinstance(name, ast.Name) and match:
+                    bound.add((name.id, match[1]))
+    aliases = dict(bound)
+    assert len(aliases) == len(bound) and {"A", "C", "M"} <= set(aliases), sorted(bound)
+    reads = set()  # (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            value = ast.unparse(node.value)
+            match = re.fullmatch(r"(?:self\.)?pkg\.(\w+)", value)
+            if match or value in aliases:
+                reads.add((match[1] if match else aliases[value], node.attr))
+    modules = {"oracles": oracles, **{name: importlib.import_module(f"chaoscrypt.{name}")
+                                      for name in ("maps", "cipher", "analysis", "cli")}}
+    assert {module for module, _ in reads} == set(modules)
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if not hasattr(modules[module], name))
+    assert not missing, f"bench/run.py reads names that do not exist: {missing}"
+    assert all(callable(getattr(oracles, name)) for module, name in reads if module == "oracles")
+    replay, = (node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "replay_report")
+    read = {node.slice.value for node in ast.walk(replay)
+            if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "defaults"}
+    parameters = set(inspect.signature(modules["analysis"].analysis_report).parameters)
+    assert read and not read - parameters, f"analysis_report has no parameter {read - parameters}"
